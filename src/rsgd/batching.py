@@ -16,7 +16,13 @@ Every scheme knows its own outcome space, so its expectation and variance at
 a step can be computed exactly by exhaustive enumeration; this is how the
 unbiasedness of each scheme is certified in tests.
 
-Draws are pure functions of (seed, t): see :mod:`rsgd.rng`.
+Draws are pure functions of (seed, t): see :mod:`rsgd.rng`.  Nothing depends
+on the order in which steps are drawn, so ``draw_blocks`` draws many steps in
+one vectorised call and gives the same bits as drawing them one at a time;
+``draw_block`` (one step) is its one-step case.  A block keeps one batch
+layout and holds at most ``_BLOCK_WORDS`` outcome indices over all seeds, so
+its temporaries stay small whatever the horizon; it is cut wherever the
+layout (batch size, stratified override) changes.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ _STREAM_SUBSET = 1 << 40
 _STREAM_STRATIFIED = 1 << 41
 
 _ENUM_CHUNK = 1 << 15
+_BLOCK_WORDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,11 @@ class BatchSizes:
         if self.kind == "constant":
             return self.base
         if self.kind == "geometric":
-            return min(self.cap, int(self.base * self.growth**t))
+            try:
+                return min(self.cap, int(self.base * self.growth**t))
+            except OverflowError:
+                # growth**t is beyond the float range, so far beyond the cap
+                return self.cap
         if t >= len(self.values):
             raise InvalidPlan(f"explicit size list has no entry for t={t}")
         return self.values[t]
@@ -110,9 +121,39 @@ class BatchPlan:
         """Averaging weights of the batch at step t (fixed given t)."""
         raise NotImplementedError
 
-    def draw_block(self, t: int, seeds) -> np.ndarray:
-        """Outcome indices of shape (len(seeds), batch_size(t))."""
+    def layout(self, t: int):
+        """Key of the batch layout at step t: steps with equal keys have equal
+        batch sizes and weights."""
+        return self.batch_size(t)
+
+    def draw_blocks(self, t0: int, t1: int, seeds):
+        """Yield (t, outcomes) blocks covering steps t0 .. t1-1 in order.
+
+        ``outcomes`` has shape (len(seeds), k, batch_size(t)) and holds the
+        draws of steps t .. t+k-1, bitwise equal to drawing each step alone.
+        """
         raise NotImplementedError
+
+    def draw_block(self, t: int, seeds) -> np.ndarray:
+        """Outcome indices of shape (len(seeds), batch_size(t)).
+
+        Each scheme binds this as its own attribute, so that per-class
+        wrappers (the traced mode of ``perfbench``) see it."""
+        ((_, outcomes),) = self.draw_blocks(t, t + 1, seeds)
+        return outcomes[:, 0]
+
+    def _block_bounds(self, t0: int, t1: int, n_seeds: int):
+        """Split t0 .. t1-1 into (start, end) blocks of one layout and at most
+        _BLOCK_WORDS outcome indices (at least one step each)."""
+        start = t0
+        while start < t1:
+            key = self.layout(start)
+            stop = min(t1, start + max(1, _BLOCK_WORDS // (n_seeds * self.batch_size(start))))
+            end = start + 1
+            while end < stop and self.layout(end) == key:
+                end += 1
+            yield start, end
+            start = end
 
     def outcome_count(self, t: int) -> int:
         """Exact size of the scheme's outcome space at step t (Python int)."""
@@ -147,13 +188,18 @@ class SegmentPlan(BatchPlan):
         b = self.batch_size(t)
         return np.full(b, 1.0 / b)
 
-    def draw_block(self, t: int, seeds) -> np.ndarray:
-        b = self.batch_size(t)
+    draw_block = BatchPlan.draw_block
+
+    def draw_blocks(self, t0: int, t1: int, seeds):
+        # one stream per seed for the whole run; a block is slots cut(t) .. cut(end)
         keys = crng.stream_keys(seeds, _STREAM_SEGMENT)
-        slots = self.cut(t) + np.arange(b)
-        if self.space.is_uniform:
-            return crng.randints(keys, slots, self.space.size)
-        return crng.weighted_indices(keys, slots, self.space.cumulative)
+        for t, end in self._block_bounds(t0, t1, keys.size):
+            slots = np.arange(self.cut(t), self.cut(end))
+            if self.space.is_uniform:
+                idx = crng.randints(keys, slots, self.space.size)
+            else:
+                idx = crng.weighted_indices(keys, slots, self.space.cumulative)
+            yield t, idx.reshape(keys.size, end - t, -1)
 
     def outcome_count(self, t: int) -> int:
         return int(self.space.size) ** self.batch_size(t)
@@ -197,20 +243,14 @@ class SubsetPlan(BatchPlan):
         b = self.batch_size(t)
         return np.full(b, 1.0 / b)
 
-    def draw_block(self, t: int, seeds) -> np.ndarray:
-        b = self.batch_size(t)
-        n = self.space.size
-        keys = crng.stream_keys(seeds, _STREAM_SUBSET + t)
-        pool = np.broadcast_to(np.arange(n), (keys.size, n)).copy()
-        rows = np.arange(keys.size)
-        for j in range(b):
-            r = crng.randints(keys, np.array([j]), n - j)[:, 0]
-            pos = j + r
-            tmp = pool[rows, pos].copy()
-            pool[rows, pos] = pool[rows, j]
-            pool[rows, j] = tmp
-        # canonical sorted order: the draw is a set
-        return np.sort(pool[:, :b], axis=1)
+    draw_block = BatchPlan.draw_block
+
+    def draw_blocks(self, t0: int, t1: int, seeds):
+        s_count = np.size(seeds)
+        for t, end in self._block_bounds(t0, t1, s_count):
+            keys = crng.stream_keys(seeds, _STREAM_SUBSET + np.arange(t, end))
+            rows = _partial_shuffle(keys.ravel(), self.space.size, self.batch_size(t))
+            yield t, rows.reshape(s_count, end - t, -1)
 
     def outcome_count(self, t: int) -> int:
         return math.comb(self.space.size, self.batch_size(t))
@@ -276,21 +316,28 @@ class StratifiedPlan(BatchPlan):
         _, counts, _, mu = self._layout(t)
         return np.concatenate([np.full(c, m / c) for m, c in zip(mu, counts)])
 
-    def draw_block(self, t: int, seeds) -> np.ndarray:
-        _, counts, members, mu = self._layout(t)
-        keys = crng.stream_keys(seeds, _STREAM_STRATIFIED + t)
-        cols = []
-        offset = 0
-        for m, muj, c in zip(members, mu, counts):
-            slots = offset + np.arange(c)
-            if self.space.is_uniform:
-                pos = crng.randints(keys, slots, m.size)
-            else:
-                cond = np.cumsum(self.space.weights[m]) / muj
-                pos = crng.weighted_indices(keys, slots, cond)
-            cols.append(m[pos])
-            offset += c
-        return np.concatenate(cols, axis=1)
+    def layout(self, t: int):
+        return t if t in self.overrides else None
+
+    draw_block = BatchPlan.draw_block
+
+    def draw_blocks(self, t0: int, t1: int, seeds):
+        s_count = np.size(seeds)
+        for t, end in self._block_bounds(t0, t1, s_count):
+            _, counts, members, mu = self._layout(t)
+            keys = crng.stream_keys(seeds, _STREAM_STRATIFIED + np.arange(t, end)).ravel()
+            cols = []
+            offset = 0
+            for m, muj, c in zip(members, mu, counts):
+                slots = offset + np.arange(c)
+                if self.space.is_uniform:
+                    pos = crng.randints(keys, slots, m.size)
+                else:
+                    cond = np.cumsum(self.space.weights[m]) / muj
+                    pos = crng.weighted_indices(keys, slots, cond)
+                cols.append(m[pos])
+                offset += c
+            yield t, np.concatenate(cols, axis=1).reshape(s_count, end - t, -1)
 
     def outcome_count(self, t: int) -> int:
         _, counts, members, _ = self._layout(t)
@@ -321,6 +368,47 @@ class StratifiedPlan(BatchPlan):
                 idx[:, pos] = pos_members[pos][digit]
                 prob *= pos_cond[pos][digit]
             yield idx, prob
+
+
+def _partial_shuffle(keys: np.ndarray, n: int, b: int) -> np.ndarray:
+    """First b entries, sorted, of a Fisher-Yates shuffle of range(n) per key.
+
+    Swap j exchanges positions j and p_j = j + randints(key, j, n - j), the
+    words a pool shuffle consumes, but no (rows, n) pool is built (Bentley &
+    Floyd 1987).  Before swap j, a position q >= j holds what the latest
+    earlier swap i with p_i = q moved there, or q if there is none; swap i
+    moved there what position i held before it.  Those "latest earlier swap"
+    links depend on the p_j alone, so one sort finds them and pointer
+    doubling follows them: O(b log b) per row, never O(n).
+    """
+    m, js = keys.size, np.arange(b)
+    pos = js + crng.randints(keys, js, n - js)
+    base = np.arange(0, m * b, b)[:, None]  # flat offset of each row
+    # each row's swaps sorted by target position, equal targets in swap order
+    ranked, order = np.divmod(np.sort(pos * b + js, axis=1), b)
+    same = ranked[:, 1:] == ranked[:, :-1]
+    # prev[:, j]: the latest swap before j with the same target, or -1
+    linked = np.full((m, b), -1, dtype=np.int64)
+    linked[:, 1:] = np.where(same, order[:, :-1], -1)
+    prev = np.empty((m, b), dtype=np.int64)
+    prev.ravel()[base + order] = linked
+    # last[:, q]: the latest swap aiming at position q < b, or -1.  It comes
+    # before swap q, or it is swap q itself (p_q == q), and then nothing
+    # reads what position q held
+    run_end = np.ones((m, b), dtype=bool)
+    run_end[:, :-1] = ~same
+    run_end &= ranked < b
+    last = np.full((m, b), -1, dtype=np.int64)
+    last.ravel()[(base + ranked)[run_end]] = order[run_end]
+    # position j held its original value, the index at the end of the chain
+    # j <- last[j] <- ..., before swap j; a chain has fewer than b links
+    held = np.where(last >= 0, last, js)
+    for _ in range((b - 1).bit_length()):
+        held = np.take(held, base + held)
+    out = np.where(prev >= 0, np.take(held, base + np.maximum(prev, 0)), pos)
+    # canonical sorted order: the draw is a set
+    out.sort(axis=1)
+    return out
 
 
 def draw_batch(plan: BatchPlan, t: int, seed: int | None = None) -> BatchDraw:

@@ -48,6 +48,16 @@ from .schedules import AdaptiveRate, ExplicitSchedule, PowerLawSchedule, validat
 CHECK_NAMES = ("unbiasedness", "schedule", "gradient", "lipschitz",
                "confinement", "kappa_confinement")
 
+# the keys each section accepts; any other section or key is a config error
+CONFIG_KEYS = {
+    "problem": ("kind", "dimension", "n_outcomes", "data_seed", "csv", "tau", "rho1"),
+    "plan": ("scheme", "batch_size", "batch_growth", "batch_sizes", "strata",
+             "per_stratum_counts"),
+    "rate": ("kind", "c", "p", "values", "alpha", "beta", "epsilon"),
+    "confinement": ("enabled", "variant", "rho0", "lambda", "b", "theta", "kappa", "samples"),
+    "run": ("horizon", "seeds", "seed", "out", "x0"),
+}
+
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -77,6 +87,12 @@ def load_config(path) -> configparser.ConfigParser:
         cp.read(p)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {p}: {exc}") from None
+    for section in cp.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"{p}: unknown section [{section}]")
+        for key in cp.options(section):
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"{p}: unknown key [{section}] {key}")
     return cp
 
 

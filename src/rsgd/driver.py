@@ -7,6 +7,15 @@ lockstep as (S, d) arrays, and because every draw is a pure function of
 (seed, t) and every array operation reduces along fixed axes, the batched run
 is bitwise identical to running each seed alone.
 
+The loop runs over blocks of steps.  Since no draw depends on the order of
+the steps, each block's batches come from one ``plan.draw_blocks`` call (a
+block keeps one batch layout and holds at most ``batching._BLOCK_WORDS``
+outcome indices over all seeds, so its memory stays flat), the weights are
+computed once per layout and deterministic rates once per block through the
+scalar ``gamma(t) / rate_divisor``.  Everything that depends on the iterate,
+including the per-step finiteness and degeneracy checks, still runs step by
+step, so the records equal those of a step-at-a-time loop bit for bit.
+
 Trajectories record, per iteration: cost, exact gradient norm, step size,
 batch size, batch gradient norm, and the noise inner product
 <grad F, h - grad F> (enough to rebuild every diagnostic), plus optional rho
@@ -173,52 +182,63 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
             iterates[:, t, :] = np.where(alive[:, None], x, nan)
         return g, gnt, fx
 
+    # batch weights per layout, computed on first use
+    weights_of = {}
+
     # overflow/invalid are tolerated: rows going non-finite are caught and retired
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
-            g, gnt, fx = record_state(t)
-            blown = alive & ~(np.isfinite(fx) & np.isfinite(gnt))
-            if np.any(blown):
-                abort_t[blown] = t
-                alive &= ~blown
+        for t0, block in plan.draw_blocks(0, T, seeds):
+            layout = plan.layout(t0)
+            if layout not in weights_of:
+                w = plan.weights_at(t0)
+                weights_of[layout] = w, bool(np.all(w == w[0]))
+            weights, equal = weights_of[layout]
+            n_steps = block.shape[1]
+            bsize[t0 : t0 + n_steps] = block.shape[2]
+            if not adaptive:
+                rates = [cfg.rate.gamma(t) / rate_divisor for t in range(t0, t0 + n_steps)]
 
-            outcomes = plan.draw_block(t, seeds)
-            weights = plan.weights_at(t)
-            equal = bool(np.all(weights == weights[0]))
-            grads = oracle.sample_gradients(x, outcomes)
-            h = combine_batch(weights, grads, equal)
-            bh = man.norm(x, h)
-            bsize[t] = outcomes.shape[1]
-            bgn[:, t] = np.where(alive, bh, nan)
-            noise[:, t] = np.where(alive, man.inner(x, g, h - g), nan)
+            for k in range(n_steps):
+                t = t0 + k
+                g, gnt, fx = record_state(t)
+                blown = alive & ~(np.isfinite(fx) & np.isfinite(gnt))
+                if blown.any():
+                    abort_t[blown] = t
+                    alive &= ~blown
 
-            if adaptive:
-                rate_t = cfg.rate.alpha / np.power(cfg.rate.beta + acc, expo)
-                v = -rate_t[:, None] * h
-            else:
-                rate_t = cfg.rate.gamma(t) / rate_divisor
-                v = -rate_t * h
-            step[:, t] = np.where(alive, rate_t, nan)
+                grads = oracle.sample_gradients(x, block[:, k])
+                h = combine_batch(weights, grads, equal)
+                bh = man.norm(x, h)
+                bgn[:, t] = np.where(alive, bh, nan)
+                noise[:, t] = np.where(alive, man.inner(x, g, h - g), nan)
 
-            y, ok = man.retract_flagged(x, v)
-            y_finite = np.all(np.isfinite(y), axis=-1)
-            newly_degenerate = alive & ~ok
-            newly_blown = alive & ok & ~y_finite
-            if np.any(newly_degenerate) or np.any(newly_blown):
-                dead = newly_degenerate | newly_blown
-                abort_t[dead] = t
-                degenerate |= newly_degenerate
-                alive &= ~dead
-            x = np.where((alive & ok & y_finite)[:, None], y, x)
+                if adaptive:
+                    rate_t = cfg.rate.alpha / np.power(cfg.rate.beta + acc, expo)
+                    v = -rate_t[:, None] * h
+                else:
+                    rate_t = rates[k]
+                    v = -rate_t * h
+                step[:, t] = np.where(alive, rate_t, nan)
 
-            if adaptive:
-                # accumulate the realized batch gradient only after the step:
-                # eta_t must depend on strictly past draws
-                g2 = np.where(alive, bh * bh, 0.0)
-                yk = g2 - comp
-                tk = acc + yk
-                comp = (tk - acc) - yk
-                acc = tk
+                y, ok = man.retract_flagged(x, v)
+                y_finite = np.isfinite(y).all(axis=-1)
+                newly_degenerate = alive & ~ok
+                newly_blown = alive & ok & ~y_finite
+                if newly_degenerate.any() or newly_blown.any():
+                    dead = newly_degenerate | newly_blown
+                    abort_t[dead] = t
+                    degenerate |= newly_degenerate
+                    alive &= ~dead
+                x = np.where((alive & ok & y_finite)[:, None], y, x)
+
+                if adaptive:
+                    # accumulate the realized batch gradient only after the step:
+                    # eta_t must depend on strictly past draws
+                    g2 = np.where(alive, bh * bh, 0.0)
+                    yk = g2 - comp
+                    tk = acc + yk
+                    comp = (tk - acc) - yk
+                    acc = tk
 
         record_state(T)
 

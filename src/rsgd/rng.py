@@ -30,15 +30,18 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def stream_keys(seeds, stream: int) -> np.ndarray:
+def stream_keys(seeds, stream) -> np.ndarray:
     """One 64-bit key per (seed, stream) pair.
 
     ``stream`` separates independent uses of the same seed (e.g. the draw at
-    iteration t uses stream t).
+    iteration t uses stream t).  One stream gives keys of shape (S,); an
+    array of K streams gives (S, K), column k equal to the keys of stream k.
     """
     s = np.atleast_1d(np.asarray(seeds)).astype(np.uint64)
     k = _mix(s * _GOLDEN + _GOLDEN)
-    return _mix(k + np.uint64((int(stream) * _ROUND) & _MASK64))
+    # uint64 products wrap, which is (stream * _ROUND) mod 2**64
+    offset = np.asarray(stream).astype(np.uint64) * np.uint64(_ROUND)
+    return _mix(k.reshape(k.shape + (1,) * offset.ndim) + offset)
 
 
 def raw64(keys: np.ndarray, slots, round_: int = 0) -> np.ndarray:
@@ -62,18 +65,21 @@ def uniforms(keys: np.ndarray, slots, round_: int = 0) -> np.ndarray:
     return (raw64(keys, slots, round_) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def randints(keys: np.ndarray, slots, n: int) -> np.ndarray:
+def randints(keys: np.ndarray, slots, n) -> np.ndarray:
     """Exactly uniform integers in [0, n) for each (key, slot) pair.
 
-    Uses the multiply-shift bound (Lemire) on the top 32 bits with rejection,
-    so the distribution is exactly uniform.  The rejection branch fires with
+    ``n`` is one modulus, or an array of moduli that broadcasts against the
+    slots; each value depends only on its key, slot and modulus.  Uses the
+    multiply-shift bound (Lemire) on the top 32 bits with rejection, so the
+    distribution is exactly uniform.  The rejection branch fires with
     probability < n / 2**32 and resamples from derived rounds.
     """
-    if not 1 <= n <= (1 << 31):
+    n = np.asarray(n)
+    if n.size and not (n.min() >= 1 and n.max() <= (1 << 31)):
         raise ValueError(f"modulus out of range: {n}")
-    nn = np.uint64(n)
+    nn = n.astype(np.uint64)
     lo_mask = np.uint64(0xFFFFFFFF)
-    threshold = np.uint64(((1 << 32) - n) % n)
+    threshold = (np.uint64(1 << 32) - nn) % nn
     x = raw64(keys, slots) >> np.uint64(32)
     prod = x * nn
     out = (prod >> np.uint64(32)).astype(np.int64)

@@ -1,5 +1,11 @@
+import hashlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsgd import (
     BatchSizes,
@@ -18,7 +24,10 @@ from rsgd import (
     random_sphere_mean,
     variance_report,
 )
+from rsgd import batching
 from rsgd.problems import GradientOracle
+
+from reference import pool_subsets
 
 
 class FixedVectorsProblem(GradientOracle):
@@ -66,6 +75,12 @@ class TestBatchSizes:
         vals = [s.at(t) for t in range(12)]
         assert vals[0] == 1 and vals[-1] == 16
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    def test_geometric_saturates_where_growth_overflows(self):
+        # 1.5**t leaves the float range at t = 1751; the size stays at the cap
+        s = BatchSizes.geometric(1, 1.5, cap=16)
+        assert [s.at(t) for t in (1750, 1751, 5000, 10**6)] == [16] * 4
+        assert BatchSizes.geometric(3, 2.0, cap=10**9).at(2000) == 10**9
 
     def test_explicit(self):
         s = BatchSizes.explicit([1, 2, 4])
@@ -328,3 +343,118 @@ def test_draw_block_rows_match_scalar_draws(triple):
         rows = plan.draw_block(6, np.array([10, 11, 12]))
         for i, seed in enumerate((10, 11, 12)):
             np.testing.assert_array_equal(rows[i], draw_batch(plan, 6, seed=seed).outcomes)
+
+
+def _golden_plans():
+    uniform = FiniteSampleSpace.uniform(16)
+    w = np.arange(1, 17, dtype=float)
+    weighted = FiniteSampleSpace(w / w.sum())
+    halves = [range(8), range(8, 16)]
+    return {
+        "segment": SegmentPlan(uniform, BatchSizes.constant(4)),
+        "segment_weighted": SegmentPlan(weighted, BatchSizes.geometric(1, 1.5, 16)),
+        "no_repetition": SubsetPlan(uniform, BatchSizes.geometric(1, 1.5, 16)),
+        "stratified": StratifiedPlan(uniform, halves, (2, 2),
+                                     overrides={3: ([range(16)], [5])}),
+        "stratified_weighted": StratifiedPlan(weighted, halves, (1, 3)),
+    }
+
+
+# sha256 prefixes of the draws of seeds 5, 6, 7 at steps 0..199, as drawn one
+# step at a time by the engine that made one draw call per step, with a
+# dense (S, N) pool for the no-repetition scheme; the draws must not change
+GOLDEN_DRAWS = {
+    "segment": "8e33e4f3df7870f28a65f5e2b3787fc0",
+    "segment_weighted": "a6cf182705fc63a8dd8a7af97555a71d",
+    "no_repetition": "c69b5833ab87082695b881717a2a478e",
+    "stratified": "d833a05541752633973b8ec4148c2255",
+    "stratified_weighted": "31c801af1c15227ee2f8d17980a809ed",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DRAWS))
+def test_draws_match_recorded_digests(name):
+    plan, seeds = _golden_plans()[name], np.arange(3) + 5
+    per_step, blocked = hashlib.sha256(), hashlib.sha256()
+    for t in range(200):
+        per_step.update(np.ascontiguousarray(plan.draw_block(t, seeds)).tobytes())
+    for _, outcomes in plan.draw_blocks(0, 200, seeds):
+        for k in range(outcomes.shape[1]):
+            blocked.update(np.ascontiguousarray(outcomes[:, k]).tobytes())
+    assert per_step.hexdigest()[:32] == GOLDEN_DRAWS[name]
+    assert blocked.hexdigest()[:32] == GOLDEN_DRAWS[name]
+
+
+class TestSparseSubsets:
+    @pytest.mark.parametrize("n", [1, 5, 16, 100_000])
+    @pytest.mark.parametrize("full", [False, True], ids=["b=1", "b=N"])
+    def test_equals_pool_shuffle(self, n, full):
+        b = n if full else 1
+        seeds = np.arange(2 if b > 1000 else 64) - 3
+        plan = SubsetPlan(FiniteSampleSpace.uniform(n), BatchSizes.constant(b))
+        for t in (0, 1, 17):
+            np.testing.assert_array_equal(plan.draw_block(t, seeds),
+                                          pool_subsets(n, b, t, seeds))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 60), data=st.data())
+    def test_equals_pool_shuffle_any_size(self, n, data):
+        b = data.draw(st.integers(1, n))
+        t = data.draw(st.integers(0, 10**6))
+        seeds = np.array(data.draw(st.lists(st.integers(-(2**40), 2**40), min_size=1,
+                                            max_size=6)))
+        plan = SubsetPlan(FiniteSampleSpace.uniform(n), BatchSizes.constant(b))
+        np.testing.assert_array_equal(plan.draw_block(t, seeds), pool_subsets(n, b, t, seeds))
+
+    def test_builds_no_pool(self):
+        n, seeds = 100_000, np.arange(4)
+        plan = SubsetPlan(FiniteSampleSpace.uniform(n), BatchSizes.constant(8))
+        plan.draw_block(0, seeds)
+        tracemalloc.start()
+        try:
+            plan.draw_block(5, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an (S, N) int64 pool alone would take 8 * 4 * 100_000 bytes
+        assert peak < n
+
+
+def _hypothesis_plan(scheme, n, sizes, data):
+    space = FiniteSampleSpace.uniform(n)
+    if scheme == "segment":
+        return SegmentPlan(space, sizes)
+    if scheme == "no_repetition":
+        return SubsetPlan(space, sizes)
+    cut = data.draw(st.integers(1, n - 1)) if n > 1 else n
+    strata = [range(cut), range(cut, n)] if cut < n else [range(n)]
+    counts = [data.draw(st.integers(1, 3)) for _ in strata]
+    steps = data.draw(st.lists(st.integers(0, 40), max_size=4))
+    return StratifiedPlan(space, strata, counts,
+                          overrides={t: ([range(n)], [1 + t % 3]) for t in steps})
+
+
+@settings(max_examples=80, deadline=None)
+@given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
+       n=st.integers(1, 12), words=st.integers(1, 64), data=st.data())
+def test_block_draws_equal_stacked_step_draws(scheme, n, words, data):
+    kind = data.draw(st.sampled_from(["constant", "geometric", "explicit"]))
+    if kind == "constant":
+        sizes = BatchSizes.constant(data.draw(st.integers(1, n)))
+    elif kind == "geometric":
+        sizes = BatchSizes.geometric(1, data.draw(st.floats(1.0, 3.0)), n)
+    else:
+        sizes = BatchSizes.explicit(data.draw(st.lists(st.integers(1, n), min_size=60,
+                                                       max_size=60)))
+    plan = _hypothesis_plan(scheme, n, sizes, data)
+    t0 = data.draw(st.integers(0, 20))
+    t1 = data.draw(st.integers(t0, 50))
+    seeds = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=5)))
+    with mock.patch.object(batching, "_BLOCK_WORDS", words):
+        blocks = list(plan.draw_blocks(t0, t1, seeds))
+    steps = [t + k for t, outcomes in blocks for k in range(outcomes.shape[1])]
+    assert steps == list(range(t0, t1))
+    for t, outcomes in blocks:
+        assert outcomes.shape[1] == 1 or outcomes.size <= words
+        for k in range(outcomes.shape[1]):
+            np.testing.assert_array_equal(outcomes[:, k], plan.draw_block(t + k, seeds))

@@ -161,6 +161,31 @@ x0 = 1.0, 1.0
         assert sizes[0] == 1 and max(sizes) <= 8
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
+    def test_batch_growth_past_float_range(self, tmp_path):
+        # 1.5**t overflows a float at t = 1751; the sizes stay at the cap
+        out = tmp_path / "runs"
+        cfg = tmp_path / "grow.ini"
+        cfg.write_text(SPHERE_CONFIG.format(out=out).replace(
+            "batch_size = 2", "batch_growth = 1:1.5"))
+        assert main(["run", "--config", str(cfg), "--horizon", "3000", "--quiet"]) == 0
+        rows = (out / "grow_seed1.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 3001
+        assert {int(r.split(",")[4]) for r in rows[1700:3000]} == {8}
+
+    @pytest.mark.parametrize("text, where", [
+        ("batch_size = 2", "batch_size = 2\nbatchsize = 8"),
+        ("[run]", "[runs]\nhorizon = 5\n\n[run]"),
+    ], ids=["key", "section"])
+    def test_unknown_config_entries_are_config_errors(self, tmp_path, capsys, text, where):
+        out = tmp_path / "runs"
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(SPHERE_CONFIG.format(out=out).replace(text, where))
+        for argv in (["run"], ["check", "unbiasedness"]):
+            assert main(argv + ["--config", str(cfg), "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert ("[plan] batchsize" in err) if "batchsize" in where else ("[runs]" in err)
+        assert not out.exists()
+
 
 class TestCheck:
     def test_unbiasedness_passes(self, sphere_config):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from rsgd import (
     RegularizedLeastSquaresProblem,
     RunConfig,
     SegmentPlan,
+    SphereMeanProblem,
     StratifiedPlan,
     SubsetPlan,
     random_least_squares,
@@ -19,6 +22,11 @@ from rsgd import (
     run_deterministic,
     run_many,
 )
+from rsgd import batching
+from rsgd.driver import _run_block
+from rsgd.manifolds import Sphere
+
+from reference import stepwise_run
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +259,175 @@ def test_running_min_helper(sphere_problem, x0):
     rm = tr.running_min_grad_norm()
     assert np.all(np.diff(rm) <= 0.0)
     assert rm[-1] == tr.grad_norm.min()
+
+
+RECORDED = ("F", "grad_norm", "step", "batch_size", "batch_grad_norm", "noise_inner",
+            "in_region", "rho")
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.seed, a.status, a.abort_t) == (b.seed, b.status, b.abort_t)
+        for name in RECORDED:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), name
+            if y is not None:
+                assert x.dtype == y.dtype and x.shape == y.shape, name
+                assert x.tobytes() == y.tobytes(), name
+
+
+def _plan(scheme, space, b=4):
+    if scheme == "segment":
+        return SegmentPlan(space, BatchSizes.constant(b))
+    if scheme == "no_repetition":
+        return SubsetPlan(space, BatchSizes.constant(b))
+    half = space.size // 2
+    return StratifiedPlan(space, [range(half), range(half, space.size)], (b // 2, b - b // 2))
+
+
+RATES = {"power": PowerLawSchedule(0.5, 0.75), "adaptive": AdaptiveRate(0.5, 1.0, 0.25)}
+
+
+def _blocked(steps, n_seeds, b):
+    """Patch the block budget so that a block holds `steps` steps."""
+    return mock.patch.object(batching, "_BLOCK_WORDS", steps * n_seeds * b)
+
+
+class FaultySphere(Sphere):
+    """The sphere whose retraction, at chosen steps, reports one row degenerate
+    or returns it non-finite; it counts its calls, one per step."""
+
+    def __init__(self, dim, faults):
+        super().__init__(dim)
+        self.faults = faults
+        self.calls = 0
+
+    def retract_flagged(self, x, v):
+        y, ok = super().retract_flagged(x, v)
+        fault = self.faults.get(self.calls)
+        self.calls += 1
+        if fault is not None:
+            kind, row = fault
+            if kind == "degenerate":
+                ok = ok.copy()
+                ok[row] = False
+            else:
+                y = y.copy()
+                y[row] = np.inf
+        return y, ok
+
+
+class TestBlockEngineAgainstStepwise:
+    """The block engine against the step-at-a-time oracle: draw_batch per seed
+    and step, batch_gradient, one gamma(t) call per step."""
+
+    K = 5
+
+    @pytest.mark.parametrize("n_seeds", [1, 3, 100])
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    @pytest.mark.parametrize("scheme", ["segment", "no_repetition", "stratified"])
+    def test_block_boundaries(self, sphere_problem, x0, scheme, rate, n_seeds):
+        plan, k = _plan(scheme, sphere_problem.space), self.K
+        seeds = 20 + np.arange(n_seeds)
+        for horizon in (0, 1, k - 1, k, k + 1, 2 * k + 3):
+            cfg = _cfg(sphere_problem, x0, RATES[rate], horizon, plan=plan)
+            with _blocked(k, n_seeds, 4):
+                got = _run_block(cfg, seeds)
+            _assert_bitwise(got, stepwise_run(cfg, seeds))
+
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    @pytest.mark.parametrize("scheme", ["segment", "no_repetition", "stratified"])
+    def test_default_block_length(self, scheme, rate):
+        # 100 seeds x batch 8: 40 steps per block; 2K + 3 steps span three blocks
+        p = random_sphere_mean(4, 16, seed=25)
+        x = p.manifold.random_point(np.random.default_rng(100))
+        k = batching._BLOCK_WORDS // (100 * 8)
+        cfg = RunConfig(oracle=p, plan=_plan(scheme, p.space, 8), rate=RATES[rate], x0=x,
+                        horizon=2 * k + 3, seed=0)
+        seeds = np.arange(100)
+        _assert_bitwise(_run_block(cfg, seeds), stepwise_run(cfg, seeds))
+
+    @pytest.mark.parametrize("sizes", [
+        BatchSizes.geometric(1, 1.5, cap=6),
+        BatchSizes.explicit([1, 2, 2, 2, 3, 3, 1, 1, 1, 1, 6, 6, 6, 2, 2, 2, 2, 2, 2, 2]),
+    ], ids=["geometric", "explicit"])
+    @pytest.mark.parametrize("scheme", ["segment", "no_repetition"])
+    def test_varying_sizes(self, sphere_problem, x0, scheme, sizes):
+        plan_type = SegmentPlan if scheme == "segment" else SubsetPlan
+        cfg = _cfg(sphere_problem, x0, PowerLawSchedule(0.5, 0.75), 20,
+                   plan=plan_type(sphere_problem.space, sizes))
+        seeds = np.arange(3)
+        with _blocked(self.K, 3, 2):
+            got = _run_block(cfg, seeds)
+        _assert_bitwise(got, stepwise_run(cfg, seeds))
+        assert list(got[0].batch_size[:20]) == [sizes.at(t) for t in range(20)]
+
+    def test_stratified_overrides(self, sphere_problem, x0):
+        # overrides on a block's first step, last step and inside a block
+        k = self.K
+        overrides = {t: ([range(6)], [3]) for t in (k - 1, k, k + 2)}
+        plan = StratifiedPlan(sphere_problem.space, [(0, 1, 2), (3, 4, 5)], (1, 2),
+                              overrides=overrides)
+        for rate in RATES.values():
+            cfg = _cfg(sphere_problem, x0, rate, 3 * k + 1, plan=plan)
+            seeds = np.arange(3)
+            with _blocked(k, 3, 3):
+                got = _run_block(cfg, seeds)
+            _assert_bitwise(got, stepwise_run(cfg, seeds))
+
+    def test_weighted_outcomes(self, x0):
+        w = np.arange(1.0, 7.0)
+        p = SphereMeanProblem(random_sphere_mean(4, 6, seed=7).targets, weights=w / w.sum())
+        for plan in (SegmentPlan(p.space, BatchSizes.constant(3)),
+                     StratifiedPlan(p.space, [(0, 1, 2), (3, 4, 5)], (1, 2))):
+            cfg = _cfg(p, x0, PowerLawSchedule(0.5, 0.75), 2 * self.K + 3, plan=plan)
+            seeds = np.arange(3)
+            with _blocked(self.K, 3, 3):
+                got = _run_block(cfg, seeds)
+            _assert_bitwise(got, stepwise_run(cfg, seeds))
+
+    def test_confined_rate_divisor(self):
+        p = random_least_squares(3, 6, seed=11, tau=0.2, region_rho1=9.0)
+        rho = lambda x: (x**2).sum(axis=-1)
+        for rate in (PowerLawSchedule(0.5, 0.75), ExplicitSchedule((0.3, 0.2) * 10)):
+            cfg = RunConfig(oracle=p, plan=SubsetPlan(p.space, BatchSizes.constant(2)),
+                            rate=rate, x0=np.array([0.3, -0.2, 0.1]), horizon=2 * self.K + 3,
+                            seed=0, rho=rho, region_rho1=9.0)
+            seeds = np.arange(3)
+            with _blocked(self.K, 3, 2):
+                got = _run_block(cfg, seeds, rate_divisor=1.7)
+            _assert_bitwise(got, stepwise_run(cfg, seeds, rate_divisor=1.7))
+
+    def test_divergent_run(self):
+        p = RegularizedLeastSquaresProblem(np.array([[10.0, 0.0], [0.0, 10.0]]),
+                                           np.zeros(2), tau=0.1, region_rho1=1e6)
+        cfg = RunConfig(oracle=p, plan=SubsetPlan(p.space, BatchSizes.constant(2)),
+                        rate=ExplicitSchedule((1.0,) * 400), x0=np.array([1.0, 1.0]),
+                        horizon=400, seed=0)
+        seeds = np.arange(2)
+        got = _run_block(cfg, seeds)
+        assert {tr.status for tr in got} == {"nonfinite"}
+        _assert_bitwise(got, stepwise_run(cfg, seeds))
+
+    @pytest.mark.parametrize("faults", [
+        {0: ("degenerate", 0), 4: ("degenerate", 1), 5: ("nonfinite", 2)},
+        {4: ("nonfinite", 0), 5: ("degenerate", 1), 9: ("nonfinite", 2)},
+    ], ids=["degenerate-last", "nonfinite-last"])
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    def test_faults_on_block_edges(self, x0, rate, faults):
+        # block length 5: steps 4 and 9 end a block, steps 0 and 5 start one
+        seeds = np.arange(3)
+        runs = []
+        for engine in (_run_block, stepwise_run):
+            p = random_sphere_mean(4, 6, seed=7)
+            p.manifold = FaultySphere(4, faults)
+            cfg = _cfg(p, x0, RATES[rate], 2 * self.K + 3)
+            with _blocked(self.K, 3, 2):
+                runs.append(engine(cfg, seeds))
+        got, want = runs
+        _assert_bitwise(got, want)
+        for tr in got:
+            t, kind = next((t, kind) for t, (kind, row) in faults.items() if row == tr.seed)
+            assert (tr.status, tr.abort_t) == (kind, t)
+

@@ -70,3 +70,20 @@ def test_no_serial_correlation_smoke():
     assert chi < limit
     chi, _ = _pair_chi_square(by_slot[:-1].ravel(), by_slot[1:].ravel(), n)
     assert chi < limit
+
+
+def test_stream_keys_for_many_streams_match_one_at_a_time():
+    seeds = np.array([-5, 0, 3, 2**40])
+    streams = (1 << 40) + np.arange(7)
+    keys = crng.stream_keys(seeds, streams)
+    assert keys.shape == (4, 7)
+    for k, stream in enumerate(streams):
+        np.testing.assert_array_equal(keys[:, k], crng.stream_keys(seeds, int(stream)))
+
+
+def test_randints_with_one_modulus_per_slot():
+    keys = crng.stream_keys(np.arange(30), stream=9)
+    moduli = np.array([1, 2, 7, 1000, 1 << 31])
+    draws = crng.randints(keys, np.arange(5), moduli)
+    for j, n in enumerate(moduli):
+        np.testing.assert_array_equal(draws[:, j], crng.randints(keys, np.array([j]), int(n))[:, 0])
