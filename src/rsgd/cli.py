@@ -82,7 +82,8 @@ def load_config(path) -> configparser.ConfigParser:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    cp = configparser.ConfigParser()
+    # "; ..." after whitespace is a comment; "strata = 0-7; 8-15" keeps its ";"
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         cp.read(p)
     except configparser.Error as exc:

@@ -9,11 +9,19 @@ exhaustive enumeration rather than sampling.
 Two instances are provided: a mean-of-targets cost on the unit sphere (whose
 domain is compact by itself) and Tikhonov-regularized least squares on flat
 space (which needs the confinement machinery to stay in a compact region).
+
+Both costs are quadratic, so each problem reduces its data once, at
+construction, to a few weighted moments; the exact cost and gradient that the
+driver records at every step then cost O(d^2) per point instead of O(N d).
+Those records are sums along fixed axes without BLAS, so a point's value does
+not depend on how many points are evaluated with it.  The per-outcome
+gradients H(x, l) still read the data rows.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +162,15 @@ class RegularizedLeastSquaresProblem(GradientOracle):
     per-outcome gradient H(x, l) = (<a_l, x> - y_l) a_l + tau x.  The
     regularizer makes rho(x) = ||x||^2 a confinement of H, so runs can be
     certified to stay in a ball without being clamped.
+
+    The cost and exact gradient come from the moments G = A^T W A,
+    c = A^T W y and s = sum_l w_l y_l^2, computed once:
+    F(x) = (x^T G x - 2 c^T x + s) / 2 + tau ||x||^2 / 2 and
+    grad F(x) = G x - c + tau x, O(d^2) per point.  The expanded form rounds
+    differently from the sum of squared residuals: its absolute error is of
+    order eps * (x^T G x + s), so near an exact fit, where the residuals
+    vanish but x^T G x and s do not, the data term of F keeps only that
+    absolute accuracy (it may even round to a tiny negative number).
     """
 
     def __init__(self, features, labels, tau: float, weights=None,
@@ -176,20 +193,22 @@ class RegularizedLeastSquaresProblem(GradientOracle):
         self.manifold = Euclidean(d)
         self.region_rho1 = None if region_rho1 is None else float(region_rho1)
         self.data_seed = data_seed
-
-    def _residuals(self, x):
-        x = np.asarray(x, dtype=float)
-        return (x[..., None, :] * self.features).sum(axis=-1) - self.labels
+        # moments of the data, summed in a fixed order without BLAS so they do
+        # not depend on the thread count; einsum builds no (N, d, d) product
+        wa = self.space.weights[:, None] * a
+        self._gram = np.einsum("ni,nj->ij", wa, a)
+        self._cross = np.einsum("ni,n->i", wa, y)
+        self._sq_labels = float((self.space.weights * y * y).sum())
 
     def cost(self, x):
         x = np.asarray(x, dtype=float)
-        r = self._residuals(x)
-        return 0.5 * (self.space.weights * r * r).sum(axis=-1) + 0.5 * self.tau * (x * x).sum(axis=-1)
+        quad = (x * (x[..., None, :] * self._gram).sum(axis=-1)).sum(axis=-1)
+        lin = (x * self._cross).sum(axis=-1)
+        return 0.5 * (quad - 2.0 * lin + self._sq_labels) + 0.5 * self.tau * (x * x).sum(axis=-1)
 
     def full_gradient(self, x):
         x = np.asarray(x, dtype=float)
-        r = self._residuals(x)
-        return ((self.space.weights * r)[..., None] * self.features).sum(axis=-2) + self.tau * x
+        return (x[..., None, :] * self._gram).sum(axis=-1) - self._cross + self.tau * x
 
     def sample_gradients(self, x, idx):
         x = np.asarray(x, dtype=float)
@@ -249,35 +268,40 @@ def random_least_squares(dim: int, n_outcomes: int, seed: int, tau: float,
     return RegularizedLeastSquaresProblem(a, y, tau, region_rho1=region_rho1, data_seed=seed)
 
 
-def _read_csv_rows(path) -> list[list[float]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need a header row plus at least one data row")
-    header = rows[0]
-    try:
-        [float(cell) for cell in header]
-    except ValueError:
-        pass
-    else:
-        raise ValueError(f"{path}: first row parses as numbers; a header row is required")
-    try:
-        return [[float(cell) for cell in row] for row in rows[1:]]
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric data cell ({exc})") from None
+def _read_csv_rows(path) -> np.ndarray:
+    """The numeric rows under a required header row, as an (N, k) array.
+
+    Rows that are empty or whose cells, quoted or not, are all whitespace are
+    skipped; the data rows are parsed by ``np.loadtxt``, which streams them in
+    chunks.
+    """
+    with open(path) as fh:
+        lines = (line for line in fh if line.replace(",", "").replace('"', "").strip())
+        header, first = next(lines, None), next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: need a header row plus at least one data row")
+        try:
+            [float(cell) for cell in next(csv.reader([header]))]
+        except ValueError:
+            pass
+        else:
+            raise ValueError(f"{path}: first row parses as numbers; a header row is required")
+        try:
+            return np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2,
+                              comments=None, quotechar='"')
+        except ValueError as exc:
+            raise ValueError(f"{path}: non-numeric cell or ragged data row ({exc})") from None
 
 
 def load_sphere_mean_csv(path, weights=None) -> SphereMeanProblem:
     """Targets from a CSV file: header row, then one row of coordinates per outcome."""
-    data = np.asarray(_read_csv_rows(path), dtype=float)
-    return SphereMeanProblem(data, weights=weights)
+    return SphereMeanProblem(_read_csv_rows(path), weights=weights)
 
 
 def load_least_squares_csv(path, tau: float, weights=None,
                            region_rho1: float | None = None) -> RegularizedLeastSquaresProblem:
     """Rows of feature coordinates followed by the label in the last column."""
-    data = np.asarray(_read_csv_rows(path), dtype=float)
+    data = _read_csv_rows(path)
     if data.shape[1] < 2:
         raise ValueError(f"{path}: least-squares rows need feature columns plus a label")
     return RegularizedLeastSquaresProblem(

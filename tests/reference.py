@@ -11,7 +11,33 @@ import numpy as np
 from rsgd import rng as crng
 from rsgd.batching import _STREAM_SUBSET, BatchDraw, batch_gradient, draw_batch
 from rsgd.driver import Trajectory
+from rsgd.problems import RegularizedLeastSquaresProblem
 from rsgd.schedules import AdaptiveRate
+
+
+class DirectLeastSquares(RegularizedLeastSquaresProblem):
+    """Least squares whose cost and exact gradient sum over all N rows:
+    F(x) = sum_l w_l r_l^2 / 2 + tau ||x||^2 / 2 with residuals
+    r_l = <a_l, x> - y_l, O(N d) per point, instead of the package's moments."""
+
+    def _residuals(self, x):
+        return (x[..., None, :] * self.features).sum(axis=-1) - self.labels
+
+    def cost(self, x):
+        x = np.asarray(x, dtype=float)
+        r = self._residuals(x)
+        return 0.5 * (self.space.weights * r * r).sum(axis=-1) + 0.5 * self.tau * (x * x).sum(axis=-1)
+
+    def full_gradient(self, x):
+        x = np.asarray(x, dtype=float)
+        r = self._residuals(x)
+        return ((self.space.weights * r)[..., None] * self.features).sum(axis=-2) + self.tau * x
+
+    @classmethod
+    def of(cls, problem: RegularizedLeastSquaresProblem) -> "DirectLeastSquares":
+        return cls(problem.features, problem.labels, problem.tau,
+                   weights=problem.space.weights, region_rho1=problem.region_rho1,
+                   data_seed=problem.data_seed)
 
 
 def pool_subsets(n: int, b: int, t: int, seeds) -> np.ndarray:

@@ -1,9 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rsgd.cli import main
+from rsgd.cli import _parse_strata, build_plan, load_config, main
+from rsgd.problems import FiniteSampleSpace
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SPHERE_CONFIG = """
 [problem]
@@ -88,6 +93,17 @@ class TestRun:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", str(cfg), "--seed", "7", "--out", str(a), "--quiet"]) == 0
         assert main(["run", "--config", str(cfg), "--seed", "7", "--out", str(b), "--quiet"]) == 0
+        for fa in sorted(a.iterdir()):
+            assert fa.read_bytes() == (b / fa.name).read_bytes()
+
+    def test_least_squares_run_is_deterministic(self, tmp_path):
+        cfg = tmp_path / "ls.ini"
+        cfg.write_text(LS_CONFINED_CONFIG.format(out=tmp_path / "unused"))
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["run", "--config", str(cfg), "--out", str(out), "--horizon", "100",
+                         "--quiet"]) == 0
+        assert sorted(f.name for f in a.iterdir()) == sorted(f.name for f in b.iterdir())
         for fa in sorted(a.iterdir()):
             assert fa.read_bytes() == (b / fa.name).read_bytes()
 
@@ -255,3 +271,27 @@ class TestReport:
         bad.write_text("t,F\n0,1\n")
         assert main(["report", "--out", str(tmp_path)]) == 2
         assert "x_seed1.csv" in capsys.readouterr().err
+
+
+class TestInlineComments:
+    def test_readme_config_runs(self, tmp_path, monkeypatch):
+        # the README's config reference, verbatim, comments after values included
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(block)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg), "--horizon", "20", "--quiet"]) == 0
+        summary = json.loads((tmp_path / "runs" / "exp1" / "readme_summary.json").read_text())
+        assert summary["config"]["problem"]["kind"] == "sphere_mean"
+        assert summary["config"]["plan"]["scheme"] == "segment"
+
+    def test_semicolon_without_space_separates_strata(self, tmp_path):
+        cfg = tmp_path / "strata.ini"
+        cfg.write_text("[plan]\nscheme = stratified      ; comment\n"
+                       "strata = 0-7; 8-15          ; stratified only\n"
+                       "per_stratum_counts = 2, 2\n")
+        cp = load_config(cfg)
+        assert cp.get("plan", "scheme") == "stratified"
+        assert _parse_strata(cp.get("plan", "strata")) == (tuple(range(8)), tuple(range(8, 16)))
+        plan = build_plan(cp, FiniteSampleSpace.uniform(16), seed=0)
+        assert plan.batch_size(0) == 4

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from rsgd import batching
 from rsgd.driver import _run_block
 from rsgd.manifolds import Sphere
 
-from reference import stepwise_run
+from reference import DirectLeastSquares, stepwise_run
 
 
 @pytest.fixture(scope="module")
@@ -431,3 +432,73 @@ class TestBlockEngineAgainstStepwise:
             t, kind = next((t, kind) for t, (kind, row) in faults.items() if row == tr.seed)
             assert (tr.status, tr.abort_t) == (kind, t)
 
+
+class TestLeastSquaresRecord:
+    """Least-squares runs record F and grad F from moments; the iteration reads
+    them only to retire non-finite rows, so everything but those records
+    matches a run whose oracle sums over all rows bit for bit."""
+
+    @staticmethod
+    def _ls_cfg(p, scheme, rate, horizon, x0):
+        return RunConfig(oracle=p, plan=_plan(scheme, p.space), rate=RATES[rate], x0=x0,
+                         horizon=horizon, seed=4, store_iterates=True,
+                         rho=lambda x: (x**2).sum(axis=-1), region_rho1=9.0)
+
+    @pytest.mark.parametrize("n_seeds", [1, 3, 100])
+    def test_batch_equals_single(self, n_seeds):
+        p = random_least_squares(3, 40, seed=21, tau=0.2, region_rho1=9.0)
+        cfg = self._ls_cfg(p, "no_repetition", "power", 30, np.array([1.0, -0.5, 0.3]))
+        batch = run_many(cfg, n_seeds)
+        alone = [run_deterministic(replace(cfg, seed=cfg.seed + k)) for k in range(n_seeds)]
+        _assert_bitwise(batch, alone)
+        for a, b in zip(batch, alone):
+            assert a.iterates.tobytes() == b.iterates.tobytes()
+
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    @pytest.mark.parametrize("scheme", ["segment", "no_repetition", "stratified"])
+    def test_against_direct_sums(self, scheme, rate):
+        w = np.arange(1.0, 41.0)
+        base = random_least_squares(3, 40, seed=22, tau=0.2, region_rho1=9.0)
+        p = RegularizedLeastSquaresProblem(base.features, base.labels, base.tau,
+                                           weights=w / w.sum(), region_rho1=9.0)
+        seeds = np.arange(3)
+        # no-repetition batches take uniform weights only
+        for oracle in (base,) if scheme == "no_repetition" else (base, p):
+            x0 = np.array([1.0, -0.5, 0.3])
+            got = _run_block(self._ls_cfg(oracle, scheme, rate, 200, x0), seeds)
+            want = _run_block(self._ls_cfg(DirectLeastSquares.of(oracle), scheme, rate, 200, x0),
+                              seeds)
+            self._assert_same_iteration(got, want)
+
+    def test_divergent_run_against_direct_sums(self):
+        p = RegularizedLeastSquaresProblem(np.array([[10.0, 0.0], [0.0, 10.0]]),
+                                           np.zeros(2), tau=0.1, region_rho1=1e6)
+        runs = []
+        for oracle in (p, DirectLeastSquares.of(p)):
+            cfg = RunConfig(oracle=oracle, plan=SubsetPlan(p.space, BatchSizes.constant(2)),
+                            rate=ExplicitSchedule((1.0,) * 400), x0=np.array([1.0, 1.0]),
+                            horizon=400, seed=0, store_iterates=True)
+            runs.append(_run_block(cfg, np.arange(2)))
+        got, want = runs
+        assert {tr.status for tr in got} == {"nonfinite"}
+        self._assert_same_iteration(got, want)
+
+    @staticmethod
+    def _assert_same_iteration(got, want):
+        for a, b in zip(got, want):
+            assert (a.seed, a.status, a.abort_t) == (b.seed, b.status, b.abort_t)
+            for name in ("iterates", "step", "batch_size", "batch_grad_norm", "rho",
+                         "in_region"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x is None) == (y is None), name
+                if y is not None:
+                    assert x.tobytes() == y.tobytes(), name
+            for name in ("F", "grad_norm"):
+                np.testing.assert_allclose(getattr(a, name), getattr(b, name),
+                                           rtol=1e-12, atol=1e-13, err_msg=name)
+            # <g, h - g> cancels where h is close to g: its error scales with |g| |h|
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = b.grad_norm * (b.grad_norm + b.batch_grad_norm)
+                off = np.abs(a.noise_inner - b.noise_inner) > 1e-12 * (1.0 + scale)
+            assert not off.any(), f"noise_inner at steps {np.flatnonzero(off)[:5]}"
+            assert np.array_equal(np.isnan(a.noise_inner), np.isnan(b.noise_inner))

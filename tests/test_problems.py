@@ -1,5 +1,10 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsgd import (
     FiniteSampleSpace,
@@ -11,6 +16,8 @@ from rsgd import (
     random_least_squares,
     random_sphere_mean,
 )
+
+from reference import DirectLeastSquares
 
 
 class TestFiniteSampleSpace:
@@ -58,6 +65,63 @@ class TestLeastSquaresCost:
     def test_requires_positive_tau(self):
         with pytest.raises(ValueError):
             RegularizedLeastSquaresProblem(np.array([[1.0]]), np.array([0.0]), tau=0.0)
+
+
+_finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+class TestLeastSquaresMoments:
+    """The O(d^2) moment form of cost and exact gradient against the direct
+    sum over all rows (``reference.DirectLeastSquares``)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 40), d=st.integers(1, 6), tau=st.floats(1e-3, 10.0),
+           uniform=st.booleans(), lead=st.sampled_from([(), (3,), (2, 3)]), data=st.data())
+    def test_matches_direct_sum(self, n, d, tau, uniform, lead, data):
+        a = np.array(data.draw(st.lists(_finite, min_size=n * d, max_size=n * d))).reshape(n, d)
+        y = np.array(data.draw(st.lists(_finite, min_size=n, max_size=n)))
+        w = None
+        if not uniform:
+            raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+            w = raw / raw.sum()
+        m = int(np.prod(lead)) * d
+        x = np.array(data.draw(st.lists(_finite, min_size=m, max_size=m))).reshape(*lead, d)
+        p = RegularizedLeastSquaresProblem(a, y, tau, weights=w)
+        ref = DirectLeastSquares.of(p)
+        f, g = p.cost(x), p.full_gradient(x)
+        assert f.shape == lead and g.shape == (*lead, d)
+
+        wt = ref.space.weights
+        r = (x[..., None, :] * a).sum(axis=-1)
+        scale_f = 1.0 + (wt * r * r).sum(axis=-1) + (wt * y * y).sum() + tau * (x * x).sum(axis=-1)
+        assert np.all(np.abs(f - ref.cost(x)) <= 1e-12 * scale_f)
+        # the gradient's terms, summed in absolute value
+        scale_g = 1.0 + ((wt * (np.abs(r) + np.abs(y)))[..., None] * np.abs(a)).sum(axis=-2) \
+            + tau * np.abs(x)
+        assert np.all(np.abs(g - ref.full_gradient(x)) <= 1e-12 * scale_g)
+
+    def test_record_reads_no_rows(self):
+        # one (S, N) float64 array alone would take 8 * 4 * 100_000 bytes
+        n, s_count = 100_000, 4
+        p = random_least_squares(8, n, seed=3, tau=0.1)
+        x = np.random.default_rng(4).normal(size=(s_count, 8))
+        tracemalloc.start()
+        try:
+            p.cost(x)
+            p.full_gradient(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
+
+    def test_exact_fit_keeps_absolute_accuracy(self):
+        # labels fitted exactly by x_true: the data term of F vanishes, and the
+        # moment form keeps it to within rounding of x^T G x + s
+        a = np.random.default_rng(5).normal(size=(50, 3))
+        x_true = np.array([0.5, -1.0, 2.0])
+        p = RegularizedLeastSquaresProblem(a, a @ x_true, tau=0.1)
+        data_term = p.cost(x_true) - 0.05 * (x_true @ x_true)
+        assert abs(data_term) <= 1e-13 * (1.0 + p.labels @ p.labels / 50)
 
 
 @pytest.mark.parametrize("problem", [
@@ -183,8 +247,60 @@ class TestCsvLoading:
     def test_bad_cell_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a1,a2\n1,oops\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad.csv"):
             load_sphere_mean_csv(path)
+
+    @pytest.mark.parametrize("rows", ["1,2\n3\n", "1,2\n3,4,5\n", "1,2,\n"],
+                             ids=["short", "long", "empty-cell"])
+    def test_ragged_rows_rejected(self, tmp_path, rows):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a1,a2\n" + rows)
+        with pytest.raises(ValueError, match="ragged.csv"):
+            load_sphere_mean_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "a1,a2\n", "\n  ,  \na1,a2\n\n , \n"],
+                             ids=["empty", "header-only", "header-and-blanks"])
+    def test_needs_a_data_row(self, tmp_path, text):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="at least one data row"):
+            load_sphere_mean_csv(path)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text('\n  ,  \na1,a2,y\n\n1,0,0.5\n   \n ,\t, \n"",  " "\n0,2,-1\n\n')
+        p = load_least_squares_csv(path, tau=0.1)
+        np.testing.assert_array_equal(p.features, [[1, 0], [0, 2]])
+        np.testing.assert_array_equal(p.labels, [0.5, -1.0])
+
+    def test_header_after_blank_rows_still_required(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        path.write_text(" , \n1,0\n0,1\n")
+        with pytest.raises(ValueError, match="header row is required"):
+            load_sphere_mean_csv(path)
+
+    @pytest.mark.parametrize("text", ["a1,a2,y\r\n1,0,0.5\r\n0,2,-1\r\n",
+                                      "a1,a2,y\n1,0,0.5\n0,2,-1"],
+                             ids=["crlf", "no-final-newline"])
+    def test_line_endings(self, tmp_path, text):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(text.encode())
+        p = load_least_squares_csv(path, tau=0.1)
+        np.testing.assert_array_equal(p.features, [[1, 0], [0, 2]])
+        np.testing.assert_array_equal(p.labels, [0.5, -1.0])
+
+    def test_large_file_bitwise_equal_to_csv_module(self, tmp_path):
+        rng = np.random.default_rng(6)
+        rows = np.column_stack([rng.normal(size=(100_000, 3)), rng.uniform(-1e6, 1e6, 100_000)])
+        path = tmp_path / "rows.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("a0,a1,a2,y\n")
+            np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+        with open(path, newline="") as fh:
+            want = np.array([[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]])
+        p = load_least_squares_csv(path, tau=0.1)
+        assert p.features.tobytes() == np.ascontiguousarray(want[:, :-1]).tobytes()
+        assert p.labels.tobytes() == want[:, -1].tobytes()
 
 
 def test_data_seed_recorded():
