@@ -54,7 +54,8 @@ CONFIG_KEYS = {
     "plan": ("scheme", "batch_size", "batch_growth", "batch_sizes", "strata",
              "per_stratum_counts"),
     "rate": ("kind", "c", "p", "values", "alpha", "beta", "epsilon"),
-    "confinement": ("enabled", "variant", "rho0", "lambda", "b", "theta", "kappa", "samples"),
+    "confinement": ("enabled", "variant", "rho0", "rho1", "lambda", "b", "theta", "kappa",
+                    "samples"),
     "run": ("horizon", "seeds", "seed", "out", "x0"),
 }
 
@@ -244,9 +245,13 @@ def build_confinement(cp, problem):
             rho0 = float(rho0_raw)
         except ValueError:
             raise ConfigError("confinement rho0 must be a number or 'auto'") from None
+    rho1 = _get_float(cp, "confinement", "rho1", rho0 + 1.0)
+    if cp.has_option("confinement", "rho1") and not rho1 > rho0:
+        raise ConfigError(f"confinement rho1 = {rho1:g} must exceed rho0 = {rho0:g}")
     params = {
         "variant": variant,
         "rho0": rho0,
+        "rho1": rho1,
         "kappa": _get_float(cp, "confinement", "kappa", 0.0),
         "lambda": _get_float(cp, "confinement", "lambda", 1.0),
         "b": cp.get("confinement", "b", fallback="auto"),
@@ -321,10 +326,8 @@ def cmd_run(args) -> int:
             if isinstance(rate, AdaptiveRate):
                 if conf_params["kappa"] <= 0:
                     raise ConfigError("adaptive confined runs need kappa > 0")
-                rho1 = conf_params.get("rho1")
                 spec = conf.norm_squared_confinement(
-                    conf_params["rho0"],
-                    rho1 if rho1 is not None else conf_params["rho0"] + 1.0,
+                    conf_params["rho0"], conf_params["rho1"],
                     variant if variant != "plain" else "kappa",
                 )
                 trajectories = conf.run_confined_adaptive_many(
@@ -422,7 +425,7 @@ def cmd_check(args) -> int:
                     raise ConfigError("kappa_confinement needs kappa > 0")
                 rate = build_rate(cp)
                 if isinstance(rate, AdaptiveRate):
-                    rho1 = params["rho0"] + 1.0
+                    rho1 = params["rho1"]
                 else:
                     spec0 = conf.norm_squared_confinement(params["rho0"])
                     constants = _constants_for(params, spec0, problem, rate,

@@ -12,15 +12,29 @@ the steps, each block's batches come from one ``plan.draw_blocks`` call (a
 block keeps one batch layout and holds at most ``batching._BLOCK_WORDS``
 outcome indices over all seeds, so its memory stays flat), the weights are
 computed once per layout and deterministic rates once per block through the
-scalar ``gamma(t) / rate_divisor``.  Everything that depends on the iterate,
-including the per-step finiteness and degeneracy checks, still runs step by
-step, so the records equal those of a step-at-a-time loop bit for bit.
+scalar ``gamma(t) / rate_divisor``.
+
+Per step the loop computes only what the next iterate needs: the batch
+gradient, the rate (and, under the adaptive rule, the batch gradient norm),
+the retraction and the finiteness of its result.  A row whose retraction
+fails stays where it is.  The iterates and batch gradients of a block go
+into (S, k, d) buffers (at most ``_BLOCK_WORDS`` floats each, one step at
+least, so a block may be recorded in several parts), and the exact record --
+cost, gradient and its norm, batch gradient norm, noise inner product, rho --
+is evaluated once per part on those buffers.  Rows are retired at that point: for each row the
+first event wins, a non-finite record at step t coming before a failed
+retraction at step t, and everything the row recorded after it is masked
+with NaN.  A row whose record went non-finite inside a part keeps iterating
+to the part's end, and its values are discarded.  Every reduction runs along
+the last axis, so the records equal those of a step-at-a-time loop bit for
+bit.
 
 Trajectories record, per iteration: cost, exact gradient norm, step size,
 batch size, batch gradient norm, and the noise inner product
-<grad F, h - grad F> (enough to rebuild every diagnostic), plus optional rho
-values and a region-membership flag.  Compactness of the iterate set is
-monitored, not enforced.
+<grad F, h - grad F>, plus optional rho values and a region-membership flag.
+``write_csv`` keeps all of them but the noise inner product, so a CSV
+cannot rebuild the descent or martingale checks that need it.  Compactness
+of the iterate set is monitored, not enforced.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import batching
 from .batching import BatchPlan, combine_batch
 from .errors import DegenerateRetraction
 from .problems import GradientOracle
@@ -43,7 +58,11 @@ DeterministicSchedule = (PowerLawSchedule, ExplicitSchedule)
 
 @dataclass
 class RunConfig:
-    """Everything one trajectory needs; immutable by convention once built."""
+    """Everything one trajectory needs; immutable by convention once built.
+
+    ``rho`` maps points (..., d) to values (...): like the oracle, it is
+    evaluated on (S, k, d) blocks of iterates at once.
+    """
 
     oracle: GradientOracle
     plan: BatchPlan
@@ -160,6 +179,7 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
     rho_rec = np.full((s_count, T + 1), nan) if cfg.rho is not None else None
     iterates = np.full((s_count, T + 1, d), nan) if cfg.store_iterates else None
 
+    # alive: not retired by the records evaluated so far
     alive = np.ones(s_count, dtype=bool)
     degenerate = np.zeros(s_count, dtype=bool)
     abort_t = np.full(s_count, -1, dtype=np.int64)
@@ -170,20 +190,23 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
         acc = np.zeros(s_count)
         comp = np.zeros(s_count)
 
-    def record_state(t):
-        fx = oracle.cost(x)
-        g = oracle.full_gradient(x)
-        gnt = man.norm(x, g)
-        F[:, t] = np.where(alive, fx, nan)
-        gn[:, t] = np.where(alive, gnt, nan)
+    def evaluate(xs):
+        g = oracle.full_gradient(xs)
+        return oracle.cost(xs), g, man.norm(xs, g)
+
+    def write_states(t, xs, fx, gnt, keep):
+        cols = slice(t, t + xs.shape[1])
+        F[:, cols] = np.where(keep, fx, nan)
+        gn[:, cols] = np.where(keep, gnt, nan)
         if rho_rec is not None:
-            rho_rec[:, t] = np.where(alive, cfg.rho(x), nan)
+            rho_rec[:, cols] = np.where(keep, cfg.rho(xs), nan)
         if iterates is not None:
-            iterates[:, t, :] = np.where(alive[:, None], x, nan)
-        return g, gnt, fx
+            iterates[:, cols] = np.where(keep[..., None], xs, nan)
 
     # batch weights per layout, computed on first use
     weights_of = {}
+    # steps per record part: its (S, k, d) buffers hold at most _BLOCK_WORDS floats
+    part = max(1, batching._BLOCK_WORDS // (s_count * d))
 
     # overflow/invalid are tolerated: rows going non-finite are caught and retired
     with np.errstate(over="ignore", invalid="ignore"):
@@ -196,51 +219,75 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
             n_steps = block.shape[1]
             bsize[t0 : t0 + n_steps] = block.shape[2]
             if not adaptive:
-                rates = [cfg.rate.gamma(t) / rate_divisor for t in range(t0, t0 + n_steps)]
+                rates = np.array([cfg.rate.gamma(t) / rate_divisor
+                                  for t in range(t0, t0 + n_steps)])
 
-            for k in range(n_steps):
-                t = t0 + k
-                g, gnt, fx = record_state(t)
-                blown = alive & ~(np.isfinite(fx) & np.isfinite(gnt))
-                if blown.any():
-                    abort_t[blown] = t
-                    alive &= ~blown
-
-                grads = oracle.sample_gradients(x, block[:, k])
-                h = combine_batch(weights, grads, equal)
-                bh = man.norm(x, h)
-                bgn[:, t] = np.where(alive, bh, nan)
-                noise[:, t] = np.where(alive, man.inner(x, g, h - g), nan)
-
+            for j0 in range(0, n_steps, part):
+                n_rec = min(part, n_steps - j0)
+                xs = np.empty((s_count, n_rec, d))
+                hs = np.empty_like(xs)
                 if adaptive:
-                    rate_t = cfg.rate.alpha / np.power(cfg.rate.beta + acc, expo)
-                    v = -rate_t[:, None] * h
-                else:
-                    rate_t = rates[k]
-                    v = -rate_t * h
-                step[:, t] = np.where(alive, rate_t, nan)
+                    etas = np.empty((s_count, n_rec))
+                    bhs = np.empty_like(etas)
+                # per step, only a failed retraction stops a row (it stays at x)
+                live = alive.copy()
+                fail_k = np.full(s_count, n_rec)
+                fail_degenerate = np.zeros(s_count, dtype=bool)
 
-                y, ok = man.retract_flagged(x, v)
-                y_finite = np.isfinite(y).all(axis=-1)
-                newly_degenerate = alive & ~ok
-                newly_blown = alive & ok & ~y_finite
-                if newly_degenerate.any() or newly_blown.any():
-                    dead = newly_degenerate | newly_blown
-                    abort_t[dead] = t
-                    degenerate |= newly_degenerate
-                    alive &= ~dead
-                x = np.where((alive & ok & y_finite)[:, None], y, x)
+                for k in range(n_rec):
+                    xs[:, k] = x
+                    h = combine_batch(weights, oracle.sample_gradients(x, block[:, j0 + k]), equal)
+                    hs[:, k] = h
+                    if adaptive:
+                        bh = man.norm(x, h)
+                        eta = cfg.rate.alpha / np.power(cfg.rate.beta + acc, expo)
+                        etas[:, k] = eta
+                        bhs[:, k] = bh
+                        v = -eta[:, None] * h
+                    else:
+                        v = -rates[j0 + k] * h
 
-                if adaptive:
-                    # accumulate the realized batch gradient only after the step:
-                    # eta_t must depend on strictly past draws
-                    g2 = np.where(alive, bh * bh, 0.0)
-                    yk = g2 - comp
-                    tk = acc + yk
-                    comp = (tk - acc) - yk
-                    acc = tk
+                    y, ok = man.retract_flagged(x, v)
+                    failed = live & ~(ok & np.isfinite(y).all(axis=-1))
+                    if failed.any():
+                        fail_k[failed] = k
+                        fail_degenerate |= failed & ~ok
+                        live &= ~failed
+                    x = np.where(live[:, None], y, x)
 
-        record_state(T)
+                    if adaptive:
+                        # accumulate the realized batch gradient only after the step:
+                        # eta_t must depend on strictly past draws
+                        g2 = np.where(live, bh * bh, 0.0)
+                        yk = g2 - comp
+                        tk = acc + yk
+                        comp = (tk - acc) - yk
+                        acc = tk
+
+                # the record of the part, and retirement: per row the first
+                # event wins, a non-finite record at k before the retraction at k
+                t = t0 + j0
+                fx, g, gnt = evaluate(xs)
+                blown = ~(np.isfinite(fx) & np.isfinite(gnt))
+                blown_k = np.where(blown.any(axis=1), blown.argmax(axis=1), n_rec)
+                first = np.minimum(blown_k, fail_k)
+                last_state = np.where(alive, first, -1)
+                last_step = np.where(alive, np.where(blown_k <= fail_k, blown_k - 1, fail_k), -1)
+                ended = alive & (first < n_rec)
+                abort_t[ended] = t + first[ended]
+                degenerate |= ended & (fail_k < blown_k) & fail_degenerate
+                alive &= ~ended
+
+                ks = np.arange(n_rec)
+                write_states(t, xs, fx, gnt, ks <= last_state[:, None])
+                keep = ks <= last_step[:, None]
+                cols = slice(t, t + n_rec)
+                bgn[:, cols] = np.where(keep, bhs if adaptive else man.norm(xs, hs), nan)
+                noise[:, cols] = np.where(keep, man.inner(xs, g, hs - g), nan)
+                step[:, cols] = np.where(keep, etas if adaptive else rates[j0 : j0 + n_rec], nan)
+
+        fx, _, gnt = evaluate(x[:, None])
+        write_states(T, x[:, None], fx, gnt, alive[:, None])
 
     if adaptive:
         step[:, T] = np.where(alive, cfg.rate.alpha / np.power(cfg.rate.beta + acc, expo), nan)

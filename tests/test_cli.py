@@ -1,10 +1,12 @@
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from rsgd import confinement as conf
 from rsgd.cli import _parse_strata, build_plan, load_config, main
 from rsgd.problems import FiniteSampleSpace
 
@@ -295,3 +297,36 @@ class TestInlineComments:
         assert _parse_strata(cp.get("plan", "strata")) == (tuple(range(8)), tuple(range(8, 16)))
         plan = build_plan(cp, FiniteSampleSpace.uniform(16), seed=0)
         assert plan.batch_size(0) == 4
+
+
+class TestConfinementRho1:
+    """[confinement] rho1 bounds adaptive confined runs and the kappa check."""
+
+    @staticmethod
+    def _config(tmp_path, rho1_line):
+        cfg = tmp_path / "kappa.ini"
+        cfg.write_text(LS_CONFINED_CONFIG.format(out=tmp_path / "runs")
+                       .replace("kind = power\nc = 0.5\np = 0.75", "kind = adaptive")
+                       .replace("variant = plain\nrho0 = auto",
+                                f"variant = kappa\nrho0 = 4.0\n{rho1_line}\nkappa = 1.0")
+                       .replace("horizon = 500", "horizon = 50"))
+        return cfg
+
+    @pytest.mark.parametrize("argv", [["run"], ["check", "kappa_confinement"]],
+                             ids=["run", "check"])
+    @pytest.mark.parametrize("rho1_line, rho1", [("rho1 = 11.5", 11.5), ("", 5.0)],
+                             ids=["set", "default"])
+    def test_rho1_reaches_the_spec(self, tmp_path, argv, rho1_line, rho1):
+        cfg = self._config(tmp_path, rho1_line)
+        with mock.patch.object(conf, "norm_squared_confinement",
+                               wraps=conf.norm_squared_confinement) as make_spec:
+            code = main(argv + ["--config", str(cfg), "--quiet"])
+        assert code in (0, 1)  # a kappa check may fail; it must not be a config error
+        assert [c.args[:2] for c in make_spec.call_args_list] == [(4.0, rho1)]
+
+    @pytest.mark.parametrize("rho1", ["4.0", "1.5", "nan"])
+    def test_rho1_not_above_rho0_is_a_config_error(self, tmp_path, capsys, rho1):
+        cfg = self._config(tmp_path, f"rho1 = {rho1}")
+        for argv in (["run"], ["check", "kappa_confinement"]):
+            assert main(argv + ["--config", str(cfg), "--quiet"]) == 2
+            assert "rho1" in (err := capsys.readouterr().err) and "must exceed rho0" in err

@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsgd import (
     AdaptiveRate,
@@ -502,3 +504,109 @@ class TestLeastSquaresRecord:
                 off = np.abs(a.noise_inner - b.noise_inner) > 1e-12 * (1.0 + scale)
             assert not off.any(), f"noise_inner at steps {np.flatnonzero(off)[:5]}"
             assert np.array_equal(np.isnan(a.noise_inner), np.isnan(b.noise_inner))
+
+
+class PoisonedSphereMean(SphereMeanProblem):
+    """The sphere-mean problem whose cost is infinite at one given point, so a
+    run's record goes non-finite at the step whose iterate is that point,
+    however many steps one cost call evaluates."""
+
+    def __init__(self, targets, point):
+        super().__init__(targets)
+        self.point = np.asarray(point, dtype=float)
+
+    def cost(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x == self.point).all(axis=-1), np.inf, super().cost(x))
+
+
+class TestRetirementOrder:
+    """Non-finite records and failed retractions of one row, in every order,
+    against the step-at-a-time oracle.  Batches of 4 at d = 4 make a block
+    of K steps one record, so steps 0, 5 start one and 4, 9 end one."""
+
+    K = 5
+
+    def _runs(self, n_seeds, rate, record=None, faults=None, horizon=13):
+        """Both engines with the cost infinite at the iterate of (step, row)
+        ``record`` and the retraction faults {step: (kind, row)}."""
+        base = random_sphere_mean(4, 6, seed=7)
+        x0 = base.manifold.random_point(np.random.default_rng(5))
+        seeds = 30 + np.arange(n_seeds)
+        plan = SegmentPlan(base.space, BatchSizes.constant(4))
+        point = np.full(4, np.nan)
+        if record is not None:
+            t, row = record
+            clean = RunConfig(oracle=base, plan=plan, rate=RATES[rate], x0=x0, horizon=t,
+                              seed=0, store_iterates=True)
+            with _blocked(self.K, n_seeds, 4):
+                point = _run_block(clean, seeds)[row].iterates[t]
+        runs = []
+        for engine in (_run_block, stepwise_run):
+            p = PoisonedSphereMean(base.targets, point)
+            p.manifold = FaultySphere(4, faults or {})
+            cfg = RunConfig(oracle=p, plan=plan, rate=RATES[rate], x0=x0, horizon=horizon,
+                            seed=0)
+            with _blocked(self.K, n_seeds, 4):
+                runs.append(engine(cfg, seeds))
+        got, want = runs
+        _assert_bitwise(got, want)
+        return [(tr.status, tr.abort_t) for tr in got]
+
+    @pytest.mark.parametrize("kind", ["degenerate", "nonfinite"])
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    def test_record_before_a_later_failed_retraction(self, rate, kind):
+        # row 1 records inf at step 6; its retraction fails at step 8 of the
+        # same block, which must not count
+        got = self._runs(3, rate, record=(6, 1), faults={8: (kind, 1), 7: (kind, 2)})
+        assert got == [("ok", None), ("nonfinite", 6), (kind, 7)]
+
+    @pytest.mark.parametrize("kind", ["degenerate", "nonfinite"])
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    def test_record_and_failed_retraction_at_one_step(self, rate, kind):
+        # the record at step t comes before the retraction at step t
+        got = self._runs(3, rate, record=(7, 1), faults={7: (kind, 1)})
+        assert got == [("ok", None), ("nonfinite", 7), ("ok", None)]
+
+    @pytest.mark.parametrize("n_seeds", [1, 3, 100])
+    @pytest.mark.parametrize("t", [0, 4, 5, 9])
+    @pytest.mark.parametrize("event", ["record", "degenerate", "nonfinite"])
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    def test_events_on_block_edges(self, rate, event, t, n_seeds):
+        row = n_seeds - 1
+        if event == "record":
+            got = self._runs(n_seeds, rate, record=(t, row))
+            # at t = 0 every row is at x0
+            hit = range(n_seeds) if t == 0 else [row]
+            want = [("nonfinite", t) if i in hit else ("ok", None) for i in range(n_seeds)]
+        else:
+            got = self._runs(n_seeds, rate, faults={t: (event, row)})
+            want = [(event, t) if i == row else ("ok", None) for i in range(n_seeds)]
+        assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
+       rate=st.sampled_from(sorted(RATES)), kind=st.sampled_from(["sphere", "least_squares"]),
+       d=st.integers(2, 10), n_seeds=st.integers(1, 40), offset=st.integers(0, 2**40),
+       words=st.integers(1, 160), horizon=st.integers(0, 30), data=st.data())
+def test_batch_equals_single_property(scheme, rate, kind, d, n_seeds, offset, words, horizon,
+                                      data):
+    # the block length and the record's part length depend on S, so a row of
+    # a batch and its seed alone cross block edges at different steps
+    b = data.draw(st.integers(2 if scheme == "stratified" else 1, 8))
+    if kind == "sphere":
+        p = random_sphere_mean(d, 8, seed=d)
+        x0, rho = p.manifold.random_point(np.random.default_rng(d)), None
+    else:
+        p = random_least_squares(d, 8, seed=d, tau=0.2)
+        x0, rho = np.linspace(-1.0, 1.0, d), lambda x: (x * x).sum(axis=-1)
+    cfg = RunConfig(oracle=p, plan=_plan(scheme, p.space, b), rate=RATES[rate], x0=x0,
+                    horizon=horizon, seed=offset, store_iterates=True, rho=rho)
+    run = run_adaptive if rate == "adaptive" else run_deterministic
+    with mock.patch.object(batching, "_BLOCK_WORDS", words):
+        batch = run_many(cfg, n_seeds)
+        alone = [run(replace(cfg, seed=offset + k)) for k in range(n_seeds)]
+    _assert_bitwise(batch, alone)
+    for row, single in zip(batch, alone):
+        assert row.iterates.tobytes() == single.iterates.tobytes()
