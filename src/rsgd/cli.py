@@ -54,8 +54,7 @@ CONFIG_KEYS = {
     "plan": ("scheme", "batch_size", "batch_growth", "batch_sizes", "strata",
              "per_stratum_counts"),
     "rate": ("kind", "c", "p", "values", "alpha", "beta", "epsilon"),
-    "confinement": ("enabled", "variant", "rho0", "rho1", "lambda", "b", "theta", "kappa",
-                    "samples"),
+    "confinement": ("enabled", "variant", "rho0", "lambda", "b", "theta", "kappa", "samples"),
     "run": ("horizon", "seeds", "seed", "out", "x0"),
 }
 
@@ -245,13 +244,11 @@ def build_confinement(cp, problem):
             rho0 = float(rho0_raw)
         except ValueError:
             raise ConfigError("confinement rho0 must be a number or 'auto'") from None
-    rho1 = _get_float(cp, "confinement", "rho1", rho0 + 1.0)
-    if cp.has_option("confinement", "rho1") and not rho1 > rho0:
-        raise ConfigError(f"confinement rho1 = {rho1:g} must exceed rho0 = {rho0:g}")
     params = {
         "variant": variant,
         "rho0": rho0,
-        "rho1": rho1,
+        # the level adaptive confined runs and the adaptive kappa check keep rho under
+        "rho1": rho0 + 1.0,
         "kappa": _get_float(cp, "confinement", "kappa", 0.0),
         "lambda": _get_float(cp, "confinement", "lambda", 1.0),
         "b": cp.get("confinement", "b", fallback="auto"),

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .driver import RunConfig, Trajectory, _run_block, _raise_if_degenerate
-from .errors import ConfinementViolation, SamplerFailure
+from .errors import ConfinementViolation, InvalidHyperparameters, SamplerFailure
 from .problems import GradientOracle
 from .schedules import AdaptiveRate, cumulative_squares, sum_of_squares, validate_robbins_monro
 
@@ -384,7 +384,8 @@ def run_confined_deterministic_many(cfg: RunConfig, constants: ConfinementConsta
         raise ValueError("RunConfig.rho must be set for confined runs")
     start = float(np.asarray(cfg.rho(cfg.x0)))
     if start > constants.rho0 + _INVARIANT_SLACK:
-        raise ValueError(f"rho(x0) = {start:g} must not exceed rho0 = {constants.rho0:g}")
+        raise InvalidHyperparameters(
+            f"rho(x0) = {start:g} must not exceed rho0 = {constants.rho0:g}")
     run_cfg = replace(cfg, region_rho1=constants.rho1)
     out = _run_block(run_cfg, cfg.seed + np.arange(n_seeds, dtype=np.int64),
                      rate_divisor=constants.phi)
@@ -408,10 +409,11 @@ def run_confined_adaptive_many(cfg: RunConfig, spec: ConfinementSpec, kappa: flo
         raise ValueError("spec.rho1 is required for confined adaptive runs")
     eta0 = cfg.rate.eta0()
     if eta0 > kappa:
-        raise ValueError(f"eta_0 = {eta0:g} exceeds kappa = {kappa:g}; steps would be too long")
+        raise InvalidHyperparameters(
+            f"eta_0 = {eta0:g} exceeds kappa = {kappa:g}; steps would be too long")
     start = float(np.asarray(spec.rho(cfg.x0)))
     if start > spec.rho1 + _INVARIANT_SLACK:
-        raise ValueError(f"rho(x0) = {start:g} must not exceed rho1 = {spec.rho1:g}")
+        raise InvalidHyperparameters(f"rho(x0) = {start:g} must not exceed rho1 = {spec.rho1:g}")
     run_cfg = replace(cfg, rho=spec.rho, region_rho1=spec.rho1)
     out = _run_block(run_cfg, cfg.seed + np.arange(n_seeds, dtype=np.int64))
     _raise_if_degenerate(out)

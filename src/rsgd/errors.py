@@ -14,7 +14,8 @@ class EnumerationBudgetExceeded(RuntimeError):
 
 
 class InvalidHyperparameters(ValueError):
-    """Adaptive step-size hyperparameters violate their admissibility conditions."""
+    """Run hyperparameters violate their admissibility conditions: the adaptive
+    step-size constants, eta_0 <= kappa, or a confined run's start inside its level."""
 
 
 class UnboundedRegion(ValueError):

@@ -299,34 +299,39 @@ class TestInlineComments:
         assert plan.batch_size(0) == 4
 
 
-class TestConfinementRho1:
-    """[confinement] rho1 bounds adaptive confined runs and the kappa check."""
+class TestConfinedRunInputs:
+    """Adaptive confined runs and the adaptive kappa check keep rho under
+    rho0 + 1; inputs a confined run rejects are config errors, not tracebacks."""
 
     @staticmethod
-    def _config(tmp_path, rho1_line):
+    def _config(tmp_path, adaptive=True, kappa="1.0", x0="auto"):
+        text = (LS_CONFINED_CONFIG.format(out=tmp_path / "runs")
+                .replace("variant = plain\nrho0 = auto",
+                         f"variant = kappa\nrho0 = 4.0\nkappa = {kappa}")
+                .replace("horizon = 500", f"horizon = 50\nx0 = {x0}"))
+        if adaptive:
+            text = text.replace("kind = power\nc = 0.5\np = 0.75", "kind = adaptive")
         cfg = tmp_path / "kappa.ini"
-        cfg.write_text(LS_CONFINED_CONFIG.format(out=tmp_path / "runs")
-                       .replace("kind = power\nc = 0.5\np = 0.75", "kind = adaptive")
-                       .replace("variant = plain\nrho0 = auto",
-                                f"variant = kappa\nrho0 = 4.0\n{rho1_line}\nkappa = 1.0")
-                       .replace("horizon = 500", "horizon = 50"))
+        cfg.write_text(text)
         return cfg
 
     @pytest.mark.parametrize("argv", [["run"], ["check", "kappa_confinement"]],
                              ids=["run", "check"])
-    @pytest.mark.parametrize("rho1_line, rho1", [("rho1 = 11.5", 11.5), ("", 5.0)],
-                             ids=["set", "default"])
-    def test_rho1_reaches_the_spec(self, tmp_path, argv, rho1_line, rho1):
-        cfg = self._config(tmp_path, rho1_line)
+    def test_rho1_reaches_the_spec(self, tmp_path, argv):
+        cfg = self._config(tmp_path)
         with mock.patch.object(conf, "norm_squared_confinement",
                                wraps=conf.norm_squared_confinement) as make_spec:
             code = main(argv + ["--config", str(cfg), "--quiet"])
         assert code in (0, 1)  # a kappa check may fail; it must not be a config error
-        assert [c.args[:2] for c in make_spec.call_args_list] == [(4.0, rho1)]
+        assert [c.args[:2] for c in make_spec.call_args_list] == [(4.0, 5.0)]
 
-    @pytest.mark.parametrize("rho1", ["4.0", "1.5", "nan"])
-    def test_rho1_not_above_rho0_is_a_config_error(self, tmp_path, capsys, rho1):
-        cfg = self._config(tmp_path, f"rho1 = {rho1}")
-        for argv in (["run"], ["check", "kappa_confinement"]):
-            assert main(argv + ["--config", str(cfg), "--quiet"]) == 2
-            assert "rho1" in (err := capsys.readouterr().err) and "must exceed rho0" in err
+    @pytest.mark.parametrize("adaptive, kappa, x0, message", [
+        (True, "0.4", "auto", "eta_0 = 0.5 exceeds kappa = 0.4"),
+        (True, "1.0", "3.0, 0.0, 0.0", "rho(x0) = 9 must not exceed rho1 = 5"),
+        (False, "1.0", "3.0, 0.0, 0.0", "rho(x0) = 9 must not exceed rho0 = 4"),
+    ], ids=["eta0-above-kappa", "adaptive-start-above-rho1", "start-above-rho0"])
+    def test_rejected_inputs_exit_2(self, tmp_path, capsys, adaptive, kappa, x0, message):
+        cfg = self._config(tmp_path, adaptive, kappa, x0)
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
