@@ -271,6 +271,8 @@ def _parse_x0(cp, manifold):
         raise ConfigError("run x0 must be 'auto' or a comma list of floats") from None
     if x0.shape != (manifold.ambient_dim,):
         raise ConfigError(f"x0 needs {manifold.ambient_dim} components")
+    if not bool(manifold.contains(x0, tol=1e-9)):
+        raise ConfigError(f"[run] x0 is not a point of the {manifold.kind} manifold")
     return x0
 
 
@@ -308,7 +310,15 @@ def cmd_run(args) -> int:
     plan = build_plan(cp, problem.space, seed)
     rate = build_rate(cp)
     horizon = args.horizon if args.horizon is not None else _get_int(cp, "run", "horizon")
+    if horizon < 0:
+        raise ConfigError(f"[run] horizon (or --horizon) must be >= 0, got {horizon}")
+    # a list rate needs gamma_t for t = 0..T-1; step[T] stays NaN past its end
+    if isinstance(rate, ExplicitSchedule) and len(rate.values) < horizon:
+        raise ConfigError(f"[rate] values has {len(rate.values)} rates, "
+                          f"fewer than the horizon {horizon}")
     n_seeds = _get_int(cp, "run", "seeds", 1)
+    if n_seeds < 1:
+        raise ConfigError(f"[run] seeds must be >= 1, got {n_seeds}")
     out_dir = Path(args.out if args.out is not None else cp.get("run", "out", fallback="runs"))
     x0 = _parse_x0(cp, problem.manifold)
     conf_params = build_confinement(cp, problem)

@@ -33,14 +33,17 @@ Trajectories record, per iteration: cost, exact gradient norm, step size,
 batch size, batch gradient norm, and the noise inner product
 <grad F, h - grad F>, plus optional rho values and a region-membership flag.
 ``write_csv`` keeps all of them but the noise inner product, so a CSV
-cannot rebuild the descent or martingale checks that need it.  Compactness
-of the iterate set is monitored, not enforced.
+cannot rebuild the descent or martingale checks that need it.  It writes
+every float as ``%.17g``, so ``read_trajectory_csv`` gets the same bits back,
+and formats the rows in chunks of ``_CSV_CHUNK``, so a file of any length is
+written in flat memory.  Compactness of the iterate set is monitored, not
+enforced.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -51,7 +54,22 @@ from .errors import DegenerateRetraction
 from .problems import GradientOracle
 from .schedules import AdaptiveRate, ExplicitSchedule, PowerLawSchedule
 
-CSV_HEADER = "t,F,grad_norm,step,batch_size,batch_grad_norm,rho,in_K"
+# one entry per CSV column: header name, Trajectory field, type; the first
+# column is the step index t, ints are written as %d and floats as %.17g
+_CSV_COLUMNS = (
+    ("t", None, int),
+    ("F", "F", float),
+    ("grad_norm", "grad_norm", float),
+    ("step", "step", float),
+    ("batch_size", "batch_size", int),
+    ("batch_grad_norm", "batch_grad_norm", float),
+    ("rho", "rho", float),
+    ("in_K", "in_region", bool),
+)
+CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
+_CSV_ROW = ",".join("%.17g" if kind is float else "%d" for _, _, kind in _CSV_COLUMNS) + "\n"
+# rows per formatted chunk, so a file of any length is written in flat memory
+_CSV_CHUNK = batching._BLOCK_WORDS // 32
 
 DeterministicSchedule = (PowerLawSchedule, ExplicitSchedule)
 
@@ -124,18 +142,18 @@ class Trajectory:
         return np.minimum.accumulate(self.grad_norm)
 
     def write_csv(self, path) -> None:
+        """Write the ``_CSV_COLUMNS`` of every step, each float as ``%.17g``,
+        one ``%`` operation per chunk of at most ``_CSV_CHUNK`` rows."""
         n = len(self.F)
-        rho = np.full(n, np.nan) if self.rho is None else self.rho
+        cols = [getattr(self, attr) for _, attr, _ in _CSV_COLUMNS[1:]]
         with open(path, "w", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
-            buf = io.StringIO()
-            for t in range(n):
-                buf.write(
-                    f"{t},{self.F[t]:.17g},{self.grad_norm[t]:.17g},{self.step[t]:.17g},"
-                    f"{int(self.batch_size[t])},{self.batch_grad_norm[t]:.17g},"
-                    f"{rho[t]:.17g},{int(self.in_region[t])}\n"
-                )
-            fh.write(buf.getvalue())
+            for a in range(0, n, _CSV_CHUNK):
+                b = min(n, a + _CSV_CHUNK)
+                # a missing rho column is written as NaN; zip stops at range(a, b)
+                rows = zip(range(a, b), *(repeat(np.nan) if c is None else c[a:b].tolist()
+                                         for c in cols))
+                fh.write((_CSV_ROW * (b - a)) % tuple(chain.from_iterable(rows)))
 
 
 def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
@@ -145,19 +163,16 @@ def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != 8:
-        raise ValueError(f"{path}: expected 8 columns, found {data.shape[1]}")
-    rho = data[:, 6]
+    if data.shape[1] != len(_CSV_COLUMNS):
+        raise ValueError(f"{path}: expected {len(_CSV_COLUMNS)} columns, found {data.shape[1]}")
+    fields = {attr: data[:, i].astype(kind, copy=False)
+              for i, (_, attr, kind) in enumerate(_CSV_COLUMNS) if attr is not None}
+    rho = fields.pop("rho")
     return Trajectory(
         seed=seed,
-        F=data[:, 1],
-        grad_norm=data[:, 2],
-        step=data[:, 3],
-        batch_size=data[:, 4].astype(int),
-        batch_grad_norm=data[:, 5],
         noise_inner=np.full(len(data), np.nan),
-        in_region=data[:, 7].astype(bool),
         rho=None if np.all(np.isnan(rho)) else rho,
+        **fields,
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from rsgd import rng as crng
 from rsgd.batching import _STREAM_SUBSET, BatchDraw, batch_gradient, draw_batch
-from rsgd.driver import Trajectory
+from rsgd.driver import CSV_HEADER, Trajectory
 from rsgd.problems import RegularizedLeastSquaresProblem
 from rsgd.schedules import AdaptiveRate
 
@@ -140,3 +140,18 @@ def stepwise_run(cfg, seeds, rate_divisor: float = 1.0) -> list[Trajectory]:
                    abort_t=None if abort_t[i] < 0 else int(abort_t[i]))
         for i, s in enumerate(seeds)
     ]
+
+
+def rowwise_csv(tr: Trajectory, path) -> None:
+    """The trajectory CSV one row at a time: one f-string per row, every float
+    as .17g, a missing rho column as NaN."""
+    n = len(tr.F)
+    rho = np.full(n, np.nan) if tr.rho is None else tr.rho
+    with open(path, "w", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for t in range(n):
+            fh.write(
+                f"{t},{tr.F[t]:.17g},{tr.grad_norm[t]:.17g},{tr.step[t]:.17g},"
+                f"{int(tr.batch_size[t])},{tr.batch_grad_norm[t]:.17g},"
+                f"{rho[t]:.17g},{int(tr.in_region[t])}\n"
+            )

@@ -13,7 +13,9 @@ from rsgd import (
     Euclidean,
     FiniteSampleSpace,
     InvalidPlan,
+    RegularizedLeastSquaresProblem,
     SegmentPlan,
+    SphereMeanProblem,
     StratifiedPlan,
     SubsetPlan,
     batch_gradient,
@@ -418,6 +420,36 @@ class TestSparseSubsets:
             tracemalloc.stop()
         # an (S, N) int64 pool alone would take 8 * 4 * 100_000 bytes
         assert peak < n
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=st.sampled_from(["sphere_mean", "least_squares"]),
+       scheme=st.sampled_from(["segment", "stratified"]),
+       n=st.integers(2, 8), d=st.integers(2, 5), data=st.data())
+def test_enumeration_equals_full_gradient_nonuniform(problem, scheme, n, d, data):
+    raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)
+                             .filter(lambda w: len(set(w)) > 1)))
+    weights = raw / raw.sum()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if problem == "sphere_mean":
+        prob = SphereMeanProblem(rng.normal(size=(n, d)), weights=weights)
+        x = prob.manifold.random_point(rng)
+    else:
+        prob = RegularizedLeastSquaresProblem(rng.normal(size=(n, d)), rng.normal(size=n),
+                                              data.draw(st.floats(1e-3, 2.0)), weights=weights)
+        x = rng.normal(size=d) * data.draw(st.floats(0.1, 10.0))
+    if scheme == "segment":
+        plan = SegmentPlan(prob.space, BatchSizes.constant(data.draw(st.integers(1, 3))))
+    else:
+        order = rng.permutation(n)
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))
+        strata = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        counts = [data.draw(st.integers(1, 2)) for _ in strata]
+        plan = StratifiedPlan(prob.space, strata, counts)
+    dev = enumerate_expectation(prob, x, plan) - prob.full_gradient(x)
+    # rounding grows with the per-outcome gradients the expectation sums
+    scale = np.sqrt((prob.sample_gradients(x, np.arange(n)) ** 2).sum(axis=-1)).max()
+    assert np.sqrt((dev * dev).sum()) <= 1e-12 * max(1.0, scale)
 
 
 def _hypothesis_plan(scheme, n, sizes, data):

@@ -335,3 +335,33 @@ class TestConfinedRunInputs:
         assert main(["run", "--config", str(cfg), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+
+
+class TestRunInputs:
+    """Inputs the engine would reject are config errors naming their key."""
+
+    @pytest.mark.parametrize("replace, argv, key", [
+        (("seeds = 3", "seeds = 0"), [], "[run] seeds"),
+        (("seeds = 3", "seeds = -3"), [], "[run] seeds"),
+        (None, ["--horizon", "-1"], "[run] horizon"),
+        (("out = ", "x0 = 1.0, 1.0, 0.0, 0.0\nout = "), [], "[run] x0"),
+        (("kind = power\nc = 0.5\np = 0.75", "kind = list\nvalues = 0.5, 0.4, 0.3"),
+         ["--horizon", "20"], "[rate] values"),
+    ], ids=["seeds-zero", "seeds-negative", "horizon-negative", "x0-off-sphere",
+            "list-rate-too-short"])
+    def test_exit_2(self, sphere_config, capsys, replace, argv, key):
+        cfg, out = sphere_config
+        if replace is not None:
+            cfg.write_text(cfg.read_text().replace(*replace))
+        assert main(["run", "--config", str(cfg), "--quiet"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
+    def test_list_rate_covering_the_horizon_runs(self, sphere_config):
+        cfg, out = sphere_config
+        cfg.write_text(cfg.read_text().replace("kind = power\nc = 0.5\np = 0.75",
+                                               "kind = list\nvalues = 0.5, 0.4, 0.3"))
+        assert main(["run", "--config", str(cfg), "--horizon", "3", "--quiet"]) == 0
+        last = (out / "exp_seed1.csv").read_text().strip().split("\n")[-1].split(",")
+        assert last[0] == "3" and last[3] == "nan"

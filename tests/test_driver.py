@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -18,6 +19,7 @@ from rsgd import (
     SphereMeanProblem,
     StratifiedPlan,
     SubsetPlan,
+    Trajectory,
     random_least_squares,
     random_sphere_mean,
     read_trajectory_csv,
@@ -25,11 +27,11 @@ from rsgd import (
     run_deterministic,
     run_many,
 )
-from rsgd import batching
+from rsgd import batching, driver
 from rsgd.driver import _run_block
 from rsgd.manifolds import Sphere
 
-from reference import DirectLeastSquares, stepwise_run
+from reference import DirectLeastSquares, rowwise_csv, stepwise_run
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +257,86 @@ class TestCsv:
         path.write_text("wrong,header\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             read_trajectory_csv(path)
+
+
+# NaN, infinities, signed zeros, the subnormal extremes, the normal extremes
+_SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                   2.2250738585072009e-308, 2.2250738585072014e-308, 1e308, -1e308,
+                   1.7976931348623157e308]
+
+
+def _csv_trajectory(data) -> Trajectory:
+    """A trajectory of 1 to three CSV chunks of rows whose float columns hold
+    random bit patterns (every class of double) plus drawn special values."""
+    chunk = driver._CSV_CHUNK
+    n = data.draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1])
+                  | st.integers(1, 3 * chunk))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def column():
+        col = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+        specials = data.draw(st.lists(st.sampled_from(_SPECIAL_FLOATS) | st.floats(),
+                                      max_size=12))
+        col[rng.integers(0, n, size=len(specials))] = specials
+        return col
+
+    return Trajectory(
+        seed=0, F=column(), grad_norm=column(), step=column(),
+        batch_size=rng.integers(0, 10**6, size=n), batch_grad_norm=column(),
+        noise_inner=column(), in_region=rng.random(n) < data.draw(st.floats(0.0, 1.0)),
+        rho=column() if data.draw(st.booleans()) else None,
+    )
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_csv_bytes_equal_rowwise_writer(tmp_path_factory, data):
+    tr = _csv_trajectory(data)
+    tmp = tmp_path_factory.mktemp("csv")
+    tr.write_csv(tmp / "chunked.csv")
+    rowwise_csv(tr, tmp / "rowwise.csv")
+    assert (tmp / "chunked.csv").read_bytes() == (tmp / "rowwise.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_csv_round_trip_is_bitwise(tmp_path_factory, data):
+    tr = _csv_trajectory(data)
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    tr.write_csv(path)
+    back = read_trajectory_csv(path, seed=tr.seed)
+    for name in ("F", "grad_norm", "step", "batch_grad_norm"):
+        assert _same_bits(getattr(back, name), getattr(tr, name)), name
+    np.testing.assert_array_equal(back.batch_size, tr.batch_size)
+    np.testing.assert_array_equal(back.in_region, tr.in_region)
+    if tr.rho is None or np.isnan(tr.rho).all():
+        assert back.rho is None
+    else:
+        assert _same_bits(back.rho, tr.rho)
+
+
+def test_csv_write_memory_is_flat(tmp_path):
+    n = 100_001
+    rng = np.random.default_rng(3)
+    tr = Trajectory(seed=0, F=rng.random(n), grad_norm=rng.random(n), step=rng.random(n),
+                    batch_size=np.full(n, 4), batch_grad_norm=rng.random(n),
+                    noise_inner=rng.random(n), in_region=np.ones(n, dtype=bool),
+                    rho=rng.random(n))
+    tracemalloc.start()
+    try:
+        tr.write_csv(tmp_path / "long.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole file as one string would take about 10 MiB
+    assert peak < 4 * 2**20
 
 
 def test_running_min_helper(sphere_problem, x0):
