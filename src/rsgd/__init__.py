@@ -4,14 +4,11 @@ iterates inside a compact sublevel set.
 """
 
 from .batching import (
-    BatchDraw,
     BatchPlan,
     BatchSizes,
     SegmentPlan,
     StratifiedPlan,
     SubsetPlan,
-    batch_gradient,
-    draw_batch,
     enumerate_expectation,
     make_plan,
     variance_report,
@@ -24,7 +21,6 @@ from .confinement import (
     estimate_constants,
     hessian_quadform,
     norm_squared_confinement,
-    run_confined_adaptive,
     run_confined_adaptive_many,
     run_confined_deterministic,
     run_confined_deterministic_many,
@@ -72,7 +68,6 @@ from .problems import (
 )
 from .schedules import (
     AdaptiveRate,
-    AdaptiveState,
     ExplicitSchedule,
     PowerLawSchedule,
     ScheduleCheck,

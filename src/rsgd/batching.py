@@ -42,6 +42,7 @@ _STREAM_SUBSET = 1 << 40
 _STREAM_STRATIFIED = 1 << 41
 
 _ENUM_CHUNK = 1 << 15
+_ENUM_BUDGET = 10**6
 _BLOCK_WORDS = 1 << 15
 
 
@@ -90,28 +91,10 @@ class BatchSizes:
         return self.values[t]
 
 
-@dataclass(frozen=True)
-class BatchDraw:
-    """One realized batch: outcome indices plus their averaging weights."""
-
-    t: int
-    outcomes: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def batch_size(self) -> int:
-        return self.outcomes.shape[-1]
-
-    @property
-    def equal_weights(self) -> bool:
-        return bool(np.all(self.weights == self.weights[0]))
-
-
 class BatchPlan:
     """Interface shared by the three schemes."""
 
     space: FiniteSampleSpace
-    seed: int
     scheme: str
 
     def batch_size(self, t: int) -> int:
@@ -159,8 +142,9 @@ class BatchPlan:
         """Exact size of the scheme's outcome space at step t (Python int)."""
         raise NotImplementedError
 
-    def iter_outcome_chunks(self, t: int, chunk: int = _ENUM_CHUNK):
-        """Yield (indices (c, B), probabilities (c,)) covering the outcome space."""
+    def iter_outcome_chunks(self, t: int):
+        """Yield (indices (c, B), probabilities (c,)) covering the outcome space,
+        at most _ENUM_CHUNK outcomes per chunk."""
         raise NotImplementedError
 
 
@@ -169,10 +153,9 @@ class SegmentPlan(BatchPlan):
 
     scheme = "segment"
 
-    def __init__(self, space: FiniteSampleSpace, sizes: BatchSizes, seed: int = 0):
+    def __init__(self, space: FiniteSampleSpace, sizes: BatchSizes):
         self.space = space
         self.sizes = sizes
-        self.seed = int(seed)
         self._cuts = [0]
 
     def cut(self, t: int) -> int:
@@ -204,12 +187,12 @@ class SegmentPlan(BatchPlan):
     def outcome_count(self, t: int) -> int:
         return int(self.space.size) ** self.batch_size(t)
 
-    def iter_outcome_chunks(self, t: int, chunk: int = _ENUM_CHUNK):
+    def iter_outcome_chunks(self, t: int):
         n, b = self.space.size, self.batch_size(t)
         w = self.space.weights
         total = n**b
-        for start in range(0, total, chunk):
-            k = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        for start in range(0, total, _ENUM_CHUNK):
+            k = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
             idx = np.empty((k.size, b), dtype=np.int64)
             rem = k
             for pos in range(b - 1, -1, -1):
@@ -223,7 +206,7 @@ class SubsetPlan(BatchPlan):
 
     scheme = "no_repetition"
 
-    def __init__(self, space: FiniteSampleSpace, sizes: BatchSizes, seed: int = 0):
+    def __init__(self, space: FiniteSampleSpace, sizes: BatchSizes):
         if not space.is_uniform:
             raise InvalidPlan(
                 "no-repetition batches need uniform outcome weights; "
@@ -231,7 +214,6 @@ class SubsetPlan(BatchPlan):
             )
         self.space = space
         self.sizes = sizes
-        self.seed = int(seed)
 
     def batch_size(self, t: int) -> int:
         b = self.sizes.at(t)
@@ -255,12 +237,12 @@ class SubsetPlan(BatchPlan):
     def outcome_count(self, t: int) -> int:
         return math.comb(self.space.size, self.batch_size(t))
 
-    def iter_outcome_chunks(self, t: int, chunk: int = _ENUM_CHUNK):
+    def iter_outcome_chunks(self, t: int):
         n, b = self.space.size, self.batch_size(t)
         prob = 1.0 / math.comb(n, b)
         it = combinations(range(n), b)
         while True:
-            block = list(islice(it, chunk))
+            block = list(islice(it, _ENUM_CHUNK))
             if not block:
                 return
             idx = np.asarray(block, dtype=np.int64)
@@ -276,10 +258,8 @@ class StratifiedPlan(BatchPlan):
 
     scheme = "stratified"
 
-    def __init__(self, space: FiniteSampleSpace, strata, counts, seed: int = 0,
-                 overrides: dict | None = None):
+    def __init__(self, space: FiniteSampleSpace, strata, counts, overrides: dict | None = None):
         self.space = space
-        self.seed = int(seed)
         self.strata, self.counts = self._validated(strata, counts)
         self.overrides = {}
         for t, (s, c) in (overrides or {}).items():
@@ -346,7 +326,7 @@ class StratifiedPlan(BatchPlan):
             total *= int(m.size) ** c
         return total
 
-    def iter_outcome_chunks(self, t: int, chunk: int = _ENUM_CHUNK):
+    def iter_outcome_chunks(self, t: int):
         _, counts, members, mu = self._layout(t)
         pos_members, pos_cond = [], []
         for m, muj, c in zip(members, mu, counts):
@@ -357,8 +337,8 @@ class StratifiedPlan(BatchPlan):
         radices = [m.size for m in pos_members]
         total = self.outcome_count(t)
         b = len(pos_members)
-        for start in range(0, total, chunk):
-            k = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        for start in range(0, total, _ENUM_CHUNK):
+            k = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
             idx = np.empty((k.size, b), dtype=np.int64)
             prob = np.ones(k.size)
             rem = k
@@ -411,13 +391,6 @@ def _partial_shuffle(keys: np.ndarray, n: int, b: int) -> np.ndarray:
     return out
 
 
-def draw_batch(plan: BatchPlan, t: int, seed: int | None = None) -> BatchDraw:
-    """The scheme's batch at step t; deterministic given (plan, seed, t)."""
-    s = plan.seed if seed is None else int(seed)
-    outcomes = plan.draw_block(t, np.array([s]))[0]
-    return BatchDraw(t=t, outcomes=outcomes, weights=plan.weights_at(t))
-
-
 def combine_batch(weights: np.ndarray, grads: np.ndarray, equal: bool) -> np.ndarray:
     """Weighted average over the batch axis (next-to-last axis of grads)."""
     if equal:
@@ -425,19 +398,11 @@ def combine_batch(weights: np.ndarray, grads: np.ndarray, equal: bool) -> np.nda
     return (weights[..., None] * grads).sum(axis=-2)
 
 
-def batch_gradient(oracle: GradientOracle, x, draw: BatchDraw) -> np.ndarray:
-    """The averaged stochastic gradient sum_i w_i H(x, outcome_i)."""
-    if np.any(draw.outcomes < 0) or np.any(draw.outcomes >= oracle.space.size):
-        raise InvalidPlan("draw contains outcomes outside the oracle's sample space")
-    grads = oracle.sample_gradients(x, draw.outcomes)
-    return combine_batch(draw.weights, grads, draw.equal_weights)
-
-
-def _enumerated_vectors(oracle, x, plan, t, budget):
+def _enumerated_vectors(oracle, x, plan, t):
     count = plan.outcome_count(t)
-    if count > budget:
+    if count > _ENUM_BUDGET:
         raise EnumerationBudgetExceeded(
-            f"{count} outcomes at t={t} exceed the enumeration budget {budget}"
+            f"{count} outcomes at t={t} exceed the enumeration budget {_ENUM_BUDGET}"
         )
     x = np.asarray(x, dtype=float)
     table = oracle.sample_gradients(x, np.arange(oracle.space.size))
@@ -447,40 +412,37 @@ def _enumerated_vectors(oracle, x, plan, t, budget):
         yield combine_batch(w, table[idx], equal), prob
 
 
-def enumerate_expectation(oracle: GradientOracle, x, plan: BatchPlan, t: int = 0,
-                          budget: int = 10**6) -> np.ndarray:
+def enumerate_expectation(oracle: GradientOracle, x, plan: BatchPlan, t: int = 0) -> np.ndarray:
     """Exact expectation of the batch gradient at step t, by full enumeration.
 
     This is the independent certificate that a scheme is unbiased: the result
     must coincide with ``oracle.full_gradient(x)``.
     """
     acc = np.zeros(np.shape(x)[-1])
-    for vecs, prob in _enumerated_vectors(oracle, x, plan, t, budget):
+    for vecs, prob in _enumerated_vectors(oracle, x, plan, t):
         acc += (prob[:, None] * vecs).sum(axis=0)
     return acc
 
 
-def variance_report(oracle: GradientOracle, x, plan: BatchPlan, t: int = 0,
-                    budget: int = 10**6) -> float:
-    """Exact E ||batch_gradient - full_gradient||^2 at step t, by enumeration."""
+def variance_report(oracle: GradientOracle, x, plan: BatchPlan, t: int = 0) -> float:
+    """Exact E ||h - grad F(x)||^2 of the batch gradient h at step t, by enumeration."""
     g = oracle.full_gradient(np.asarray(x, dtype=float))
     acc = 0.0
-    for vecs, prob in _enumerated_vectors(oracle, x, plan, t, budget):
+    for vecs, prob in _enumerated_vectors(oracle, x, plan, t):
         dev = vecs - g
         acc += float((prob * (dev * dev).sum(axis=1)).sum())
     return acc
 
 
 def make_plan(scheme: str, space: FiniteSampleSpace, *, sizes: BatchSizes | None = None,
-              strata=None, counts=None, seed: int = 0,
-              overrides: dict | None = None) -> BatchPlan:
+              strata=None, counts=None, overrides: dict | None = None) -> BatchPlan:
     """Factory used by the config front end."""
     if scheme == "segment":
-        return SegmentPlan(space, sizes or BatchSizes.constant(1), seed)
+        return SegmentPlan(space, sizes or BatchSizes.constant(1))
     if scheme == "no_repetition":
-        return SubsetPlan(space, sizes or BatchSizes.constant(1), seed)
+        return SubsetPlan(space, sizes or BatchSizes.constant(1))
     if scheme == "stratified":
         if strata is None or counts is None:
             raise InvalidPlan("stratified plan needs strata and per-stratum counts")
-        return StratifiedPlan(space, strata, counts, seed, overrides)
+        return StratifiedPlan(space, strata, counts, overrides)
     raise InvalidPlan(f"unknown scheme {scheme!r}")

@@ -103,57 +103,63 @@ def _require(cp, section, key):
     return cp.get(section, key)
 
 
-def _get_float(cp, section, key, default=None):
+def _get_float(cp, section, key, default=None, above=None):
+    """The key's number, or ``default`` when it is absent; a given value must
+    exceed ``above``."""
     if not cp.has_option(section, key):
         if default is None:
             raise ConfigError(f"missing [{section}] {key}")
         return default
     try:
-        return cp.getfloat(section, key)
+        value = cp.getfloat(section, key)
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be a number") from None
+    if above is not None and not value > above:
+        raise ConfigError(f"[{section}] {key} must be > {above:g}, got {value:g}")
+    return value
 
 
-def _get_int(cp, section, key, default=None):
+def _get_int(cp, section, key, default=None, least=None):
+    """The key's integer, or ``default`` when it is absent; a given value must
+    be at least ``least``."""
     if not cp.has_option(section, key):
         if default is None:
             raise ConfigError(f"missing [{section}] {key}")
         return default
     try:
-        return cp.getint(section, key)
+        value = cp.getint(section, key)
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be an integer") from None
+    if least is not None and value < least:
+        raise ConfigError(f"[{section}] {key} must be >= {least}, got {value}")
+    return value
 
 
 def build_problem(cp):
     kind = _require(cp, "problem", "kind")
-    csv_path = cp.get("problem", "csv", fallback=None)
-    if kind == "sphere_mean":
-        if csv_path:
-            if not Path(csv_path).is_file():
-                raise ConfigError(f"problem csv not found: {csv_path}")
-            return load_sphere_mean_csv(csv_path)
-        return random_sphere_mean(
-            _get_int(cp, "problem", "dimension"),
-            _get_int(cp, "problem", "n_outcomes"),
-            _get_int(cp, "problem", "data_seed", 0),
-        )
-    if kind == "least_squares":
-        tau = _get_float(cp, "problem", "tau")
+    if kind not in ("sphere_mean", "least_squares"):
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    sphere = kind == "sphere_mean"
+    if not sphere:
+        tau = _get_float(cp, "problem", "tau", above=0.0)
         rho1 = _get_float(cp, "problem", "rho1", -1.0)
         rho1 = None if rho1 < 0 else rho1
-        if csv_path:
-            if not Path(csv_path).is_file():
-                raise ConfigError(f"problem csv not found: {csv_path}")
+    csv_path = cp.get("problem", "csv", fallback=None)
+    if csv_path:
+        if not Path(csv_path).is_file():
+            raise ConfigError(f"problem csv not found: {csv_path}")
+        try:
+            if sphere:
+                return load_sphere_mean_csv(csv_path)
             return load_least_squares_csv(csv_path, tau, region_rho1=rho1)
-        return random_least_squares(
-            _get_int(cp, "problem", "dimension"),
-            _get_int(cp, "problem", "n_outcomes"),
-            _get_int(cp, "problem", "data_seed", 0),
-            tau,
-            region_rho1=rho1,
-        )
-    raise ConfigError(f"unknown problem kind {kind!r}")
+        except ValueError as exc:
+            raise ConfigError(f"[problem] csv: {exc}") from None
+    dim = _get_int(cp, "problem", "dimension", least=2 if sphere else 1)
+    n_outcomes = _get_int(cp, "problem", "n_outcomes", least=1)
+    data_seed = _get_int(cp, "problem", "data_seed", 0, least=0)
+    if sphere:
+        return random_sphere_mean(dim, n_outcomes, data_seed)
+    return random_least_squares(dim, n_outcomes, data_seed, tau, region_rho1=rho1)
 
 
 def _parse_strata(text: str):
@@ -164,11 +170,15 @@ def _parse_strata(text: str):
             token = token.strip()
             if not token:
                 continue
-            if "-" in token:
-                a, b = token.split("-", 1)
-                members.extend(range(int(a), int(b) + 1))
-            else:
-                members.append(int(token))
+            try:
+                if "-" in token:
+                    a, b = token.split("-", 1)
+                    members.extend(range(int(a), int(b) + 1))
+                else:
+                    members.append(int(token))
+            except ValueError:
+                raise ConfigError(f"[plan] strata: {token!r} is neither an index "
+                                  "nor a range a-b") from None
         if members:
             groups.append(tuple(members))
     if not groups:
@@ -177,6 +187,7 @@ def _parse_strata(text: str):
 
 
 def build_plan(cp, space, seed: int):
+    # seed is unused; perfbench's cli_session passes it positionally
     scheme = _require(cp, "plan", "scheme")
     if cp.has_option("plan", "batch_growth"):
         try:
@@ -200,7 +211,7 @@ def build_plan(cp, space, seed: int):
         except ValueError:
             raise ConfigError("per_stratum_counts must be a comma list of ints") from None
     try:
-        plan = make_plan(scheme, space, sizes=sizes, strata=strata, counts=counts, seed=seed)
+        plan = make_plan(scheme, space, sizes=sizes, strata=strata, counts=counts)
         # cross-field validation up front: probe the sizes the run will use
         probe = range(len(sizes.values)) if sizes.kind == "explicit" else (0,)
         for t in probe:
@@ -230,10 +241,14 @@ def build_rate(cp):
 
 
 def build_confinement(cp, problem):
-    if not cp.has_section("confinement") or not cp.getboolean("confinement", "enabled",
-                                                              fallback=False):
-        return None
+    try:
+        if not cp.getboolean("confinement", "enabled", fallback=False):
+            return None
+    except ValueError:
+        raise ConfigError("[confinement] enabled must be true or false") from None
     variant = cp.get("confinement", "variant", fallback="plain")
+    if variant not in conf.VARIANTS:
+        raise ConfigError(f"[confinement] variant must be one of {', '.join(conf.VARIANTS)}")
     rho0_raw = cp.get("confinement", "rho0", fallback="auto")
     if rho0_raw == "auto":
         if not hasattr(problem, "rho0_for_norm_squared"):
@@ -244,16 +259,17 @@ def build_confinement(cp, problem):
             rho0 = float(rho0_raw)
         except ValueError:
             raise ConfigError("confinement rho0 must be a number or 'auto'") from None
+    b = cp.get("confinement", "b", fallback="auto")
     params = {
         "variant": variant,
         "rho0": rho0,
         # the level adaptive confined runs and the adaptive kappa check keep rho under
         "rho1": rho0 + 1.0,
         "kappa": _get_float(cp, "confinement", "kappa", 0.0),
-        "lambda": _get_float(cp, "confinement", "lambda", 1.0),
-        "b": cp.get("confinement", "b", fallback="auto"),
-        "theta": _get_float(cp, "confinement", "theta", 1.0),
-        "samples": _get_int(cp, "confinement", "samples", 2000),
+        "lambda": _get_float(cp, "confinement", "lambda", 1.0, above=0.0),
+        "b": b if b == "auto" else _get_float(cp, "confinement", "b", above=0.0),
+        "theta": _get_float(cp, "confinement", "theta", 1.0, above=0.0),
+        "samples": _get_int(cp, "confinement", "samples", 2000, least=1),
     }
     return params
 
@@ -279,16 +295,11 @@ def _parse_x0(cp, manifold):
 def _constants_for(cp_params, spec, problem, rate, n_samples, seed):
     lam = cp_params["lambda"]
     theta = cp_params["theta"]
-    b_raw = cp_params["b"]
-    if b_raw == "auto":
+    b = cp_params["b"]
+    if b == "auto":
         trial = conf.estimate_constants(spec, problem, rate, lam, 1.0, theta,
                                         n_samples, seed=seed)
         b = max(trial.b_est, 1e-6)
-    else:
-        try:
-            b = float(b_raw)
-        except ValueError:
-            raise ConfigError("confinement b must be a number or 'auto'") from None
     return conf.estimate_constants(spec, problem, rate, lam, b, theta, n_samples, seed=seed)
 
 

@@ -41,6 +41,12 @@ VARIANTS = ("plain", "kappa", "batch_kappa")
 
 _HESS_STEP = 1e-4
 _INVARIANT_SLACK = 1e-9
+# safety factor on the sampled suprema behind phi
+_SAFETY = 1.5
+# Dirichlet convex combinations per sample point (batch directions)
+_N_COMBOS = 8
+# radius doublings allowed to bracket a rho level
+_MAX_DOUBLINGS = 200
 
 
 @dataclass(frozen=True)
@@ -124,13 +130,13 @@ class ConfinementReport:
         }
 
 
-def hessian_quadform(manifold, rho: Callable, x, u, v, step: float = _HESS_STEP):
+def hessian_quadform(manifold, rho: Callable, x, u, v):
     """Hess(rho o R_x)|_u (v, v) by central second differences along v."""
 
     def f(s):
         return rho(manifold.retract(x, u + s * v))
 
-    return (f(step) - 2.0 * f(0.0) + f(-step)) / step**2
+    return (f(_HESS_STEP) - 2.0 * f(0.0) + f(-_HESS_STEP)) / _HESS_STEP**2
 
 
 def _unit_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -139,7 +145,7 @@ def _unit_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 
 
 def sample_rho_levels(rho: Callable, dim: int, targets: np.ndarray,
-                      rng: np.random.Generator, max_doublings: int = 200) -> np.ndarray:
+                      rng: np.random.Generator) -> np.ndarray:
     """Points x with rho(x) ~ targets, found by radius bisection along random rays.
 
     Works directly for radially monotone rho; rows the bisection cannot
@@ -154,7 +160,7 @@ def sample_rho_levels(rho: Callable, dim: int, targets: np.ndarray,
         raise SamplerFailure(f"targets below rho(origin) = {base:g} are unreachable radially")
 
     hi = np.ones(n)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         vals = rho(hi[:, None] * dirs)
         short = vals < targets
         if not np.any(short):
@@ -252,9 +258,8 @@ def check_plain_confinement(spec: ConfinementSpec, oracle: GradientOracle,
 
 def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
                        lam: float, b: float, theta: float, n_samples: int,
-                       seed: int = 0, safety: float = 1.5,
-                       n_combos: int = 8) -> ConfinementConstants:
-    """Sampled suprema behind phi, with a multiplicative safety factor.
+                       seed: int = 0) -> ConfinementConstants:
+    """Sampled suprema behind phi, with the multiplicative safety factor _SAFETY.
 
     lambda_est bounds (1/lam) * max(0, -<grad rho(x), v>) over {rho <= rho0},
     b_est bounds (1/b) * sqrt(max(0, Hess(rho o R_x)|_{-theta v}(v, v))) over
@@ -272,12 +277,12 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
     dim = oracle.manifold.ambient_dim
 
     xs0 = _sublevel_points(spec, dim, spec.rho0, n_samples, (seed, 1))
-    v0 = _direction_set(oracle, xs0, np.random.default_rng([seed, 2]), n_combos)
+    v0 = _direction_set(oracle, xs0, np.random.default_rng([seed, 2]), _N_COMBOS)
     ips = (spec.grad_rho(xs0)[:, None, :] * v0).sum(axis=-1)
     lambda_est = float(max(0.0, -ips.min())) / lam
 
     xs1 = _sublevel_points(spec, dim, rho1, n_samples, (seed, 3))
-    v1 = _direction_set(oracle, xs1, np.random.default_rng([seed, 4]), n_combos)
+    v1 = _direction_set(oracle, xs1, np.random.default_rng([seed, 4]), _N_COMBOS)
     n_dirs = v1.shape[1]
     flat_x = np.repeat(xs1, n_dirs, axis=0)
     flat_v = v1.reshape(-1, dim)
@@ -285,7 +290,7 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
     q = hessian_quadform(oracle.manifold, spec.rho, flat_x, -thetas[:, None] * flat_v, flat_v)
     b_est = float(np.sqrt(max(0.0, float(np.max(q))))) / b
 
-    phi = max(safety * lambda_est, safety * b_est, c / theta)
+    phi = max(_SAFETY * lambda_est, _SAFETY * b_est, c / theta)
     return ConfinementConstants(
         lam=lam, b=b, theta=theta, c=c, sigma=sigma,
         lambda_est=lambda_est, b_est=b_est, phi=phi,
@@ -294,8 +299,7 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
 
 
 def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
-                            kappa: float, n_samples: int, seed: int = 0,
-                            n_combos: int = 8) -> ConfinementReport:
+                            kappa: float, n_samples: int, seed: int = 0) -> ConfinementReport:
     """Sample both defining inequalities of a (batch) kappa-confinement.
 
     Directions v run over the outcome gradients for the kappa variant and
@@ -308,7 +312,7 @@ def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
         raise ValueError("kappa must be > 0")
     man = oracle.manifold
     dim = man.ambient_dim
-    combos = n_combos if spec.variant == "batch_kappa" else 0
+    combos = _N_COMBOS if spec.variant == "batch_kappa" else 0
 
     # inequality 1: from rho(x) <= rho0, steps of length <= kappa stay <= rho1
     xs0 = _sublevel_points(spec, dim, spec.rho0, n_samples, (seed, 1))
@@ -426,22 +430,3 @@ def run_confined_adaptive_many(cfg: RunConfig, spec: ConfinementSpec, kappa: flo
                 f"(seed {tr.seed})", t=t, seed=tr.seed,
             )
     return out
-
-
-def run_confined_adaptive(cfg: RunConfig, spec: ConfinementSpec, kappa: float) -> Trajectory:
-    return run_confined_adaptive_many(cfg, spec, kappa, 1)[0]
-
-
-def sublevel_bounded(spec: ConfinementSpec, dim: int, c: float,
-                     n_dirs: int = 64, r_max: float = 1e9, seed: int = 0) -> bool:
-    """Numerical proxy for coercivity: along random rays, rho exceeds c before r_max."""
-    dirs = _unit_directions(np.random.default_rng([seed, 7]), n_dirs, dim)
-    r = 1.0
-    alive = np.ones(n_dirs, dtype=bool)
-    while r <= r_max:
-        vals = np.asarray(spec.rho(r * dirs))
-        alive &= vals <= c
-        if not np.any(alive):
-            return True
-        r *= 2.0
-    return False

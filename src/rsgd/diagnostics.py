@@ -17,6 +17,8 @@ import numpy as np
 from .problems import GradientOracle
 
 _U_FLOOR = 1e-8
+_FD_STEP = 1e-6
+_FD_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -234,13 +236,13 @@ def convergence_metrics(trajectories: list, threshold: float = 1e-3) -> dict:
 
 
 def finite_difference_gradient_check(oracle: GradientOracle, n_points: int,
-                                     seed: int = 0, step: float = 1e-6,
-                                     tol: float = 1e-4) -> CheckReport:
+                                     seed: int = 0) -> CheckReport:
     """Directional derivatives of the cost through the retraction vs <grad F, w>.
 
-    Relative error is measured against max(1, ||grad F(x)||).  At u = 0 the
-    retraction differential is the identity, so the central difference of
-    F(R_x(h w)) estimates exactly <grad F(x), w>.
+    Relative error is measured against max(1, ||grad F(x)||) and must stay
+    within _FD_TOL.  At u = 0 the retraction differential is the identity, so
+    the central difference of F(R_x(h w)) with h = _FD_STEP estimates exactly
+    <grad F(x), w>.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -248,6 +250,7 @@ def finite_difference_gradient_check(oracle: GradientOracle, n_points: int,
     xs = oracle.sample_region(np.random.default_rng([seed, 0]), n_points)
     w = man.project_tangent(xs, np.random.default_rng([seed, 1]).normal(size=xs.shape))
     w = w / man.norm(xs, w)[..., None]
+    step, tol = _FD_STEP, _FD_TOL
     fd = (oracle.cost(man.retract(xs, step * w)) - oracle.cost(man.retract(xs, -step * w))) / (
         2.0 * step
     )

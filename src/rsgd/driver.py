@@ -138,9 +138,6 @@ class Trajectory:
     def horizon(self) -> int:
         return len(self.F) - 1
 
-    def running_min_grad_norm(self) -> np.ndarray:
-        return np.minimum.accumulate(self.grad_norm)
-
     def write_csv(self, path) -> None:
         """Write the ``_CSV_COLUMNS`` of every step, each float as ``%.17g``,
         one ``%`` operation per chunk of at most ``_CSV_CHUNK`` rows."""
@@ -352,7 +349,7 @@ def _raise_if_degenerate(trajectories):
 
 
 def run_deterministic(cfg: RunConfig) -> Trajectory:
-    """Iterate x <- retract(x, -gamma_t * batch_gradient); one trajectory."""
+    """Iterate x <- retract(x, -gamma_t * h_t), h_t the batch gradient; one trajectory."""
     if not isinstance(cfg.rate, DeterministicSchedule):
         raise TypeError("run_deterministic needs a deterministic schedule")
     out = _run_block(cfg, np.array([cfg.seed]))

@@ -43,13 +43,6 @@ class Manifold:
         """Like :meth:`retract` but returns (point, ok_mask) instead of raising."""
         raise NotImplementedError
 
-    def retract_differential(self, x, u, w):
-        """dR_x|_u applied to w, a tangent vector at retract(x, u).
-
-        At u = 0 this is the identity on the tangent space.
-        """
-        raise NotImplementedError
-
     def retract_adjoint(self, x, u, z):
         """Adjoint of dR_x|_u applied to z in the tangent space at retract(x, u).
 
@@ -74,15 +67,8 @@ class Manifold:
         """Whether x satisfies the manifold's point invariant, elementwise."""
         raise NotImplementedError
 
-    def is_tangent(self, x, v, tol: float = 1e-10):
-        raise NotImplementedError
-
     def random_point(self, rng: np.random.Generator, size: int | None = None):
         raise NotImplementedError
-
-    def random_tangent(self, rng: np.random.Generator, x):
-        """Standard normal ambient vector projected to the tangent space at x."""
-        return self.project_tangent(x, rng.normal(size=np.shape(x)))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.ambient_dim})"
@@ -103,9 +89,6 @@ class Euclidean(Manifold):
         y = x + v
         return y, np.ones(np.shape(y)[:-1], dtype=bool)
 
-    def retract_differential(self, x, u, w):
-        return np.array(w, dtype=float, copy=True)
-
     def retract_adjoint(self, x, u, z):
         return np.array(z, dtype=float, copy=True)
 
@@ -114,9 +97,6 @@ class Euclidean(Manifold):
 
     def contains(self, x, tol: float = 1e-12):
         return np.all(np.isfinite(x), axis=-1)
-
-    def is_tangent(self, x, v, tol: float = 1e-10):
-        return np.all(np.isfinite(v), axis=-1)
 
     def random_point(self, rng, size=None):
         shape = (self.ambient_dim,) if size is None else (size, self.ambient_dim)
@@ -157,12 +137,6 @@ class Sphere(Manifold):
             raise DegenerateRetraction("||x + u|| <= degeneracy threshold on sphere")
         return n
 
-    def retract_differential(self, x, u, w):
-        # dR_x|_u(w) = (I - y y^T) w / ||x + u||  with y = R_x(u)
-        n = self._radius(x, u)
-        y = (x + u) / n[..., None]
-        return (w - _dot(y, w)[..., None] * y) / n[..., None]
-
     def retract_adjoint(self, x, u, z):
         # Jacobian transpose (I - y y^T)/||x+u|| followed by projection onto T_x
         n = self._radius(x, u)
@@ -175,9 +149,6 @@ class Sphere(Manifold):
 
     def contains(self, x, tol: float = 1e-12):
         return np.abs(np.sqrt(_dot(x, x)) - 1.0) <= tol
-
-    def is_tangent(self, x, v, tol: float = 1e-10):
-        return np.abs(_dot(x, v)) <= tol
 
     def random_point(self, rng, size=None):
         shape = (self.ambient_dim,) if size is None else (size, self.ambient_dim)

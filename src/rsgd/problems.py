@@ -84,12 +84,6 @@ class GradientOracle:
         """H(x, l) for an index array: x (..., d), idx (..., b) -> (..., b, d)."""
         raise NotImplementedError
 
-    def sample_gradient(self, x, l: int):
-        n = self.space.size
-        if not 0 <= l < n:
-            raise IndexError(f"outcome index {l} outside [0, {n})")
-        return self.sample_gradients(x, np.array([l]))[..., 0, :]
-
     def gradient_bound(self, rho1: float | None = None) -> float:
         """A valid bound A with ||H(x, l)|| <= A on the problem's region."""
         raise NotImplementedError
@@ -231,14 +225,13 @@ class RegularizedLeastSquaresProblem(GradientOracle):
         an = np.sqrt((self.features**2).sum(axis=1))
         return float((an * an * root + np.abs(self.labels) * an).max() + self.tau * root)
 
-    def sample_region(self, rng, size: int, rho1: float | None = None):
-        rho1 = self.region_rho1 if rho1 is None else float(rho1)
-        if rho1 is None:
+    def sample_region(self, rng, size: int):
+        if self.region_rho1 is None:
             raise UnboundedRegion("no ball radius declared for region sampling")
         d = self.manifold.ambient_dim
         dirs = self.manifold.random_point(rng, size)
         dirs = dirs / np.sqrt((dirs * dirs).sum(axis=-1))[..., None]
-        radii = np.sqrt(rho1) * rng.uniform(size=size) ** (1.0 / d)
+        radii = np.sqrt(self.region_rho1) * rng.uniform(size=size) ** (1.0 / d)
         return dirs * radii[:, None]
 
     @property
@@ -248,13 +241,11 @@ class RegularizedLeastSquaresProblem(GradientOracle):
         return f"ball ||x||^2 <= {self.region_rho1:g}"
 
 
-def random_sphere_mean(dim: int, n_outcomes: int, seed: int,
-                       unit_targets: bool = True) -> SphereMeanProblem:
-    """Sphere-mean instance with pseudo-random targets; the seed is recorded."""
+def random_sphere_mean(dim: int, n_outcomes: int, seed: int) -> SphereMeanProblem:
+    """Sphere-mean instance with pseudo-random unit targets; the seed is recorded."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n_outcomes, dim))
-    if unit_targets:
-        a = a / np.sqrt((a * a).sum(axis=1))[:, None]
+    a = a / np.sqrt((a * a).sum(axis=1))[:, None]
     return SphereMeanProblem(a, data_seed=seed)
 
 
@@ -293,17 +284,17 @@ def _read_csv_rows(path) -> np.ndarray:
             raise ValueError(f"{path}: non-numeric cell or ragged data row ({exc})") from None
 
 
-def load_sphere_mean_csv(path, weights=None) -> SphereMeanProblem:
-    """Targets from a CSV file: header row, then one row of coordinates per outcome."""
-    return SphereMeanProblem(_read_csv_rows(path), weights=weights)
+def load_sphere_mean_csv(path) -> SphereMeanProblem:
+    """Targets from a CSV file: header row, then one row of coordinates per
+    outcome; the outcomes are equally likely."""
+    return SphereMeanProblem(_read_csv_rows(path))
 
 
-def load_least_squares_csv(path, tau: float, weights=None,
+def load_least_squares_csv(path, tau: float,
                            region_rho1: float | None = None) -> RegularizedLeastSquaresProblem:
-    """Rows of feature coordinates followed by the label in the last column."""
+    """Rows of feature coordinates followed by the label in the last column;
+    the rows are equally likely."""
     data = _read_csv_rows(path)
     if data.shape[1] < 2:
         raise ValueError(f"{path}: least-squares rows need feature columns plus a label")
-    return RegularizedLeastSquaresProblem(
-        data[:, :-1], data[:, -1], tau, weights=weights, region_rho1=region_rho1
-    )
+    return RegularizedLeastSquaresProblem(data[:, :-1], data[:, -1], tau, region_rho1=region_rho1)

@@ -60,9 +60,9 @@ def raw64(keys: np.ndarray, slots, round_: int = 0) -> np.ndarray:
     return _mix(ctr)
 
 
-def uniforms(keys: np.ndarray, slots, round_: int = 0) -> np.ndarray:
+def uniforms(keys: np.ndarray, slots) -> np.ndarray:
     """float64 in [0, 1) with 53 random bits."""
-    return (raw64(keys, slots, round_) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    return (raw64(keys, slots) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def randints(keys: np.ndarray, slots, n) -> np.ndarray:

@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import InvalidHyperparameters
 
+_SQUARE_SUM_TERMS = 10**6
+
 
 @dataclass(frozen=True)
 class PowerLawSchedule:
@@ -80,11 +82,11 @@ def validate_robbins_monro(schedule) -> ScheduleCheck:
     raise TypeError(f"unsupported schedule type {type(schedule).__name__}")
 
 
-def sum_of_squares(schedule, terms: int = 10**6) -> float:
+def sum_of_squares(schedule) -> float:
     """Upper bound on sigma = sum_t gamma_t^2, tight to ~1e-9 for power laws.
 
-    Computed as an exact partial sum over ``terms`` entries plus an integral
-    tail bound; requires a square-summable schedule.
+    Computed as an exact partial sum over ``_SQUARE_SUM_TERMS`` entries plus
+    an integral tail bound; requires a square-summable schedule.
     """
     if isinstance(schedule, ExplicitSchedule):
         return float(np.sum(np.asarray(schedule.values) ** 2))
@@ -92,10 +94,11 @@ def sum_of_squares(schedule, terms: int = 10**6) -> float:
         raise TypeError(f"unsupported schedule type {type(schedule).__name__}")
     if 2 * schedule.p <= 1:
         raise ValueError("sum of squares diverges for 2p <= 1")
-    t = np.arange(terms, dtype=float)
+    t = np.arange(_SQUARE_SUM_TERMS, dtype=float)
     partial = float(np.sum(np.minimum(1.0, schedule.c / (t + 1.0) ** schedule.p) ** 2))
     # sum_{t >= M} (t+1)^{-2p} <= integral_{M-1}^{inf} (x+1)^{-2p} dx
-    tail = schedule.c**2 * float(terms) ** (1.0 - 2.0 * schedule.p) / (2.0 * schedule.p - 1.0)
+    tail = (schedule.c**2 * float(_SQUARE_SUM_TERMS) ** (1.0 - 2.0 * schedule.p)
+            / (2.0 * schedule.p - 1.0))
     return partial + tail
 
 
@@ -135,33 +138,3 @@ class AdaptiveRate:
     def square_sum_bound(self) -> float:
         """Deterministic bound on sum_t eta_{t+1}^2 ||h_t||^2 over any run."""
         return float(self.alpha**2 / (2.0 * self.epsilon * self.beta ** (2.0 * self.epsilon)))
-
-
-class AdaptiveState:
-    """Running accumulator of squared gradient norms for one trajectory.
-
-    The sum uses compensated (Kahan) addition: runs accumulate 1e5+ small
-    squares and plain summation would lose them.  Single-owner, sequential.
-    """
-
-    def __init__(self, rate: AdaptiveRate):
-        self.rate = rate
-        self._sum = np.float64(0.0)
-        self._comp = np.float64(0.0)
-
-    @property
-    def accumulated(self) -> float:
-        return float(self._sum)
-
-    def eta(self) -> float:
-        return float(self.rate.alpha / np.power(self.rate.beta + self._sum, self.rate.exponent))
-
-    def update(self, grad_norm_sq: float) -> "AdaptiveState":
-        if grad_norm_sq < 0:
-            raise ValueError("squared norm must be >= 0")
-        g = np.float64(grad_norm_sq)
-        y = g - self._comp
-        t = self._sum + y
-        self._comp = (t - self._sum) - y
-        self._sum = t
-        return self

@@ -2,15 +2,36 @@
 
 They compute the same quantities as the package the direct way: one step and
 one seed at a time, with dense arrays, without the shortcuts the engine takes.
+The oracles held here:
+
+* ``DirectLeastSquares``: cost and gradient summed over all N rows, the
+  reference for the moment form of ``RegularizedLeastSquaresProblem``;
+* ``pool_subsets``: the no-repetition draw as a dense pool shuffle, the
+  reference for ``SubsetPlan``;
+* ``BatchDraw``, ``draw_batch`` and ``batch_gradient``: one batch for one seed
+  and step and its averaged gradient, the step-at-a-time path;
+* ``stepwise_run``: the engine's iteration one step at a time on that path,
+  the reference for ``run_many`` and every record it keeps;
+* ``AdaptiveState``: a scalar, Kahan-compensated accumulator of squared batch
+  gradient norms, the reference for the adaptive rule's step sizes;
+* ``retract_differential``: dR_x|_u, the reference for ``retract_adjoint``,
+  with ``is_tangent`` and ``random_tangent`` for the manifold tests;
+* ``sample_gradient``: H(x, l) for one outcome;
+* ``running_min_grad_norm``: the running minimum of a trajectory's gradient norm;
+* ``rowwise_csv``: the trajectory CSV one row at a time, the reference for
+  ``Trajectory.write_csv``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from rsgd import rng as crng
-from rsgd.batching import _STREAM_SUBSET, BatchDraw, batch_gradient, draw_batch
+from rsgd.batching import _STREAM_SUBSET, combine_batch
 from rsgd.driver import CSV_HEADER, Trajectory
+from rsgd.errors import InvalidPlan
 from rsgd.problems import RegularizedLeastSquaresProblem
 from rsgd.schedules import AdaptiveRate
 
@@ -54,6 +75,102 @@ def pool_subsets(n: int, b: int, t: int, seeds) -> np.ndarray:
             pool[j], pool[p] = pool[p], pool[j]
         out[row] = sorted(pool[:b])
     return out
+
+
+@dataclass(frozen=True)
+class BatchDraw:
+    """One realized batch: outcome indices plus their averaging weights."""
+
+    t: int
+    outcomes: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def batch_size(self) -> int:
+        return self.outcomes.shape[-1]
+
+    @property
+    def equal_weights(self) -> bool:
+        return bool(np.all(self.weights == self.weights[0]))
+
+
+def draw_batch(plan, t: int, seed: int) -> BatchDraw:
+    """The scheme's batch at step t for one seed."""
+    outcomes = plan.draw_block(t, np.array([int(seed)]))[0]
+    return BatchDraw(t=t, outcomes=outcomes, weights=plan.weights_at(t))
+
+
+def batch_gradient(oracle, x, draw: BatchDraw) -> np.ndarray:
+    """The averaged stochastic gradient sum_i w_i H(x, outcome_i)."""
+    if np.any(draw.outcomes < 0) or np.any(draw.outcomes >= oracle.space.size):
+        raise InvalidPlan("draw contains outcomes outside the oracle's sample space")
+    grads = oracle.sample_gradients(x, draw.outcomes)
+    return combine_batch(draw.weights, grads, draw.equal_weights)
+
+
+class AdaptiveState:
+    """Running accumulator of squared gradient norms for one trajectory.
+
+    The sum uses compensated (Kahan) addition: runs accumulate 1e5+ small
+    squares and plain summation would lose them.  Single-owner, sequential.
+    """
+
+    def __init__(self, rate: AdaptiveRate):
+        self.rate = rate
+        self._sum = np.float64(0.0)
+        self._comp = np.float64(0.0)
+
+    @property
+    def accumulated(self) -> float:
+        return float(self._sum)
+
+    def eta(self) -> float:
+        return float(self.rate.alpha / np.power(self.rate.beta + self._sum, self.rate.exponent))
+
+    def update(self, grad_norm_sq: float) -> "AdaptiveState":
+        if grad_norm_sq < 0:
+            raise ValueError("squared norm must be >= 0")
+        g = np.float64(grad_norm_sq)
+        y = g - self._comp
+        t = self._sum + y
+        self._comp = (t - self._sum) - y
+        self._sum = t
+        return self
+
+
+def retract_differential(man, x, u, w):
+    """dR_x|_u applied to w, a tangent vector at retract(x, u); the identity
+    on flat space and, at u = 0, on the sphere's tangent space too."""
+    if man.kind == "euclidean":
+        return np.array(w, dtype=float, copy=True)
+    # sphere: dR_x|_u(w) = (I - y y^T) w / ||x + u||  with y = R_x(u)
+    n = np.sqrt(((x + u) * (x + u)).sum(axis=-1))
+    y = (x + u) / n[..., None]
+    return (w - (y * w).sum(axis=-1)[..., None] * y) / n[..., None]
+
+
+def is_tangent(man, x, v, tol: float = 1e-10):
+    """Whether v lies in the tangent space at x, elementwise."""
+    if man.kind == "euclidean":
+        return np.all(np.isfinite(v), axis=-1)
+    return np.abs((x * v).sum(axis=-1)) <= tol
+
+
+def random_tangent(man, rng: np.random.Generator, x):
+    """Standard normal ambient vector projected to the tangent space at x."""
+    return man.project_tangent(x, rng.normal(size=np.shape(x)))
+
+
+def sample_gradient(oracle, x, l: int):
+    """H(x, l) for the single outcome l."""
+    n = oracle.space.size
+    if not 0 <= l < n:
+        raise IndexError(f"outcome index {l} outside [0, {n})")
+    return oracle.sample_gradients(x, np.array([l]))[..., 0, :]
+
+
+def running_min_grad_norm(tr: Trajectory) -> np.ndarray:
+    return np.minimum.accumulate(tr.grad_norm)
 
 
 def stepwise_run(cfg, seeds, rate_divisor: float = 1.0) -> list[Trajectory]:

@@ -337,23 +337,59 @@ class TestConfinedRunInputs:
         assert err.startswith("config error:") and message in err
 
 
+# edits that turn SPHERE_CONFIG into a least-squares config, and add a
+# confinement section to it
+TO_LEAST_SQUARES = ("kind = sphere_mean", "kind = least_squares\ntau = 0.2")
+
+
+def _confined(line):
+    return ("[run]", f"[confinement]\nenabled = true\n{line}\n\n[run]")
+
+
 class TestRunInputs:
     """Inputs the engine would reject are config errors naming their key."""
 
-    @pytest.mark.parametrize("replace, argv, key", [
-        (("seeds = 3", "seeds = 0"), [], "[run] seeds"),
-        (("seeds = 3", "seeds = -3"), [], "[run] seeds"),
-        (None, ["--horizon", "-1"], "[run] horizon"),
-        (("out = ", "x0 = 1.0, 1.0, 0.0, 0.0\nout = "), [], "[run] x0"),
-        (("kind = power\nc = 0.5\np = 0.75", "kind = list\nvalues = 0.5, 0.4, 0.3"),
-         ["--horizon", "20"], "[rate] values"),
+    @pytest.mark.parametrize("edits, argv, key", [
+        ([("seeds = 3", "seeds = 0")], ["run"], "[run] seeds"),
+        ([("seeds = 3", "seeds = -3")], ["run"], "[run] seeds"),
+        ([], ["run", "--horizon", "-1"], "[run] horizon"),
+        ([("out = ", "x0 = 1.0, 1.0, 0.0, 0.0\nout = ")], ["run"], "[run] x0"),
+        ([("kind = power\nc = 0.5\np = 0.75", "kind = list\nvalues = 0.5, 0.4, 0.3")],
+         ["run", "--horizon", "20"], "[rate] values"),
+        ([("dimension = 4", "dimension = 1")], ["run"], "[problem] dimension"),
+        ([("dimension = 4", "dimension = 1")], ["check", "unbiasedness"],
+         "[problem] dimension"),
+        ([TO_LEAST_SQUARES, ("dimension = 4", "dimension = 0")], ["run"],
+         "[problem] dimension"),
+        ([("n_outcomes = 8", "n_outcomes = 0")], ["run"], "[problem] n_outcomes"),
+        ([("data_seed = 7", "data_seed = -1")], ["run"], "[problem] data_seed"),
+        ([("kind = sphere_mean", "kind = least_squares\ntau = 0")], ["run"], "[problem] tau"),
+        ([("dimension = 4", "csv = {bad_csv}")], ["run"], "[problem] csv"),
+        ([("scheme = segment\nbatch_size = 2",
+           "scheme = stratified\nstrata = 0-x; 4-7\nper_stratum_counts = 1, 1")],
+         ["run"], "[plan] strata"),
+        ([TO_LEAST_SQUARES, _confined("samples = 0")], ["run"], "[confinement] samples"),
+        ([TO_LEAST_SQUARES, _confined("lambda = 0")], ["run"], "[confinement] lambda"),
+        ([TO_LEAST_SQUARES, _confined("theta = -1")], ["run"], "[confinement] theta"),
+        ([TO_LEAST_SQUARES, _confined("b = 0")], ["run"], "[confinement] b"),
+        ([("[run]", "[confinement]\nenabled = maybe\n\n[run]")], ["run"],
+         "[confinement] enabled"),
+        ([TO_LEAST_SQUARES, _confined("variant = bogus")], ["run"], "[confinement] variant"),
     ], ids=["seeds-zero", "seeds-negative", "horizon-negative", "x0-off-sphere",
-            "list-rate-too-short"])
-    def test_exit_2(self, sphere_config, capsys, replace, argv, key):
+            "list-rate-too-short", "sphere-dimension-1", "check-sphere-dimension-1",
+            "least-squares-dimension-0", "n-outcomes-zero", "data-seed-negative",
+            "tau-zero", "csv-non-numeric", "strata-not-an-index", "samples-zero",
+            "lambda-zero", "theta-negative", "b-zero", "enabled-not-a-boolean",
+            "variant-unknown"])
+    def test_exit_2(self, sphere_config, capsys, edits, argv, key):
         cfg, out = sphere_config
-        if replace is not None:
-            cfg.write_text(cfg.read_text().replace(*replace))
-        assert main(["run", "--config", str(cfg), "--quiet"] + argv) == 2
+        bad_csv = cfg.parent / "bad.csv"
+        bad_csv.write_text("a1,a2\n1.0,x\n")
+        text = cfg.read_text()
+        for old, new in edits:
+            text = text.replace(old, new.format(bad_csv=bad_csv))
+        cfg.write_text(text)
+        assert main(argv + ["--config", str(cfg), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert not out.exists()

@@ -19,12 +19,11 @@ from rsgd import (
     hessian_quadform,
     norm_squared_confinement,
     random_least_squares,
-    run_confined_adaptive,
     run_confined_adaptive_many,
     run_confined_deterministic,
     run_confined_deterministic_many,
 )
-from rsgd.confinement import sample_rho_levels, sublevel_bounded
+from rsgd.confinement import sample_rho_levels
 from rsgd.problems import GradientOracle
 
 
@@ -82,12 +81,6 @@ class TestSampler:
         spec = norm_squared_confinement(1.0)
         with pytest.raises(SamplerFailure):
             sample_rho_levels(spec.rho, 3, np.array([-1.0]), np.random.default_rng(0))
-
-    def test_sublevel_boundedness_proxy(self):
-        assert sublevel_bounded(norm_squared_confinement(1.0), 3, c=5.0)
-        linear = norm_squared_confinement(1.0).__class__(
-            rho=lambda x: np.asarray(x)[..., 0], grad_rho=lambda x: x, rho0=1.0)
-        assert not sublevel_bounded(linear, 3, c=5.0, r_max=1e4)
 
 
 class TestHessianQuadform:
@@ -294,7 +287,7 @@ class TestConfinedAdaptive:
         spec = norm_squared_confinement(1.0, 2.0, "batch_kappa")
         cfg = RunConfig(oracle=prob, plan=SegmentPlan(prob.space, BatchSizes.constant(1)),
                         rate=AdaptiveRate(0.5, 1.0, 0.25), x0=np.zeros(3), horizon=300, seed=0)
-        tr = run_confined_adaptive(cfg, spec, kappa=0.5)
+        (tr,) = run_confined_adaptive_many(cfg, spec, kappa=0.5, n_seeds=1)
         assert np.all(tr.rho == 0.0)
 
     def test_family_stays_confined(self, ls_problem):
@@ -313,7 +306,7 @@ class TestConfinedAdaptive:
                         plan=SegmentPlan(ls_problem.space, BatchSizes.constant(1)),
                         rate=AdaptiveRate(0.5, 1.0, 0.25), x0=np.zeros(3), horizon=10, seed=0)
         with pytest.raises(ValueError, match="kappa"):
-            run_confined_adaptive(cfg, spec, kappa=0.1)  # eta0 = 0.5 > 0.1
+            run_confined_adaptive_many(cfg, spec, kappa=0.1, n_seeds=1)  # eta0 = 0.5 > 0.1
 
 
 def test_report_serialization(ls_problem):

