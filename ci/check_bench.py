@@ -19,9 +19,10 @@ of ``perfbench/steadiness.py --against <parent tree>``.  Each file must hold:
 Each change median may be worse than its parent median by at most the
 metric's ``bound`` in ``BENCHMARK.json`` (relative, in the metric's
 ``better`` direction).  A file with a ``claim`` (``workload``, ``metric``)
-must show that the change median is better, that the change won at least
-9 of every 10 pairs, and that the medians lie further apart than the parent's
-quartile distance ``q3 - q1``.
+must show that the change median is better, that the claimed entry ran at
+least 10 pairs and the change won at least 9 of every 10 of them, and that
+the medians lie further apart than the parent's quartile distance
+``q3 - q1``.
 
 Exits 0 when at least one such file exists and all of them pass; otherwise
 prints each problem and exits 1.
@@ -36,6 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MACHINE_KEYS = ("cpus", "python", "numpy")
+# a claim needs this many alternating pairs: fewer cannot show 9 wins in 10
+MIN_CLAIM_PAIRS = 10
 
 
 def _is_number(value) -> bool:
@@ -99,6 +102,8 @@ def problems(bench: dict, spec: dict) -> list[str]:
         where = f"claim {key[0]}.{key[1]}"
         if worse_by(metric, parent, change) >= 0:
             out.append(f"{where}: change median {change:g} is not better than {parent:g}")
+        if entry["pairs"] < MIN_CLAIM_PAIRS:
+            out.append(f"{where}: {entry['pairs']} pairs, a claim needs at least {MIN_CLAIM_PAIRS}")
         if 10 * entry["wins"] < 9 * entry["pairs"]:
             out.append(f"{where}: won {entry['wins']} of {entry['pairs']} pairs, below 9 in 10")
         q1, q3 = entry["parent"].get("q1"), entry["parent"].get("q3")

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import rng as crng
 from .errors import EnumerationBudgetExceeded, InvalidPlan
+from .manifolds import _SHORT, _spread, _sum
 from .problems import FiniteSampleSpace, GradientOracle
 
 _STREAM_SEGMENT = 1 << 36
@@ -156,13 +157,28 @@ class SegmentPlan(BatchPlan):
     def __init__(self, space: FiniteSampleSpace, sizes: BatchSizes):
         self.space = space
         self.sizes = sizes
+        # running sums of the sizes, kept only where no closed form holds: up
+        # to the step where geometric sizes reach their cap, or over an
+        # explicit list
         self._cuts = [0]
+        self._cap_t = None
 
     def cut(self, t: int) -> int:
-        while len(self._cuts) <= t:
-            k = len(self._cuts) - 1
-            self._cuts.append(self._cuts[-1] + self.sizes.at(k))
-        return self._cuts[t]
+        """First stream slot of batch t: the sizes of batches 0 .. t-1 summed."""
+        sizes, cuts = self.sizes, self._cuts
+        if sizes.kind == "constant" or (sizes.kind == "geometric" and sizes.growth == 1.0):
+            return sizes.base * t
+        while self._cap_t is None and len(cuts) <= t:
+            k = len(cuts) - 1
+            b = sizes.at(k)
+            if sizes.kind == "geometric" and b == sizes.cap:
+                # geometric sizes never shrink: every later batch has the cap
+                self._cap_t = k
+            else:
+                cuts.append(cuts[-1] + b)
+        if self._cap_t is not None and t > self._cap_t:
+            return cuts[self._cap_t] + sizes.cap * (t - self._cap_t)
+        return cuts[t]
 
     def batch_size(self, t: int) -> int:
         return self.sizes.at(t)
@@ -363,6 +379,8 @@ def _partial_shuffle(keys: np.ndarray, n: int, b: int) -> np.ndarray:
     """
     m, js = keys.size, np.arange(b)
     pos = js + crng.randints(keys, js, n - js)
+    if b < _SHORT:
+        return _replayed_shuffle(pos)
     base = np.arange(0, m * b, b)[:, None]  # flat offset of each row
     # each row's swaps sorted by target position, equal targets in swap order
     ranked, order = np.divmod(np.sort(pos * b + js, axis=1), b)
@@ -391,11 +409,41 @@ def _partial_shuffle(keys: np.ndarray, n: int, b: int) -> np.ndarray:
     return out
 
 
+def _replayed_shuffle(pos: np.ndarray) -> np.ndarray:
+    """``_partial_shuffle``'s result from its swap targets pos (m, b), for a
+    short b: the swaps are replayed one column at a time, O(b^2) operations
+    on whole columns instead of sorts and gathers along rows of b entries.
+
+    Swap j writes position j for good (later swaps aim at positions > j) and
+    puts there what position p_j held, which is what the latest earlier swap
+    i with p_i == p_j moved there, or p_j if there is none; swap i moved there
+    what position i held before swap i, found the same way."""
+    cols = [pos[:, j] for j in range(pos.shape[1])]
+    held = []  # held[i]: what position i held before swap i
+    for i in range(len(cols)):
+        h = i
+        for e in range(i):
+            h = np.where(cols[e] == i, held[e], h)
+        held.append(h)
+    out = np.empty_like(pos)
+    for j, p in enumerate(cols):
+        v = p
+        for i in range(j):
+            v = np.where(cols[i] == p, held[i], v)
+        out[:, j] = v
+    out.sort(axis=1)
+    return out
+
+
 def combine_batch(weights: np.ndarray, grads: np.ndarray, equal: bool) -> np.ndarray:
-    """Weighted average over the batch axis (next-to-last axis of grads)."""
+    """Weighted average over the batch axis (next-to-last axis of grads).
+
+    Bitwise equal to ``grads.mean(axis=-2)`` when ``equal`` and to
+    ``(weights[..., None] * grads).sum(axis=-2)`` otherwise; a short batch is
+    summed by slice adds (see :mod:`rsgd.manifolds`)."""
     if equal:
-        return grads.mean(axis=-2)
-    return (weights[..., None] * grads).sum(axis=-2)
+        return _sum(grads, -2) / grads.shape[-2]
+    return _sum(grads * _spread(weights, grads.shape[-1], grads.size), -2)
 
 
 def _enumerated_vectors(oracle, x, plan, t):

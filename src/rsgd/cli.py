@@ -258,7 +258,11 @@ def build_confinement(cp, problem):
         try:
             rho0 = float(rho0_raw)
         except ValueError:
-            raise ConfigError("confinement rho0 must be a number or 'auto'") from None
+            raise ConfigError("[confinement] rho0 must be a number or 'auto'") from None
+        # rho(x) = ||x||^2: no sublevel lies below rho(origin) = 0
+        if not 0.0 <= rho0 < float("inf"):
+            raise ConfigError(f"[confinement] rho0 must be finite and at least "
+                              f"rho(origin) = 0, got {rho0_raw}")
     b = cp.get("confinement", "b", fallback="auto")
     params = {
         "variant": variant,

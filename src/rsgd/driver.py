@@ -25,9 +25,17 @@ is evaluated once per part on those buffers.  Rows are retired at that point: fo
 first event wins, a non-finite record at step t coming before a failed
 retraction at step t, and everything the row recorded after it is masked
 with NaN.  A row whose record went non-finite inside a part keeps iterating
-to the part's end, and its values are discarded.  Every reduction runs along
-the last axis, so the records equal those of a step-at-a-time loop bit for
-bit.
+to the part's end, and its values are discarded.  When every row is live and
+every retraction succeeded, a step skips the row selects.
+
+The kernels of a step (``sample_gradients``, ``combine_batch``, the norms
+and the retraction) neither broadcast along nor reduce over an axis of fewer
+than 8 entries in arrays of 512 entries or more: they repeat arrays instead,
+and write numpy's own order of summation out as slice adds (see
+:mod:`rsgd.manifolds`).  Each element is therefore computed as one seed at a
+time computes it, and the records equal those of a step-at-a-time loop bit
+for bit; ``tests/reference.py`` keeps the broadcast forms as oracles, and
+``tests/test_kernels.py`` holds every kernel to them.
 
 Trajectories record, per iteration: cost, exact gradient norm, step size,
 batch size, batch gradient norm, and the noise inner product
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from math import isfinite
 from typing import Callable
 
 import numpy as np
@@ -51,6 +60,7 @@ import numpy as np
 from . import batching
 from .batching import BatchPlan, combine_batch
 from .errors import DegenerateRetraction
+from .manifolds import _spread
 from .problems import GradientOracle
 from .schedules import AdaptiveRate, ExplicitSchedule, PowerLawSchedule
 
@@ -198,7 +208,7 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
 
     adaptive = isinstance(cfg.rate, AdaptiveRate)
     if adaptive:
-        expo = cfg.rate.exponent
+        alpha, beta, expo = cfg.rate.alpha, cfg.rate.beta, cfg.rate.exponent
         acc = np.zeros(s_count)
         comp = np.zeros(s_count)
 
@@ -233,7 +243,10 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
             if not adaptive:
                 rates = np.array([cfg.rate.gamma(t) / rate_divisor
                                   for t in range(t0, t0 + n_steps)])
+                neg_rates = (-rates).tolist()
 
+            # (k, S, b): the outcomes of one step are one contiguous slab
+            block = np.ascontiguousarray(block.swapaxes(0, 1))
             for j0 in range(0, n_steps, part):
                 n_rec = min(part, n_steps - j0)
                 xs = np.empty((s_count, n_rec, d))
@@ -243,34 +256,42 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
                     bhs = np.empty_like(etas)
                 # per step, only a failed retraction stops a row (it stays at x)
                 live = alive.copy()
+                every_live = bool(np.logical_and.reduce(live))
                 fail_k = np.full(s_count, n_rec)
                 fail_degenerate = np.zeros(s_count, dtype=bool)
 
                 for k in range(n_rec):
                     xs[:, k] = x
-                    h = combine_batch(weights, oracle.sample_gradients(x, block[:, j0 + k]), equal)
+                    h = combine_batch(weights, oracle.sample_gradients(x, block[j0 + k]), equal)
                     hs[:, k] = h
                     if adaptive:
                         bh = man.norm(x, h)
-                        eta = cfg.rate.alpha / np.power(cfg.rate.beta + acc, expo)
+                        eta = alpha / np.power(beta + acc, expo)
                         etas[:, k] = eta
                         bhs[:, k] = bh
-                        v = -eta[:, None] * h
+                        v = h * _spread(-eta, d)
                     else:
-                        v = -rates[j0 + k] * h
+                        v = h * neg_rates[j0 + k]
 
                     y, ok = man.retract_flagged(x, v)
-                    failed = live & ~(ok & np.isfinite(y).all(axis=-1))
-                    if failed.any():
-                        fail_k[failed] = k
-                        fail_degenerate |= failed & ~ok
-                        live &= ~failed
-                    x = np.where(live[:, None], y, x)
+                    # fast path: every row live, every retraction ok and finite
+                    # (a finite sum of all entries has no non-finite entry)
+                    if every_live and np.logical_and.reduce(ok, axis=None) \
+                            and isfinite(np.add.reduce(y, axis=None)):
+                        x = y
+                    else:
+                        failed = live & ~(ok & np.logical_and.reduce(np.isfinite(y), axis=-1))
+                        if np.logical_or.reduce(failed):
+                            fail_k[failed] = k
+                            fail_degenerate |= failed & ~ok
+                            live &= ~failed
+                            every_live = False
+                        x = np.where(live[:, None], y, x)
 
                     if adaptive:
                         # accumulate the realized batch gradient only after the step:
                         # eta_t must depend on strictly past draws
-                        g2 = np.where(live, bh * bh, 0.0)
+                        g2 = bh * bh if every_live else np.where(live, bh * bh, 0.0)
                         yk = g2 - comp
                         tk = acc + yk
                         comp = (tk - acc) - yk

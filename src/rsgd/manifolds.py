@@ -7,6 +7,16 @@ operation broadcasts over leading axes, so a single call can transform one
 point of shape (d,) or a batch of shape (S, d).
 
 All operations are pure functions of their inputs and hold no state.
+
+The sums that run once per step go along axes of d or b entries, which are
+often shorter than 8.  numpy adds fewer than 8 terms one after the other,
+starting from 0.0, and 8 or more pairwise in blocks of 8.  On a short axis
+its generic reduction and its broadcasts run one inner loop per few entries,
+so once an array holds ``_MANY`` entries or more, ``_sum`` writes the short
+case out as slice adds in numpy's own order, which gives the same bits in a
+few whole-array operations, and ``_spread`` repeats an array along a short
+last axis instead of broadcasting it there.  Smaller arrays (one seed, say)
+keep the single numpy call, which is the cheaper one there.
 """
 
 from __future__ import annotations
@@ -16,11 +26,41 @@ import numpy as np
 from .errors import DegenerateRetraction
 
 DEGENERACY_EPS = 1e-12
+# an axis shorter than _SHORT is summed by slice adds and repeated, not
+# broadcast, in arrays of at least _MANY entries
+_SHORT = 8
+_MANY = 512
+
+
+def _sum(a, axis=-1):
+    """``np.add.reduce(a, axis)`` bit for bit, for axis -1 or -2."""
+    n = a.shape[axis]
+    if n >= _SHORT or n == 0 or a.size < _MANY:
+        return np.add.reduce(a, axis=axis)
+    if axis != -1:
+        a = a.swapaxes(axis, -1)
+    if n == 1:
+        return a[..., 0] + 0.0
+    out = a[..., 0] + a[..., 1]
+    for j in range(2, n):
+        out += a[..., j]
+    # numpy starts from 0.0: an all -0.0 sum is +0.0, anything else unchanged
+    out += 0.0
+    return out
+
+
+def _spread(a, d, size=None):
+    """a (...) against a last axis of d entries, in an operation on ``size``
+    entries (a.size * d by default): repeated to (..., d) when d is short and
+    the operation large, the broadcast view (..., 1) otherwise."""
+    if d < _SHORT and (a.size * d if size is None else size) >= _MANY:
+        return a[..., None].repeat(d, axis=-1)
+    return a[..., None]
 
 
 def _dot(u, v):
     """Inner product along the last axis (no BLAS, shape-stable rounding)."""
-    return (u * v).sum(axis=-1)
+    return _sum(u * v)
 
 
 class Manifold:
@@ -122,13 +162,17 @@ class Sphere(Manifold):
         y = x + v
         n = np.sqrt(_dot(y, y))
         ok = n > DEGENERACY_EPS
-        safe = np.where(ok, n, 1.0)
-        out = y / safe[..., None]
-        # R_x(0) = x exactly: renormalization must not move a fixed point
-        zero = np.all(np.asarray(v) == 0.0, axis=-1)
-        if np.any(zero):
-            out = np.where(zero[..., None], x, out)
-            ok = ok | zero
+        if not np.logical_and.reduce(ok, axis=None):
+            n = np.where(ok, n, 1.0)
+        out = y / _spread(n, y.shape[-1])
+        # R_x(0) = x exactly: renormalization must not move a fixed point;
+        # only a step with a zero entry can be a zero step
+        v = np.asarray(v)
+        if not np.logical_and.reduce(v, axis=None):
+            zero = np.logical_and.reduce(v == 0.0, axis=-1)
+            if np.logical_or.reduce(zero, axis=None):
+                out = np.where(zero[..., None], x, out)
+                ok = ok | zero
         return out, ok
 
     def _radius(self, x, u):

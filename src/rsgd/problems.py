@@ -15,7 +15,10 @@ construction, to a few weighted moments; the exact cost and gradient that the
 driver records at every step then cost O(d^2) per point instead of O(N d).
 Those records are sums along fixed axes without BLAS, so a point's value does
 not depend on how many points are evaluated with it.  The per-outcome
-gradients H(x, l) still read the data rows.
+gradients H(x, l) still read the data rows; on many rows they repeat x along
+a batch axis shorter than 8 instead of broadcasting it, and they sum along d
+the way :mod:`rsgd.manifolds` does, so their bits do not depend on the shapes
+either.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnboundedRegion
-from .manifolds import Euclidean, Manifold, Sphere
+from .manifolds import _MANY, _SHORT, Euclidean, Manifold, Sphere, _spread, _sum
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,21 @@ class GradientOracle:
         raise NotImplementedError
 
 
+def _gather(a, idx):
+    """a[idx] along the first axis: ``take`` when a is C-contiguous (several
+    times faster), indexing otherwise (``take`` would copy all of a first)."""
+    return a.take(idx, axis=0) if a.flags.c_contiguous else a[idx]
+
+
+def _rows(x, b):
+    """x (..., d) against a batch of b outcomes: repeated to (..., b, d) when
+    b is short and that makes at least _MANY entries, the broadcast view
+    (..., 1, d) otherwise."""
+    if b < _SHORT and x.size * b >= _MANY:
+        return x[..., None, :].repeat(b, axis=-2)
+    return x[..., None, :]
+
+
 class SphereMeanProblem(GradientOracle):
     """Weighted mean of squared distances to fixed targets, on the unit sphere.
 
@@ -131,10 +149,10 @@ class SphereMeanProblem(GradientOracle):
 
     def sample_gradients(self, x, idx):
         x = np.asarray(x, dtype=float)
-        av = self.targets[np.asarray(idx)]
-        xb = x[..., None, :]
-        diff = xb - av
-        return diff - (diff * xb).sum(axis=-1)[..., None] * xb
+        idx = np.asarray(idx)
+        xb = _rows(x, idx.shape[-1])
+        diff = xb - _gather(self.targets, idx)
+        return diff - _spread(_sum(diff * xb), x.shape[-1]) * xb
 
     def gradient_bound(self, rho1: float | None = None) -> float:
         # ||proj_x(x - a_l)|| <= ||x|| + ||a_l|| <= 1 + max ||a_l||; pad to the
@@ -207,9 +225,10 @@ class RegularizedLeastSquaresProblem(GradientOracle):
     def sample_gradients(self, x, idx):
         x = np.asarray(x, dtype=float)
         idx = np.asarray(idx)
-        av = self.features[idx]
-        r = (x[..., None, :] * av).sum(axis=-1) - self.labels[idx]
-        return r[..., None] * av + self.tau * x[..., None, :]
+        av = _gather(self.features, idx)
+        xb = _rows(x, idx.shape[-1])
+        r = _sum(xb * av) - _gather(self.labels, idx)
+        return _spread(r, x.shape[-1]) * av + self.tau * xb
 
     def rho0_for_norm_squared(self) -> float:
         """Threshold max_l y_l^2 / (4 tau) above which <2x, H(x, l)> >= 0."""

@@ -19,7 +19,12 @@ The oracles held here:
 * ``sample_gradient``: H(x, l) for one outcome;
 * ``running_min_grad_norm``: the running minimum of a trajectory's gradient norm;
 * ``rowwise_csv``: the trajectory CSV one row at a time, the reference for
-  ``Trajectory.write_csv``.
+  ``Trajectory.write_csv``;
+* ``broadcast_sample_gradients``, ``mean_combine``, ``sum_dot`` and
+  ``broadcast_retract_flagged``: the step kernels written with broadcasts and
+  ``ndarray.sum`` / ``mean``, the references for both problems'
+  ``sample_gradients``, ``combine_batch``, ``manifolds._dot`` and the
+  retractions; ``stepwise_run`` computes every step with them.
 """
 
 from __future__ import annotations
@@ -29,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from rsgd import rng as crng
-from rsgd.batching import _STREAM_SUBSET, combine_batch
+from rsgd.batching import _STREAM_SUBSET
 from rsgd.driver import CSV_HEADER, Trajectory
 from rsgd.errors import InvalidPlan
-from rsgd.problems import RegularizedLeastSquaresProblem
+from rsgd.manifolds import DEGENERACY_EPS, Euclidean, Sphere
+from rsgd.problems import RegularizedLeastSquaresProblem, SphereMeanProblem
 from rsgd.schedules import AdaptiveRate
 
 
@@ -94,6 +100,57 @@ class BatchDraw:
         return bool(np.all(self.weights == self.weights[0]))
 
 
+def broadcast_sample_gradients(oracle, x, idx):
+    """H(x, l) for an index array, x broadcast against the batch and summed
+    by ``ndarray.sum``; an oracle whose class has its own sample_gradients (a
+    test double) answers itself."""
+    own = type(oracle).sample_gradients
+    x, idx = np.asarray(x, dtype=float), np.asarray(idx)
+    if own is SphereMeanProblem.sample_gradients:
+        av = oracle.targets[idx]
+        xb = x[..., None, :]
+        diff = xb - av
+        return diff - (diff * xb).sum(axis=-1)[..., None] * xb
+    if own is RegularizedLeastSquaresProblem.sample_gradients:
+        av = oracle.features[idx]
+        r = (x[..., None, :] * av).sum(axis=-1) - oracle.labels[idx]
+        return r[..., None] * av + oracle.tau * x[..., None, :]
+    return oracle.sample_gradients(x, idx)
+
+
+def mean_combine(weights, grads, equal: bool):
+    """The batch average by ``ndarray.mean``, or the weighted ``.sum``."""
+    if equal:
+        return grads.mean(axis=-2)
+    return (weights[..., None] * grads).sum(axis=-2)
+
+
+def sum_dot(u, v):
+    """The inner product along the last axis by ``ndarray.sum``."""
+    return (u * v).sum(axis=-1)
+
+
+def broadcast_retract_flagged(man, x, v):
+    """The Euclidean or sphere retraction with its broadcast divide and zero
+    test; a manifold whose class has its own retract_flagged (a test double)
+    answers itself."""
+    own = type(man).retract_flagged
+    if own is Euclidean.retract_flagged:
+        y = x + v
+        return y, np.ones(np.shape(y)[:-1], dtype=bool)
+    if own is not Sphere.retract_flagged:
+        return man.retract_flagged(x, v)
+    y = x + v
+    n = np.sqrt(sum_dot(y, y))
+    ok = n > DEGENERACY_EPS
+    out = y / np.where(ok, n, 1.0)[..., None]
+    zero = np.all(np.asarray(v) == 0.0, axis=-1)
+    if np.any(zero):
+        out = np.where(zero[..., None], x, out)
+        ok = ok | zero
+    return out, ok
+
+
 def draw_batch(plan, t: int, seed: int) -> BatchDraw:
     """The scheme's batch at step t for one seed."""
     outcomes = plan.draw_block(t, np.array([int(seed)]))[0]
@@ -104,8 +161,8 @@ def batch_gradient(oracle, x, draw: BatchDraw) -> np.ndarray:
     """The averaged stochastic gradient sum_i w_i H(x, outcome_i)."""
     if np.any(draw.outcomes < 0) or np.any(draw.outcomes >= oracle.space.size):
         raise InvalidPlan("draw contains outcomes outside the oracle's sample space")
-    grads = oracle.sample_gradients(x, draw.outcomes)
-    return combine_batch(draw.weights, grads, draw.equal_weights)
+    grads = broadcast_sample_gradients(oracle, x, draw.outcomes)
+    return mean_combine(draw.weights, grads, draw.equal_weights)
 
 
 class AdaptiveState:
@@ -176,7 +233,8 @@ def running_min_grad_norm(tr: Trajectory) -> np.ndarray:
 def stepwise_run(cfg, seeds, rate_divisor: float = 1.0) -> list[Trajectory]:
     """The engine's iteration one step at a time: every batch comes from
     ``draw_batch`` for one seed and step, its gradient from ``batch_gradient``,
-    every rate from one scalar ``gamma(t)`` call."""
+    every rate from one scalar ``gamma(t)`` call, every norm and inner product
+    from ``sum_dot`` and every retraction from ``broadcast_retract_flagged``."""
     oracle, plan, man = cfg.oracle, cfg.plan, cfg.oracle.manifold
     T, seeds = cfg.horizon, np.asarray(seeds, dtype=np.int64)
     s_count, nan = seeds.size, np.nan
@@ -190,9 +248,12 @@ def stepwise_run(cfg, seeds, rate_divisor: float = 1.0) -> list[Trajectory]:
     adaptive = isinstance(cfg.rate, AdaptiveRate)
     acc, comp = np.zeros(s_count), np.zeros(s_count)
 
+    def norm(v):
+        return np.sqrt(sum_dot(v, v))
+
     def record(t):
         fx, g = oracle.cost(x), oracle.full_gradient(x)
-        gnt = man.norm(x, g)
+        gnt = norm(g)
         F[:, t] = np.where(alive, fx, nan)
         gn[:, t] = np.where(alive, gnt, nan)
         if rho_rec is not None:
@@ -208,10 +269,10 @@ def stepwise_run(cfg, seeds, rate_divisor: float = 1.0) -> list[Trajectory]:
 
             outcomes = np.stack([draw_batch(plan, t, seed=int(s)).outcomes for s in seeds])
             h = batch_gradient(oracle, x, BatchDraw(t, outcomes, plan.weights_at(t)))
-            bh = man.norm(x, h)
+            bh = norm(h)
             bsize[t] = outcomes.shape[1]
             bgn[:, t] = np.where(alive, bh, nan)
-            noise[:, t] = np.where(alive, man.inner(x, g, h - g), nan)
+            noise[:, t] = np.where(alive, sum_dot(g, h - g), nan)
             if adaptive:
                 rate_t = cfg.rate.alpha / np.power(cfg.rate.beta + acc, cfg.rate.exponent)
                 v = -rate_t[:, None] * h
@@ -220,7 +281,7 @@ def stepwise_run(cfg, seeds, rate_divisor: float = 1.0) -> list[Trajectory]:
                 v = -rate_t * h
             step[:, t] = np.where(alive, rate_t, nan)
 
-            y, ok = man.retract_flagged(x, v)
+            y, ok = broadcast_retract_flagged(man, x, v)
             y_finite = np.all(np.isfinite(y), axis=-1)
             newly_degenerate = alive & ~ok
             dead = newly_degenerate | (alive & ok & ~y_finite)

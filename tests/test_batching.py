@@ -102,6 +102,38 @@ class TestSegmentPlan:
         plan = SegmentPlan(triple.space, BatchSizes.explicit([2, 1, 3]))
         assert [plan.cut(t) for t in range(4)] == [0, 2, 3, 6]
 
+    @pytest.mark.parametrize("sizes", [
+        BatchSizes.constant(3),
+        BatchSizes.geometric(1, 1.5, cap=16),
+        BatchSizes.geometric(2, 1.0001, cap=40),
+        BatchSizes.geometric(5, 1.0, cap=9),
+        BatchSizes.explicit(np.random.default_rng(0).integers(1, 50, size=10**5)),
+    ], ids=["constant", "geometric", "geometric-slow", "geometric-flat", "explicit"])
+    def test_cuts_are_the_running_sums(self, triple, sizes):
+        n = 10**5
+        running = [0]
+        for t in range(n):
+            running.append(running[-1] + sizes.at(t))
+        plan = SegmentPlan(triple.space, sizes)
+        assert [plan.cut(t) for t in range(n + 1)] == running
+        # a fresh plan asked out of order: the last cut first
+        plan = SegmentPlan(triple.space, sizes)
+        assert [plan.cut(t) for t in (n, 0, n // 2, 7)] == [running[t] for t in (n, 0, n // 2, 7)]
+
+    @pytest.mark.parametrize("sizes", [BatchSizes.constant(3), BatchSizes.geometric(1, 1.5, cap=64)],
+                             ids=["constant", "geometric"])
+    def test_far_cuts_hold_no_list(self, triple, sizes):
+        plan = SegmentPlan(triple.space, sizes)
+        tracemalloc.start()
+        try:
+            cut = plan.cut(10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cut == sum(sizes.at(t) for t in range(20)) + sizes.at(20) * (10**7 - 20)
+        # a list of every cut would hold 10**7 Python ints, about 390 MiB
+        assert peak < 64 * 1024
+
     def test_unit_batches_are_single_draws(self, triple):
         plan = SegmentPlan(triple.space, BatchSizes.constant(1))
         d = draw_batch(plan, 5, seed=3)

@@ -375,12 +375,19 @@ class TestRunInputs:
         ([("[run]", "[confinement]\nenabled = maybe\n\n[run]")], ["run"],
          "[confinement] enabled"),
         ([TO_LEAST_SQUARES, _confined("variant = bogus")], ["run"], "[confinement] variant"),
+        ([TO_LEAST_SQUARES, _confined("rho0 = -1")], ["run"], "[confinement] rho0"),
+        ([TO_LEAST_SQUARES, _confined("rho0 = -1")], ["check", "confinement"],
+         "[confinement] rho0"),
+        ([TO_LEAST_SQUARES, _confined("rho0 = nan")], ["run"], "[confinement] rho0"),
+        ([TO_LEAST_SQUARES, _confined("rho0 = nan")], ["check", "confinement"],
+         "[confinement] rho0"),
     ], ids=["seeds-zero", "seeds-negative", "horizon-negative", "x0-off-sphere",
             "list-rate-too-short", "sphere-dimension-1", "check-sphere-dimension-1",
             "least-squares-dimension-0", "n-outcomes-zero", "data-seed-negative",
             "tau-zero", "csv-non-numeric", "strata-not-an-index", "samples-zero",
             "lambda-zero", "theta-negative", "b-zero", "enabled-not-a-boolean",
-            "variant-unknown"])
+            "variant-unknown", "rho0-negative", "check-rho0-negative", "rho0-nan",
+            "check-rho0-nan"])
     def test_exit_2(self, sphere_config, capsys, edits, argv, key):
         cfg, out = sphere_config
         bad_csv = cfg.parent / "bad.csv"

@@ -1,0 +1,130 @@
+"""The step kernels against their broadcast oracles in tests/reference.py, bit
+for bit.
+
+The kernels sum short axes by slice adds in the order numpy's reduction uses
+and repeat arrays instead of broadcasting them; the oracles are the plain
+broadcast and ``ndarray.sum`` / ``mean`` forms.  Inputs mix ordinary values
+with -0.0, +-inf, NaN and subnormals, and the arrays reach past the size at
+which the kernels switch from numpy's reduction to slice adds, so both forms
+are compared.  If numpy ever changes its summation
+order, these fail instead of the records drifting silently.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rsgd import Euclidean, RegularizedLeastSquaresProblem, Sphere, SphereMeanProblem
+from rsgd.batching import combine_batch
+from rsgd.manifolds import _dot
+
+from reference import (
+    broadcast_retract_flagged,
+    broadcast_sample_gradients,
+    mean_combine,
+    sum_dot,
+)
+
+SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e300])
+
+
+def _values(rng, shape, special):
+    """Normal values at mixed scales, a share ``special`` of them replaced by
+    signed zeros, infinities, NaN and subnormals, and as large a share of the
+    last-axis rows and of the last-two-axes slabs set to -0.0, whose sums
+    numpy returns as +0.0."""
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 6, size=shape)
+    mask = rng.uniform(size=shape) < special
+    a[mask] = rng.choice(SPECIAL, size=int(mask.sum()))
+    for axes in (1, 2)[:len(shape)]:
+        a[rng.uniform(size=shape[:-axes]) < special] = -0.0
+    return a
+
+
+@pytest.fixture(autouse=True)
+def _quiet():
+    # inf - inf and the like are part of the inputs
+    with np.errstate(all="ignore"):
+        yield
+
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def cases(draw, least_d=1):
+    """(rng, lead, d, b, special): a leading shape (), (S,) or (S, k) with up
+    to 150 rows, so the sums have from one to thousands of outputs."""
+    lead = draw(st.sampled_from([(), (draw(st.integers(1, 150)),),
+                                 (draw(st.integers(1, 60)), draw(st.integers(1, 4)))]))
+    return (np.random.default_rng(draw(st.integers(0, 2**32 - 1))), lead,
+            draw(st.integers(least_d, 12)), draw(st.integers(1, 20)),
+            draw(st.sampled_from([0.0, 0.05, 0.3])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cases(least_d=2), x_lead=st.booleans())
+def test_sphere_sample_gradients(case, x_lead):
+    rng, lead, d, b, special = case
+    p = SphereMeanProblem(_values(rng, (9, d), special))
+    # x either has the batch's leading shape or none (one point for all rows)
+    x = _values(rng, lead + (d,) if x_lead else (d,), special)
+    idx = rng.integers(0, 9, size=lead + (b,))
+    _same(p.sample_gradients(x, idx), broadcast_sample_gradients(p, x, idx))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cases(), x_lead=st.booleans())
+def test_least_squares_sample_gradients(case, x_lead):
+    rng, lead, d, b, special = case
+    # features and labels as columns of one table, as the CSV loader leaves them
+    rows = _values(rng, (9, d + 1), special)
+    p = RegularizedLeastSquaresProblem(rows[:, :-1], rows[:, -1], tau=0.3)
+    x = _values(rng, lead + (d,) if x_lead else (d,), special)
+    idx = rng.integers(0, 9, size=lead + (b,))
+    _same(p.sample_gradients(x, idx), broadcast_sample_gradients(p, x, idx))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cases(), uniform=st.booleans())
+def test_combine_batch(case, uniform):
+    rng, lead, d, b, special = case
+    grads = _values(rng, lead + (b, d), special)
+    w = np.full(b, 1.0 / b) if uniform else rng.uniform(0.1, 1.0, size=b)
+    if not uniform:
+        w /= w.sum()
+    equal = bool(np.all(w == w[0]))
+    _same(combine_batch(w, grads, equal), mean_combine(w, grads, equal))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cases())
+def test_dot(case):
+    rng, lead, d, _, special = case
+    u, v = _values(rng, lead + (d,), special), _values(rng, lead + (d,), special)
+    _same(_dot(u, v), sum_dot(u, v))
+    _same(_dot(u, u), sum_dot(u, u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cases(), zero_rows=st.sampled_from([0.0, 0.2, 1.0]),
+       degenerate_rows=st.sampled_from([0.0, 0.2]))
+def test_retract_flagged(case, zero_rows, degenerate_rows):
+    rng, lead, d, _, special = case
+    x = _values(rng, lead + (d,), special)
+    v = _values(rng, lead + (d,), special)
+    # zero steps, all +0.0 or all -0.0, and steps that cancel x
+    v[rng.uniform(size=lead) < zero_rows] = rng.choice([0.0, -0.0])
+    cancel = rng.uniform(size=lead) < degenerate_rows
+    v[cancel] = -x[cancel]
+    for man in ([Sphere(d)] if d >= 2 else []) + [Euclidean(d)]:
+        y, ok = man.retract_flagged(x, v)
+        want_y, want_ok = broadcast_retract_flagged(man, x, v)
+        _same(y, want_y)
+        _same(ok, want_ok)
