@@ -65,7 +65,7 @@ class BatchSizes:
 
     @classmethod
     def geometric(cls, base: int, growth: float, cap: int) -> "BatchSizes":
-        if base < 1 or cap < base or growth < 1.0:
+        if base < 1 or cap < base or not growth >= 1.0:
             raise InvalidPlan("geometric sizes need base >= 1, cap >= base, growth >= 1")
         return cls("geometric", base=base, growth=growth, cap=cap)
 

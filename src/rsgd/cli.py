@@ -9,9 +9,11 @@ Subcommands:
 * ``report``  aggregate trajectory CSVs in a directory into a summary
 
 Configs are flat INI files with sections [problem], [plan], [rate],
-[confinement], [run]; see the README for the key reference.  Outputs embed
-the fully resolved configuration and all seeds, and contain no timestamps,
-so identical invocations produce identical bytes.
+[confinement], [run].  ``CONFIG_KEYS`` declares every key once, with its
+type, default and bound; any other section or key is a config error, and the
+README explains each key.  Outputs embed the fully resolved configuration and
+all seeds, and contain no timestamps, so identical invocations produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -48,14 +50,56 @@ from .schedules import AdaptiveRate, ExplicitSchedule, PowerLawSchedule, validat
 CHECK_NAMES = ("unbiasedness", "schedule", "gradient", "lipschitz",
                "confinement", "kappa_confinement")
 
-# the keys each section accepts; any other section or key is a config error
+# section -> key -> (type, default, bound), each key declared once.  type is
+# int, float (finite by rule), bool, str (kept raw, parsed where it is read)
+# or a tuple of the allowed words.  An absent key takes its default, or is a
+# config error where it is read if that is _REQUIRED; a default of "auto" also
+# accepts that word.  bound is "> x" or ">= x".
+_REQUIRED = object()
 CONFIG_KEYS = {
-    "problem": ("kind", "dimension", "n_outcomes", "data_seed", "csv", "tau", "rho1"),
-    "plan": ("scheme", "batch_size", "batch_growth", "batch_sizes", "strata",
-             "per_stratum_counts"),
-    "rate": ("kind", "c", "p", "values", "alpha", "beta", "epsilon"),
-    "confinement": ("enabled", "variant", "rho0", "lambda", "b", "theta", "kappa", "samples"),
-    "run": ("horizon", "seeds", "seed", "out", "x0"),
+    "problem": {
+        "kind": (("sphere_mean", "least_squares"), _REQUIRED, None),
+        "dimension": (int, _REQUIRED, ">= 1"),  # >= 2 on the sphere: build_problem
+        "n_outcomes": (int, _REQUIRED, ">= 1"),
+        "data_seed": (int, 0, ">= 0"),
+        "csv": (str, None, None),
+        "tau": (float, _REQUIRED, "> 0"),
+        "rho1": (float, None, "> 0"),  # absent: no declared ball
+    },
+    "plan": {
+        "scheme": (("segment", "no_repetition", "stratified"), _REQUIRED, None),
+        "batch_size": (int, 1, ">= 1"),
+        "batch_growth": (str, None, None),
+        "batch_sizes": (str, None, None),
+        "strata": (str, _REQUIRED, None),
+        "per_stratum_counts": (str, _REQUIRED, None),
+    },
+    "rate": {
+        "kind": (("power", "list", "adaptive"), _REQUIRED, None),
+        "c": (float, _REQUIRED, None),
+        "p": (float, _REQUIRED, None),
+        "values": (str, _REQUIRED, None),
+        # the adaptive rule's hyperparameters, checked together by AdaptiveRate
+        "alpha": (float, 0.5, None), "beta": (float, 1.0, None), "epsilon": (float, 0.25, None),
+    },
+    "confinement": {
+        "enabled": (bool, False, None),
+        "variant": (conf.VARIANTS, "plain", None),
+        # rho(x) = ||x||^2: no sublevel lies below rho(origin) = 0
+        "rho0": (float, "auto", ">= 0"),
+        "lambda": (float, 1.0, "> 0"),
+        "b": (float, "auto", "> 0"),
+        "theta": (float, 1.0, "> 0"),
+        "kappa": (float, 0.0, None),  # > 0 where a kappa variant runs: _kappa_spec
+        "samples": (int, 2000, ">= 1"),
+    },
+    "run": {
+        "horizon": (int, _REQUIRED, ">= 0"),
+        "seeds": (int, 1, ">= 1"),
+        "seed": (int, 0, ">= 0"),  # and <= 2**63 - seeds: _seeds
+        "out": (str, "runs", None),
+        "x0": (str, "auto", None),
+    },
 }
 
 
@@ -94,69 +138,58 @@ def load_config(path) -> configparser.ConfigParser:
         for key in cp.options(section):
             if key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"{p}: unknown key [{section}] {key}")
+            # every given value is checked, also one its run does not read
+            _get(cp, section, key)
     return cp
 
 
-def _require(cp, section, key):
-    if not cp.has_option(section, key):
-        raise ConfigError(f"missing [{section}] {key}")
-    return cp.get(section, key)
-
-
-def _get_float(cp, section, key, default=None, above=None):
-    """The key's number, or ``default`` when it is absent; a given value must
-    exceed ``above``."""
-    if not cp.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"missing [{section}] {key}")
+def _get(cp, section, key, given=None):
+    """[section] key as CONFIG_KEYS declares it: ``given`` (a command-line
+    override) when not None, else the file's value, else the key's default."""
+    kind, default, bound = CONFIG_KEYS[section][key]
+    name = f"[{section}] {key}"
+    if given is None and not cp.has_option(section, key):
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {name}")
         return default
+    raw = cp.get(section, key) if given is None else str(given)
+    if kind is str or raw == default == "auto":
+        return raw
     try:
-        value = cp.getfloat(section, key)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a number") from None
-    if above is not None and not value > above:
-        raise ConfigError(f"[{section}] {key} must be > {above:g}, got {value:g}")
-    return value
-
-
-def _get_int(cp, section, key, default=None, least=None):
-    """The key's integer, or ``default`` when it is absent; a given value must
-    be at least ``least``."""
-    if not cp.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"missing [{section}] {key}")
-        return default
-    try:
-        value = cp.getint(section, key)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be an integer") from None
-    if least is not None and value < least:
-        raise ConfigError(f"[{section}] {key} must be >= {least}, got {value}")
+        if isinstance(kind, tuple):
+            return kind[kind.index(raw)]  # ValueError unless one of the words
+        value = cp.BOOLEAN_STATES[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        want = (f"one of {', '.join(kind)}" if isinstance(kind, tuple) else
+                {bool: "true or false", int: "an integer", float: "a number"}[kind])
+        raise ConfigError(f"{name} must be {want}, got {raw!r}") from None
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {raw}")
+    if bound:
+        op, edge = bound.split()
+        if not (value >= kind(edge) if op == ">=" else value > kind(edge)):
+            raise ConfigError(f"{name} must be {bound}, got {raw}")
     return value
 
 
 def build_problem(cp):
-    kind = _require(cp, "problem", "kind")
-    if kind not in ("sphere_mean", "least_squares"):
-        raise ConfigError(f"unknown problem kind {kind!r}")
-    sphere = kind == "sphere_mean"
+    sphere = _get(cp, "problem", "kind") == "sphere_mean"
     if not sphere:
-        tau = _get_float(cp, "problem", "tau", above=0.0)
-        rho1 = _get_float(cp, "problem", "rho1", -1.0)
-        rho1 = None if rho1 < 0 else rho1
-    csv_path = cp.get("problem", "csv", fallback=None)
+        tau = _get(cp, "problem", "tau")
+        rho1 = _get(cp, "problem", "rho1")
+    csv_path = _get(cp, "problem", "csv")
     if csv_path:
-        if not Path(csv_path).is_file():
-            raise ConfigError(f"problem csv not found: {csv_path}")
         try:
             if sphere:
                 return load_sphere_mean_csv(csv_path)
             return load_least_squares_csv(csv_path, tau, region_rho1=rho1)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"[problem] csv: {exc}") from None
-    dim = _get_int(cp, "problem", "dimension", least=2 if sphere else 1)
-    n_outcomes = _get_int(cp, "problem", "n_outcomes", least=1)
-    data_seed = _get_int(cp, "problem", "data_seed", 0, least=0)
+    dim = _get(cp, "problem", "dimension")
+    if sphere and dim < 2:
+        raise ConfigError(f"[problem] dimension must be >= 2 for sphere_mean, got {dim}")
+    n_outcomes = _get(cp, "problem", "n_outcomes")
+    data_seed = _get(cp, "problem", "data_seed")
     if sphere:
         return random_sphere_mean(dim, n_outcomes, data_seed)
     return random_least_squares(dim, n_outcomes, data_seed, tau, region_rho1=rho1)
@@ -182,34 +215,35 @@ def _parse_strata(text: str):
         if members:
             groups.append(tuple(members))
     if not groups:
-        raise ConfigError("strata specification is empty")
+        raise ConfigError("[plan] strata is empty")
     return tuple(groups)
 
 
 def build_plan(cp, space, seed: int):
     # seed is unused; perfbench's cli_session passes it positionally
-    scheme = _require(cp, "plan", "scheme")
-    if cp.has_option("plan", "batch_growth"):
+    scheme = _get(cp, "plan", "scheme")
+    growth = _get(cp, "plan", "batch_growth")
+    listed = _get(cp, "plan", "batch_sizes")
+    if growth is not None:
         try:
-            base, factor = cp.get("plan", "batch_growth").split(":")
+            base, factor = growth.split(":")
             sizes = BatchSizes.geometric(int(base), float(factor), space.size)
         except (ValueError, InvalidPlan) as exc:
-            raise ConfigError(f"bad batch_growth (want base:factor): {exc}") from None
-    elif cp.has_option("plan", "batch_sizes"):
+            raise ConfigError(f"[plan] batch_growth must be base:factor: {exc}") from None
+    elif listed is not None:
         try:
-            sizes = BatchSizes.explicit(
-                int(v) for v in cp.get("plan", "batch_sizes").split(","))
+            sizes = BatchSizes.explicit(int(v) for v in listed.split(","))
         except (ValueError, InvalidPlan) as exc:
-            raise ConfigError(f"bad batch_sizes: {exc}") from None
+            raise ConfigError(f"[plan] batch_sizes must be a comma list of sizes: {exc}") from None
     else:
-        sizes = BatchSizes.constant(_get_int(cp, "plan", "batch_size", 1))
+        sizes = BatchSizes.constant(_get(cp, "plan", "batch_size"))
     strata = counts = None
     if scheme == "stratified":
-        strata = _parse_strata(_require(cp, "plan", "strata"))
+        strata = _parse_strata(_get(cp, "plan", "strata"))
         try:
-            counts = tuple(int(v) for v in _require(cp, "plan", "per_stratum_counts").split(","))
+            counts = tuple(int(v) for v in _get(cp, "plan", "per_stratum_counts").split(","))
         except ValueError:
-            raise ConfigError("per_stratum_counts must be a comma list of ints") from None
+            raise ConfigError("[plan] per_stratum_counts must be a comma list of ints") from None
     try:
         plan = make_plan(scheme, space, sizes=sizes, strata=strata, counts=counts)
         # cross-field validation up front: probe the sizes the run will use
@@ -222,64 +256,43 @@ def build_plan(cp, space, seed: int):
 
 
 def build_rate(cp):
-    kind = _require(cp, "rate", "kind")
+    kind = _get(cp, "rate", "kind")
     try:
         if kind == "power":
-            return PowerLawSchedule(_get_float(cp, "rate", "c"), _get_float(cp, "rate", "p"))
+            return PowerLawSchedule(_get(cp, "rate", "c"), _get(cp, "rate", "p"))
         if kind == "list":
-            return ExplicitSchedule(
-                tuple(float(v) for v in _require(cp, "rate", "values").split(",")))
-        if kind == "adaptive":
-            return AdaptiveRate(
-                _get_float(cp, "rate", "alpha", 0.5),
-                _get_float(cp, "rate", "beta", 1.0),
-                _get_float(cp, "rate", "epsilon", 0.25),
-            )
+            return ExplicitSchedule(tuple(float(v) for v in _get(cp, "rate", "values").split(",")))
+        return AdaptiveRate(*(_get(cp, "rate", k) for k in ("alpha", "beta", "epsilon")))
     except (ValueError, InvalidHyperparameters) as exc:
         raise ConfigError(f"bad rate section: {exc}") from None
-    raise ConfigError(f"unknown rate kind {kind!r}")
 
 
 def build_confinement(cp, problem):
-    try:
-        if not cp.getboolean("confinement", "enabled", fallback=False):
-            return None
-    except ValueError:
-        raise ConfigError("[confinement] enabled must be true or false") from None
-    variant = cp.get("confinement", "variant", fallback="plain")
-    if variant not in conf.VARIANTS:
-        raise ConfigError(f"[confinement] variant must be one of {', '.join(conf.VARIANTS)}")
-    rho0_raw = cp.get("confinement", "rho0", fallback="auto")
-    if rho0_raw == "auto":
+    if not _get(cp, "confinement", "enabled"):
+        return None
+    rho0 = _get(cp, "confinement", "rho0")
+    if rho0 == "auto":
         if not hasattr(problem, "rho0_for_norm_squared"):
-            raise ConfigError("rho0 = auto needs a least-squares problem")
+            raise ConfigError("[confinement] rho0 = auto needs a least-squares problem")
         rho0 = problem.rho0_for_norm_squared()
-    else:
-        try:
-            rho0 = float(rho0_raw)
-        except ValueError:
-            raise ConfigError("[confinement] rho0 must be a number or 'auto'") from None
-        # rho(x) = ||x||^2: no sublevel lies below rho(origin) = 0
-        if not 0.0 <= rho0 < float("inf"):
-            raise ConfigError(f"[confinement] rho0 must be finite and at least "
-                              f"rho(origin) = 0, got {rho0_raw}")
-    b = cp.get("confinement", "b", fallback="auto")
-    params = {
-        "variant": variant,
-        "rho0": rho0,
-        # the level adaptive confined runs and the adaptive kappa check keep rho under
-        "rho1": rho0 + 1.0,
-        "kappa": _get_float(cp, "confinement", "kappa", 0.0),
-        "lambda": _get_float(cp, "confinement", "lambda", 1.0, above=0.0),
-        "b": b if b == "auto" else _get_float(cp, "confinement", "b", above=0.0),
-        "theta": _get_float(cp, "confinement", "theta", 1.0, above=0.0),
-        "samples": _get_int(cp, "confinement", "samples", 2000, least=1),
-    }
-    return params
+    params = {key: _get(cp, "confinement", key)
+              for key in ("variant", "kappa", "lambda", "b", "theta", "samples")}
+    # the level adaptive confined runs and the adaptive kappa check keep rho under
+    return params | {"rho0": rho0, "rho1": rho0 + 1.0}
+
+
+def _kappa_spec(params, rho1, needed_by):
+    """The kappa-confinement of rho = ||x||^2 between rho0 and rho1 (variant
+    plain reads as kappa), for a run or check that needs kappa > 0."""
+    if not params["kappa"] > 0:
+        raise ConfigError(f"[confinement] kappa must be > 0 for {needed_by}, "
+                          f"got {params['kappa']:g}")
+    variant = "kappa" if params["variant"] == "plain" else params["variant"]
+    return conf.norm_squared_confinement(params["rho0"], rho1, variant)
 
 
 def _parse_x0(cp, manifold):
-    raw = cp.get("run", "x0", fallback="auto")
+    raw = _get(cp, "run", "x0")
     if raw == "auto":
         x0 = np.zeros(manifold.ambient_dim)
         if manifold.kind == "sphere":
@@ -288,21 +301,28 @@ def _parse_x0(cp, manifold):
     try:
         x0 = np.array([float(v) for v in raw.split(",")], dtype=float)
     except ValueError:
-        raise ConfigError("run x0 must be 'auto' or a comma list of floats") from None
+        raise ConfigError("[run] x0 must be auto or a comma list of floats") from None
     if x0.shape != (manifold.ambient_dim,):
-        raise ConfigError(f"x0 needs {manifold.ambient_dim} components")
+        raise ConfigError(f"[run] x0 needs {manifold.ambient_dim} components")
     if not bool(manifold.contains(x0, tol=1e-9)):
         raise ConfigError(f"[run] x0 is not a point of the {manifold.kind} manifold")
     return x0
 
 
-def _constants_for(cp_params, spec, problem, rate, n_samples, seed):
-    lam = cp_params["lambda"]
-    theta = cp_params["theta"]
-    b = cp_params["b"]
+def _seeds(cp, args):
+    """The first seed and the number of seeds; the seeds run as int64."""
+    n_seeds = _get(cp, "run", "seeds")
+    seed = _get(cp, "run", "seed", args.seed)
+    if seed > 2**63 - n_seeds:
+        raise ConfigError(f"[run] seed (or --seed) must be <= 2**63 - seeds = "
+                          f"{2**63 - n_seeds}, got {seed}")
+    return seed, n_seeds
+
+
+def _constants_for(params, spec, problem, rate, seed):
+    lam, b, theta, n_samples = params["lambda"], params["b"], params["theta"], params["samples"]
     if b == "auto":
-        trial = conf.estimate_constants(spec, problem, rate, lam, 1.0, theta,
-                                        n_samples, seed=seed)
+        trial = conf.estimate_constants(spec, problem, rate, lam, 1.0, theta, n_samples, seed=seed)
         b = max(trial.b_est, 1e-6)
     return conf.estimate_constants(spec, problem, rate, lam, b, theta, n_samples, seed=seed)
 
@@ -321,45 +341,31 @@ def _downsample(curve: np.ndarray, limit: int = 256) -> list:
 def cmd_run(args) -> int:
     cp = load_config(args.config)
     problem = build_problem(cp)
-    seed = args.seed if args.seed is not None else _get_int(cp, "run", "seed", 0)
+    seed, n_seeds = _seeds(cp, args)
     plan = build_plan(cp, problem.space, seed)
     rate = build_rate(cp)
-    horizon = args.horizon if args.horizon is not None else _get_int(cp, "run", "horizon")
-    if horizon < 0:
-        raise ConfigError(f"[run] horizon (or --horizon) must be >= 0, got {horizon}")
+    horizon = _get(cp, "run", "horizon", args.horizon)
     # a list rate needs gamma_t for t = 0..T-1; step[T] stays NaN past its end
     if isinstance(rate, ExplicitSchedule) and len(rate.values) < horizon:
         raise ConfigError(f"[rate] values has {len(rate.values)} rates, "
                           f"fewer than the horizon {horizon}")
-    n_seeds = _get_int(cp, "run", "seeds", 1)
-    if n_seeds < 1:
-        raise ConfigError(f"[run] seeds must be >= 1, got {n_seeds}")
-    out_dir = Path(args.out if args.out is not None else cp.get("run", "out", fallback="runs"))
+    out_dir = Path(_get(cp, "run", "out", args.out))
     x0 = _parse_x0(cp, problem.manifold)
-    conf_params = build_confinement(cp, problem)
+    params = build_confinement(cp, problem)
 
     cfg = RunConfig(oracle=problem, plan=plan, rate=rate, x0=x0, horizon=horizon, seed=seed)
     constants = None
     try:
-        if conf_params is None:
+        if params is None:
             trajectories = run_many(cfg, n_seeds)
+        elif isinstance(rate, AdaptiveRate):
+            spec = _kappa_spec(params, params["rho1"], "adaptive confined runs")
+            trajectories = conf.run_confined_adaptive_many(cfg, spec, params["kappa"], n_seeds)
         else:
-            variant = conf_params["variant"]
-            if isinstance(rate, AdaptiveRate):
-                if conf_params["kappa"] <= 0:
-                    raise ConfigError("adaptive confined runs need kappa > 0")
-                spec = conf.norm_squared_confinement(
-                    conf_params["rho0"], conf_params["rho1"],
-                    variant if variant != "plain" else "kappa",
-                )
-                trajectories = conf.run_confined_adaptive_many(
-                    cfg, spec, conf_params["kappa"], n_seeds)
-            else:
-                spec = conf.norm_squared_confinement(conf_params["rho0"])
-                constants = _constants_for(conf_params, spec, problem, rate,
-                                           conf_params["samples"], seed)
-                cfg.rho = spec.rho
-                trajectories = conf.run_confined_deterministic_many(cfg, constants, n_seeds)
+            spec = conf.norm_squared_confinement(params["rho0"])
+            constants = _constants_for(params, spec, problem, rate, seed)
+            cfg.rho = spec.rho
+            trajectories = conf.run_confined_deterministic_many(cfg, constants, n_seeds)
     except (DegenerateRetraction, ConfinementViolation, SamplerFailure) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 3
@@ -406,8 +412,8 @@ def cmd_check(args) -> int:
         return 2
     cp = load_config(args.config)
     problem = build_problem(cp)
-    seed = args.seed if args.seed is not None else _get_int(cp, "run", "seed", 0)
-    out_dir = Path(args.out if args.out is not None else cp.get("run", "out", fallback="runs"))
+    seed, _ = _seeds(cp, args)
+    out_dir = Path(_get(cp, "run", "out", args.out))
 
     try:
         if args.name == "unbiasedness":
@@ -443,24 +449,16 @@ def cmd_check(args) -> int:
                 report = conf.check_plain_confinement(spec, problem, params["samples"],
                                                       seed=seed)
             else:
-                if params["kappa"] <= 0:
-                    raise ConfigError("kappa_confinement needs kappa > 0")
                 rate = build_rate(cp)
                 if isinstance(rate, AdaptiveRate):
                     rho1 = params["rho1"]
                 else:
                     spec0 = conf.norm_squared_confinement(params["rho0"])
-                    constants = _constants_for(params, spec0, problem, rate,
-                                               params["samples"], seed)
-                    rho1 = constants.rho1
-                variant = params["variant"] if params["variant"] != "plain" else "kappa"
-                spec = conf.norm_squared_confinement(params["rho0"], rho1, variant)
+                    rho1 = _constants_for(params, spec0, problem, rate, seed).rho1
+                spec = _kappa_spec(params, rho1, "kappa_confinement")
                 report = conf.check_kappa_confinement(spec, problem, params["kappa"],
                                                       params["samples"], seed=seed)
             payload = report.to_dict()
-    except (ConfigError, UnboundedRegion) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except SamplerFailure as exc:
         print(f"check failed to sample: {exc}", file=sys.stderr)
         return 1

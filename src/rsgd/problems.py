@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnboundedRegion
-from .manifolds import _MANY, _SHORT, Euclidean, Manifold, Sphere, _spread, _sum
+from .manifolds import _MANY, _SHORT, Euclidean, Manifold, Sphere, _dot, _spread, _sum
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,7 @@ class SphereMeanProblem(GradientOracle):
 
     def cost(self, x):
         x = np.asarray(x, dtype=float)
-        xx = (x * x).sum(axis=-1)
-        return 0.5 * (xx - 2.0 * (x * self.target_mean).sum(axis=-1) + self._sq_mean)
+        return 0.5 * (_dot(x, x) - 2.0 * _dot(x, self.target_mean) + self._sq_mean)
 
     def full_gradient(self, x):
         x = np.asarray(x, dtype=float)
@@ -214,13 +213,13 @@ class RegularizedLeastSquaresProblem(GradientOracle):
 
     def cost(self, x):
         x = np.asarray(x, dtype=float)
-        quad = (x * (x[..., None, :] * self._gram).sum(axis=-1)).sum(axis=-1)
-        lin = (x * self._cross).sum(axis=-1)
-        return 0.5 * (quad - 2.0 * lin + self._sq_labels) + 0.5 * self.tau * (x * x).sum(axis=-1)
+        quad = _dot(x, _sum(x[..., None, :] * self._gram))
+        return (0.5 * (quad - 2.0 * _dot(x, self._cross) + self._sq_labels)
+                + 0.5 * self.tau * _dot(x, x))
 
     def full_gradient(self, x):
         x = np.asarray(x, dtype=float)
-        return (x[..., None, :] * self._gram).sum(axis=-1) - self._cross + self.tau * x
+        return _sum(x[..., None, :] * self._gram) - self._cross + self.tau * x
 
     def sample_gradients(self, x, idx):
         x = np.asarray(x, dtype=float)

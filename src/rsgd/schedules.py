@@ -22,8 +22,10 @@ class PowerLawSchedule:
     p: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be > 0")
+        if not 0 < self.c < np.inf:
+            raise ValueError(f"c must be finite and > 0, got {self.c}")
+        if not np.isfinite(self.p):
+            raise ValueError(f"p must be finite, got {self.p}")
 
     def gamma(self, t: int) -> float:
         return min(1.0, self.c / (t + 1.0) ** self.p)

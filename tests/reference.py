@@ -24,7 +24,10 @@ The oracles held here:
   ``broadcast_retract_flagged``: the step kernels written with broadcasts and
   ``ndarray.sum`` / ``mean``, the references for both problems'
   ``sample_gradients``, ``combine_batch``, ``manifolds._dot`` and the
-  retractions; ``stepwise_run`` computes every step with them.
+  retractions; ``stepwise_run`` computes every step with them;
+* ``sum_cost`` and ``sum_full_gradient``: the moment forms of both problems'
+  cost and of the least-squares gradient with ``ndarray.sum`` along d, the
+  references for the record sums.
 """
 
 from __future__ import annotations
@@ -128,6 +131,26 @@ def mean_combine(weights, grads, equal: bool):
 def sum_dot(u, v):
     """The inner product along the last axis by ``ndarray.sum``."""
     return (u * v).sum(axis=-1)
+
+
+def sum_cost(problem, x):
+    """F(x) of a sphere-mean or least-squares problem from its moments, summed
+    by ``ndarray.sum``."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(problem, SphereMeanProblem):
+        xx = (x * x).sum(axis=-1)
+        return 0.5 * (xx - 2.0 * (x * problem.target_mean).sum(axis=-1) + problem._sq_mean)
+    quad = (x * (x[..., None, :] * problem._gram).sum(axis=-1)).sum(axis=-1)
+    lin = (x * problem._cross).sum(axis=-1)
+    return (0.5 * (quad - 2.0 * lin + problem._sq_labels)
+            + 0.5 * problem.tau * (x * x).sum(axis=-1))
+
+
+def sum_full_gradient(problem, x):
+    """grad F(x) = G x - c + tau x of a least-squares problem, G x summed by
+    ``ndarray.sum``."""
+    x = np.asarray(x, dtype=float)
+    return (x[..., None, :] * problem._gram).sum(axis=-1) - problem._cross + problem.tau * x
 
 
 def broadcast_retract_flagged(man, x, v):

@@ -94,6 +94,8 @@ class TestBatchSizes:
         with pytest.raises(InvalidPlan):
             BatchSizes.geometric(2, 0.5, cap=8)
         with pytest.raises(InvalidPlan):
+            BatchSizes.geometric(2, float("nan"), cap=8)
+        with pytest.raises(InvalidPlan):
             BatchSizes.explicit([])
 
 

@@ -1,3 +1,4 @@
+import configparser
 import json
 import re
 from pathlib import Path
@@ -7,10 +8,16 @@ import numpy as np
 import pytest
 
 from rsgd import confinement as conf
-from rsgd.cli import _parse_strata, build_plan, load_config, main
+from rsgd.cli import CONFIG_KEYS, _parse_strata, build_plan, load_config, main
 from rsgd.problems import FiniteSampleSpace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_ini():
+    """The README's config reference, verbatim."""
+    return re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+
 
 SPHERE_CONFIG = """
 [problem]
@@ -277,15 +284,26 @@ class TestReport:
 
 class TestInlineComments:
     def test_readme_config_runs(self, tmp_path, monkeypatch):
-        # the README's config reference, verbatim, comments after values included
-        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        # comments after values included
         cfg = tmp_path / "readme.ini"
-        cfg.write_text(block)
+        cfg.write_text(_readme_ini())
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", str(cfg), "--horizon", "20", "--quiet"]) == 0
         summary = json.loads((tmp_path / "runs" / "exp1" / "readme_summary.json").read_text())
         assert summary["config"]["problem"]["kind"] == "sphere_mean"
         assert summary["config"]["plan"]["scheme"] == "segment"
+
+    def test_readme_names_exactly_the_table_keys(self):
+        # commented-out keys count: the reference lists every key once
+        named, section = {}, None
+        for line in _readme_ini().splitlines():
+            head = re.fullmatch(r"\[(\w+)\]", line.strip())
+            if head:
+                section = head.group(1)
+                named[section] = set()
+            elif section:
+                named[section].update(re.findall(r"(\w+) = ", line))
+        assert named == {section: set(keys) for section, keys in CONFIG_KEYS.items()}
 
     def test_semicolon_without_space_separates_strata(self, tmp_path):
         cfg = tmp_path / "strata.ini"
@@ -381,13 +399,29 @@ class TestRunInputs:
         ([TO_LEAST_SQUARES, _confined("rho0 = nan")], ["run"], "[confinement] rho0"),
         ([TO_LEAST_SQUARES, _confined("rho0 = nan")], ["check", "confinement"],
          "[confinement] rho0"),
+        ([("p = 0.75", "p = nan")], ["run"], "[rate] p"),
+        ([("p = 0.75", "p = nan")], ["check", "schedule"], "[rate] p"),
+        ([("seed = 1", "seed = -5")], ["check", "gradient"], "[run] seed"),
+        ([], ["check", "gradient", "--seed", "-5"], "[run] seed"),
+        ([TO_LEAST_SQUARES, _confined("rho0 = 4.0"), ("seed = 1", "seed = -5")], ["run"],
+         "[run] seed"),
+        ([TO_LEAST_SQUARES, _confined("rho0 = 4.0")], ["run", "--seed", "-5"], "[run] seed"),
+        ([("seed = 1", "seed = 100000000000000000000")], ["run"], "[run] seed"),
+        ([], ["run", "--seed", "100000000000000000000"], "[run] seed"),
+        ([("seed = 1", "seed = 9223372036854775807"), ("seeds = 3", "seeds = 2")], ["run"],
+         "[run] seed"),
+        ([("seeds = 3", "seeds = 2")], ["run", "--seed", "9223372036854775807"], "[run] seed"),
+        ([("batch_size = 2", "batch_growth = 1:nan")], ["run"], "[plan] batch_growth"),
     ], ids=["seeds-zero", "seeds-negative", "horizon-negative", "x0-off-sphere",
             "list-rate-too-short", "sphere-dimension-1", "check-sphere-dimension-1",
             "least-squares-dimension-0", "n-outcomes-zero", "data-seed-negative",
             "tau-zero", "csv-non-numeric", "strata-not-an-index", "samples-zero",
             "lambda-zero", "theta-negative", "b-zero", "enabled-not-a-boolean",
             "variant-unknown", "rho0-negative", "check-rho0-negative", "rho0-nan",
-            "check-rho0-nan"])
+            "check-rho0-nan", "p-nan", "check-p-nan", "check-seed-negative",
+            "check-seed-flag-negative", "confined-seed-negative", "confined-seed-flag-negative",
+            "seed-past-int64", "seed-flag-past-int64", "seed-wraps", "seed-flag-wraps",
+            "batch-growth-nan"])
     def test_exit_2(self, sphere_config, capsys, edits, argv, key):
         cfg, out = sphere_config
         bad_csv = cfg.parent / "bad.csv"
@@ -408,3 +442,38 @@ class TestRunInputs:
         assert main(["run", "--config", str(cfg), "--horizon", "3", "--quiet"]) == 0
         last = (out / "exp_seed1.csv").read_text().strip().split("\n")[-1].split(",")
         assert last[0] == "3" and last[3] == "nan"
+
+
+def _bad_values():
+    """Every table key with each value its type rejects: a non-finite number
+    for a float, a fraction and a value below the bound for an int, a word
+    outside the choices or the booleans."""
+    for section, keys in CONFIG_KEYS.items():
+        for key, (kind, _, bound) in keys.items():
+            if kind is float:
+                values = ["nan", "inf", "-inf"]
+            elif kind is int:
+                op, edge = bound.split()
+                values = ["1.5", str(int(edge) - (op == ">="))]
+            elif kind is bool or isinstance(kind, tuple):
+                values = ["bogus"]
+            else:
+                continue
+            for value in values:
+                yield pytest.param(section, key, value, id=f"{section}-{key}={value}")
+
+
+@pytest.mark.parametrize("section, key, value", _bad_values())
+def test_every_table_key_rejects_bad_values(sphere_config, capsys, section, key, value):
+    cfg, out = sphere_config
+    cp = configparser.ConfigParser()
+    cp.read(cfg)
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp.set(section, key, value)
+    with open(cfg, "w") as fh:
+        cp.write(fh)
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"[{section}] {key}" in err
+    assert not out.exists()

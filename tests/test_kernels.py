@@ -1,5 +1,5 @@
-"""The step kernels against their broadcast oracles in tests/reference.py, bit
-for bit.
+"""The step kernels and the problems' record sums (cost, least-squares
+gradient) against their broadcast oracles in tests/reference.py, bit for bit.
 
 The kernels sum short axes by slice adds in the order numpy's reduction uses
 and repeat arrays instead of broadcasting them; the oracles are the plain
@@ -25,7 +25,9 @@ from reference import (
     broadcast_retract_flagged,
     broadcast_sample_gradients,
     mean_combine,
+    sum_cost,
     sum_dot,
+    sum_full_gradient,
 )
 
 SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e300])
@@ -89,6 +91,26 @@ def test_least_squares_sample_gradients(case, x_lead):
     x = _values(rng, lead + (d,) if x_lead else (d,), special)
     idx = rng.integers(0, 9, size=lead + (b,))
     _same(p.sample_gradients(x, idx), broadcast_sample_gradients(p, x, idx))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cases(least_d=2))
+def test_sphere_cost(case):
+    rng, lead, d, _, special = case
+    p = SphereMeanProblem(_values(rng, (9, d), special))
+    x = _values(rng, lead + (d,), special)
+    _same(p.cost(x), sum_cost(p, x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cases())
+def test_least_squares_record(case):
+    rng, lead, d, _, special = case
+    rows = _values(rng, (9, d + 1), special)
+    p = RegularizedLeastSquaresProblem(rows[:, :-1], rows[:, -1], tau=0.3)
+    x = _values(rng, lead + (d,), special)
+    _same(p.cost(x), sum_cost(p, x))
+    _same(p.full_gradient(x), sum_full_gradient(p, x))
 
 
 @settings(max_examples=100, deadline=None)

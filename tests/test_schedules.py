@@ -41,6 +41,15 @@ class TestDeterministic:
         with pytest.raises(ValueError):
             ExplicitSchedule((0.0,))
 
+    @pytest.mark.parametrize("c, p", [
+        (0.5, np.nan), (0.5, np.inf), (0.5, -np.inf), (np.inf, 0.75), (np.nan, 0.75),
+        (0.0, 0.75), (-0.5, 0.75),
+    ])
+    def test_power_law_needs_finite_c_and_p(self, c, p):
+        # a NaN exponent used to construct and pass the Robbins-Monro check
+        with pytest.raises(ValueError):
+            PowerLawSchedule(c, p)
+
     @pytest.mark.parametrize("p,valid", [
         (0.4, False), (0.5, False), (0.51, True), (0.75, True), (1.0, True), (1.2, False),
     ])
