@@ -1,0 +1,47 @@
+"""Throughput of the lockstep engine against the number of seeds S.
+
+The engine iterates S seeded trajectories together.  Below a few hundred
+seeds a step costs about the dispatch of its ~30 numpy calls, whatever S is,
+so seed-steps per second grow almost linearly with S and then level off.
+The state of a run is kept coordinate-major (its d coordinates outermost in
+memory) when ``rsgd.manifolds.coordinate_major(S, d)`` says so: from a few
+seeds on, for d < 8.  The layout column shows which one each S ran in; the
+records are bitwise the same in both.
+
+The problem is the README's: the sphere-mean cost on 16 targets in R^4,
+segment batches of 4, rate 0.5/(t+1)^0.75.  Each figure is the best of three
+runs of ``rsgd.run_many`` over a short horizon, in process CPU time.  It
+prints figures and checks nothing; on a shared machine they move by 10-30%
+from run to run.
+"""
+
+import time
+
+import numpy as np
+
+import rsgd
+
+problem = rsgd.random_sphere_mean(dim=4, n_outcomes=16, seed=25)
+x0 = problem.manifold.random_point(np.random.default_rng(100))
+plan = rsgd.SegmentPlan(problem.space, rsgd.BatchSizes.constant(4))
+horizon = 500
+cfg = rsgd.RunConfig(oracle=problem, plan=plan, rate=rsgd.PowerLawSchedule(c=0.5, p=0.75),
+                     x0=x0, horizon=horizon, seed=0)
+
+
+def best_of_three(n_seeds):
+    best = float("inf")
+    for _ in range(3):
+        start = time.process_time()
+        rsgd.run_many(cfg, n_seeds)
+        best = min(best, time.process_time() - start)
+    return best
+
+
+print(f"README sphere problem, segment b = 4, power rate, T = {horizon}, best of 3")
+print(f"{'S':>6} {'layout':>17} {'us/step':>9} {'seed-steps/s':>13}")
+for n_seeds in (1, 10, 32, 100, 1000):
+    seconds = best_of_three(n_seeds)
+    layout = "coordinate-major" if rsgd.manifolds.coordinate_major(n_seeds, 4) else "row-major"
+    print(f"{n_seeds:>6} {layout:>17} {seconds / horizon * 1e6:>9.1f} "
+          f"{n_seeds * horizon / seconds:>13,.0f}")

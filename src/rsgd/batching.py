@@ -439,11 +439,11 @@ def combine_batch(weights: np.ndarray, grads: np.ndarray, equal: bool) -> np.nda
     """Weighted average over the batch axis (next-to-last axis of grads).
 
     Bitwise equal to ``grads.mean(axis=-2)`` when ``equal`` and to
-    ``(weights[..., None] * grads).sum(axis=-2)`` otherwise; a short batch is
-    summed by slice adds (see :mod:`rsgd.manifolds`)."""
+    ``(weights[..., None] * grads).sum(axis=-2)`` otherwise, in either memory
+    layout (see :mod:`rsgd.manifolds`)."""
     if equal:
         return _sum(grads, -2) / grads.shape[-2]
-    return _sum(grads * _spread(weights, grads.shape[-1], grads.size), -2)
+    return _sum(grads * _spread(weights, grads), -2)
 
 
 def _enumerated_vectors(oracle, x, plan, t):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -319,6 +320,25 @@ def _seeds(cp, args):
     return seed, n_seeds
 
 
+def _physical_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _record_horizon(cp, args) -> int:
+    """The horizon, once the records of the run are known to fit in physical
+    memory: per seed and step, six float64 columns (F, grad_norm, step,
+    batch_grad_norm, noise_inner, rho) and a bool one, plus the batch size
+    per step.  Checked before anything of the run is allocated."""
+    horizon = _get(cp, "run", "horizon", args.horizon)
+    n_seeds = _get(cp, "run", "seeds")
+    need, have = (49 * n_seeds + 8) * (horizon + 1), _physical_bytes()
+    if need > have:
+        raise ConfigError(f"[run] seeds = {n_seeds} and [run] horizon (or --horizon) = "
+                          f"{horizon} need {need / 2**30:.3g} GiB of records, more than the "
+                          f"{have / 2**30:.3g} GiB of physical memory")
+    return horizon
+
+
 def _constants_for(params, spec, problem, rate, seed):
     lam, b, theta, n_samples = params["lambda"], params["b"], params["theta"], params["samples"]
     if b == "auto":
@@ -340,11 +360,11 @@ def _downsample(curve: np.ndarray, limit: int = 256) -> list:
 
 def cmd_run(args) -> int:
     cp = load_config(args.config)
+    horizon = _record_horizon(cp, args)
     problem = build_problem(cp)
     seed, n_seeds = _seeds(cp, args)
     plan = build_plan(cp, problem.space, seed)
     rate = build_rate(cp)
-    horizon = _get(cp, "run", "horizon", args.horizon)
     # a list rate needs gamma_t for t = 0..T-1; step[T] stays NaN past its end
     if isinstance(rate, ExplicitSchedule) and len(rate.values) < horizon:
         raise ConfigError(f"[rate] values has {len(rate.values)} rates, "

@@ -28,14 +28,17 @@ with NaN.  A row whose record went non-finite inside a part keeps iterating
 to the part's end, and its values are discarded.  When every row is live and
 every retraction succeeded, a step skips the row selects.
 
-The kernels of a step (``sample_gradients``, ``combine_batch``, the norms
-and the retraction) neither broadcast along nor reduce over an axis of fewer
-than 8 entries in arrays of 512 entries or more: they repeat arrays instead,
-and write numpy's own order of summation out as slice adds (see
-:mod:`rsgd.manifolds`).  Each element is therefore computed as one seed at a
-time computes it, and the records equal those of a step-at-a-time loop bit
-for bit; ``tests/reference.py`` keeps the broadcast forms as oracles, and
-``tests/test_kernels.py`` holds every kernel to them.
+The state of a run is coordinate-major ((d, S) memory, its buffers and
+per-outcome arrays (d, k, S) and (d, b, S)) when
+``manifolds.coordinate_major(S, d)``, and row-major otherwise; the choice is
+made once per run and explained in :mod:`rsgd.manifolds`, which owns it.  The
+kernels of a step (``sample_gradients``, ``combine_batch``, the norms and the
+retraction) follow the layout of their inputs, and in either layout they
+neither broadcast along nor reduce over a short axis in a way that changes
+numpy's order of summation.  Each element is therefore computed as one seed
+at a time computes it, and the records equal those of a step-at-a-time loop
+bit for bit; ``tests/reference.py`` keeps the broadcast forms as oracles, and
+``tests/test_kernels.py`` holds every kernel to them in both layouts.
 
 Trajectories record, per iteration: cost, exact gradient norm, step size,
 batch size, batch gradient norm, and the noise inner product
@@ -60,7 +63,7 @@ import numpy as np
 from . import batching
 from .batching import BatchPlan, combine_batch
 from .errors import DegenerateRetraction
-from .manifolds import _spread
+from .manifolds import _empty, _spread, coordinate_major
 from .problems import GradientOracle
 from .schedules import AdaptiveRate, ExplicitSchedule, PowerLawSchedule
 
@@ -189,8 +192,10 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
     seeds = np.asarray(seeds, dtype=np.int64)
     s_count = seeds.size
     d = man.ambient_dim
+    cm = coordinate_major(s_count, d)
 
-    x = np.tile(cfg.x0, (s_count, 1))
+    x = _empty((s_count, d), cm)
+    x[...] = cfg.x0
     nan = np.nan
     F = np.full((s_count, T + 1), nan)
     gn = np.full((s_count, T + 1), nan)
@@ -245,12 +250,16 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
                                   for t in range(t0, t0 + n_steps)])
                 neg_rates = (-rates).tolist()
 
-            # (k, S, b): the outcomes of one step are one contiguous slab
-            block = np.ascontiguousarray(block.swapaxes(0, 1))
+            # (k, S, b): the outcomes of one step are one contiguous slab, in
+            # (b, S) memory when the state is coordinate-major
+            if cm:
+                block = np.ascontiguousarray(block.transpose(1, 2, 0)).swapaxes(1, 2)
+            else:
+                block = np.ascontiguousarray(block.swapaxes(0, 1))
             for j0 in range(0, n_steps, part):
                 n_rec = min(part, n_steps - j0)
-                xs = np.empty((s_count, n_rec, d))
-                hs = np.empty_like(xs)
+                xs = _empty((s_count, n_rec, d), cm)
+                hs = _empty((s_count, n_rec, d), cm)
                 if adaptive:
                     etas = np.empty((s_count, n_rec))
                     bhs = np.empty_like(etas)
@@ -269,7 +278,7 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
                         eta = alpha / np.power(beta + acc, expo)
                         etas[:, k] = eta
                         bhs[:, k] = bh
-                        v = h * _spread(-eta, d)
+                        v = h * _spread(-eta, h)
                     else:
                         v = h * neg_rates[j0 + k]
 

@@ -10,13 +10,36 @@ All operations are pure functions of their inputs and hold no state.
 
 The sums that run once per step go along axes of d or b entries, which are
 often shorter than 8.  numpy adds fewer than 8 terms one after the other,
-starting from 0.0, and 8 or more pairwise in blocks of 8.  On a short axis
-its generic reduction and its broadcasts run one inner loop per few entries,
-so once an array holds ``_MANY`` entries or more, ``_sum`` writes the short
-case out as slice adds in numpy's own order, which gives the same bits in a
-few whole-array operations, and ``_spread`` repeats an array along a short
-last axis instead of broadcasting it there.  Smaller arrays (one seed, say)
-keep the single numpy call, which is the cheaper one there.
+starting from 0.0; 8 or more it adds pairwise in blocks of 8 along an axis
+that is contiguous in memory, and one after the other along any other axis.
+
+This module owns the memory layout of the lockstep state.  A run of S seeds
+in dimension d keeps its (S, d) iterates, and the (S, b, d) arrays its step
+kernels make, *coordinate-major* -- in (d, S) and (d, b, S) memory, the
+coordinate axis outermost -- when ``coordinate_major(S, d)``, that is when
+1 < d < 8 and S >= ``_CM_SEEDS``, and row-major otherwise.  The logical
+shapes are the same in both.  The layout is chosen once per run, from S and
+d alone (never from b, which may change during a run), and every kernel
+reads it from the memory of its input (``_is_cm``):
+
+- coordinate-major: a sum over d or b is one numpy reduction that adds
+  contiguous runs of S entries, and a per-seed scalar broadcasts along the
+  outermost axis at no cost.  From ``_CM_SEEDS`` seeds on this is the faster
+  layout;
+- row-major: numpy's reduction and its broadcasts along a short last axis run
+  one inner loop per few entries, so once an array holds ``_MANY`` entries or
+  more, ``_sum`` writes the short case out as slice adds in numpy's own order,
+  and ``_spread`` repeats a per-seed scalar instead of broadcasting it.
+
+Results never depend on the layout: elementwise arithmetic does not see
+memory order, a sum of fewer than 8 terms is sequential in every layout, and
+``_sum`` adds 8 or more terms as a row-major array would.  (The one
+exception is the NaN that an addition of two NaNs of different bits
+returns, which numpy leaves to its inner loop; arithmetic on finite numbers
+makes NaNs of one pattern only.)  From d = 8 on the
+state stays row-major: there numpy sums each row of a row-major array
+pairwise, and a sum over the outermost axis of a coordinate-major one would
+be sequential, with other bits.  At d = 1 the two layouts of (S, d) coincide.
 """
 
 from __future__ import annotations
@@ -26,16 +49,44 @@ import numpy as np
 from .errors import DegenerateRetraction
 
 DEGENERACY_EPS = 1e-12
-# an axis shorter than _SHORT is summed by slice adds and repeated, not
-# broadcast, in arrays of at least _MANY entries
+# in row-major memory, an axis shorter than _SHORT is summed by slice adds,
+# and repeated rather than broadcast, in arrays of at least _MANY entries
 _SHORT = 8
 _MANY = 512
+# seeds from which a lockstep run of 1 < d < _SHORT goes coordinate-major
+_CM_SEEDS = 8
+
+
+def coordinate_major(n_seeds: int, d: int) -> bool:
+    """Whether a lockstep run of n_seeds seeds in dimension d keeps its state
+    coordinate-major (see the module docstring)."""
+    return 1 < d < _SHORT and n_seeds >= _CM_SEEDS
+
+
+def _is_cm(a) -> bool:
+    """Whether an array is in coordinate-major memory: Fortran order and not
+    also C order, as an array with one row or one coordinate is."""
+    return np.isfortran(a)
+
+
+def _empty(shape, cm: bool):
+    """An uninitialised float array, coordinate-major when cm."""
+    return np.empty(shape[::-1]).T if cm else np.empty(shape)
 
 
 def _sum(a, axis=-1):
-    """``np.add.reduce(a, axis)`` bit for bit, for axis -1 or -2."""
+    """``np.add.reduce(a, axis)`` of a row-major copy of a, bit for bit, for
+    axis -1 or -2."""
     n = a.shape[axis]
-    if n >= _SHORT or n == 0 or a.size < _MANY:
+    if n >= _SHORT and not a.flags.c_contiguous:
+        # numpy adds 8 or more terms pairwise along the axis contiguous in
+        # memory and one by one along any other: a coordinate-major array
+        # sums them as a row-major one does only when the summed axis is
+        # neither its first nor its last non-unit axis
+        after = 1 if axis == -1 else a.shape[-1]
+        if after == 1 or a.size == n * after or not _is_cm(a):
+            a = np.ascontiguousarray(a)
+    if n >= _SHORT or n == 0 or a.size < _MANY or _is_cm(a):
         return np.add.reduce(a, axis=axis)
     if axis != -1:
         a = a.swapaxes(axis, -1)
@@ -49,11 +100,12 @@ def _sum(a, axis=-1):
     return out
 
 
-def _spread(a, d, size=None):
-    """a (...) against a last axis of d entries, in an operation on ``size``
-    entries (a.size * d by default): repeated to (..., d) when d is short and
-    the operation large, the broadcast view (..., 1) otherwise."""
-    if d < _SHORT and (a.size * d if size is None else size) >= _MANY:
+def _spread(a, like):
+    """a (...) against the last axis of ``like`` (..., d): repeated to
+    (..., d) when like is row-major and large and d short, the broadcast view
+    (..., 1) otherwise."""
+    d = like.shape[-1]
+    if d < _SHORT and like.size >= _MANY and not _is_cm(like):
         return a[..., None].repeat(d, axis=-1)
     return a[..., None]
 
@@ -164,7 +216,7 @@ class Sphere(Manifold):
         ok = n > DEGENERACY_EPS
         if not np.logical_and.reduce(ok, axis=None):
             n = np.where(ok, n, 1.0)
-        out = y / _spread(n, y.shape[-1])
+        out = y / _spread(n, y)
         # R_x(0) = x exactly: renormalization must not move a fixed point;
         # only a step with a zero entry can be a zero step
         v = np.asarray(v)

@@ -15,10 +15,12 @@ construction, to a few weighted moments; the exact cost and gradient that the
 driver records at every step then cost O(d^2) per point instead of O(N d).
 Those records are sums along fixed axes without BLAS, so a point's value does
 not depend on how many points are evaluated with it.  The per-outcome
-gradients H(x, l) still read the data rows; on many rows they repeat x along
-a batch axis shorter than 8 instead of broadcasting it, and they sum along d
-the way :mod:`rsgd.manifolds` does, so their bits do not depend on the shapes
-either.
+gradients H(x, l) still read the data rows; they sum along d the way
+:mod:`rsgd.manifolds` does, so their bits depend neither on the shapes nor on
+the memory layout.  For points in coordinate-major memory (see
+:mod:`rsgd.manifolds`) they gather from a (d, N) copy of the data, made on
+the first such call, and repeat x along the batch axis; in row-major memory
+they repeat x along a batch axis shorter than 8 only on many rows.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import UnboundedRegion
-from .manifolds import _MANY, _SHORT, Euclidean, Manifold, Sphere, _dot, _spread, _sum
+from .manifolds import _MANY, _SHORT, Euclidean, Manifold, Sphere, _dot, _is_cm, _spread, _sum
 
 
 @dataclass(frozen=True)
@@ -106,13 +109,25 @@ def _gather(a, idx):
     return a.take(idx, axis=0) if a.flags.c_contiguous else a[idx]
 
 
+def _gather_cm(a_t, idx):
+    """a[idx] along the first axis of a, in coordinate-major memory, from
+    a_t = a.T: (d, N) for rows of d coordinates, (N,) for scalars."""
+    return a_t.take(idx.T, axis=-1).T
+
+
 def _rows(x, b):
-    """x (..., d) against a batch of b outcomes: repeated to (..., b, d) when
-    b is short and that makes at least _MANY entries, the broadcast view
-    (..., 1, d) otherwise."""
+    """x (..., d) against a batch of b outcomes: repeated to (..., b, d), in
+    the layout of x, when b > 1 and x is coordinate-major, or when b is short
+    and that makes at least _MANY entries; the broadcast view (..., 1, d)
+    otherwise."""
+    xb = x[..., None, :]
+    if b > 1 and _is_cm(x):
+        # a broadcast along the batch axis, between d and the seeds in
+        # memory, would cost each operation one inner loop per (j, i)
+        return xb.T.repeat(b, axis=1).T
     if b < _SHORT and x.size * b >= _MANY:
-        return x[..., None, :].repeat(b, axis=-2)
-    return x[..., None, :]
+        return xb.repeat(b, axis=-2)
+    return xb
 
 
 class SphereMeanProblem(GradientOracle):
@@ -138,6 +153,11 @@ class SphereMeanProblem(GradientOracle):
         self.target_mean = (self.space.weights[:, None] * a).sum(axis=0)
         self._sq_mean = float((self.space.weights * (a * a).sum(axis=1)).sum())
 
+    @cached_property
+    def _targets_t(self):
+        # (d, N): the gather of coordinate-major steps, built on the first one
+        return np.ascontiguousarray(self.targets.T)
+
     def cost(self, x):
         x = np.asarray(x, dtype=float)
         return 0.5 * (_dot(x, x) - 2.0 * _dot(x, self.target_mean) + self._sq_mean)
@@ -150,8 +170,11 @@ class SphereMeanProblem(GradientOracle):
         x = np.asarray(x, dtype=float)
         idx = np.asarray(idx)
         xb = _rows(x, idx.shape[-1])
-        diff = xb - _gather(self.targets, idx)
-        return diff - _spread(_sum(diff * xb), x.shape[-1]) * xb
+        if _is_cm(x):
+            diff = xb - _gather_cm(self._targets_t, idx)
+        else:
+            diff = xb - _gather(self.targets, idx)
+        return diff - _spread(_sum(diff * xb), diff) * xb
 
     def gradient_bound(self, rho1: float | None = None) -> float:
         # ||proj_x(x - a_l)|| <= ||x|| + ||a_l|| <= 1 + max ||a_l||; pad to the
@@ -211,6 +234,11 @@ class RegularizedLeastSquaresProblem(GradientOracle):
         self._cross = np.einsum("ni,n->i", wa, y)
         self._sq_labels = float((self.space.weights * y * y).sum())
 
+    @cached_property
+    def _features_t(self):
+        # (d, N): the gather of coordinate-major steps, built on the first one
+        return np.ascontiguousarray(self.features.T)
+
     def cost(self, x):
         x = np.asarray(x, dtype=float)
         quad = _dot(x, _sum(x[..., None, :] * self._gram))
@@ -224,10 +252,13 @@ class RegularizedLeastSquaresProblem(GradientOracle):
     def sample_gradients(self, x, idx):
         x = np.asarray(x, dtype=float)
         idx = np.asarray(idx)
-        av = _gather(self.features, idx)
+        if _is_cm(x):
+            av, y = _gather_cm(self._features_t, idx), _gather_cm(self.labels, idx)
+        else:
+            av, y = _gather(self.features, idx), _gather(self.labels, idx)
         xb = _rows(x, idx.shape[-1])
-        r = _sum(xb * av) - _gather(self.labels, idx)
-        return _spread(r, x.shape[-1]) * av + self.tau * xb
+        r = _sum(xb * av) - y
+        return _spread(r, av) * av + self.tau * xb
 
     def rho0_for_norm_squared(self) -> float:
         """Threshold max_l y_l^2 / (4 tau) above which <2x, H(x, l)> >= 0."""

@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from rsgd import cli
 from rsgd import confinement as conf
 from rsgd.cli import CONFIG_KEYS, _parse_strata, build_plan, load_config, main
 from rsgd.problems import FiniteSampleSpace
@@ -412,6 +413,9 @@ class TestRunInputs:
          "[run] seed"),
         ([("seeds = 3", "seeds = 2")], ["run", "--seed", "9223372036854775807"], "[run] seed"),
         ([("batch_size = 2", "batch_growth = 1:nan")], ["run"], "[plan] batch_growth"),
+        # numpy refuses these sizes without allocating; nothing larger is run
+        ([], ["run", "--horizon", "100000000000000000000"], "[run] horizon"),
+        ([("seeds = 3", "seeds = 100000000000000000000")], ["run"], "[run] seeds"),
     ], ids=["seeds-zero", "seeds-negative", "horizon-negative", "x0-off-sphere",
             "list-rate-too-short", "sphere-dimension-1", "check-sphere-dimension-1",
             "least-squares-dimension-0", "n-outcomes-zero", "data-seed-negative",
@@ -421,7 +425,7 @@ class TestRunInputs:
             "check-rho0-nan", "p-nan", "check-p-nan", "check-seed-negative",
             "check-seed-flag-negative", "confined-seed-negative", "confined-seed-flag-negative",
             "seed-past-int64", "seed-flag-past-int64", "seed-wraps", "seed-flag-wraps",
-            "batch-growth-nan"])
+            "batch-growth-nan", "horizon-flag-past-memory", "seeds-past-memory"])
     def test_exit_2(self, sphere_config, capsys, edits, argv, key):
         cfg, out = sphere_config
         bad_csv = cfg.parent / "bad.csv"
@@ -434,6 +438,18 @@ class TestRunInputs:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert not out.exists()
+
+    def test_records_bounded_by_physical_memory(self, sphere_config, capsys, monkeypatch):
+        # 3 seeds x 201 steps of six float64 columns, a bool one and the sizes
+        cfg, out = sphere_config
+        need = (49 * 3 + 8) * 201
+        monkeypatch.setattr(cli, "_physical_bytes", lambda: need - 1)
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [run] seeds = 3 and [run] horizon")
+        assert not out.exists()
+        monkeypatch.setattr(cli, "_physical_bytes", lambda: need)
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 0
 
     def test_list_rate_covering_the_horizon_runs(self, sphere_config):
         cfg, out = sphere_config

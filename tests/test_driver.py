@@ -28,7 +28,7 @@ from rsgd import (
 )
 from rsgd import batching, driver
 from rsgd.driver import _run_block
-from rsgd.manifolds import Sphere
+from rsgd.manifolds import _CM_SEEDS, Sphere, coordinate_major
 
 from reference import (
     AdaptiveState,
@@ -697,3 +697,111 @@ def test_batch_equals_single_property(scheme, rate, kind, d, n_seeds, offset, wo
     _assert_bitwise(batch, alone)
     for row, single in zip(batch, alone):
         assert row.iterates.tobytes() == single.iterates.tobytes()
+
+
+def _layout_plan(scheme, space, b):
+    """A plan of batch size b, or of sizes 1, 2, 4, 8, 9, 9, ... for b =
+    "geometric" (segment and no-repetition only)."""
+    if scheme == "stratified":
+        n = space.size
+        strata = [range(n)] if b == 1 else [range(n // 2), range(n // 2, n)]
+        return StratifiedPlan(space, strata, (1,) if b == 1 else (b // 2, b - b // 2))
+    sizes = BatchSizes.geometric(1, 2.0, cap=9) if b == "geometric" else BatchSizes.constant(b)
+    return (SegmentPlan if scheme == "segment" else SubsetPlan)(space, sizes)
+
+
+def _trap(problem, point, kind):
+    """Make ``problem`` fail at the iterate ``point``: its cost is infinite
+    there ("record"), or its retraction from there degenerates or returns
+    inf.  Every seed that reaches the point fails there, in a batch or alone."""
+    at = lambda x: np.logical_and.reduce(x == point, axis=-1)
+    if kind == "record":
+        cost = type(problem).cost
+        problem.cost = lambda x: np.where(at(x), np.inf, cost(problem, x))
+        return
+
+    class Trapped(type(problem.manifold)):
+        def retract_flagged(self, x, v):
+            y, ok = super().retract_flagged(x, v)
+            if kind == "degenerate":
+                return y, ok & ~at(x)
+            return np.where(at(x)[..., None], np.inf, y), ok
+
+    problem.manifold = Trapped(problem.manifold.ambient_dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
+       rate=st.sampled_from(sorted(RATES)), kind=st.sampled_from(["sphere", "least_squares"]),
+       n_seeds=st.sampled_from([1, _CM_SEEDS - 1, _CM_SEEDS, 100]),
+       d=st.sampled_from([2, 4, 7, 8, 9]), b=st.sampled_from([1, 4, 9, "geometric"]),
+       fault=st.sampled_from([None, "record", "degenerate", "nonfinite"]),
+       words=st.sampled_from([None, 7, 300]), horizon=st.integers(4, 12), data=st.data())
+def test_batch_equals_stepwise_and_alone_in_both_layouts(scheme, rate, kind, n_seeds, d, b,
+                                                         fault, words, horizon, data):
+    # the seed counts lie on both sides of the layout crossover and d on both
+    # sides of 8, geometric sizes carry S * b * d past the size at which the
+    # row-major kernels switch to slice adds, and a trapped row retires
+    # inside a record part (or at its edge, for short parts)
+    if scheme == "stratified" and b == "geometric":
+        b = 9
+    if kind == "sphere":
+        p = random_sphere_mean(d, 12, seed=d)
+        x0 = p.manifold.random_point(np.random.default_rng(d))
+    else:
+        p = random_least_squares(d, 12, seed=d, tau=0.2)
+        x0 = np.linspace(-1.0, 1.0, d)
+    cfg = RunConfig(oracle=p, plan=_layout_plan(scheme, p.space, b), rate=RATES[rate], x0=x0,
+                    horizon=horizon, seed=7, store_iterates=True,
+                    rho=None if kind == "sphere" else (lambda x: (x * x).sum(axis=-1)))
+    seeds = 7 + np.arange(n_seeds)
+    patch = mock.patch.object(batching, "_BLOCK_WORDS", words or batching._BLOCK_WORDS)
+    if fault is not None:
+        row, t = data.draw(st.integers(0, n_seeds - 1)), data.draw(st.integers(1, horizon - 1))
+        with patch:
+            point = _run_block(cfg, seeds)[row].iterates[t].copy()
+        _trap(p, point, fault)
+    with patch:
+        batch = _run_block(cfg, seeds)
+        alone = [_run_block(cfg, seeds[i : i + 1])[0] for i in range(n_seeds)]
+    _assert_bitwise(batch, stepwise_run(cfg, seeds))
+    _assert_bitwise(batch, alone)
+    for tr, single in zip(batch, alone):
+        assert tr.iterates.tobytes() == single.iterates.tobytes()
+    if fault is not None:
+        assert batch[row].status == ("degenerate" if fault == "degenerate" else "nonfinite")
+
+
+@pytest.mark.parametrize("workload, n_seeds, d, cm", [
+    ("sphere_lockstep", 100, 4, True),
+    ("sphere_lockstep, geometric single-seed run", 1, 4, False),
+    ("cli_session", 32, 4, True),
+    ("lsq_large_n", 4, 8, False),
+])
+def test_layout_of_each_benchmark_workload(workload, n_seeds, d, cm):
+    assert coordinate_major(n_seeds, d) is cm
+
+
+class _LayoutSpy(SphereMeanProblem):
+    """Records whether each step's iterates arrive coordinate-major."""
+
+    def sample_gradients(self, x, idx):
+        self.seen.append(np.isfortran(x))
+        return super().sample_gradients(x, idx)
+
+
+@pytest.mark.parametrize("n_seeds, d", [(100, 4), (_CM_SEEDS, 2), (_CM_SEEDS - 1, 4),
+                                        (100, 8), (1, 4)])
+def test_layout_is_kept_for_the_whole_run(n_seeds, d):
+    # geometric sizes change b during the run, and row 0 retires at step 5
+    p = _LayoutSpy(random_sphere_mean(d, 12, seed=3).targets)
+    p.seen = []
+    x0 = p.manifold.random_point(np.random.default_rng(3))
+    cfg = RunConfig(oracle=p, plan=_layout_plan("segment", p.space, "geometric"),
+                    rate=RATES["power"], x0=x0, horizon=40, seed=0, store_iterates=True)
+    point = _run_block(cfg, np.arange(n_seeds))[0].iterates[5].copy()
+    _trap(p, point, "nonfinite")
+    p.seen = []
+    out = _run_block(cfg, np.arange(n_seeds))
+    assert out[0].abort_t == 5
+    assert p.seen == [coordinate_major(n_seeds, d)] * 40
