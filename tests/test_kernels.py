@@ -32,7 +32,8 @@ from reference import (
 
 SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e300])
 # the one NaN that the arithmetic itself makes (inf * 0), on this platform
-MADE_NAN = (np.array([np.inf]) * 0.0)[0]
+with np.errstate(invalid="ignore"):
+    MADE_NAN = (np.array([np.inf]) * 0.0)[0]
 
 
 def _values(rng, shape, special, cm=False):
@@ -62,8 +63,9 @@ def _quiet():
         yield
 
 
-# the kernels' inputs as given (row-major), or in coordinate-major memory
-LAYOUTS = pytest.mark.parametrize("cm", [False, True], ids=["row-major", "coordinate-major"])
+# each test feeds the kernels their inputs as given (row-major) and again in
+# coordinate-major memory
+LAYOUTS = (False, True)
 
 
 def _laid(a, cm):
@@ -87,94 +89,94 @@ def cases(draw, least_d=1):
             draw(st.sampled_from([0.0, 0.05, 0.3])))
 
 
-@LAYOUTS
 @settings(max_examples=100, deadline=None)
 @given(case=cases(least_d=2), x_lead=st.booleans())
-def test_sphere_sample_gradients(cm, case, x_lead):
+def test_sphere_sample_gradients(case, x_lead):
     rng, lead, d, b, special = case
-    p = SphereMeanProblem(_values(rng, (9, d), special, cm))
-    # x either has the batch's leading shape or none (one point for all rows)
-    x = _values(rng, lead + (d,) if x_lead else (d,), special, cm)
-    idx = rng.integers(0, 9, size=lead + (b,))
-    _same(p.sample_gradients(_laid(x, cm), _laid(idx, cm)),
-          broadcast_sample_gradients(p, x, idx))
+    for cm in LAYOUTS:
+        p = SphereMeanProblem(_values(rng, (9, d), special, cm))
+        # x either has the batch's leading shape or none (one point for all rows)
+        x = _values(rng, lead + (d,) if x_lead else (d,), special, cm)
+        idx = rng.integers(0, 9, size=lead + (b,))
+        _same(p.sample_gradients(_laid(x, cm), _laid(idx, cm)),
+              broadcast_sample_gradients(p, x, idx))
 
 
-@LAYOUTS
 @settings(max_examples=100, deadline=None)
 @given(case=cases(), x_lead=st.booleans())
-def test_least_squares_sample_gradients(cm, case, x_lead):
+def test_least_squares_sample_gradients(case, x_lead):
     rng, lead, d, b, special = case
-    # features and labels as columns of one table, as the CSV loader leaves them
-    rows = _values(rng, (9, d + 1), special, cm)
-    p = RegularizedLeastSquaresProblem(rows[:, :-1], rows[:, -1], tau=0.3)
-    x = _values(rng, lead + (d,) if x_lead else (d,), special, cm)
-    idx = rng.integers(0, 9, size=lead + (b,))
-    _same(p.sample_gradients(_laid(x, cm), _laid(idx, cm)),
-          broadcast_sample_gradients(p, x, idx))
+    for cm in LAYOUTS:
+        # features and labels as columns of one table, as the CSV loader leaves them
+        rows = _values(rng, (9, d + 1), special, cm)
+        p = RegularizedLeastSquaresProblem(rows[:, :-1], rows[:, -1], tau=0.3)
+        x = _values(rng, lead + (d,) if x_lead else (d,), special, cm)
+        idx = rng.integers(0, 9, size=lead + (b,))
+        _same(p.sample_gradients(_laid(x, cm), _laid(idx, cm)),
+              broadcast_sample_gradients(p, x, idx))
 
 
-@LAYOUTS
 @settings(max_examples=100, deadline=None)
 @given(case=cases(least_d=2))
-def test_sphere_cost(cm, case):
+def test_sphere_cost(case):
     rng, lead, d, _, special = case
-    p = SphereMeanProblem(_values(rng, (9, d), special, cm))
-    x = _values(rng, lead + (d,), special, cm)
-    _same(p.cost(_laid(x, cm)), sum_cost(p, x))
+    for cm in LAYOUTS:
+        p = SphereMeanProblem(_values(rng, (9, d), special, cm))
+        x = _values(rng, lead + (d,), special, cm)
+        _same(p.cost(_laid(x, cm)), sum_cost(p, x))
 
 
-@LAYOUTS
 @settings(max_examples=100, deadline=None)
 @given(case=cases())
-def test_least_squares_record(cm, case):
+def test_least_squares_record(case):
     rng, lead, d, _, special = case
-    rows = _values(rng, (9, d + 1), special, cm)
-    p = RegularizedLeastSquaresProblem(rows[:, :-1], rows[:, -1], tau=0.3)
-    x = _values(rng, lead + (d,), special, cm)
-    _same(p.cost(_laid(x, cm)), sum_cost(p, x))
-    _same(p.full_gradient(_laid(x, cm)), sum_full_gradient(p, x))
+    for cm in LAYOUTS:
+        rows = _values(rng, (9, d + 1), special, cm)
+        p = RegularizedLeastSquaresProblem(rows[:, :-1], rows[:, -1], tau=0.3)
+        x = _values(rng, lead + (d,), special, cm)
+        _same(p.cost(_laid(x, cm)), sum_cost(p, x))
+        _same(p.full_gradient(_laid(x, cm)), sum_full_gradient(p, x))
 
 
-@LAYOUTS
 @settings(max_examples=100, deadline=None)
 @given(case=cases(), uniform=st.booleans())
-def test_combine_batch(cm, case, uniform):
+def test_combine_batch(case, uniform):
     rng, lead, d, b, special = case
-    grads = _values(rng, lead + (b, d), special, cm)
-    w = np.full(b, 1.0 / b) if uniform else rng.uniform(0.1, 1.0, size=b)
-    if not uniform:
-        w /= w.sum()
-    equal = bool(np.all(w == w[0]))
-    _same(combine_batch(w, _laid(grads, cm), equal), mean_combine(w, grads, equal))
+    for cm in LAYOUTS:
+        grads = _values(rng, lead + (b, d), special, cm)
+        w = np.full(b, 1.0 / b) if uniform else rng.uniform(0.1, 1.0, size=b)
+        if not uniform:
+            w /= w.sum()
+        equal = bool(np.all(w == w[0]))
+        _same(combine_batch(w, _laid(grads, cm), equal), mean_combine(w, grads, equal))
 
 
-@LAYOUTS
 @settings(max_examples=100, deadline=None)
 @given(case=cases())
-def test_dot(cm, case):
+def test_dot(case):
     rng, lead, d, _, special = case
-    u, v = _values(rng, lead + (d,), special, cm), _values(rng, lead + (d,), special, cm)
-    _same(_dot(_laid(u, cm), _laid(v, cm)), sum_dot(u, v))
-    _same(_dot(_laid(u, cm), _laid(u, cm)), sum_dot(u, u))
+    for cm in LAYOUTS:
+        u, v = _values(rng, lead + (d,), special, cm), _values(rng, lead + (d,), special, cm)
+        _same(_dot(_laid(u, cm), _laid(v, cm)), sum_dot(u, v))
+        _same(_dot(_laid(u, cm), _laid(u, cm)), sum_dot(u, u))
 
 
-@LAYOUTS
 @settings(max_examples=100, deadline=None)
 @given(case=cases(), zero_rows=st.sampled_from([0.0, 0.2, 1.0]),
        degenerate_rows=st.sampled_from([0.0, 0.2]))
-def test_retract_flagged(cm, case, zero_rows, degenerate_rows):
+def test_retract_flagged(case, zero_rows, degenerate_rows):
     rng, lead, d, _, special = case
-    x = _values(rng, lead + (d,), special, cm)
-    v = _values(rng, lead + (d,), special, cm)
-    # zero steps, all +0.0 or all -0.0, and steps that cancel x
-    v[rng.uniform(size=lead) < zero_rows] = rng.choice([0.0, -0.0])
-    cancel = rng.uniform(size=lead) < degenerate_rows
-    v[cancel] = -x[cancel]
-    if cm:
-        v[np.isnan(v)] = MADE_NAN  # -x flipped the sign of x's NaNs
-    for man in ([Sphere(d)] if d >= 2 else []) + [Euclidean(d)]:
-        y, ok = man.retract_flagged(_laid(x, cm), _laid(v, cm))
-        want_y, want_ok = broadcast_retract_flagged(man, x, v)
-        _same(y, want_y)
-        _same(ok, want_ok)
+    for cm in LAYOUTS:
+        x = _values(rng, lead + (d,), special, cm)
+        v = _values(rng, lead + (d,), special, cm)
+        # zero steps, all +0.0 or all -0.0, and steps that cancel x
+        v[rng.uniform(size=lead) < zero_rows] = rng.choice([0.0, -0.0])
+        cancel = rng.uniform(size=lead) < degenerate_rows
+        v[cancel] = -x[cancel]
+        if cm:
+            v[np.isnan(v)] = MADE_NAN  # -x flipped the sign of x's NaNs
+        for man in ([Sphere(d)] if d >= 2 else []) + [Euclidean(d)]:
+            y, ok = man.retract_flagged(_laid(x, cm), _laid(v, cm))
+            want_y, want_ok = broadcast_retract_flagged(man, x, v)
+            _same(y, want_y)
+            _same(ok, want_ok)
