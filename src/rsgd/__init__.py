@@ -10,7 +10,6 @@ from .batching import (
     StratifiedPlan,
     SubsetPlan,
     enumerate_expectation,
-    make_plan,
     variance_report,
 )
 from .confinement import (

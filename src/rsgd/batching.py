@@ -14,7 +14,13 @@ Three schemes produce the averaged stochastic gradient used at each step:
 
 Every scheme knows its own outcome space, so its expectation and variance at
 a step can be computed exactly by exhaustive enumeration; this is how the
-unbiasedness of each scheme is certified in tests.
+unbiasedness of each scheme is certified (``rsgd check unbiasedness``).  The
+segment and stratified batches have independent positions: ``positions(t)``
+gives each position's outcomes and conditional probabilities, and
+``BatchPlan`` derives from it the one enumerator of both (``outcome_count``
+and ``iter_outcome_chunks``, a mixed-radix count over the positions).  A
+subset batch's positions are not independent, so ``SubsetPlan`` enumerates
+its subsets with ``itertools.combinations``.
 
 Draws are pure functions of (seed, t): see :mod:`rsgd.rng`.  Nothing depends
 on the order in which steps are drawn, so ``draw_blocks`` draws many steps in
@@ -28,6 +34,7 @@ layout (batch size, stratified override) changes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -139,14 +146,37 @@ class BatchPlan:
             yield start, end
             start = end
 
+    def positions(self, t: int):
+        """Per batch position at step t, (outcomes, conditional probabilities):
+        the positions draw independently, so a batch's probability is the
+        product of its entries' probabilities at their positions."""
+        raise NotImplementedError
+
     def outcome_count(self, t: int) -> int:
         """Exact size of the scheme's outcome space at step t (Python int)."""
-        raise NotImplementedError
+        # one power per distinct radix: a product of b factors one at a time
+        # costs O(b^2) digit operations, seconds at b = 1e5
+        radices = Counter(int(members.size) for members, _ in self.positions(t))
+        return math.prod(n**c for n, c in radices.items())
 
     def iter_outcome_chunks(self, t: int):
         """Yield (indices (c, B), probabilities (c,)) covering the outcome space,
-        at most _ENUM_CHUNK outcomes per chunk."""
-        raise NotImplementedError
+        at most _ENUM_CHUNK outcomes per chunk: batch k is k written in the
+        mixed radix of the positions' outcome counts, the last position's
+        digit lowest."""
+        positions = self.positions(t)
+        total = self.outcome_count(t)
+        for start in range(0, total, _ENUM_CHUNK):
+            rem = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
+            idx = np.empty((rem.size, len(positions)), dtype=np.int64)
+            prob = np.ones(rem.size)
+            digit = np.empty_like(rem)  # divided in place: fresh arrays per position add RSS
+            for pos in range(len(positions) - 1, -1, -1):
+                members, cond = positions[pos]
+                np.divmod(rem, members.size, out=(rem, digit))
+                idx[:, pos] = members[digit]
+                prob *= cond[digit]
+            yield idx, prob
 
 
 class SegmentPlan(BatchPlan):
@@ -200,21 +230,8 @@ class SegmentPlan(BatchPlan):
                 idx = crng.weighted_indices(keys, slots, self.space.cumulative)
             yield t, idx.reshape(keys.size, end - t, -1)
 
-    def outcome_count(self, t: int) -> int:
-        return int(self.space.size) ** self.batch_size(t)
-
-    def iter_outcome_chunks(self, t: int):
-        n, b = self.space.size, self.batch_size(t)
-        w = self.space.weights
-        total = n**b
-        for start in range(0, total, _ENUM_CHUNK):
-            k = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-            idx = np.empty((k.size, b), dtype=np.int64)
-            rem = k
-            for pos in range(b - 1, -1, -1):
-                idx[:, pos] = rem % n
-                rem = rem // n
-            yield idx, np.prod(w[idx], axis=1)
+    def positions(self, t: int):
+        return [(np.arange(self.space.size), self.space.weights)] * self.batch_size(t)
 
 
 class SubsetPlan(BatchPlan):
@@ -335,35 +352,10 @@ class StratifiedPlan(BatchPlan):
                 offset += c
             yield t, np.concatenate(cols, axis=1).reshape(s_count, end - t, -1)
 
-    def outcome_count(self, t: int) -> int:
-        _, counts, members, _ = self._layout(t)
-        total = 1
-        for m, c in zip(members, counts):
-            total *= int(m.size) ** c
-        return total
-
-    def iter_outcome_chunks(self, t: int):
+    def positions(self, t: int):
         _, counts, members, mu = self._layout(t)
-        pos_members, pos_cond = [], []
-        for m, muj, c in zip(members, mu, counts):
-            cond = self.space.weights[m] / muj
-            for _ in range(c):
-                pos_members.append(m)
-                pos_cond.append(cond)
-        radices = [m.size for m in pos_members]
-        total = self.outcome_count(t)
-        b = len(pos_members)
-        for start in range(0, total, _ENUM_CHUNK):
-            k = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-            idx = np.empty((k.size, b), dtype=np.int64)
-            prob = np.ones(k.size)
-            rem = k
-            for pos in range(b - 1, -1, -1):
-                digit = rem % radices[pos]
-                rem = rem // radices[pos]
-                idx[:, pos] = pos_members[pos][digit]
-                prob *= pos_cond[pos][digit]
-            yield idx, prob
+        return [(m, self.space.weights[m] / muj)
+                for m, muj, c in zip(members, mu, counts) for _ in range(c)]
 
 
 def _partial_shuffle(keys: np.ndarray, n: int, b: int) -> np.ndarray:
@@ -480,17 +472,3 @@ def variance_report(oracle: GradientOracle, x, plan: BatchPlan, t: int = 0) -> f
         dev = vecs - g
         acc += float((prob * (dev * dev).sum(axis=1)).sum())
     return acc
-
-
-def make_plan(scheme: str, space: FiniteSampleSpace, *, sizes: BatchSizes | None = None,
-              strata=None, counts=None, overrides: dict | None = None) -> BatchPlan:
-    """Factory used by the config front end."""
-    if scheme == "segment":
-        return SegmentPlan(space, sizes or BatchSizes.constant(1))
-    if scheme == "no_repetition":
-        return SubsetPlan(space, sizes or BatchSizes.constant(1))
-    if scheme == "stratified":
-        if strata is None or counts is None:
-            raise InvalidPlan("stratified plan needs strata and per-stratum counts")
-        return StratifiedPlan(space, strata, counts, overrides)
-    raise InvalidPlan(f"unknown scheme {scheme!r}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import confinement as conf
 from . import diagnostics as diag
-from .batching import BatchSizes, enumerate_expectation, make_plan
+from .batching import BatchSizes, SegmentPlan, StratifiedPlan, SubsetPlan, enumerate_expectation
 from .driver import RunConfig, read_trajectory_csv, run_many
 from .errors import (
     ConfigError,
@@ -51,11 +52,51 @@ from .schedules import AdaptiveRate, ExplicitSchedule, PowerLawSchedule, validat
 CHECK_NAMES = ("unbiasedness", "schedule", "gradient", "lipschitz",
                "confinement", "kappa_confinement")
 
+
+def _ints(raw: str):
+    return tuple(int(v) for v in raw.split(","))
+
+
+def _floats(raw: str):
+    return tuple(float(v) for v in raw.split(","))
+
+
+def _growth(raw: str):
+    base, factor = raw.split(":")
+    return int(base), float(factor)
+
+
+def _parse_strata(text: str):
+    """Strata separated by ";", each a comma list of indices and ranges a-b."""
+    groups = []
+    for grp in text.split(";"):
+        members = []
+        for token in grp.split(","):
+            token = token.strip()
+            if "-" in token:
+                a, b = token.split("-", 1)
+                members.extend(range(int(a), int(b) + 1))
+            elif token:
+                members.append(int(token))
+        if members:
+            groups.append(tuple(members))
+    if not groups:
+        raise ValueError("no stratum")
+    return tuple(groups)
+
+
+# what each type accepts, for the error that names a key
+_WANT = {bool: "true or false", int: "an integer", float: "a number",
+         _ints: "a comma list of integers", _floats: "a comma list of numbers",
+         _growth: "base:factor, an integer and a number",
+         _parse_strata: "groups of indices and ranges a-b separated by ';'"}
+
 # section -> key -> (type, default, bound), each key declared once.  type is
-# int, float (finite by rule), bool, str (kept raw, parsed where it is read)
-# or a tuple of the allowed words.  An absent key takes its default, or is a
-# config error where it is read if that is _REQUIRED; a default of "auto" also
-# accepts that word.  bound is "> x" or ">= x".
+# int, float, bool, str (kept raw), a tuple of the allowed words, or one of
+# the parsers above, whose bound holds for each entry (a stratum is a tuple of
+# ints, unbounded); every number must be finite.  An absent key takes its
+# default, or is a config error where it is read if that is _REQUIRED; a
+# default of "auto" also accepts that word.  bound is "> x" or ">= x".
 _REQUIRED = object()
 CONFIG_KEYS = {
     "problem": {
@@ -70,16 +111,16 @@ CONFIG_KEYS = {
     "plan": {
         "scheme": (("segment", "no_repetition", "stratified"), _REQUIRED, None),
         "batch_size": (int, 1, ">= 1"),
-        "batch_growth": (str, None, None),
-        "batch_sizes": (str, None, None),
-        "strata": (str, _REQUIRED, None),
-        "per_stratum_counts": (str, _REQUIRED, None),
+        "batch_growth": (_growth, None, ">= 1"),
+        "batch_sizes": (_ints, None, ">= 1"),
+        "strata": (_parse_strata, _REQUIRED, None),
+        "per_stratum_counts": (_ints, _REQUIRED, ">= 1"),
     },
     "rate": {
         "kind": (("power", "list", "adaptive"), _REQUIRED, None),
         "c": (float, _REQUIRED, None),
         "p": (float, _REQUIRED, None),
-        "values": (str, _REQUIRED, None),
+        "values": (_floats, _REQUIRED, "> 0"),
         # the adaptive rule's hyperparameters, checked together by AdaptiveRate
         "alpha": (float, 0.5, None), "beta": (float, 1.0, None), "epsilon": (float, 0.25, None),
     },
@@ -99,9 +140,10 @@ CONFIG_KEYS = {
         "seeds": (int, 1, ">= 1"),
         "seed": (int, 0, ">= 0"),  # and <= 2**63 - seeds: _seeds
         "out": (str, "runs", None),
-        "x0": (str, "auto", None),
+        "x0": (_floats, "auto", None),
     },
 }
+_SIZE_KEYS = ("batch_size", "batch_growth", "batch_sizes")  # one of them at most
 
 
 def _jsonable(obj):
@@ -141,6 +183,9 @@ def load_config(path) -> configparser.ConfigParser:
                 raise ConfigError(f"{p}: unknown key [{section}] {key}")
             # every given value is checked, also one its run does not read
             _get(cp, section, key)
+    sizes = [key for key in _SIZE_KEYS if cp.has_option("plan", key)]
+    if len(sizes) > 1:
+        raise ConfigError(f"{p}: [plan] {sizes[0]} and [plan] {sizes[1]} exclude each other")
     return cp
 
 
@@ -161,15 +206,15 @@ def _get(cp, section, key, given=None):
             return kind[kind.index(raw)]  # ValueError unless one of the words
         value = cp.BOOLEAN_STATES[raw.lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError):
-        want = (f"one of {', '.join(kind)}" if isinstance(kind, tuple) else
-                {bool: "true or false", int: "an integer", float: "a number"}[kind])
+        want = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else _WANT[kind]
         raise ConfigError(f"{name} must be {want}, got {raw!r}") from None
-    if kind is float and not np.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {raw}")
-    if bound:
-        op, edge = bound.split()
-        if not (value >= kind(edge) if op == ">=" else value > kind(edge)):
-            raise ConfigError(f"{name} must be {bound}, got {raw}")
+    for v in value if isinstance(value, tuple) else (value,):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"{name} must be finite, got {raw}")
+        if bound:
+            op, edge = bound.split()
+            if not (v >= float(edge) if op == ">=" else v > float(edge)):
+                raise ConfigError(f"{name} must be {bound}, got {raw}")
     return value
 
 
@@ -196,57 +241,26 @@ def build_problem(cp):
     return random_least_squares(dim, n_outcomes, data_seed, tau, region_rho1=rho1)
 
 
-def _parse_strata(text: str):
-    groups = []
-    for grp in text.split(";"):
-        members = []
-        for token in grp.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            try:
-                if "-" in token:
-                    a, b = token.split("-", 1)
-                    members.extend(range(int(a), int(b) + 1))
-                else:
-                    members.append(int(token))
-            except ValueError:
-                raise ConfigError(f"[plan] strata: {token!r} is neither an index "
-                                  "nor a range a-b") from None
-        if members:
-            groups.append(tuple(members))
-    if not groups:
-        raise ConfigError("[plan] strata is empty")
-    return tuple(groups)
-
-
 def build_plan(cp, space, seed: int):
     # seed is unused; perfbench's cli_session passes it positionally
     scheme = _get(cp, "plan", "scheme")
     growth = _get(cp, "plan", "batch_growth")
     listed = _get(cp, "plan", "batch_sizes")
     if growth is not None:
-        try:
-            base, factor = growth.split(":")
-            sizes = BatchSizes.geometric(int(base), float(factor), space.size)
-        except (ValueError, InvalidPlan) as exc:
-            raise ConfigError(f"[plan] batch_growth must be base:factor: {exc}") from None
+        if growth[0] > space.size:
+            raise ConfigError(f"[plan] batch_growth base {growth[0]} exceeds the "
+                              f"{space.size} outcomes")
+        sizes = BatchSizes.geometric(*growth, space.size)
     elif listed is not None:
-        try:
-            sizes = BatchSizes.explicit(int(v) for v in listed.split(","))
-        except (ValueError, InvalidPlan) as exc:
-            raise ConfigError(f"[plan] batch_sizes must be a comma list of sizes: {exc}") from None
+        sizes = BatchSizes.explicit(listed)
     else:
         sizes = BatchSizes.constant(_get(cp, "plan", "batch_size"))
-    strata = counts = None
-    if scheme == "stratified":
-        strata = _parse_strata(_get(cp, "plan", "strata"))
-        try:
-            counts = tuple(int(v) for v in _get(cp, "plan", "per_stratum_counts").split(","))
-        except ValueError:
-            raise ConfigError("[plan] per_stratum_counts must be a comma list of ints") from None
     try:
-        plan = make_plan(scheme, space, sizes=sizes, strata=strata, counts=counts)
+        if scheme == "stratified":
+            plan = StratifiedPlan(space, _get(cp, "plan", "strata"),
+                                  _get(cp, "plan", "per_stratum_counts"))
+        else:
+            plan = (SegmentPlan if scheme == "segment" else SubsetPlan)(space, sizes)
         # cross-field validation up front: probe the sizes the run will use
         probe = range(len(sizes.values)) if sizes.kind == "explicit" else (0,)
         for t in probe:
@@ -262,7 +276,7 @@ def build_rate(cp):
         if kind == "power":
             return PowerLawSchedule(_get(cp, "rate", "c"), _get(cp, "rate", "p"))
         if kind == "list":
-            return ExplicitSchedule(tuple(float(v) for v in _get(cp, "rate", "values").split(",")))
+            return ExplicitSchedule(_get(cp, "rate", "values"))
         return AdaptiveRate(*(_get(cp, "rate", k) for k in ("alpha", "beta", "epsilon")))
     except (ValueError, InvalidHyperparameters) as exc:
         raise ConfigError(f"bad rate section: {exc}") from None
@@ -292,17 +306,14 @@ def _kappa_spec(params, rho1, needed_by):
     return conf.norm_squared_confinement(params["rho0"], rho1, variant)
 
 
-def _parse_x0(cp, manifold):
-    raw = _get(cp, "run", "x0")
-    if raw == "auto":
+def _x0(cp, manifold):
+    given = _get(cp, "run", "x0")
+    if given == "auto":
         x0 = np.zeros(manifold.ambient_dim)
         if manifold.kind == "sphere":
             x0[0] = 1.0
         return x0
-    try:
-        x0 = np.array([float(v) for v in raw.split(",")], dtype=float)
-    except ValueError:
-        raise ConfigError("[run] x0 must be auto or a comma list of floats") from None
+    x0 = np.array(given, dtype=float)
     if x0.shape != (manifold.ambient_dim,):
         raise ConfigError(f"[run] x0 needs {manifold.ambient_dim} components")
     if not bool(manifold.contains(x0, tol=1e-9)):
@@ -370,7 +381,7 @@ def cmd_run(args) -> int:
         raise ConfigError(f"[rate] values has {len(rate.values)} rates, "
                           f"fewer than the horizon {horizon}")
     out_dir = Path(_get(cp, "run", "out", args.out))
-    x0 = _parse_x0(cp, problem.manifold)
+    x0 = _x0(cp, problem.manifold)
     params = build_confinement(cp, problem)
 
     cfg = RunConfig(oracle=problem, plan=plan, rate=rate, x0=x0, horizon=horizon, seed=seed)
@@ -504,6 +515,14 @@ def cmd_report(args) -> int:
         except (ValueError, OSError) as exc:
             print(f"malformed trajectory file {f}: {exc}", file=sys.stderr)
             return 2
+    first = {}  # horizon -> the first file of that length
+    for tr, f in zip(trajectories, files):
+        first.setdefault(tr.horizon, f.name)
+    if len(first) > 1:
+        named = ", ".join(f"{first[h]} has {h + 1} rows" for h in sorted(first))
+        print(f"trajectory files of different lengths in {out_dir} ({named}); "
+              "report one run's files at a time", file=sys.stderr)
+        return 2
     metrics = diag.convergence_metrics(trajectories)
     metrics["mean_square_curve"] = _downsample(metrics["mean_square_curve"])
     _write_json(out_dir / "report.json", {"n_files": len(files), "metrics": metrics})
@@ -529,11 +548,13 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         if name == "check":
             sp.add_argument("name", help=f"one of {', '.join(CHECK_NAMES)}")
+        # only the flags the subcommand reads
         if name != "report":
             sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, default=None)
+            sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--horizon", type=int, default=None)
+        if name == "run":
+            sp.add_argument("--horizon", type=int, default=None)
         sp.add_argument("--quiet", action="store_true")
         sp.set_defaults(fn=fn)
     args = parser.parse_args(argv)

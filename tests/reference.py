@@ -8,6 +8,8 @@ The oracles held here:
   reference for the moment form of ``RegularizedLeastSquaresProblem``;
 * ``pool_subsets``: the no-repetition draw as a dense pool shuffle, the
   reference for ``SubsetPlan``;
+* ``dense_outcomes``: every batch of a plan at one step with its probability,
+  from ``itertools``, the reference for ``iter_outcome_chunks``;
 * ``BatchDraw``, ``draw_batch`` and ``batch_gradient``: one batch for one seed
   and step and its averaged gradient, the step-at-a-time path;
 * ``stepwise_run``: the engine's iteration one step at a time on that path,
@@ -32,7 +34,9 @@ The oracles held here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
@@ -84,6 +88,31 @@ def pool_subsets(n: int, b: int, t: int, seeds) -> np.ndarray:
             pool[j], pool[p] = pool[p], pool[j]
         out[row] = sorted(pool[:b])
     return out
+
+
+def dense_outcomes(plan, t: int):
+    """Every batch of ``plan`` at step t, (count, b) indices, and its
+    probability, in the order ``iter_outcome_chunks`` yields them:
+    ``combinations`` for a subset plan, else ``product`` over each batch
+    position's (outcome, conditional probability) pairs, the last position
+    varying fastest, with the probabilities multiplied left to right."""
+    n, w = plan.space.size, plan.space.weights
+    if plan.scheme == "no_repetition":
+        b = plan.batch_size(t)
+        rows = list(combinations(range(n), b))
+        return (np.array(rows, dtype=np.int64).reshape(len(rows), b),
+                np.full(len(rows), 1.0 / math.comb(n, b)))
+    if plan.scheme == "segment":
+        choices = [[(l, w[l]) for l in range(n)]] * plan.batch_size(t)
+    else:
+        choices = []
+        for group, count in zip(*plan.strata_at(t)):
+            mu = float(w[np.asarray(group)].sum())
+            choices += [[(l, w[l] / mu) for l in group]] * count
+    rows = list(product(*choices))
+    idx = np.array([[l for l, _ in row] for row in rows], dtype=np.int64)
+    prob = np.array([math.prod(p for _, p in row) for row in rows], dtype=float)
+    return idx.reshape(len(rows), len(choices)), prob
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from rsgd import (
     StratifiedPlan,
     SubsetPlan,
     enumerate_expectation,
-    make_plan,
     random_least_squares,
     random_sphere_mean,
     variance_report,
@@ -27,7 +26,7 @@ from rsgd import (
 from rsgd import batching
 from rsgd.problems import GradientOracle
 
-from reference import BatchDraw, batch_gradient, draw_batch, pool_subsets
+from reference import BatchDraw, batch_gradient, dense_outcomes, draw_batch, pool_subsets
 
 
 class FixedVectorsProblem(GradientOracle):
@@ -356,18 +355,6 @@ class TestVariance:
         assert sub < seg
 
 
-def test_make_plan_factory(triple):
-    assert make_plan("segment", triple.space, sizes=BatchSizes.constant(2)).scheme == "segment"
-    assert make_plan("no_repetition", triple.space,
-                     sizes=BatchSizes.constant(2)).scheme == "no_repetition"
-    plan = make_plan("stratified", triple.space, strata=[(0,), (1, 2)], counts=(1, 1))
-    assert plan.scheme == "stratified"
-    with pytest.raises(InvalidPlan):
-        make_plan("bogus", triple.space)
-    with pytest.raises(InvalidPlan):
-        make_plan("stratified", triple.space)
-
-
 def test_draw_block_rows_match_scalar_draws(triple):
     for plan in (SegmentPlan(triple.space, BatchSizes.constant(2)),
                  SubsetPlan(triple.space, BatchSizes.constant(2)),
@@ -480,6 +467,42 @@ def test_enumeration_equals_full_gradient_nonuniform(problem, scheme, n, d, data
     # rounding grows with the per-outcome gradients the expectation sums
     scale = np.sqrt((prob.sample_gradients(x, np.arange(n)) ** 2).sum(axis=-1)).max()
     assert np.sqrt((dev * dev).sum()) <= 1e-12 * max(1.0, scale)
+
+
+def _drawn_partition(n, data):
+    """At most three strata of a shuffled range(n), each drawn once or twice."""
+    order = data.draw(st.permutations(range(n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=2))) if n > 1 else []
+    strata = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    return strata, [data.draw(st.integers(1, 2 if len(strata) < 3 else 1)) for _ in strata]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
+       n=st.integers(1, 5), chunk=st.integers(1, 9), t=st.integers(0, 2), data=st.data())
+def test_enumeration_matches_dense_oracle(scheme, n, chunk, t, data):
+    if scheme == "no_repetition" or data.draw(st.booleans()):
+        space = FiniteSampleSpace.uniform(n)
+    else:
+        raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+        space = FiniteSampleSpace(raw / raw.sum())
+    if scheme == "segment":
+        plan = SegmentPlan(space, BatchSizes.constant(data.draw(st.integers(1, 4))))
+    elif scheme == "no_repetition":
+        plan = SubsetPlan(space, BatchSizes.constant(data.draw(st.integers(1, n))))
+    else:
+        steps = data.draw(st.sets(st.integers(0, 2), max_size=2))
+        plan = StratifiedPlan(space, *_drawn_partition(n, data),
+                              overrides={s: _drawn_partition(n, data) for s in steps})
+    with mock.patch.object(batching, "_ENUM_CHUNK", chunk):
+        chunks = list(plan.iter_outcome_chunks(t))
+    assert all(0 < len(idx) == len(prob) <= chunk for idx, prob in chunks)
+    idx = np.concatenate([c[0] for c in chunks])
+    prob = np.concatenate([c[1] for c in chunks])
+    want_idx, want_prob = dense_outcomes(plan, t)
+    assert idx.shape[0] == plan.outcome_count(t)
+    np.testing.assert_array_equal(idx, want_idx)
+    assert np.all(np.abs(prob - want_prob) <= 4 * np.spacing(want_prob))
 
 
 def _hypothesis_plan(scheme, n, sizes, data):

@@ -282,6 +282,30 @@ class TestReport:
         assert main(["report", "--out", str(tmp_path)]) == 2
         assert "x_seed1.csv" in capsys.readouterr().err
 
+    def test_runs_of_different_lengths_exit_two(self, sphere_config, capsys):
+        # two horizons in one directory once ended in a ValueError traceback
+        cfg, out = sphere_config
+        longer = cfg.with_name("longer.ini")
+        longer.write_text(cfg.read_text())
+        assert main(["run", "--config", str(cfg), "--horizon", "50", "--quiet"]) == 0
+        assert main(["run", "--config", str(longer), "--horizon", "80", "--quiet"]) == 0
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "different lengths" in err
+        assert "exp_seed1.csv has 51 rows" in err and "longer_seed1.csv has 81 rows" in err
+        assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--seed", "1"], ["report", "--horizon", "5"],
+    ["check", "unbiasedness", "--config", "exp.ini", "--horizon", "5"],
+], ids=["report-seed", "report-horizon", "check-horizon"])
+def test_flags_a_subcommand_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestInlineComments:
     def test_readme_config_runs(self, tmp_path, monkeypatch):
@@ -413,6 +437,8 @@ class TestRunInputs:
          "[run] seed"),
         ([("seeds = 3", "seeds = 2")], ["run", "--seed", "9223372036854775807"], "[run] seed"),
         ([("batch_size = 2", "batch_growth = 1:nan")], ["run"], "[plan] batch_growth"),
+        ([("batch_size = 2", "batch_size = 4\nbatch_growth = 1:2")], ["run"],
+         "[plan] batch_size and [plan] batch_growth exclude each other"),
         # numpy refuses these sizes without allocating; nothing larger is run
         ([], ["run", "--horizon", "100000000000000000000"], "[run] horizon"),
         ([("seeds = 3", "seeds = 100000000000000000000")], ["run"], "[run] seeds"),
@@ -425,7 +451,8 @@ class TestRunInputs:
             "check-rho0-nan", "p-nan", "check-p-nan", "check-seed-negative",
             "check-seed-flag-negative", "confined-seed-negative", "confined-seed-flag-negative",
             "seed-past-int64", "seed-flag-past-int64", "seed-wraps", "seed-flag-wraps",
-            "batch-growth-nan", "horizon-flag-past-memory", "seeds-past-memory"])
+            "batch-growth-nan", "size-keys-exclusive", "horizon-flag-past-memory",
+            "seeds-past-memory"])
     def test_exit_2(self, sphere_config, capsys, edits, argv, key):
         cfg, out = sphere_config
         bad_csv = cfg.parent / "bad.csv"
@@ -460,19 +487,36 @@ class TestRunInputs:
         assert last[0] == "3" and last[3] == "nan"
 
 
+# per list parser: values it refuses whatever the bound, and templates whose
+# {} an entry below the bound fills
+_PARSED = {
+    cli._ints: (["1, zz", "1, 1.5", ""], ["1, {}"]),
+    cli._floats: (["1, zz", "1, nan", "1, inf", "1, -inf", ""], ["1, {}"]),
+    cli._growth: (["2", "1:zz", "1:2:3", "1.5:2", "1:nan", "1:inf"], ["{}:2", "1:{}"]),
+    cli._parse_strata: (["0-3; zz", "0-x", ""], []),
+}
+
+
 def _bad_values():
     """Every table key with each value its type rejects: a non-finite number
     for a float, a fraction and a value below the bound for an int, a word
-    outside the choices or the booleans."""
+    outside the choices or the booleans, and for a list parser an entry of
+    each of these kinds."""
     for section, keys in CONFIG_KEYS.items():
         for key, (kind, _, bound) in keys.items():
+            below = None
+            if bound:
+                op, edge = bound.split()
+                below = int(edge) - (op == ">=")
             if kind is float:
                 values = ["nan", "inf", "-inf"]
             elif kind is int:
-                op, edge = bound.split()
-                values = ["1.5", str(int(edge) - (op == ">="))]
+                values = ["1.5", str(below)]
             elif kind is bool or isinstance(kind, tuple):
                 values = ["bogus"]
+            elif kind in _PARSED:
+                refused, templates = _PARSED[kind]
+                values = refused + ([t.format(below) for t in templates] if bound else [])
             else:
                 continue
             for value in values:
