@@ -23,12 +23,11 @@ subset batch's positions are not independent, so ``SubsetPlan`` enumerates
 its subsets with ``itertools.combinations``.
 
 Draws are pure functions of (seed, t): see :mod:`rsgd.rng`.  Nothing depends
-on the order in which steps are drawn, so ``draw_blocks`` draws many steps in
-one vectorised call and gives the same bits as drawing them one at a time;
-``draw_block`` (one step) is its one-step case.  A block keeps one batch
-layout and holds at most ``_BLOCK_WORDS`` outcome indices over all seeds, so
-its temporaries stay small whatever the horizon; it is cut wherever the
-layout (batch size, stratified override) changes.
+on the order in which steps are drawn, so ``draw(t0, t1, seeds)`` draws a run
+of steps that share one batch layout (batch size, stratified override) in one
+vectorised call and gives the same bits as drawing them one at a time;
+``draw_block`` (one step) is its one-step case.  How many steps a run holds
+is the driver's one block rule (``rsgd.driver._blocks``).
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ _STREAM_STRATIFIED = 1 << 41
 
 _ENUM_CHUNK = 1 << 15
 _ENUM_BUDGET = 10**6
-_BLOCK_WORDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -117,12 +115,10 @@ class BatchPlan:
         batch sizes and weights."""
         return self.batch_size(t)
 
-    def draw_blocks(self, t0: int, t1: int, seeds):
-        """Yield (t, outcomes) blocks covering steps t0 .. t1-1 in order.
-
-        ``outcomes`` has shape (len(seeds), k, batch_size(t)) and holds the
-        draws of steps t .. t+k-1, bitwise equal to drawing each step alone.
-        """
+    def draw(self, t0: int, t1: int, seeds) -> np.ndarray:
+        """Outcome indices of shape (len(seeds), t1 - t0, batch_size(t0)):
+        the draws of steps t0 .. t1-1, which share one layout, bitwise equal
+        to drawing each step alone."""
         raise NotImplementedError
 
     def draw_block(self, t: int, seeds) -> np.ndarray:
@@ -130,21 +126,7 @@ class BatchPlan:
 
         Each scheme binds this as its own attribute, so that per-class
         wrappers (the traced mode of ``perfbench``) see it."""
-        ((_, outcomes),) = self.draw_blocks(t, t + 1, seeds)
-        return outcomes[:, 0]
-
-    def _block_bounds(self, t0: int, t1: int, n_seeds: int):
-        """Split t0 .. t1-1 into (start, end) blocks of one layout and at most
-        _BLOCK_WORDS outcome indices (at least one step each)."""
-        start = t0
-        while start < t1:
-            key = self.layout(start)
-            stop = min(t1, start + max(1, _BLOCK_WORDS // (n_seeds * self.batch_size(start))))
-            end = start + 1
-            while end < stop and self.layout(end) == key:
-                end += 1
-            yield start, end
-            start = end
+        return self.draw(t, t + 1, seeds)[:, 0]
 
     def positions(self, t: int):
         """Per batch position at step t, (outcomes, conditional probabilities):
@@ -219,16 +201,16 @@ class SegmentPlan(BatchPlan):
 
     draw_block = BatchPlan.draw_block
 
-    def draw_blocks(self, t0: int, t1: int, seeds):
-        # one stream per seed for the whole run; a block is slots cut(t) .. cut(end)
+    def draw(self, t0: int, t1: int, seeds) -> np.ndarray:
+        # one stream per seed for the whole run; steps t0 .. t1-1 are slots
+        # cut(t0) .. cut(t1)
         keys = crng.stream_keys(seeds, _STREAM_SEGMENT)
-        for t, end in self._block_bounds(t0, t1, keys.size):
-            slots = np.arange(self.cut(t), self.cut(end))
-            if self.space.is_uniform:
-                idx = crng.randints(keys, slots, self.space.size)
-            else:
-                idx = crng.weighted_indices(keys, slots, self.space.cumulative)
-            yield t, idx.reshape(keys.size, end - t, -1)
+        slots = np.arange(self.cut(t0), self.cut(t1))
+        if self.space.is_uniform:
+            idx = crng.randints(keys, slots, self.space.size)
+        else:
+            idx = crng.weighted_indices(keys, slots, self.space.cumulative)
+        return idx.reshape(keys.size, t1 - t0, -1)
 
     def positions(self, t: int):
         return [(np.arange(self.space.size), self.space.weights)] * self.batch_size(t)
@@ -260,12 +242,10 @@ class SubsetPlan(BatchPlan):
 
     draw_block = BatchPlan.draw_block
 
-    def draw_blocks(self, t0: int, t1: int, seeds):
-        s_count = np.size(seeds)
-        for t, end in self._block_bounds(t0, t1, s_count):
-            keys = crng.stream_keys(seeds, _STREAM_SUBSET + np.arange(t, end))
-            rows = _partial_shuffle(keys.ravel(), self.space.size, self.batch_size(t))
-            yield t, rows.reshape(s_count, end - t, -1)
+    def draw(self, t0: int, t1: int, seeds) -> np.ndarray:
+        keys = crng.stream_keys(seeds, _STREAM_SUBSET + np.arange(t0, t1))
+        rows = _partial_shuffle(keys.ravel(), self.space.size, self.batch_size(t0))
+        return rows.reshape(*keys.shape, -1)
 
     def outcome_count(self, t: int) -> int:
         return math.comb(self.space.size, self.batch_size(t))
@@ -334,23 +314,21 @@ class StratifiedPlan(BatchPlan):
 
     draw_block = BatchPlan.draw_block
 
-    def draw_blocks(self, t0: int, t1: int, seeds):
-        s_count = np.size(seeds)
-        for t, end in self._block_bounds(t0, t1, s_count):
-            _, counts, members, mu = self._layout(t)
-            keys = crng.stream_keys(seeds, _STREAM_STRATIFIED + np.arange(t, end)).ravel()
-            cols = []
-            offset = 0
-            for m, muj, c in zip(members, mu, counts):
-                slots = offset + np.arange(c)
-                if self.space.is_uniform:
-                    pos = crng.randints(keys, slots, m.size)
-                else:
-                    cond = np.cumsum(self.space.weights[m]) / muj
-                    pos = crng.weighted_indices(keys, slots, cond)
-                cols.append(m[pos])
-                offset += c
-            yield t, np.concatenate(cols, axis=1).reshape(s_count, end - t, -1)
+    def draw(self, t0: int, t1: int, seeds) -> np.ndarray:
+        _, counts, members, mu = self._layout(t0)
+        keys = crng.stream_keys(seeds, _STREAM_STRATIFIED + np.arange(t0, t1)).ravel()
+        cols = []
+        offset = 0
+        for m, muj, c in zip(members, mu, counts):
+            slots = offset + np.arange(c)
+            if self.space.is_uniform:
+                pos = crng.randints(keys, slots, m.size)
+            else:
+                cond = np.cumsum(self.space.weights[m]) / muj
+                pos = crng.weighted_indices(keys, slots, cond)
+            cols.append(m[pos])
+            offset += c
+        return np.concatenate(cols, axis=1).reshape(np.size(seeds), t1 - t0, -1)
 
     def positions(self, t: int):
         _, counts, members, mu = self._layout(t)

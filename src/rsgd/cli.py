@@ -244,6 +244,10 @@ def build_problem(cp):
 def build_plan(cp, space, seed: int):
     # seed is unused; perfbench's cli_session passes it positionally
     scheme = _get(cp, "plan", "scheme")
+    given = [key for key in _SIZE_KEYS if cp.has_option("plan", key)]
+    if scheme == "stratified" and given:
+        raise ConfigError(f"[plan] {given[0]} does not apply under scheme = stratified: a "
+                          "stratified batch holds sum(per_stratum_counts) outcomes")
     growth = _get(cp, "plan", "batch_growth")
     listed = _get(cp, "plan", "batch_sizes")
     if growth is not None:
@@ -379,6 +383,11 @@ def cmd_run(args) -> int:
     # a list rate needs gamma_t for t = 0..T-1; step[T] stays NaN past its end
     if isinstance(rate, ExplicitSchedule) and len(rate.values) < horizon:
         raise ConfigError(f"[rate] values has {len(rate.values)} rates, "
+                          f"fewer than the horizon {horizon}")
+    # and a size list b_t for t = 0..T-1
+    listed = _get(cp, "plan", "batch_sizes")
+    if listed is not None and len(listed) < horizon:
+        raise ConfigError(f"[plan] batch_sizes has {len(listed)} sizes, "
                           f"fewer than the horizon {horizon}")
     out_dir = Path(_get(cp, "run", "out", args.out))
     x0 = _x0(cp, problem.manifold)

@@ -7,26 +7,27 @@ lockstep as (S, d) arrays, and because every draw is a pure function of
 (seed, t) and every array operation reduces along fixed axes, the batched run
 is bitwise identical to running each seed alone.
 
-The loop runs over blocks of steps.  Since no draw depends on the order of
-the steps, each block's batches come from one ``plan.draw_blocks`` call (a
-block keeps one batch layout and holds at most ``batching._BLOCK_WORDS``
-outcome indices over all seeds, so its memory stays flat), the weights are
-computed once per layout and deterministic rates once per block through the
-scalar ``gamma(t) / rate_divisor``.
+The loop runs over blocks of steps, and ``_blocks`` alone decides where they
+end: a block keeps one batch layout (``plan.layout``) and holds at most
+``max(1, _BLOCK_WORDS // (S * max(b, d)))`` steps, so its outcome indices
+(S, k, b) and its buffers (S, k, d) hold at most ``_BLOCK_WORDS`` words each
+(or one step's) whatever the horizon.  Since no draw depends on the order of the steps, a
+block's batches come from one ``plan.draw(t0, t1, seeds)`` call, and its
+weights and deterministic rates (through the scalar ``gamma(t) /
+rate_divisor``) are computed once per block.
 
 Per step the loop computes only what the next iterate needs: the batch
 gradient, the rate (and, under the adaptive rule, the batch gradient norm),
 the retraction and the finiteness of its result.  A row whose retraction
 fails stays where it is.  The iterates and batch gradients of a block go
-into (S, k, d) buffers (at most ``_BLOCK_WORDS`` floats each, one step at
-least, so a block may be recorded in several parts), and the exact record --
-cost, gradient and its norm, batch gradient norm, noise inner product, rho --
-is evaluated once per part on those buffers.  Rows are retired at that point: for each row the
+into its (S, k, d) buffers, and the exact record -- cost, gradient and its
+norm, batch gradient norm, noise inner product, rho -- is evaluated once per
+block on those buffers.  Rows are retired at that point: for each row the
 first event wins, a non-finite record at step t coming before a failed
 retraction at step t, and everything the row recorded after it is masked
-with NaN.  A row whose record went non-finite inside a part keeps iterating
-to the part's end, and its values are discarded.  When every row is live and
-every retraction succeeded, a step skips the row selects.
+with NaN.  A row whose record went non-finite inside a block keeps iterating
+to the block's end, and its values are discarded.  When every row is live
+and every retraction succeeded, a step skips the row selects.
 
 The state of a run is coordinate-major ((d, S) memory, its buffers and
 per-outcome arrays (d, k, S) and (d, b, S)) when
@@ -60,7 +61,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import batching
 from .batching import BatchPlan, combine_batch
 from .errors import DegenerateRetraction
 from .manifolds import _empty, _spread, coordinate_major
@@ -82,7 +82,9 @@ _CSV_COLUMNS = (
 CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
 _CSV_ROW = ",".join("%.17g" if kind is float else "%d" for _, _, kind in _CSV_COLUMNS) + "\n"
 # rows per formatted chunk, so a file of any length is written in flat memory
-_CSV_CHUNK = batching._BLOCK_WORDS // 32
+_CSV_CHUNK = 1024
+# words per block: its outcome indices over all seeds, and each (S, k, d) buffer
+_BLOCK_WORDS = 1 << 15
 
 DeterministicSchedule = (PowerLawSchedule, ExplicitSchedule)
 
@@ -186,6 +188,21 @@ def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
     )
 
 
+def _blocks(plan: BatchPlan, T: int, s_count: int, d: int):
+    """Split steps 0 .. T-1 into (t0, t1) blocks that keep one
+    ``plan.layout`` and hold at most max(1, _BLOCK_WORDS // (S * max(b, d)))
+    steps each, S = s_count and b the block's batch size."""
+    t0 = 0
+    while t0 < T:
+        key = plan.layout(t0)
+        stop = min(T, t0 + max(1, _BLOCK_WORDS // (s_count * max(plan.batch_size(t0), d))))
+        t1 = t0 + 1
+        while t1 < stop and plan.layout(t1) == key:
+            t1 += 1
+        yield t0, t1
+        t0 = t1
+
+
 def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> list[Trajectory]:
     oracle, plan, man = cfg.oracle, cfg.plan, cfg.oracle.manifold
     T = cfg.horizon
@@ -230,24 +247,16 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
         if iterates is not None:
             iterates[:, cols] = np.where(keep[..., None], xs, nan)
 
-    # batch weights per layout, computed on first use
-    weights_of = {}
-    # steps per record part: its (S, k, d) buffers hold at most _BLOCK_WORDS floats
-    part = max(1, batching._BLOCK_WORDS // (s_count * d))
-
     # overflow/invalid are tolerated: rows going non-finite are caught and retired
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0, block in plan.draw_blocks(0, T, seeds):
-            layout = plan.layout(t0)
-            if layout not in weights_of:
-                w = plan.weights_at(t0)
-                weights_of[layout] = w, bool(np.all(w == w[0]))
-            weights, equal = weights_of[layout]
-            n_steps = block.shape[1]
-            bsize[t0 : t0 + n_steps] = block.shape[2]
+        for t0, t1 in _blocks(plan, T, s_count, d):
+            n_steps = t1 - t0
+            block = plan.draw(t0, t1, seeds)
+            weights = plan.weights_at(t0)
+            equal = bool(np.all(weights == weights[0]))
+            bsize[t0:t1] = block.shape[2]
             if not adaptive:
-                rates = np.array([cfg.rate.gamma(t) / rate_divisor
-                                  for t in range(t0, t0 + n_steps)])
+                rates = np.array([cfg.rate.gamma(t) / rate_divisor for t in range(t0, t1)])
                 neg_rates = (-rates).tolist()
 
             # (k, S, b): the outcomes of one step are one contiguous slab, in
@@ -256,77 +265,74 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
                 block = np.ascontiguousarray(block.transpose(1, 2, 0)).swapaxes(1, 2)
             else:
                 block = np.ascontiguousarray(block.swapaxes(0, 1))
-            for j0 in range(0, n_steps, part):
-                n_rec = min(part, n_steps - j0)
-                xs = _empty((s_count, n_rec, d), cm)
-                hs = _empty((s_count, n_rec, d), cm)
+            xs = _empty((s_count, n_steps, d), cm)
+            hs = _empty((s_count, n_steps, d), cm)
+            if adaptive:
+                etas = np.empty((s_count, n_steps))
+                bhs = np.empty_like(etas)
+            # per step, only a failed retraction stops a row (it stays at x)
+            live = alive.copy()
+            every_live = bool(np.logical_and.reduce(live))
+            fail_k = np.full(s_count, n_steps)
+            fail_degenerate = np.zeros(s_count, dtype=bool)
+
+            for k in range(n_steps):
+                xs[:, k] = x
+                h = combine_batch(weights, oracle.sample_gradients(x, block[k]), equal)
+                hs[:, k] = h
                 if adaptive:
-                    etas = np.empty((s_count, n_rec))
-                    bhs = np.empty_like(etas)
-                # per step, only a failed retraction stops a row (it stays at x)
-                live = alive.copy()
-                every_live = bool(np.logical_and.reduce(live))
-                fail_k = np.full(s_count, n_rec)
-                fail_degenerate = np.zeros(s_count, dtype=bool)
+                    bh = man.norm(x, h)
+                    eta = alpha / np.power(beta + acc, expo)
+                    etas[:, k] = eta
+                    bhs[:, k] = bh
+                    v = h * _spread(-eta, h)
+                else:
+                    v = h * neg_rates[k]
 
-                for k in range(n_rec):
-                    xs[:, k] = x
-                    h = combine_batch(weights, oracle.sample_gradients(x, block[j0 + k]), equal)
-                    hs[:, k] = h
-                    if adaptive:
-                        bh = man.norm(x, h)
-                        eta = alpha / np.power(beta + acc, expo)
-                        etas[:, k] = eta
-                        bhs[:, k] = bh
-                        v = h * _spread(-eta, h)
-                    else:
-                        v = h * neg_rates[j0 + k]
+                y, ok = man.retract_flagged(x, v)
+                # fast path: every row live, every retraction ok and finite
+                # (a finite sum of all entries has no non-finite entry)
+                if every_live and np.logical_and.reduce(ok, axis=None) \
+                        and isfinite(np.add.reduce(y, axis=None)):
+                    x = y
+                else:
+                    failed = live & ~(ok & np.logical_and.reduce(np.isfinite(y), axis=-1))
+                    if np.logical_or.reduce(failed):
+                        fail_k[failed] = k
+                        fail_degenerate |= failed & ~ok
+                        live &= ~failed
+                        every_live = False
+                    x = np.where(live[:, None], y, x)
 
-                    y, ok = man.retract_flagged(x, v)
-                    # fast path: every row live, every retraction ok and finite
-                    # (a finite sum of all entries has no non-finite entry)
-                    if every_live and np.logical_and.reduce(ok, axis=None) \
-                            and isfinite(np.add.reduce(y, axis=None)):
-                        x = y
-                    else:
-                        failed = live & ~(ok & np.logical_and.reduce(np.isfinite(y), axis=-1))
-                        if np.logical_or.reduce(failed):
-                            fail_k[failed] = k
-                            fail_degenerate |= failed & ~ok
-                            live &= ~failed
-                            every_live = False
-                        x = np.where(live[:, None], y, x)
+                if adaptive:
+                    # accumulate the realized batch gradient only after the step:
+                    # eta_t must depend on strictly past draws
+                    g2 = bh * bh if every_live else np.where(live, bh * bh, 0.0)
+                    yk = g2 - comp
+                    tk = acc + yk
+                    comp = (tk - acc) - yk
+                    acc = tk
 
-                    if adaptive:
-                        # accumulate the realized batch gradient only after the step:
-                        # eta_t must depend on strictly past draws
-                        g2 = bh * bh if every_live else np.where(live, bh * bh, 0.0)
-                        yk = g2 - comp
-                        tk = acc + yk
-                        comp = (tk - acc) - yk
-                        acc = tk
+            # the record of the block, and retirement: per row the first
+            # event wins, a non-finite record at k before the retraction at k
+            fx, g, gnt = evaluate(xs)
+            blown = ~(np.isfinite(fx) & np.isfinite(gnt))
+            blown_k = np.where(blown.any(axis=1), blown.argmax(axis=1), n_steps)
+            first = np.minimum(blown_k, fail_k)
+            last_state = np.where(alive, first, -1)
+            last_step = np.where(alive, np.where(blown_k <= fail_k, blown_k - 1, fail_k), -1)
+            ended = alive & (first < n_steps)
+            abort_t[ended] = t0 + first[ended]
+            degenerate |= ended & (fail_k < blown_k) & fail_degenerate
+            alive &= ~ended
 
-                # the record of the part, and retirement: per row the first
-                # event wins, a non-finite record at k before the retraction at k
-                t = t0 + j0
-                fx, g, gnt = evaluate(xs)
-                blown = ~(np.isfinite(fx) & np.isfinite(gnt))
-                blown_k = np.where(blown.any(axis=1), blown.argmax(axis=1), n_rec)
-                first = np.minimum(blown_k, fail_k)
-                last_state = np.where(alive, first, -1)
-                last_step = np.where(alive, np.where(blown_k <= fail_k, blown_k - 1, fail_k), -1)
-                ended = alive & (first < n_rec)
-                abort_t[ended] = t + first[ended]
-                degenerate |= ended & (fail_k < blown_k) & fail_degenerate
-                alive &= ~ended
-
-                ks = np.arange(n_rec)
-                write_states(t, xs, fx, gnt, ks <= last_state[:, None])
-                keep = ks <= last_step[:, None]
-                cols = slice(t, t + n_rec)
-                bgn[:, cols] = np.where(keep, bhs if adaptive else man.norm(xs, hs), nan)
-                noise[:, cols] = np.where(keep, man.inner(xs, g, hs - g), nan)
-                step[:, cols] = np.where(keep, etas if adaptive else rates[j0 : j0 + n_rec], nan)
+            ks = np.arange(n_steps)
+            write_states(t0, xs, fx, gnt, ks <= last_state[:, None])
+            keep = ks <= last_step[:, None]
+            cols = slice(t0, t1)
+            bgn[:, cols] = np.where(keep, bhs if adaptive else man.norm(xs, hs), nan)
+            noise[:, cols] = np.where(keep, man.inner(xs, g, hs - g), nan)
+            step[:, cols] = np.where(keep, etas if adaptive else rates, nan)
 
         fx, _, gnt = evaluate(x[:, None])
         write_states(T, x[:, None], fx, gnt, alive[:, None])
@@ -382,18 +388,14 @@ def run_deterministic(cfg: RunConfig) -> Trajectory:
     """Iterate x <- retract(x, -gamma_t * h_t), h_t the batch gradient; one trajectory."""
     if not isinstance(cfg.rate, DeterministicSchedule):
         raise TypeError("run_deterministic needs a deterministic schedule")
-    out = _run_block(cfg, np.array([cfg.seed]))
-    _raise_if_degenerate(out)
-    return out[0]
+    return run_many(cfg, 1)[0]
 
 
 def run_adaptive(cfg: RunConfig) -> Trajectory:
     """Iterate with eta_t computed from the accumulated past squared norms."""
     if not isinstance(cfg.rate, AdaptiveRate):
         raise TypeError("run_adaptive needs adaptive hyperparameters")
-    out = _run_block(cfg, np.array([cfg.seed]))
-    _raise_if_degenerate(out)
-    return out[0]
+    return run_many(cfg, 1)[0]
 
 
 def run_many(cfg: RunConfig, n_seeds: int) -> list[Trajectory]:

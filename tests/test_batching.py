@@ -23,7 +23,7 @@ from rsgd import (
     random_sphere_mean,
     variance_report,
 )
-from rsgd import batching
+from rsgd import batching, driver
 from rsgd.problems import GradientOracle
 
 from reference import BatchDraw, batch_gradient, dense_outcomes, draw_batch, pool_subsets
@@ -397,7 +397,8 @@ def test_draws_match_recorded_digests(name):
     per_step, blocked = hashlib.sha256(), hashlib.sha256()
     for t in range(200):
         per_step.update(np.ascontiguousarray(plan.draw_block(t, seeds)).tobytes())
-    for _, outcomes in plan.draw_blocks(0, 200, seeds):
+    for t0, t1 in driver._blocks(plan, 200, seeds.size, 1):
+        outcomes = plan.draw(t0, t1, seeds)
         for k in range(outcomes.shape[1]):
             blocked.update(np.ascontiguousarray(outcomes[:, k]).tobytes())
     assert per_step.hexdigest()[:32] == GOLDEN_DRAWS[name]
@@ -519,27 +520,49 @@ def _hypothesis_plan(scheme, n, sizes, data):
                           overrides={t: ([range(n)], [1 + t % 3]) for t in steps})
 
 
-@settings(max_examples=80, deadline=None)
-@given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
-       n=st.integers(1, 12), words=st.integers(1, 64), data=st.data())
-def test_block_draws_equal_stacked_step_draws(scheme, n, words, data):
+def _hypothesis_sizes(n, data):
     kind = data.draw(st.sampled_from(["constant", "geometric", "explicit"]))
     if kind == "constant":
-        sizes = BatchSizes.constant(data.draw(st.integers(1, n)))
-    elif kind == "geometric":
-        sizes = BatchSizes.geometric(1, data.draw(st.floats(1.0, 3.0)), n)
-    else:
-        sizes = BatchSizes.explicit(data.draw(st.lists(st.integers(1, n), min_size=60,
-                                                       max_size=60)))
-    plan = _hypothesis_plan(scheme, n, sizes, data)
+        return BatchSizes.constant(data.draw(st.integers(1, n)))
+    if kind == "geometric":
+        return BatchSizes.geometric(1, data.draw(st.floats(1.0, 3.0)), n)
+    return BatchSizes.explicit(data.draw(st.lists(st.integers(1, n), min_size=60, max_size=60)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
+       n=st.integers(1, 12), data=st.data())
+def test_block_draws_equal_stacked_step_draws(scheme, n, data):
+    # draw(t0, t1) over any run of one layout
+    plan = _hypothesis_plan(scheme, n, _hypothesis_sizes(n, data), data)
     t0 = data.draw(st.integers(0, 20))
-    t1 = data.draw(st.integers(t0, 50))
+    end = t0 + 1
+    while end < 50 and plan.layout(end) == plan.layout(t0):
+        end += 1
+    t1 = data.draw(st.integers(t0 + 1, end))
     seeds = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=5)))
-    with mock.patch.object(batching, "_BLOCK_WORDS", words):
-        blocks = list(plan.draw_blocks(t0, t1, seeds))
-    steps = [t + k for t, outcomes in blocks for k in range(outcomes.shape[1])]
-    assert steps == list(range(t0, t1))
-    for t, outcomes in blocks:
-        assert outcomes.shape[1] == 1 or outcomes.size <= words
-        for k in range(outcomes.shape[1]):
-            np.testing.assert_array_equal(outcomes[:, k], plan.draw_block(t + k, seeds))
+    outcomes = plan.draw(t0, t1, seeds)
+    assert outcomes.shape == (seeds.size, t1 - t0, plan.batch_size(t0))
+    for k in range(t1 - t0):
+        np.testing.assert_array_equal(outcomes[:, k], plan.draw_block(t0 + k, seeds))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
+       n=st.integers(1, 12), horizon=st.integers(0, 50), n_seeds=st.integers(1, 6),
+       d=st.integers(1, 12), words=st.integers(1, 200), data=st.data())
+def test_driver_blocks_keep_one_layout_within_the_bound(scheme, n, horizon, n_seeds, d, words,
+                                                        data):
+    # the blocks cover 0 .. T-1 in order; each keeps one layout, its (S, k, b)
+    # outcomes and (S, k, d) buffers hold at most `words` words unless it is
+    # one step, and it ends only at T, a layout change or the bound
+    plan = _hypothesis_plan(scheme, n, _hypothesis_sizes(n, data), data)
+    with mock.patch.object(driver, "_BLOCK_WORDS", words):
+        blocks = list(driver._blocks(plan, horizon, n_seeds, d))
+    assert [t for t0, t1 in blocks for t in range(t0, t1)] == list(range(horizon))
+    for t0, t1 in blocks:
+        k, width = t1 - t0, max(plan.batch_size(t0), d)
+        assert all(plan.layout(t) == plan.layout(t0) for t in range(t0, t1))
+        assert k == 1 or n_seeds * k * width <= words
+        assert t1 == horizon or plan.layout(t1) != plan.layout(t0) \
+            or n_seeds * (k + 1) * width > words

@@ -439,6 +439,18 @@ class TestRunInputs:
         ([("batch_size = 2", "batch_growth = 1:nan")], ["run"], "[plan] batch_growth"),
         ([("batch_size = 2", "batch_size = 4\nbatch_growth = 1:2")], ["run"],
          "[plan] batch_size and [plan] batch_growth exclude each other"),
+        # a stratified batch takes its size from per_stratum_counts
+        ([("scheme = segment\nbatch_size = 2",
+           "scheme = stratified\nstrata = 0-3; 4-7\nper_stratum_counts = 1, 1\nbatch_size = 2")],
+         ["run"], "[plan] batch_size does not apply under scheme = stratified"),
+        ([("scheme = segment\nbatch_size = 2", "scheme = stratified\nstrata = 0-3; 4-7\n"
+           "per_stratum_counts = 1, 1\nbatch_growth = 1:1.5")],
+         ["run"], "[plan] batch_growth does not apply under scheme = stratified"),
+        ([("scheme = segment\nbatch_size = 2", "scheme = stratified\nstrata = 0-3; 4-7\n"
+           "per_stratum_counts = 1, 1\nbatch_sizes = 1, 2")],
+         ["run"], "[plan] batch_sizes does not apply under scheme = stratified"),
+        ([("batch_size = 2", "batch_sizes = 1, 2, 2")], ["run"],
+         "[plan] batch_sizes has 3 sizes, fewer than the horizon 200"),
         # numpy refuses these sizes without allocating; nothing larger is run
         ([], ["run", "--horizon", "100000000000000000000"], "[run] horizon"),
         ([("seeds = 3", "seeds = 100000000000000000000")], ["run"], "[run] seeds"),
@@ -451,8 +463,9 @@ class TestRunInputs:
             "check-rho0-nan", "p-nan", "check-p-nan", "check-seed-negative",
             "check-seed-flag-negative", "confined-seed-negative", "confined-seed-flag-negative",
             "seed-past-int64", "seed-flag-past-int64", "seed-wraps", "seed-flag-wraps",
-            "batch-growth-nan", "size-keys-exclusive", "horizon-flag-past-memory",
-            "seeds-past-memory"])
+            "batch-growth-nan", "size-keys-exclusive", "stratified-batch-size",
+            "stratified-batch-growth", "stratified-batch-sizes", "batch-sizes-short",
+            "horizon-flag-past-memory", "seeds-past-memory"])
     def test_exit_2(self, sphere_config, capsys, edits, argv, key):
         cfg, out = sphere_config
         bad_csv = cfg.parent / "bad.csv"

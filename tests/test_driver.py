@@ -26,7 +26,7 @@ from rsgd import (
     run_deterministic,
     run_many,
 )
-from rsgd import batching, driver
+from rsgd import driver
 from rsgd.driver import _run_block
 from rsgd.manifolds import _CM_SEEDS, Sphere, coordinate_major
 
@@ -379,9 +379,10 @@ def _plan(scheme, space, b=4):
 RATES = {"power": PowerLawSchedule(0.5, 0.75), "adaptive": AdaptiveRate(0.5, 1.0, 0.25)}
 
 
-def _blocked(steps, n_seeds, b):
-    """Patch the block budget so that a block holds `steps` steps."""
-    return mock.patch.object(batching, "_BLOCK_WORDS", steps * n_seeds * b)
+def _blocked(steps, n_seeds, b, d):
+    """Patch the block budget so that a block of batch size b in dimension d
+    holds `steps` steps."""
+    return mock.patch.object(driver, "_BLOCK_WORDS", steps * n_seeds * max(b, d))
 
 
 class FaultySphere(Sphere):
@@ -422,7 +423,7 @@ class TestBlockEngineAgainstStepwise:
         seeds = 20 + np.arange(n_seeds)
         for horizon in (0, 1, k - 1, k, k + 1, 2 * k + 3):
             cfg = _cfg(sphere_problem, x0, RATES[rate], horizon, plan=plan)
-            with _blocked(k, n_seeds, 4):
+            with _blocked(k, n_seeds, 4, 4):
                 got = _run_block(cfg, seeds)
             _assert_bitwise(got, stepwise_run(cfg, seeds))
 
@@ -432,7 +433,7 @@ class TestBlockEngineAgainstStepwise:
         # 100 seeds x batch 8: 40 steps per block; 2K + 3 steps span three blocks
         p = random_sphere_mean(4, 16, seed=25)
         x = p.manifold.random_point(np.random.default_rng(100))
-        k = batching._BLOCK_WORDS // (100 * 8)
+        k = driver._BLOCK_WORDS // (100 * 8)
         cfg = RunConfig(oracle=p, plan=_plan(scheme, p.space, 8), rate=RATES[rate], x0=x,
                         horizon=2 * k + 3, seed=0)
         seeds = np.arange(100)
@@ -448,7 +449,7 @@ class TestBlockEngineAgainstStepwise:
         cfg = _cfg(sphere_problem, x0, PowerLawSchedule(0.5, 0.75), 20,
                    plan=plan_type(sphere_problem.space, sizes))
         seeds = np.arange(3)
-        with _blocked(self.K, 3, 2):
+        with _blocked(self.K, 3, 2, 4):
             got = _run_block(cfg, seeds)
         _assert_bitwise(got, stepwise_run(cfg, seeds))
         assert list(got[0].batch_size[:20]) == [sizes.at(t) for t in range(20)]
@@ -462,7 +463,7 @@ class TestBlockEngineAgainstStepwise:
         for rate in RATES.values():
             cfg = _cfg(sphere_problem, x0, rate, 3 * k + 1, plan=plan)
             seeds = np.arange(3)
-            with _blocked(k, 3, 3):
+            with _blocked(k, 3, 3, 4):
                 got = _run_block(cfg, seeds)
             _assert_bitwise(got, stepwise_run(cfg, seeds))
 
@@ -473,7 +474,7 @@ class TestBlockEngineAgainstStepwise:
                      StratifiedPlan(p.space, [(0, 1, 2), (3, 4, 5)], (1, 2))):
             cfg = _cfg(p, x0, PowerLawSchedule(0.5, 0.75), 2 * self.K + 3, plan=plan)
             seeds = np.arange(3)
-            with _blocked(self.K, 3, 3):
+            with _blocked(self.K, 3, 3, 4):
                 got = _run_block(cfg, seeds)
             _assert_bitwise(got, stepwise_run(cfg, seeds))
 
@@ -485,7 +486,7 @@ class TestBlockEngineAgainstStepwise:
                             rate=rate, x0=np.array([0.3, -0.2, 0.1]), horizon=2 * self.K + 3,
                             seed=0, rho=rho, region_rho1=9.0)
             seeds = np.arange(3)
-            with _blocked(self.K, 3, 2):
+            with _blocked(self.K, 3, 2, 3):
                 got = _run_block(cfg, seeds, rate_divisor=1.7)
             _assert_bitwise(got, stepwise_run(cfg, seeds, rate_divisor=1.7))
 
@@ -513,7 +514,7 @@ class TestBlockEngineAgainstStepwise:
             p = random_sphere_mean(4, 6, seed=7)
             p.manifold = FaultySphere(4, faults)
             cfg = _cfg(p, x0, RATES[rate], 2 * self.K + 3)
-            with _blocked(self.K, 3, 2):
+            with _blocked(self.K, 3, 2, 4):
                 runs.append(engine(cfg, seeds))
         got, want = runs
         _assert_bitwise(got, want)
@@ -626,7 +627,7 @@ class TestRetirementOrder:
             t, row = record
             clean = RunConfig(oracle=base, plan=plan, rate=RATES[rate], x0=x0, horizon=t,
                               seed=0, store_iterates=True)
-            with _blocked(self.K, n_seeds, 4):
+            with _blocked(self.K, n_seeds, 4, 4):
                 point = _run_block(clean, seeds)[row].iterates[t]
         runs = []
         for engine in (_run_block, stepwise_run):
@@ -634,7 +635,7 @@ class TestRetirementOrder:
             p.manifold = FaultySphere(4, faults or {})
             cfg = RunConfig(oracle=p, plan=plan, rate=RATES[rate], x0=x0, horizon=horizon,
                             seed=0)
-            with _blocked(self.K, n_seeds, 4):
+            with _blocked(self.K, n_seeds, 4, 4):
                 runs.append(engine(cfg, seeds))
         got, want = runs
         _assert_bitwise(got, want)
@@ -679,8 +680,8 @@ class TestRetirementOrder:
        words=st.integers(1, 160), horizon=st.integers(0, 30), data=st.data())
 def test_batch_equals_single_property(scheme, rate, kind, d, n_seeds, offset, words, horizon,
                                       data):
-    # the block length and the record's part length depend on S, so a row of
-    # a batch and its seed alone cross block edges at different steps
+    # the block length depends on S, so a row of a batch and its seed alone
+    # cross block edges at different steps
     b = data.draw(st.integers(2 if scheme == "stratified" else 1, 8))
     if kind == "sphere":
         p = random_sphere_mean(d, 8, seed=d)
@@ -691,7 +692,7 @@ def test_batch_equals_single_property(scheme, rate, kind, d, n_seeds, offset, wo
     cfg = RunConfig(oracle=p, plan=_plan(scheme, p.space, b), rate=RATES[rate], x0=x0,
                     horizon=horizon, seed=offset, store_iterates=True, rho=rho)
     run = run_adaptive if rate == "adaptive" else run_deterministic
-    with mock.patch.object(batching, "_BLOCK_WORDS", words):
+    with mock.patch.object(driver, "_BLOCK_WORDS", words):
         batch = run_many(cfg, n_seeds)
         alone = [run(replace(cfg, seed=offset + k)) for k in range(n_seeds)]
     _assert_bitwise(batch, alone)
@@ -742,7 +743,7 @@ def test_batch_equals_stepwise_and_alone_in_both_layouts(scheme, rate, kind, n_s
     # the seed counts lie on both sides of the layout crossover and d on both
     # sides of 8, geometric sizes carry S * b * d past the size at which the
     # row-major kernels switch to slice adds, and a trapped row retires
-    # inside a record part (or at its edge, for short parts)
+    # inside a block (or at its edge, for short blocks)
     if scheme == "stratified" and b == "geometric":
         b = 9
     if kind == "sphere":
@@ -755,7 +756,7 @@ def test_batch_equals_stepwise_and_alone_in_both_layouts(scheme, rate, kind, n_s
                     horizon=horizon, seed=7, store_iterates=True,
                     rho=None if kind == "sphere" else (lambda x: (x * x).sum(axis=-1)))
     seeds = 7 + np.arange(n_seeds)
-    patch = mock.patch.object(batching, "_BLOCK_WORDS", words or batching._BLOCK_WORDS)
+    patch = mock.patch.object(driver, "_BLOCK_WORDS", words or driver._BLOCK_WORDS)
     if fault is not None:
         row, t = data.draw(st.integers(0, n_seeds - 1)), data.draw(st.integers(1, horizon - 1))
         with patch:

@@ -30,27 +30,26 @@ from reference import (
     sum_full_gradient,
 )
 
-SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e300])
 # the one NaN that the arithmetic itself makes (inf * 0), on this platform
 with np.errstate(invalid="ignore"):
     MADE_NAN = (np.array([np.inf]) * 0.0)[0]
+SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, MADE_NAN, 5e-324, -5e-324, 2.2e-308, 1e300])
 
 
-def _values(rng, shape, special, cm=False):
+def _values(rng, shape, special):
     """Normal values at mixed scales, a share ``special`` of them replaced by
     signed zeros, infinities, NaN and subnormals, and as large a share of the
     last-axis rows and of the last-two-axes slabs set to -0.0, whose sums
     numpy returns as +0.0.
 
-    For coordinate-major kernels (cm) the NaN is ``MADE_NAN``.  When two NaNs
-    of different bits meet in one addition, which one numpy returns depends
-    on its inner loop (vector or scalar), so the two layouts may disagree on
-    that NaN's sign; with the one NaN pattern that arithmetic on finite
-    numbers can make, every bit must agree."""
+    The NaN is ``MADE_NAN``.  When two NaNs of different bits meet in one
+    addition, which one numpy returns depends on its inner loop (vector or
+    scalar), so a kernel and its oracle may disagree on that NaN's sign by
+    chance; with the one NaN pattern that arithmetic on finite numbers can
+    make, every bit must agree."""
     a = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 6, size=shape)
     mask = rng.uniform(size=shape) < special
-    a[mask] = rng.choice(np.where(np.isnan(SPECIAL), MADE_NAN, SPECIAL) if cm else SPECIAL,
-                         size=int(mask.sum()))
+    a[mask] = rng.choice(SPECIAL, size=int(mask.sum()))
     for axes in (1, 2)[:len(shape)]:
         a[rng.uniform(size=shape[:-axes]) < special] = -0.0
     return a
@@ -94,9 +93,9 @@ def cases(draw, least_d=1):
 def test_sphere_sample_gradients(case, x_lead):
     rng, lead, d, b, special = case
     for cm in LAYOUTS:
-        p = SphereMeanProblem(_values(rng, (9, d), special, cm))
+        p = SphereMeanProblem(_values(rng, (9, d), special))
         # x either has the batch's leading shape or none (one point for all rows)
-        x = _values(rng, lead + (d,) if x_lead else (d,), special, cm)
+        x = _values(rng, lead + (d,) if x_lead else (d,), special)
         idx = rng.integers(0, 9, size=lead + (b,))
         _same(p.sample_gradients(_laid(x, cm), _laid(idx, cm)),
               broadcast_sample_gradients(p, x, idx))
@@ -108,9 +107,9 @@ def test_least_squares_sample_gradients(case, x_lead):
     rng, lead, d, b, special = case
     for cm in LAYOUTS:
         # features and labels as columns of one table, as the CSV loader leaves them
-        rows = _values(rng, (9, d + 1), special, cm)
+        rows = _values(rng, (9, d + 1), special)
         p = RegularizedLeastSquaresProblem(rows[:, :-1], rows[:, -1], tau=0.3)
-        x = _values(rng, lead + (d,) if x_lead else (d,), special, cm)
+        x = _values(rng, lead + (d,) if x_lead else (d,), special)
         idx = rng.integers(0, 9, size=lead + (b,))
         _same(p.sample_gradients(_laid(x, cm), _laid(idx, cm)),
               broadcast_sample_gradients(p, x, idx))
@@ -121,8 +120,8 @@ def test_least_squares_sample_gradients(case, x_lead):
 def test_sphere_cost(case):
     rng, lead, d, _, special = case
     for cm in LAYOUTS:
-        p = SphereMeanProblem(_values(rng, (9, d), special, cm))
-        x = _values(rng, lead + (d,), special, cm)
+        p = SphereMeanProblem(_values(rng, (9, d), special))
+        x = _values(rng, lead + (d,), special)
         _same(p.cost(_laid(x, cm)), sum_cost(p, x))
 
 
@@ -131,9 +130,9 @@ def test_sphere_cost(case):
 def test_least_squares_record(case):
     rng, lead, d, _, special = case
     for cm in LAYOUTS:
-        rows = _values(rng, (9, d + 1), special, cm)
+        rows = _values(rng, (9, d + 1), special)
         p = RegularizedLeastSquaresProblem(rows[:, :-1], rows[:, -1], tau=0.3)
-        x = _values(rng, lead + (d,), special, cm)
+        x = _values(rng, lead + (d,), special)
         _same(p.cost(_laid(x, cm)), sum_cost(p, x))
         _same(p.full_gradient(_laid(x, cm)), sum_full_gradient(p, x))
 
@@ -143,7 +142,7 @@ def test_least_squares_record(case):
 def test_combine_batch(case, uniform):
     rng, lead, d, b, special = case
     for cm in LAYOUTS:
-        grads = _values(rng, lead + (b, d), special, cm)
+        grads = _values(rng, lead + (b, d), special)
         w = np.full(b, 1.0 / b) if uniform else rng.uniform(0.1, 1.0, size=b)
         if not uniform:
             w /= w.sum()
@@ -156,7 +155,7 @@ def test_combine_batch(case, uniform):
 def test_dot(case):
     rng, lead, d, _, special = case
     for cm in LAYOUTS:
-        u, v = _values(rng, lead + (d,), special, cm), _values(rng, lead + (d,), special, cm)
+        u, v = _values(rng, lead + (d,), special), _values(rng, lead + (d,), special)
         _same(_dot(_laid(u, cm), _laid(v, cm)), sum_dot(u, v))
         _same(_dot(_laid(u, cm), _laid(u, cm)), sum_dot(u, u))
 
@@ -167,14 +166,13 @@ def test_dot(case):
 def test_retract_flagged(case, zero_rows, degenerate_rows):
     rng, lead, d, _, special = case
     for cm in LAYOUTS:
-        x = _values(rng, lead + (d,), special, cm)
-        v = _values(rng, lead + (d,), special, cm)
+        x = _values(rng, lead + (d,), special)
+        v = _values(rng, lead + (d,), special)
         # zero steps, all +0.0 or all -0.0, and steps that cancel x
         v[rng.uniform(size=lead) < zero_rows] = rng.choice([0.0, -0.0])
         cancel = rng.uniform(size=lead) < degenerate_rows
         v[cancel] = -x[cancel]
-        if cm:
-            v[np.isnan(v)] = MADE_NAN  # -x flipped the sign of x's NaNs
+        v[np.isnan(v)] = MADE_NAN  # -x flipped the sign of x's NaNs
         for man in ([Sphere(d)] if d >= 2 else []) + [Euclidean(d)]:
             y, ok = man.retract_flagged(_laid(x, cm), _laid(v, cm))
             want_y, want_ok = broadcast_retract_flagged(man, x, v)
