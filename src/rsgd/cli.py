@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .errors import (
     ConfigError,
     ConfinementViolation,
     DegenerateRetraction,
+    EnumerationBudgetExceeded,
     InvalidHyperparameters,
     InvalidPlan,
     SamplerFailure,
@@ -404,8 +406,8 @@ def cmd_run(args) -> int:
         else:
             spec = conf.norm_squared_confinement(params["rho0"])
             constants = _constants_for(params, spec, problem, rate, seed)
-            cfg.rho = spec.rho
-            trajectories = conf.run_confined_deterministic_many(cfg, constants, n_seeds)
+            trajectories = conf.run_confined_deterministic_many(
+                replace(cfg, rho=spec.rho), constants, n_seeds)
     except (DegenerateRetraction, ConfinementViolation, SamplerFailure) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 3
@@ -499,9 +501,12 @@ def cmd_check(args) -> int:
                 report = conf.check_kappa_confinement(spec, problem, params["kappa"],
                                                       params["samples"], seed=seed)
             payload = report.to_dict()
-    except SamplerFailure as exc:
-        print(f"check failed to sample: {exc}", file=sys.stderr)
+    except (SamplerFailure, EnumerationBudgetExceeded) as exc:
+        verb = "sample" if isinstance(exc, SamplerFailure) else "enumerate"
+        print(f"check failed to {verb}: {exc}", file=sys.stderr)
         return 1
+    except UnboundedRegion as exc:
+        raise ConfigError(f"check {args.name} needs [problem] rho1: {exc}") from None
 
     _write_json(out_dir / f"check_{args.name}.json", payload)
     if not args.quiet:

@@ -4,7 +4,8 @@ A confinement of the stochastic gradient field H is a coercive scalar
 function rho whose gradient makes a nonnegative inner product with every
 H(x, l) outside the sublevel set {rho <= rho0}.  Under that condition,
 scaling a deterministic-rate run by a constant phi computed from sampled
-suprema keeps every iterate inside {rho <= rho1} with
+suprema (``ScaledSchedule(schedule, phi)``, run by ``run_many``) keeps every
+iterate inside {rho <= rho1} with
 
     rho1 = rho0 + lambda * c + b^2 * sigma / 2,
 
@@ -27,15 +28,16 @@ Dirichlet-weighted combinations (a heuristic for the quadratic Hessian form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .driver import RunConfig, Trajectory, _run_block, _raise_if_degenerate
+from .driver import RunConfig, Trajectory, run_many
 from .errors import ConfinementViolation, InvalidHyperparameters, SamplerFailure
 from .problems import GradientOracle
-from .schedules import AdaptiveRate, cumulative_squares, sum_of_squares, validate_robbins_monro
+from .schedules import (AdaptiveRate, ScaledSchedule, cumulative_squares, sum_of_squares,
+                        validate_robbins_monro)
 
 VARIANTS = ("plain", "kappa", "batch_kappa")
 
@@ -118,16 +120,9 @@ class ConfinementReport:
     constants: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "pass": self.passed,
-            "min_margin": self.min_margin,
-            "witness": self.witness,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "notes": self.notes,
-            "constants": self.constants,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 def hessian_quadform(manifold, rho: Callable, x, u, v):
@@ -361,23 +356,6 @@ def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
     )
 
 
-def _check_deterministic_invariant(tr: Trajectory, constants: ConfinementConstants,
-                                   cum_sq: np.ndarray) -> None:
-    if tr.rho is None:
-        raise ValueError("confined runs must record rho; set RunConfig.rho")
-    tail = constants.sigma - cum_sq
-    lhs = tr.rho + 0.5 * constants.b**2 * tail
-    bad = np.flatnonzero(lhs > constants.rho1 + _INVARIANT_SLACK)
-    if bad.size:
-        t = int(bad[0])
-        raise ConfinementViolation(
-            f"induction invariant failed at t={t}: rho + b^2/2 * tail = {lhs[t]:.6g} "
-            f"> rho1 = {constants.rho1:.6g} (seed {tr.seed}); "
-            "lambda_est or b_est likely underestimated",
-            t=t, seed=tr.seed,
-        )
-
-
 def run_confined_deterministic_many(cfg: RunConfig, constants: ConfinementConstants,
                                     n_seeds: int) -> list[Trajectory]:
     """Deterministic-rate runs scaled by 1/phi, with the induction invariant
@@ -390,13 +368,20 @@ def run_confined_deterministic_many(cfg: RunConfig, constants: ConfinementConsta
     if start > constants.rho0 + _INVARIANT_SLACK:
         raise InvalidHyperparameters(
             f"rho(x0) = {start:g} must not exceed rho0 = {constants.rho0:g}")
-    run_cfg = replace(cfg, region_rho1=constants.rho1)
-    out = _run_block(run_cfg, cfg.seed + np.arange(n_seeds, dtype=np.int64),
-                     rate_divisor=constants.phi)
-    _raise_if_degenerate(out)
-    cum_sq = cumulative_squares(cfg.rate, cfg.horizon)
+    out = run_many(replace(cfg, rate=ScaledSchedule(cfg.rate, constants.phi),
+                           region_rho1=constants.rho1), n_seeds)
+    tail = constants.sigma - cumulative_squares(cfg.rate, cfg.horizon)
     for tr in out:
-        _check_deterministic_invariant(tr, constants, cum_sq)
+        lhs = tr.rho + 0.5 * constants.b**2 * tail
+        bad = np.flatnonzero(lhs > constants.rho1 + _INVARIANT_SLACK)
+        if bad.size:
+            t = int(bad[0])
+            raise ConfinementViolation(
+                f"induction invariant failed at t={t}: rho + b^2/2 * tail = {lhs[t]:.6g} "
+                f"> rho1 = {constants.rho1:.6g} (seed {tr.seed}); "
+                "lambda_est or b_est likely underestimated",
+                t=t, seed=tr.seed,
+            )
     return out
 
 
@@ -418,9 +403,7 @@ def run_confined_adaptive_many(cfg: RunConfig, spec: ConfinementSpec, kappa: flo
     start = float(np.asarray(spec.rho(cfg.x0)))
     if start > spec.rho1 + _INVARIANT_SLACK:
         raise InvalidHyperparameters(f"rho(x0) = {start:g} must not exceed rho1 = {spec.rho1:g}")
-    run_cfg = replace(cfg, rho=spec.rho, region_rho1=spec.rho1)
-    out = _run_block(run_cfg, cfg.seed + np.arange(n_seeds, dtype=np.int64))
-    _raise_if_degenerate(out)
+    out = run_many(replace(cfg, rho=spec.rho, region_rho1=spec.rho1), n_seeds)
     for tr in out:
         bad = np.flatnonzero(tr.rho > spec.rho1 + _INVARIANT_SLACK)
         if bad.size:

@@ -11,10 +11,10 @@ The loop runs over blocks of steps, and ``_blocks`` alone decides where they
 end: a block keeps one batch layout (``plan.layout``) and holds at most
 ``max(1, _BLOCK_WORDS // (S * max(b, d)))`` steps, so its outcome indices
 (S, k, b) and its buffers (S, k, d) hold at most ``_BLOCK_WORDS`` words each
-(or one step's) whatever the horizon.  Since no draw depends on the order of the steps, a
-block's batches come from one ``plan.draw(t0, t1, seeds)`` call, and its
-weights and deterministic rates (through the scalar ``gamma(t) /
-rate_divisor``) are computed once per block.
+(or one step's) whatever the horizon.  No draw depends on the order of the
+steps, so a block's batches come from one ``plan.draw(t0, t1, seeds)`` call,
+and its weights and deterministic rates (a confined run's ``ScaledSchedule``
+divides each ``gamma(t)`` by phi) are computed once per block.
 
 Per step the loop computes only what the next iterate needs: the batch
 gradient, the rate (and, under the adaptive rule, the batch gradient norm),
@@ -54,6 +54,7 @@ enforced.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from math import isfinite
@@ -65,7 +66,7 @@ from .batching import BatchPlan, combine_batch
 from .errors import DegenerateRetraction
 from .manifolds import _empty, _spread, coordinate_major
 from .problems import GradientOracle
-from .schedules import AdaptiveRate, ExplicitSchedule, PowerLawSchedule
+from .schedules import AdaptiveRate, ExplicitSchedule, PowerLawSchedule, ScaledSchedule
 
 # one entry per CSV column: header name, Trajectory field, type; the first
 # column is the step index t, ints are written as %d and floats as %.17g
@@ -86,7 +87,7 @@ _CSV_CHUNK = 1024
 # words per block: its outcome indices over all seeds, and each (S, k, d) buffer
 _BLOCK_WORDS = 1 << 15
 
-DeterministicSchedule = (PowerLawSchedule, ExplicitSchedule)
+DeterministicSchedule = (PowerLawSchedule, ExplicitSchedule, ScaledSchedule)
 
 
 @dataclass
@@ -174,7 +175,11 @@ def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # a file without rows is named below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if not data.size:
+        raise ValueError(f"{path}: no data rows")
     if data.shape[1] != len(_CSV_COLUMNS):
         raise ValueError(f"{path}: expected {len(_CSV_COLUMNS)} columns, found {data.shape[1]}")
     fields = {attr: data[:, i].astype(kind, copy=False)
@@ -203,7 +208,7 @@ def _blocks(plan: BatchPlan, T: int, s_count: int, d: int):
         t0 = t1
 
 
-def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> list[Trajectory]:
+def _run_block(cfg: RunConfig, seeds: np.ndarray) -> list[Trajectory]:
     oracle, plan, man = cfg.oracle, cfg.plan, cfg.oracle.manifold
     T = cfg.horizon
     seeds = np.asarray(seeds, dtype=np.int64)
@@ -256,7 +261,7 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
             equal = bool(np.all(weights == weights[0]))
             bsize[t0:t1] = block.shape[2]
             if not adaptive:
-                rates = np.array([cfg.rate.gamma(t) / rate_divisor for t in range(t0, t1)])
+                rates = np.array([cfg.rate.gamma(t) for t in range(t0, t1)])
                 neg_rates = (-rates).tolist()
 
             # (k, S, b): the outcomes of one step are one contiguous slab, in
@@ -341,7 +346,7 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
         step[:, T] = np.where(alive, cfg.rate.alpha / np.power(cfg.rate.beta + acc, expo), nan)
     else:
         try:
-            step[:, T] = np.where(alive, cfg.rate.gamma(T) / rate_divisor, nan)
+            step[:, T] = np.where(alive, cfg.rate.gamma(T), nan)
         except IndexError:
             pass
 
@@ -378,12 +383,6 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, rate_divisor: float = 1.0) -> 
     return out
 
 
-def _raise_if_degenerate(trajectories):
-    bad = [tr.seed for tr in trajectories if tr.status == "degenerate"]
-    if bad:
-        raise DegenerateRetraction(f"retraction degenerated for seeds {bad}")
-
-
 def run_deterministic(cfg: RunConfig) -> Trajectory:
     """Iterate x <- retract(x, -gamma_t * h_t), h_t the batch gradient; one trajectory."""
     if not isinstance(cfg.rate, DeterministicSchedule):
@@ -407,5 +406,7 @@ def run_many(cfg: RunConfig, n_seeds: int) -> list[Trajectory]:
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     out = _run_block(cfg, cfg.seed + np.arange(n_seeds, dtype=np.int64))
-    _raise_if_degenerate(out)
+    bad = [tr.seed for tr in out if tr.status == "degenerate"]
+    if bad:
+        raise DegenerateRetraction(f"retraction degenerated for seeds {bad}")
     return out

@@ -60,6 +60,17 @@ class ExplicitSchedule:
 
 
 @dataclass(frozen=True)
+class ScaledSchedule:
+    """gamma_t = schedule.gamma(t) / phi, the rates of a confined run."""
+
+    schedule: PowerLawSchedule | ExplicitSchedule
+    phi: float
+
+    def gamma(self, t: int) -> float:
+        return self.schedule.gamma(t) / self.phi
+
+
+@dataclass(frozen=True)
 class ScheduleCheck:
     valid: bool
     reason: str

@@ -282,7 +282,7 @@ def running_min_grad_norm(tr: Trajectory) -> np.ndarray:
     return np.minimum.accumulate(tr.grad_norm)
 
 
-def stepwise_run(cfg, seeds, rate_divisor: float = 1.0) -> list[Trajectory]:
+def stepwise_run(cfg, seeds) -> list[Trajectory]:
     """The engine's iteration one step at a time: every batch comes from
     ``draw_batch`` for one seed and step, its gradient from ``batch_gradient``,
     every rate from one scalar ``gamma(t)`` call, every norm and inner product
@@ -329,7 +329,7 @@ def stepwise_run(cfg, seeds, rate_divisor: float = 1.0) -> list[Trajectory]:
                 rate_t = cfg.rate.alpha / np.power(cfg.rate.beta + acc, cfg.rate.exponent)
                 v = -rate_t[:, None] * h
             else:
-                rate_t = cfg.rate.gamma(t) / rate_divisor
+                rate_t = cfg.rate.gamma(t)
                 v = -rate_t * h
             step[:, t] = np.where(alive, rate_t, nan)
 
@@ -353,7 +353,7 @@ def stepwise_run(cfg, seeds, rate_divisor: float = 1.0) -> list[Trajectory]:
                                                                cfg.rate.exponent), nan)
     else:
         try:
-            step[:, T] = np.where(alive, cfg.rate.gamma(T) / rate_divisor, nan)
+            step[:, T] = np.where(alive, cfg.rate.gamma(T), nan)
         except IndexError:
             pass
     if rho_rec is not None and cfg.region_rho1 is not None:

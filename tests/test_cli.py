@@ -1,6 +1,7 @@
 import configparser
 import json
 import re
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -10,6 +11,7 @@ import pytest
 from rsgd import cli
 from rsgd import confinement as conf
 from rsgd.cli import CONFIG_KEYS, _parse_strata, build_plan, load_config, main
+from rsgd.driver import CSV_HEADER
 from rsgd.problems import FiniteSampleSpace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -254,6 +256,27 @@ class TestCheck:
         cfg, _ = sphere_config
         assert main(["check", "confinement", "--config", str(cfg)]) == 2
 
+    def test_plan_past_the_enumeration_budget_exits_one(self, tmp_path, capsys, monkeypatch):
+        # 16 outcomes, batch size 6: 16**6 = 16,777,216 outcomes at t = 0
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(_readme_ini().replace("batch_size = 4 ", "batch_size = 6 "))
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "unbiasedness", "--config", str(cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failed to enumerate: 16777216 outcomes at t=0")
+        assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("name", ["unbiasedness", "gradient", "lipschitz"])
+    def test_least_squares_without_a_ball_names_rho1(self, tmp_path, capsys, name):
+        out = tmp_path / "runs"
+        cfg = tmp_path / "ls.ini"
+        cfg.write_text(LS_CONFINED_CONFIG.format(out=out))
+        assert main(["check", name, "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "[problem] rho1" in err
+        assert not out.exists()
+
 
 class TestReport:
     def test_aggregates(self, sphere_config, capsys):
@@ -281,6 +304,15 @@ class TestReport:
         bad.write_text("t,F\n0,1\n")
         assert main(["report", "--out", str(tmp_path)]) == 2
         assert "x_seed1.csv" in capsys.readouterr().err
+
+    def test_header_only_csv_exits_two_without_a_warning(self, tmp_path, capsys):
+        (tmp_path / "x_seed1.csv").write_text(CSV_HEADER + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "x_seed1.csv: no data rows" in err
+        assert not caught and "Warning" not in err
 
     def test_runs_of_different_lengths_exit_two(self, sphere_config, capsys):
         # two horizons in one directory once ended in a ValueError traceback

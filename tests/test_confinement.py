@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,21 @@ class TestConfinedAdaptive:
                         rate=AdaptiveRate(0.5, 1.0, 0.25), x0=np.zeros(3), horizon=10, seed=0)
         with pytest.raises(ValueError, match="kappa"):
             run_confined_adaptive_many(cfg, spec, kappa=0.1, n_seeds=1)  # eta0 = 0.5 > 0.1
+
+
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_confined_runs_refuse_fewer_than_one_seed(schedule, n_seeds):
+    # both once ended in a ZeroDivisionError from the driver's block split
+    prob = FieldProblem(3, [zero_field])
+    spec = norm_squared_confinement(1.0, 2.0, "kappa")
+    consts = estimate_constants(spec, prob, schedule, 1.0, 1.0, 1.0, 200, seed=5)
+    cfg = RunConfig(oracle=prob, plan=SegmentPlan(prob.space, BatchSizes.constant(1)),
+                    rate=schedule, x0=np.zeros(3), horizon=5, seed=0, rho=spec.rho)
+    with pytest.raises(ValueError, match="n_seeds must be >= 1"):
+        run_confined_deterministic_many(cfg, consts, n_seeds)
+    with pytest.raises(ValueError, match="n_seeds must be >= 1"):
+        run_confined_adaptive_many(replace(cfg, rate=AdaptiveRate(0.5, 1.0, 0.25)), spec,
+                                   kappa=0.5, n_seeds=n_seeds)
 
 
 def test_report_serialization(ls_problem):

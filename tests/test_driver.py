@@ -29,6 +29,7 @@ from rsgd import (
 from rsgd import driver
 from rsgd.driver import _run_block
 from rsgd.manifolds import _CM_SEEDS, Sphere, coordinate_major
+from rsgd.schedules import ScaledSchedule
 
 from reference import (
     AdaptiveState,
@@ -479,16 +480,19 @@ class TestBlockEngineAgainstStepwise:
             _assert_bitwise(got, stepwise_run(cfg, seeds))
 
     def test_confined_rate_divisor(self):
+        # a confined run's rates: each gamma(t) divided by phi, one scalar division
         p = random_least_squares(3, 6, seed=11, tau=0.2, region_rho1=9.0)
         rho = lambda x: (x**2).sum(axis=-1)
+        horizon = 2 * self.K + 3
         for rate in (PowerLawSchedule(0.5, 0.75), ExplicitSchedule((0.3, 0.2) * 10)):
             cfg = RunConfig(oracle=p, plan=SubsetPlan(p.space, BatchSizes.constant(2)),
-                            rate=rate, x0=np.array([0.3, -0.2, 0.1]), horizon=2 * self.K + 3,
-                            seed=0, rho=rho, region_rho1=9.0)
+                            rate=ScaledSchedule(rate, 1.7), x0=np.array([0.3, -0.2, 0.1]),
+                            horizon=horizon, seed=0, rho=rho, region_rho1=9.0)
             seeds = np.arange(3)
             with _blocked(self.K, 3, 2, 3):
-                got = _run_block(cfg, seeds, rate_divisor=1.7)
-            _assert_bitwise(got, stepwise_run(cfg, seeds, rate_divisor=1.7))
+                got = _run_block(cfg, seeds)
+            _assert_bitwise(got, stepwise_run(cfg, seeds))
+            assert got[0].step[:horizon].tolist() == [rate.gamma(t) / 1.7 for t in range(horizon)]
 
     def test_divergent_run(self):
         p = RegularizedLeastSquaresProblem(np.array([[10.0, 0.0], [0.0, 10.0]]),

@@ -87,3 +87,57 @@ def test_randints_with_one_modulus_per_slot():
     draws = crng.randints(keys, np.arange(5), moduli)
     for j, n in enumerate(moduli):
         np.testing.assert_array_equal(draws[:, j], crng.randints(keys, np.array([j]), int(n))[:, 0])
+
+
+def _lemire_reference(key: int, slot: int, n: int) -> tuple[int, int]:
+    """The documented method for one (key, slot), on Python ints: the top 32
+    bits of the splitmix64 value at the slot times n, rejected while the low
+    32 bits of the product fall under (2**32 - n) % n, each retry taking the
+    value of the next derived round.  Returns the draw and the rounds taken."""
+    mask = (1 << 64) - 1
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    threshold = (2**32 - n) % n
+    round_ = 0
+    while True:
+        ctr = (key + (slot + 1) * 0x9E3779B97F4A7C15 + round_ * 0xD1342543DE82EF95) & mask
+        prod = (mix(ctr) >> 32) * n
+        if prod & 0xFFFFFFFF >= threshold:
+            return prod >> 32, round_ + 1
+        round_ += 1
+
+
+def test_randints_rejection_rounds_match_the_reference():
+    # n = 3 * 2**29 rejects the 2**30 low products under (2**32 - n) % n:
+    # a quarter of first-round draws, a sixteenth of second-round ones
+    n = 3 << 29
+    keys = crng.stream_keys(np.arange(8), stream=10)
+    draws = crng.randints(keys, np.arange(64), n)
+    rounds = []
+    for i, key in enumerate(keys.tolist()):
+        for slot in range(64):
+            want, taken = _lemire_reference(key, slot, n)
+            assert draws[i, slot] == want
+            rounds.append(taken)
+    assert 0.15 < np.mean(np.array(rounds) > 1) < 0.35
+    assert max(rounds) >= 3
+
+
+def test_randints_per_slot_moduli_mix_rejecting_and_exact_ones():
+    # 3 * 2**29 and 5 * 2**28 reject 25% and 6.25% of first rounds; 2**31 and
+    # 2**30 never reject, and 7 and 1000 only with probability < 1e-6
+    moduli = np.array([3 << 29, 7, 1 << 31, 5 << 28, 1000, 1 << 30])
+    keys = crng.stream_keys(np.arange(20), stream=11)
+    slots = np.arange(moduli.size)
+    draws = crng.randints(keys, slots, moduli)
+    rejected = 0
+    for i, key in enumerate(keys.tolist()):
+        for slot, n in zip(slots.tolist(), moduli.tolist()):
+            want, taken = _lemire_reference(key, slot, n)
+            assert draws[i, slot] == want
+            rejected += taken > 1
+    assert rejected > 0

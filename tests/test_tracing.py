@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import rsgd
-from rsgd import driver
+from rsgd import confinement, driver
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -47,3 +47,32 @@ def test_install_wraps_the_package_and_unpatch_restores_it():
         tracer.unpatch()
     for owner, attr, original in patched:
         assert _current(owner, attr) is original, (owner, attr)
+
+
+def test_a_confined_run_is_one_traced_run():
+    # confinement enters the engine through the run_many it imported, not
+    # the patched driver.run_many: one span and S * T seed-steps per call
+    problem = rsgd.random_least_squares(3, 6, seed=11, tau=0.2)
+    plan = rsgd.SegmentPlan(problem.space, rsgd.BatchSizes.constant(2))
+    rate = rsgd.PowerLawSchedule(0.5, 0.75)
+    det = rsgd.norm_squared_confinement(problem.rho0_for_norm_squared())
+    constants = rsgd.estimate_constants(det, problem, rate, 1.0, 1.0, 1.0, 200, seed=0)
+    kappa = rsgd.norm_squared_confinement(4.0, 5.0, "kappa")
+    cfg = rsgd.RunConfig(oracle=problem, plan=plan, rate=rate, x0=np.zeros(3), horizon=7,
+                         rho=det.rho)
+    runs = (lambda: confinement.run_confined_deterministic_many(cfg, constants, 3),
+            lambda: confinement.run_confined_adaptive_many(
+                rsgd.RunConfig(oracle=problem, plan=plan, rate=rsgd.AdaptiveRate(),
+                               x0=np.zeros(3), horizon=7), kappa, 0.5, 3))
+    for run in runs:
+        tracer = _tracer()
+        try:
+            tracer.install()
+            tracer.enabled = True
+            run()
+            tracer.enabled = False
+        finally:
+            tracer.unpatch()
+        spans = np.frombuffer(tracer.name, dtype=np.int32)
+        assert int((spans == tracer.names.index("driver.run")).sum()) == 1
+        assert tracer.counts["driver.seed_steps"] == 3 * 7
