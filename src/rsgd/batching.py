@@ -41,8 +41,8 @@ import numpy as np
 
 from . import rng as crng
 from .errors import EnumerationBudgetExceeded, InvalidPlan
-from .manifolds import _SHORT, _spread, _sum
-from .problems import FiniteSampleSpace, GradientOracle
+from .manifolds import _SHORT, _sum
+from .problems import FiniteSampleSpace, GradientOracle, _gather_cm
 
 _STREAM_SEGMENT = 1 << 36
 _STREAM_SUBSET = 1 << 40
@@ -413,7 +413,7 @@ def combine_batch(weights: np.ndarray, grads: np.ndarray, equal: bool) -> np.nda
     layout (see :mod:`rsgd.manifolds`)."""
     if equal:
         return _sum(grads, -2) / grads.shape[-2]
-    return _sum(grads * _spread(weights, grads), -2)
+    return _sum(grads * weights[..., None], -2)
 
 
 def _enumerated_vectors(oracle, x, plan, t):
@@ -423,11 +423,14 @@ def _enumerated_vectors(oracle, x, plan, t):
             f"{count} outcomes at t={t} exceed the enumeration budget {_ENUM_BUDGET}"
         )
     x = np.asarray(x, dtype=float)
-    table = oracle.sample_gradients(x, np.arange(oracle.space.size))
+    # (d, N): each chunk is gathered coordinate-major, so the batch average
+    # sums contiguous runs of outcomes, and handed on row-major, so the sums
+    # over it keep their order
+    table_t = np.ascontiguousarray(oracle.sample_gradients(x, np.arange(oracle.space.size)).T)
     w = plan.weights_at(t)
     equal = bool(np.all(w == w[0]))
     for idx, prob in plan.iter_outcome_chunks(t):
-        yield combine_batch(w, table[idx], equal), prob
+        yield np.ascontiguousarray(combine_batch(w, _gather_cm(table_t, idx), equal)), prob
 
 
 def enumerate_expectation(oracle: GradientOracle, x, plan: BatchPlan, t: int = 0) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 from . import confinement as conf
 from . import diagnostics as diag
 from .batching import BatchSizes, SegmentPlan, StratifiedPlan, SubsetPlan, enumerate_expectation
-from .driver import RunConfig, read_trajectory_csv, run_many
+from .driver import RunConfig, read_trajectory_csv, record_nbytes, run_many
 from .errors import (
     ConfigError,
     ConfinementViolation,
@@ -342,13 +342,12 @@ def _physical_bytes() -> int:
 
 
 def _record_horizon(cp, args) -> int:
-    """The horizon, once the records of the run are known to fit in physical
-    memory: per seed and step, six float64 columns (F, grad_norm, step,
-    batch_grad_norm, noise_inner, rho) and a bool one, plus the batch size
-    per step.  Checked before anything of the run is allocated."""
+    """The horizon, once the records of the run (``record_nbytes``) are known
+    to fit in physical memory.  Checked before anything of the run is
+    allocated."""
     horizon = _get(cp, "run", "horizon", args.horizon)
     n_seeds = _get(cp, "run", "seeds")
-    need, have = (49 * n_seeds + 8) * (horizon + 1), _physical_bytes()
+    need, have = record_nbytes(n_seeds, horizon), _physical_bytes()
     if need > have:
         raise ConfigError(f"[run] seeds = {n_seeds} and [run] horizon (or --horizon) = "
                           f"{horizon} need {need / 2**30:.3g} GiB of records, more than the "
@@ -357,6 +356,11 @@ def _record_horizon(cp, args) -> int:
 
 
 def _constants_for(params, spec, problem, rate, seed):
+    # estimate_constants refuses a rate that fails the step-size conditions
+    check = validate_robbins_monro(rate)
+    if not check.valid:
+        key = "kind = list" if isinstance(rate, ExplicitSchedule) else f"p = {rate.p:g}"
+        raise ConfigError(f"[rate] {key} cannot confine a deterministic run: {check.reason}")
     lam, b, theta, n_samples = params["lambda"], params["b"], params["theta"], params["samples"]
     if b == "auto":
         trial = conf.estimate_constants(spec, problem, rate, lam, 1.0, theta, n_samples, seed=seed)

@@ -143,9 +143,9 @@ def sample_rho_levels(rho: Callable, dim: int, targets: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
     """Points x with rho(x) ~ targets, found by radius bisection along random rays.
 
-    Works directly for radially monotone rho; rows the bisection cannot
-    certify fall back to rejection sampling in an enclosing box.  Raises
-    SamplerFailure when neither route produces a point.
+    The bisection keeps each target between rho(lo) and rho(hi), so it meets
+    every target of a rho that is continuous along the rays.  Raises
+    SamplerFailure when a target is unreachable or missed (rho jumps over it).
     """
     targets = np.asarray(targets, dtype=float)
     n = targets.size
@@ -173,25 +173,11 @@ def sample_rho_levels(rho: Callable, dim: int, targets: np.ndarray,
         hi = np.where(small, hi, mid)
     pts = hi[:, None] * dirs
     resid = np.abs(np.asarray(rho(pts)) - targets)
-    bad = resid > 1e-6 * np.maximum(1.0, np.abs(targets))
-    if np.any(bad):
-        pts[bad] = _rejection_fallback(rho, dim, targets[bad], float(hi.max()), rng)
+    missed = int(np.count_nonzero(resid > 1e-6 * np.maximum(1.0, np.abs(targets))))
+    if missed:
+        raise SamplerFailure(f"bisection missed {missed} of {n} rho levels: "
+                             "rho is not continuous along the rays")
     return pts
-
-
-def _rejection_fallback(rho, dim, targets, box_radius, rng, max_rounds: int = 200):
-    lo, hi = float(targets.min()), float(targets.max())
-    need = targets.size
-    found = []
-    for _ in range(max_rounds):
-        cand = rng.uniform(-box_radius, box_radius, size=(max(64, 4 * need), dim))
-        vals = np.asarray(rho(cand))
-        keep = cand[(vals >= lo - 1e-9) & (vals <= hi + 1e-9)]
-        if keep.size:
-            found.append(keep)
-            if sum(len(f) for f in found) >= need:
-                return np.concatenate(found)[:need]
-    raise SamplerFailure("rejection sampling could not hit the requested rho band")
 
 
 def _band_points(spec, dim, lo, hi, n, key):

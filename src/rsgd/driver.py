@@ -64,7 +64,7 @@ import numpy as np
 
 from .batching import BatchPlan, combine_batch
 from .errors import DegenerateRetraction
-from .manifolds import _empty, _spread, coordinate_major
+from .manifolds import _empty, coordinate_major
 from .problems import GradientOracle
 from .schedules import AdaptiveRate, ExplicitSchedule, PowerLawSchedule, ScaledSchedule
 
@@ -208,6 +208,13 @@ def _blocks(plan: BatchPlan, T: int, s_count: int, d: int):
         t0 = t1
 
 
+def record_nbytes(n_seeds: int, horizon: int) -> int:
+    """Bytes of the records ``_run_block`` allocates for a run with rho: per
+    seed and step six float64 columns (F, grad_norm, step, batch_grad_norm,
+    noise_inner, rho) and the bool in_region, and per step the batch size."""
+    return (49 * n_seeds + 8) * (horizon + 1)
+
+
 def _run_block(cfg: RunConfig, seeds: np.ndarray) -> list[Trajectory]:
     oracle, plan, man = cfg.oracle, cfg.plan, cfg.oracle.manifold
     T = cfg.horizon
@@ -290,7 +297,7 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray) -> list[Trajectory]:
                     eta = alpha / np.power(beta + acc, expo)
                     etas[:, k] = eta
                     bhs[:, k] = bh
-                    v = h * _spread(-eta, h)
+                    v = h * -eta[..., None]
                 else:
                     v = h * neg_rates[k]
 

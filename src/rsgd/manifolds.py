@@ -26,10 +26,9 @@ reads it from the memory of its input (``_is_cm``):
   contiguous runs of S entries, and a per-seed scalar broadcasts along the
   outermost axis at no cost.  From ``_CM_SEEDS`` seeds on this is the faster
   layout;
-- row-major: numpy's reduction and its broadcasts along a short last axis run
-  one inner loop per few entries, so once an array holds ``_MANY`` entries or
-  more, ``_sum`` writes the short case out as slice adds in numpy's own order,
-  and ``_spread`` repeats a per-seed scalar instead of broadcasting it.
+- row-major: the kernels are plain numpy broadcasts and reductions, which
+  along a short last axis run one inner loop per few entries.  It is the
+  layout of fewer than ``_CM_SEEDS`` seeds, and of d = 1 and d >= 8.
 
 Results never depend on the layout: elementwise arithmetic does not see
 memory order, a sum of fewer than 8 terms is sequential in every layout, and
@@ -49,10 +48,8 @@ import numpy as np
 from .errors import DegenerateRetraction
 
 DEGENERACY_EPS = 1e-12
-# in row-major memory, an axis shorter than _SHORT is summed by slice adds,
-# and repeated rather than broadcast, in arrays of at least _MANY entries
+# numpy sums fewer than _SHORT terms one after the other in every layout
 _SHORT = 8
-_MANY = 512
 # seeds from which a lockstep run of 1 < d < _SHORT goes coordinate-major
 _CM_SEEDS = 8
 
@@ -86,28 +83,7 @@ def _sum(a, axis=-1):
         after = 1 if axis == -1 else a.shape[-1]
         if after == 1 or a.size == n * after or not _is_cm(a):
             a = np.ascontiguousarray(a)
-    if n >= _SHORT or n == 0 or a.size < _MANY or _is_cm(a):
-        return np.add.reduce(a, axis=axis)
-    if axis != -1:
-        a = a.swapaxes(axis, -1)
-    if n == 1:
-        return a[..., 0] + 0.0
-    out = a[..., 0] + a[..., 1]
-    for j in range(2, n):
-        out += a[..., j]
-    # numpy starts from 0.0: an all -0.0 sum is +0.0, anything else unchanged
-    out += 0.0
-    return out
-
-
-def _spread(a, like):
-    """a (...) against the last axis of ``like`` (..., d): repeated to
-    (..., d) when like is row-major and large and d short, the broadcast view
-    (..., 1) otherwise."""
-    d = like.shape[-1]
-    if d < _SHORT and like.size >= _MANY and not _is_cm(like):
-        return a[..., None].repeat(d, axis=-1)
-    return a[..., None]
+    return np.add.reduce(a, axis=axis)
 
 
 def _dot(u, v):
@@ -216,7 +192,7 @@ class Sphere(Manifold):
         ok = n > DEGENERACY_EPS
         if not np.logical_and.reduce(ok, axis=None):
             n = np.where(ok, n, 1.0)
-        out = y / _spread(n, y)
+        out = y / n[..., None]
         # R_x(0) = x exactly: renormalization must not move a fixed point;
         # only a step with a zero entry can be a zero step
         v = np.asarray(v)

@@ -20,7 +20,7 @@ gradients H(x, l) still read the data rows; they sum along d the way
 the memory layout.  For points in coordinate-major memory (see
 :mod:`rsgd.manifolds`) they gather from a (d, N) copy of the data, made on
 the first such call, and repeat x along the batch axis; in row-major memory
-they repeat x along a batch axis shorter than 8 only on many rows.
+they gather rows and broadcast x.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UnboundedRegion
-from .manifolds import _MANY, _SHORT, Euclidean, Manifold, Sphere, _dot, _is_cm, _spread, _sum
+from .manifolds import Euclidean, Manifold, Sphere, _dot, _is_cm, _sum
 
 
 @dataclass(frozen=True)
@@ -117,16 +117,13 @@ def _gather_cm(a_t, idx):
 
 def _rows(x, b):
     """x (..., d) against a batch of b outcomes: repeated to (..., b, d), in
-    the layout of x, when b > 1 and x is coordinate-major, or when b is short
-    and that makes at least _MANY entries; the broadcast view (..., 1, d)
-    otherwise."""
+    the layout of x, when b > 1 and x is coordinate-major; the broadcast view
+    (..., 1, d) otherwise."""
     xb = x[..., None, :]
     if b > 1 and _is_cm(x):
         # a broadcast along the batch axis, between d and the seeds in
         # memory, would cost each operation one inner loop per (j, i)
         return xb.T.repeat(b, axis=1).T
-    if b < _SHORT and x.size * b >= _MANY:
-        return xb.repeat(b, axis=-2)
     return xb
 
 
@@ -174,7 +171,7 @@ class SphereMeanProblem(GradientOracle):
             diff = xb - _gather_cm(self._targets_t, idx)
         else:
             diff = xb - _gather(self.targets, idx)
-        return diff - _spread(_sum(diff * xb), diff) * xb
+        return diff - _sum(diff * xb)[..., None] * xb
 
     def gradient_bound(self, rho1: float | None = None) -> float:
         # ||proj_x(x - a_l)|| <= ||x|| + ||a_l|| <= 1 + max ||a_l||; pad to the
@@ -258,7 +255,7 @@ class RegularizedLeastSquaresProblem(GradientOracle):
             av, y = _gather(self.features, idx), _gather(self.labels, idx)
         xb = _rows(x, idx.shape[-1])
         r = _sum(xb * av) - y
-        return _spread(r, av) * av + self.tau * xb
+        return r[..., None] * av + self.tau * xb
 
     def rho0_for_norm_squared(self) -> float:
         """Threshold max_l y_l^2 / (4 tau) above which <2x, H(x, l)> >= 0."""

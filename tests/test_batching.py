@@ -26,7 +26,8 @@ from rsgd import (
 from rsgd import batching, driver
 from rsgd.problems import GradientOracle
 
-from reference import BatchDraw, batch_gradient, dense_outcomes, draw_batch, pool_subsets
+from reference import (BatchDraw, batch_gradient, dense_outcomes, draw_batch, mean_combine,
+                       pool_subsets)
 
 
 class FixedVectorsProblem(GradientOracle):
@@ -468,6 +469,57 @@ def test_enumeration_equals_full_gradient_nonuniform(problem, scheme, n, d, data
     # rounding grows with the per-outcome gradients the expectation sums
     scale = np.sqrt((prob.sample_gradients(x, np.arange(n)) ** 2).sum(axis=-1)).max()
     assert np.sqrt((dev * dev).sum()) <= 1e-12 * max(1.0, scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
+       uniform=st.booleans(), d=st.sampled_from([1, 2, 4, 7, 8, 9]), b=st.integers(1, 9),
+       chunk=st.sampled_from([1, 5, 64, 1 << 15]), data=st.data())
+def test_enumeration_bits_equal_a_row_major_accumulation(scheme, uniform, d, b, chunk, data):
+    # whatever memory the batch averages are formed in, the expectation and
+    # the variance keep the bits of averaging a row-major gather table[idx]
+    if scheme == "no_repetition":
+        uniform, n = True, data.draw(st.integers(b, b + 3))
+    else:
+        # at most 1000 outcomes: n^b bounds the count of every product plan
+        n = data.draw(st.integers(1, max(1, int(1000 ** (1 / b)))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    weights = None if uniform else rng.uniform(0.05, 1.0, size=n)
+    if weights is not None:
+        weights /= weights.sum()
+    if d > 1 and data.draw(st.booleans()):
+        prob = SphereMeanProblem(rng.normal(size=(n, d)), weights=weights)
+        x = prob.manifold.random_point(rng)
+    else:
+        prob = RegularizedLeastSquaresProblem(rng.normal(size=(n, d)), rng.normal(size=n), 0.3,
+                                              weights=weights)
+        x = rng.normal(size=d)
+    if scheme == "segment":
+        plan = SegmentPlan(prob.space, BatchSizes.constant(b))
+    elif scheme == "no_repetition":
+        plan = SubsetPlan(prob.space, BatchSizes.constant(b))
+    else:
+        # k strata of a shuffled range(n), drawn b times in all
+        k = data.draw(st.integers(1, min(n, b)))
+        order = rng.permutation(n)
+        cuts = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False)) if k > 1 else []
+        counts = np.diff([0, *sorted(rng.choice(np.arange(1, b), size=k - 1, replace=False)), b])
+        plan = StratifiedPlan(prob.space, np.split(order, cuts), counts)
+    with mock.patch.object(batching, "_ENUM_CHUNK", chunk):
+        mean, var = enumerate_expectation(prob, x, plan), variance_report(prob, x, plan)
+        chunks = list(plan.iter_outcome_chunks(0))
+    table = prob.sample_gradients(x, np.arange(n))
+    w = plan.weights_at(0)
+    equal = bool(np.all(w == w[0]))
+    g = prob.full_gradient(x)
+    want_mean, want_var = np.zeros(d), 0.0
+    for idx, p in chunks:
+        vecs = mean_combine(w, table[idx], equal)
+        want_mean += (p[:, None] * vecs).sum(axis=0)
+        dev = vecs - g
+        want_var += float((p * (dev * dev).sum(axis=1)).sum())
+    assert mean.tobytes() == want_mean.tobytes()
+    assert np.float64(var).tobytes() == np.float64(want_var).tobytes()
 
 
 def _drawn_partition(n, data):

@@ -11,7 +11,7 @@ import pytest
 from rsgd import cli
 from rsgd import confinement as conf
 from rsgd.cli import CONFIG_KEYS, _parse_strata, build_plan, load_config, main
-from rsgd.driver import CSV_HEADER
+from rsgd.driver import CSV_HEADER, record_nbytes
 from rsgd.problems import FiniteSampleSpace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -417,6 +417,10 @@ class TestConfinedRunInputs:
 TO_LEAST_SQUARES = ("kind = sphere_mean", "kind = least_squares\ntau = 0.2")
 
 
+# a deterministic rate with no rate sum to diverge
+LIST_RATE = ("kind = power\nc = 0.5\np = 0.75", "kind = list\nvalues = 0.5, 0.4, 0.3")
+
+
 def _confined(line):
     return ("[run]", f"[confinement]\nenabled = true\n{line}\n\n[run]")
 
@@ -456,6 +460,12 @@ class TestRunInputs:
         ([TO_LEAST_SQUARES, _confined("rho0 = nan")], ["run"], "[confinement] rho0"),
         ([TO_LEAST_SQUARES, _confined("rho0 = nan")], ["check", "confinement"],
          "[confinement] rho0"),
+        ([TO_LEAST_SQUARES, _confined("rho0 = 4.0"), LIST_RATE], ["run", "--horizon", "3"],
+         "[rate] kind"),
+        ([TO_LEAST_SQUARES, _confined("variant = kappa\nrho0 = 4.0"), LIST_RATE],
+         ["check", "kappa_confinement"], "[rate] kind"),
+        ([TO_LEAST_SQUARES, _confined("rho0 = 4.0"), ("p = 0.75", "p = 0.4")], ["run"],
+         "[rate] p"),
         ([("p = 0.75", "p = nan")], ["run"], "[rate] p"),
         ([("p = 0.75", "p = nan")], ["check", "schedule"], "[rate] p"),
         ([("seed = 1", "seed = -5")], ["check", "gradient"], "[run] seed"),
@@ -492,7 +502,8 @@ class TestRunInputs:
             "tau-zero", "csv-non-numeric", "strata-not-an-index", "samples-zero",
             "lambda-zero", "theta-negative", "b-zero", "enabled-not-a-boolean",
             "variant-unknown", "rho0-negative", "check-rho0-negative", "rho0-nan",
-            "check-rho0-nan", "p-nan", "check-p-nan", "check-seed-negative",
+            "check-rho0-nan", "confined-list-rate", "check-confined-list-rate",
+            "confined-p-not-square-summable", "p-nan", "check-p-nan", "check-seed-negative",
             "check-seed-flag-negative", "confined-seed-negative", "confined-seed-flag-negative",
             "seed-past-int64", "seed-flag-past-int64", "seed-wraps", "seed-flag-wraps",
             "batch-growth-nan", "size-keys-exclusive", "stratified-batch-size",
@@ -512,9 +523,8 @@ class TestRunInputs:
         assert not out.exists()
 
     def test_records_bounded_by_physical_memory(self, sphere_config, capsys, monkeypatch):
-        # 3 seeds x 201 steps of six float64 columns, a bool one and the sizes
         cfg, out = sphere_config
-        need = (49 * 3 + 8) * 201
+        need = record_nbytes(3, 200)
         monkeypatch.setattr(cli, "_physical_bytes", lambda: need - 1)
         assert main(["run", "--config", str(cfg), "--quiet"]) == 2
         err = capsys.readouterr().err

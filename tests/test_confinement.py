@@ -84,6 +84,15 @@ class TestSampler:
         with pytest.raises(SamplerFailure):
             sample_rho_levels(spec.rho, 3, np.array([-1.0]), np.random.default_rng(0))
 
+    def test_levels_a_discontinuous_rho_jumps_over_fail(self):
+        # floor(||x||^2) takes integer values only: 4 of the 5 targets are missed
+        def rho(x):
+            return np.floor((x * x).sum(axis=-1))
+
+        targets = np.array([0.5, 1.0, 2.5, 3.25, 7.75])
+        with pytest.raises(SamplerFailure, match="missed 4 of 5 rho levels"):
+            sample_rho_levels(rho, 3, targets, np.random.default_rng(0))
+
 
 class TestHessianQuadform:
     def test_exact_for_norm_squared(self):

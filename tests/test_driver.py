@@ -243,6 +243,20 @@ class TestRegionMonitor:
         assert np.all(tr.in_region)
 
 
+@pytest.mark.parametrize("region_rho1", [None, 1.0])
+def test_record_nbytes_is_what_a_run_with_rho_holds(region_rho1):
+    # the figure the CLI checks against physical memory before a run
+    p = random_least_squares(2, 4, seed=3, tau=0.05)
+    cfg = RunConfig(oracle=p, plan=SegmentPlan(p.space, BatchSizes.constant(2)),
+                    rate=PowerLawSchedule(0.5, 0.75), x0=np.array([2.0, 0.0]), horizon=20,
+                    rho=lambda x: (x * x).sum(axis=-1), region_rho1=region_rho1)
+    trs = driver.run_many(cfg, 3)
+    columns = ("F", "grad_norm", "step", "batch_grad_norm", "noise_inner", "rho", "in_region")
+    assert all(tr.batch_size is trs[0].batch_size for tr in trs)
+    held = sum(getattr(tr, c).nbytes for tr in trs for c in columns) + trs[0].batch_size.nbytes
+    assert held == driver.record_nbytes(3, 20)
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path, sphere_problem, x0):
         tr = run_deterministic(_cfg(sphere_problem, x0, PowerLawSchedule(0.5, 0.75), 30))
@@ -745,9 +759,9 @@ def _trap(problem, point, kind):
 def test_batch_equals_stepwise_and_alone_in_both_layouts(scheme, rate, kind, n_seeds, d, b,
                                                          fault, words, horizon, data):
     # the seed counts lie on both sides of the layout crossover and d on both
-    # sides of 8, geometric sizes carry S * b * d past the size at which the
-    # row-major kernels switch to slice adds, and a trapped row retires
-    # inside a block (or at its edge, for short blocks)
+    # sides of 8, geometric sizes carry b past 8, where numpy's reductions
+    # turn pairwise, and a trapped row retires inside a block (or at its
+    # edge, for short blocks)
     if scheme == "stratified" and b == "geometric":
         b = 9
     if kind == "sphere":

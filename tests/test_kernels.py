@@ -1,13 +1,14 @@
 """The step kernels and the problems' record sums (cost, least-squares
 gradient) against their broadcast oracles in tests/reference.py, bit for bit.
 
-The kernels sum short axes by slice adds in the order numpy's reduction uses
-and repeat arrays instead of broadcasting them; the oracles are the plain
-broadcast and ``ndarray.sum`` / ``mean`` forms.  Inputs mix ordinary values
-with -0.0, +-inf, NaN and subnormals, and the arrays reach past the size at
-which the kernels switch from numpy's reduction to slice adds, so both forms
-are compared.  If numpy ever changes its summation
-order, these fail instead of the records drifting silently.
+The kernels are plain numpy reductions (``np.add.reduce``) and broadcasts,
+on inputs in row-major or coordinate-major memory; the oracles are the
+broadcast and ``ndarray.sum`` / ``mean`` forms on row-major inputs.  Inputs
+mix ordinary values with -0.0, +-inf, NaN and subnormals, and the summed
+axes run from 1 to 20 entries, on both sides of the 8 from which numpy sums
+a contiguous axis pairwise.  If numpy ever changes its summation order, or
+a layout's reduction stops matching the row-major one, these fail instead
+of the records drifting silently.
 """
 
 from __future__ import annotations
