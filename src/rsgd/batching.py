@@ -22,10 +22,12 @@ and ``iter_outcome_chunks``, a mixed-radix count over the positions).  A
 subset batch's positions are not independent, so ``SubsetPlan`` enumerates
 its subsets with ``itertools.combinations``.
 
-Draws are pure functions of (seed, t): see :mod:`rsgd.rng`.  Nothing depends
-on the order in which steps are drawn, so ``draw(t0, t1, seeds)`` draws a run
-of steps that share one batch layout (batch size, stratified override) in one
-vectorised call and gives the same bits as drawing them one at a time;
+A plan's batch size alone fixes what it draws at a step: a segment or subset
+plan follows its size sequence, and a stratified plan keeps one partition
+and one count per stratum for the whole run.  Draws are pure functions of
+(seed, t): see :mod:`rsgd.rng`.  Nothing depends on the order in which steps
+are drawn, so ``draw(t0, t1, seeds)`` draws a run of steps of one batch size
+in one vectorised call and gives the same bits as drawing them one at a time;
 ``draw_block`` (one step) is its one-step case.  How many steps a run holds
 is the driver's one block rule (``rsgd.driver._blocks``).
 """
@@ -98,34 +100,33 @@ class BatchSizes:
 
 
 class BatchPlan:
-    """Interface shared by the three schemes."""
+    """Interface shared by the three schemes.
+
+    Each scheme binds ``weights_at`` and ``draw_block`` as its own
+    attributes, so that per-class wrappers (the traced mode of
+    ``perfbench``) see them."""
 
     space: FiniteSampleSpace
     scheme: str
+    sizes: BatchSizes
 
     def batch_size(self, t: int) -> int:
-        raise NotImplementedError
+        return self.sizes.at(t)
 
     def weights_at(self, t: int) -> np.ndarray:
-        """Averaging weights of the batch at step t (fixed given t)."""
-        raise NotImplementedError
-
-    def layout(self, t: int):
-        """Key of the batch layout at step t: steps with equal keys have equal
-        batch sizes and weights."""
-        return self.batch_size(t)
+        """Averaging weights of the batch at step t (fixed given t): equal
+        unless the scheme overrides them."""
+        b = self.batch_size(t)
+        return np.full(b, 1.0 / b)
 
     def draw(self, t0: int, t1: int, seeds) -> np.ndarray:
         """Outcome indices of shape (len(seeds), t1 - t0, batch_size(t0)):
-        the draws of steps t0 .. t1-1, which share one layout, bitwise equal
-        to drawing each step alone."""
+        the draws of steps t0 .. t1-1, which share one batch size, bitwise
+        equal to drawing each step alone."""
         raise NotImplementedError
 
     def draw_block(self, t: int, seeds) -> np.ndarray:
-        """Outcome indices of shape (len(seeds), batch_size(t)).
-
-        Each scheme binds this as its own attribute, so that per-class
-        wrappers (the traced mode of ``perfbench``) see it."""
+        """Outcome indices of shape (len(seeds), batch_size(t))."""
         return self.draw(t, t + 1, seeds)[:, 0]
 
     def positions(self, t: int):
@@ -192,13 +193,7 @@ class SegmentPlan(BatchPlan):
             return cuts[self._cap_t] + sizes.cap * (t - self._cap_t)
         return cuts[t]
 
-    def batch_size(self, t: int) -> int:
-        return self.sizes.at(t)
-
-    def weights_at(self, t: int) -> np.ndarray:
-        b = self.batch_size(t)
-        return np.full(b, 1.0 / b)
-
+    weights_at = BatchPlan.weights_at
     draw_block = BatchPlan.draw_block
 
     def draw(self, t0: int, t1: int, seeds) -> np.ndarray:
@@ -227,19 +222,17 @@ class SubsetPlan(BatchPlan):
                 "no-repetition batches need uniform outcome weights; "
                 "the subset average is biased otherwise"
             )
+        # the largest size the sequence takes
+        if sizes.kind == "explicit":
+            b = max(sizes.values)
+        else:
+            b = sizes.cap if sizes.kind == "geometric" and sizes.growth > 1.0 else sizes.base
+        if b > space.size:
+            raise InvalidPlan(f"batch size {b} exceeds {space.size} outcomes")
         self.space = space
         self.sizes = sizes
 
-    def batch_size(self, t: int) -> int:
-        b = self.sizes.at(t)
-        if b > self.space.size:
-            raise InvalidPlan(f"batch size {b} exceeds {self.space.size} outcomes")
-        return b
-
-    def weights_at(self, t: int) -> np.ndarray:
-        b = self.batch_size(t)
-        return np.full(b, 1.0 / b)
-
+    weights_at = BatchPlan.weights_at
     draw_block = BatchPlan.draw_block
 
     def draw(self, t0: int, t1: int, seeds) -> np.ndarray:
@@ -263,22 +256,12 @@ class SubsetPlan(BatchPlan):
 
 
 class StratifiedPlan(BatchPlan):
-    """Per-stratum conditional draws, weighted by stratum probability.
-
-    The partition is fixed across iterations by default; ``overrides`` maps an
-    iteration index to a replacement (strata, counts) pair for that step only.
-    """
+    """Per-stratum conditional draws, weighted by stratum probability; the
+    partition and the per-stratum counts hold for the whole run."""
 
     scheme = "stratified"
 
-    def __init__(self, space: FiniteSampleSpace, strata, counts, overrides: dict | None = None):
-        self.space = space
-        self.strata, self.counts = self._validated(strata, counts)
-        self.overrides = {}
-        for t, (s, c) in (overrides or {}).items():
-            self.overrides[int(t)] = self._validated(s, c)
-
-    def _validated(self, strata, counts):
+    def __init__(self, space: FiniteSampleSpace, strata, counts):
         groups = tuple(tuple(int(i) for i in g) for g in strata)
         cnts = tuple(int(c) for c in counts)
         if len(groups) != len(cnts) or not groups:
@@ -288,38 +271,26 @@ class StratifiedPlan(BatchPlan):
         if any(len(g) == 0 for g in groups):
             raise InvalidPlan("every stratum must be nonempty")
         flat = sorted(i for g in groups for i in g)
-        if flat != list(range(self.space.size)):
+        if flat != list(range(space.size)):
             raise InvalidPlan("strata must partition the outcome set exactly")
-        return groups, cnts
-
-    def strata_at(self, t: int):
-        return self.overrides.get(t, (self.strata, self.counts))
-
-    def batch_size(self, t: int) -> int:
-        _, counts = self.strata_at(t)
-        return sum(counts)
-
-    def _layout(self, t: int):
-        strata, counts = self.strata_at(t)
-        members = [np.asarray(g, dtype=np.int64) for g in strata]
-        mu = [float(self.space.weights[m].sum()) for m in members]
-        return strata, counts, members, mu
+        self.space = space
+        self.strata, self.counts = groups, cnts
+        self.sizes = BatchSizes.constant(sum(cnts))
+        self._members = [np.asarray(g, dtype=np.int64) for g in groups]
+        self._mu = [float(space.weights[m].sum()) for m in self._members]
+        self._weights = np.concatenate([np.full(c, m / c) for m, c in zip(self._mu, cnts)])
+        self._weights.flags.writeable = False
 
     def weights_at(self, t: int) -> np.ndarray:
-        _, counts, _, mu = self._layout(t)
-        return np.concatenate([np.full(c, m / c) for m, c in zip(mu, counts)])
-
-    def layout(self, t: int):
-        return t if t in self.overrides else None
+        return self._weights
 
     draw_block = BatchPlan.draw_block
 
     def draw(self, t0: int, t1: int, seeds) -> np.ndarray:
-        _, counts, members, mu = self._layout(t0)
         keys = crng.stream_keys(seeds, _STREAM_STRATIFIED + np.arange(t0, t1)).ravel()
         cols = []
         offset = 0
-        for m, muj, c in zip(members, mu, counts):
+        for m, muj, c in zip(self._members, self._mu, self.counts):
             slots = offset + np.arange(c)
             if self.space.is_uniform:
                 pos = crng.randints(keys, slots, m.size)
@@ -331,9 +302,8 @@ class StratifiedPlan(BatchPlan):
         return np.concatenate(cols, axis=1).reshape(np.size(seeds), t1 - t0, -1)
 
     def positions(self, t: int):
-        _, counts, members, mu = self._layout(t)
         return [(m, self.space.weights[m] / muj)
-                for m, muj, c in zip(members, mu, counts) for _ in range(c)]
+                for m, muj, c in zip(self._members, self._mu, self.counts) for _ in range(c)]
 
 
 def _partial_shuffle(keys: np.ndarray, n: int, b: int) -> np.ndarray:

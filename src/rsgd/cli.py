@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -76,8 +77,10 @@ def _parse_strata(text: str):
         for token in grp.split(","):
             token = token.strip()
             if "-" in token:
-                a, b = token.split("-", 1)
-                members.extend(range(int(a), int(b) + 1))
+                a, b = (int(v) for v in token.split("-", 1))
+                if b < a:
+                    raise ValueError(f"reversed range {token}")
+                members.extend(range(a, b + 1))
             elif token:
                 members.append(int(token))
         if members:
@@ -263,17 +266,13 @@ def build_plan(cp, space, seed: int):
         sizes = BatchSizes.constant(_get(cp, "plan", "batch_size"))
     try:
         if scheme == "stratified":
-            plan = StratifiedPlan(space, _get(cp, "plan", "strata"),
+            key = "strata"
+            return StratifiedPlan(space, _get(cp, "plan", "strata"),
                                   _get(cp, "plan", "per_stratum_counts"))
-        else:
-            plan = (SegmentPlan if scheme == "segment" else SubsetPlan)(space, sizes)
-        # cross-field validation up front: probe the sizes the run will use
-        probe = range(len(sizes.values)) if sizes.kind == "explicit" else (0,)
-        for t in probe:
-            plan.batch_size(t)
-        return plan
+        key = given[0] if given else "batch_size"
+        return (SegmentPlan if scheme == "segment" else SubsetPlan)(space, sizes)
     except InvalidPlan as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"[plan] {key}: {exc}") from None
 
 
 def build_rate(cp):
@@ -441,7 +440,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _check_unbiasedness(cp, problem, plan, seed):
+def _check_unbiasedness(problem, plan, seed):
     rng = np.random.default_rng([seed, 11])
     xs = problem.sample_region(rng, 20)
     worst = 0.0
@@ -464,7 +463,7 @@ def cmd_check(args) -> int:
     try:
         if args.name == "unbiasedness":
             plan = build_plan(cp, problem.space, seed)
-            payload = _check_unbiasedness(cp, problem, plan, seed)
+            payload = _check_unbiasedness(problem, plan, seed)
         elif args.name == "schedule":
             rate = build_rate(cp)
             if isinstance(rate, AdaptiveRate):
@@ -524,22 +523,32 @@ def cmd_report(args) -> int:
     if not files:
         print(f"no trajectory CSV files in {out_dir}", file=sys.stderr)
         return 2
-    trajectories = []
+    trajectories, run_ids = [], set()
     for f in files:
         try:
-            stem = f.stem
-            seed = int(stem[stem.rindex("_seed") + 5 :])
+            cut = f.stem.rindex("_seed")
+            seed = int(f.stem[cut + 5 :])
             trajectories.append(read_trajectory_csv(f, seed=seed))
         except (ValueError, OSError) as exc:
             print(f"malformed trajectory file {f}: {exc}", file=sys.stderr)
             return 2
+        run_ids.add(f.stem[:cut])
     first = {}  # horizon -> the first file of that length
     for tr, f in zip(trajectories, files):
         first.setdefault(tr.horizon, f.name)
+    twice = sorted(s for s, n in Counter(tr.seed for tr in trajectories).items() if n > 1)
     if len(first) > 1:
         named = ", ".join(f"{first[h]} has {h + 1} rows" for h in sorted(first))
-        print(f"trajectory files of different lengths in {out_dir} ({named}); "
-              "report one run's files at a time", file=sys.stderr)
+        why = f"trajectory files of different lengths in {out_dir} ({named})"
+    elif len(run_ids) > 1:
+        why = f"trajectory files of runs {', '.join(sorted(run_ids))} in {out_dir}"
+    elif twice:
+        why = (f"trajectory files of run {run_ids.pop()} in {out_dir} repeat seed "
+               f"{', '.join(map(str, twice))}")
+    else:
+        why = None
+    if why:
+        print(f"{why}; report one run's files at a time", file=sys.stderr)
         return 2
     metrics = diag.convergence_metrics(trajectories)
     metrics["mean_square_curve"] = _downsample(metrics["mean_square_curve"])

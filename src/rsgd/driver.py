@@ -8,7 +8,7 @@ lockstep as (S, d) arrays, and because every draw is a pure function of
 is bitwise identical to running each seed alone.
 
 The loop runs over blocks of steps, and ``_blocks`` alone decides where they
-end: a block keeps one batch layout (``plan.layout``) and holds at most
+end: a block keeps one batch size (``plan.batch_size``) and holds at most
 ``max(1, _BLOCK_WORDS // (S * max(b, d)))`` steps, so its outcome indices
 (S, k, b) and its buffers (S, k, d) hold at most ``_BLOCK_WORDS`` words each
 (or one step's) whatever the horizon.  No draw depends on the order of the
@@ -194,15 +194,15 @@ def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
 
 
 def _blocks(plan: BatchPlan, T: int, s_count: int, d: int):
-    """Split steps 0 .. T-1 into (t0, t1) blocks that keep one
-    ``plan.layout`` and hold at most max(1, _BLOCK_WORDS // (S * max(b, d)))
-    steps each, S = s_count and b the block's batch size."""
+    """Split steps 0 .. T-1 into (t0, t1) blocks that keep one batch size b
+    and hold at most max(1, _BLOCK_WORDS // (S * max(b, d))) steps each,
+    S = s_count."""
     t0 = 0
     while t0 < T:
-        key = plan.layout(t0)
-        stop = min(T, t0 + max(1, _BLOCK_WORDS // (s_count * max(plan.batch_size(t0), d))))
+        b = plan.batch_size(t0)
+        stop = min(T, t0 + max(1, _BLOCK_WORDS // (s_count * max(b, d))))
         t1 = t0 + 1
-        while t1 < stop and plan.layout(t1) == key:
+        while t1 < stop and plan.batch_size(t1) == b:
             t1 += 1
         yield t0, t1
         t0 = t1

@@ -90,7 +90,7 @@ class GradientOracle:
         """H(x, l) for an index array: x (..., d), idx (..., b) -> (..., b, d)."""
         raise NotImplementedError
 
-    def gradient_bound(self, rho1: float | None = None) -> float:
+    def gradient_bound(self) -> float:
         """A valid bound A with ||H(x, l)|| <= A on the problem's region."""
         raise NotImplementedError
 
@@ -173,7 +173,7 @@ class SphereMeanProblem(GradientOracle):
             diff = xb - _gather(self.targets, idx)
         return diff - _sum(diff * xb)[..., None] * xb
 
-    def gradient_bound(self, rho1: float | None = None) -> float:
+    def gradient_bound(self) -> float:
         # ||proj_x(x - a_l)|| <= ||x|| + ||a_l|| <= 1 + max ||a_l||; pad to the
         # simpler majorant 2 + max, which stays valid for non-unit targets.
         return 2.0 + float(np.sqrt((self.targets**2).sum(axis=1)).max())
@@ -261,13 +261,12 @@ class RegularizedLeastSquaresProblem(GradientOracle):
         """Threshold max_l y_l^2 / (4 tau) above which <2x, H(x, l)> >= 0."""
         return float((self.labels**2).max() / (4.0 * self.tau))
 
-    def gradient_bound(self, rho1: float | None = None) -> float:
-        rho1 = self.region_rho1 if rho1 is None else float(rho1)
-        if rho1 is None:
+    def gradient_bound(self) -> float:
+        if self.region_rho1 is None:
             raise UnboundedRegion(
-                "least squares lives on all of R^d; pass rho1 for the ball ||x||^2 <= rho1"
+                "least squares lives on all of R^d; declare a ball ||x||^2 <= region_rho1"
             )
-        root = float(np.sqrt(rho1))
+        root = float(np.sqrt(self.region_rho1))
         an = np.sqrt((self.features**2).sum(axis=1))
         return float((an * an * root + np.abs(self.labels) * an).max() + self.tau * root)
 

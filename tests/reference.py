@@ -106,7 +106,7 @@ def dense_outcomes(plan, t: int):
         choices = [[(l, w[l]) for l in range(n)]] * plan.batch_size(t)
     else:
         choices = []
-        for group, count in zip(*plan.strata_at(t)):
+        for group, count in zip(plan.strata, plan.counts):
             mu = float(w[np.asarray(group)].sum())
             choices += [[(l, w[l] / mu) for l in group]] * count
     rows = list(product(*choices))

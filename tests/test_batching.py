@@ -185,10 +185,15 @@ class TestSubsetPlan:
         with pytest.raises(InvalidPlan, match="uniform"):
             SubsetPlan(space, BatchSizes.constant(2))
 
-    def test_rejects_oversized_batch(self, triple):
-        plan = SubsetPlan(triple.space, BatchSizes.constant(4))
-        with pytest.raises(InvalidPlan, match="exceeds"):
-            draw_batch(plan, 0, seed=0)
+    @pytest.mark.parametrize("sizes", [
+        BatchSizes.constant, lambda b: BatchSizes.geometric(1, 1.5, b),
+        lambda b: BatchSizes.explicit([1, b, 2]),
+    ], ids=["constant", "geometric-cap", "explicit-max"])
+    def test_refuses_sizes_over_n_at_construction(self, triple, sizes):
+        # the largest size the sequence takes decides, whatever step reaches it
+        with pytest.raises(InvalidPlan, match="batch size 4 exceeds 3 outcomes"):
+            SubsetPlan(triple.space, sizes(4))
+        assert SubsetPlan(triple.space, sizes(3)).sizes == sizes(3)
 
 
 class TestStratifiedPlan:
@@ -214,15 +219,6 @@ class TestStratifiedPlan:
             StratifiedPlan(space, [(0, 1), (2, 3)], (1, 0))
         with pytest.raises(InvalidPlan):
             StratifiedPlan(space, [(0, 1), ()], (1, 1))
-
-    def test_per_step_override(self):
-        space = FiniteSampleSpace.uniform(4)
-        plan = StratifiedPlan(space, [(0, 1), (2, 3)], (1, 1),
-                              overrides={5: ([(0, 1, 2, 3)], (2,))})
-        assert plan.batch_size(0) == 2
-        assert plan.batch_size(5) == 2
-        assert plan.outcome_count(5) == 16
-        assert plan.outcome_count(0) == 4
 
 
 class TestBatchGradient:
@@ -374,8 +370,7 @@ def _golden_plans():
         "segment": SegmentPlan(uniform, BatchSizes.constant(4)),
         "segment_weighted": SegmentPlan(weighted, BatchSizes.geometric(1, 1.5, 16)),
         "no_repetition": SubsetPlan(uniform, BatchSizes.geometric(1, 1.5, 16)),
-        "stratified": StratifiedPlan(uniform, halves, (2, 2),
-                                     overrides={3: ([range(16)], [5])}),
+        "stratified": StratifiedPlan(uniform, halves, (2, 2)),
         "stratified_weighted": StratifiedPlan(weighted, halves, (1, 3)),
     }
 
@@ -387,7 +382,7 @@ GOLDEN_DRAWS = {
     "segment": "8e33e4f3df7870f28a65f5e2b3787fc0",
     "segment_weighted": "a6cf182705fc63a8dd8a7af97555a71d",
     "no_repetition": "c69b5833ab87082695b881717a2a478e",
-    "stratified": "d833a05541752633973b8ec4148c2255",
+    "stratified": "67fb104942d599c70071bacd54a3b73e",
     "stratified_weighted": "31c801af1c15227ee2f8d17980a809ed",
 }
 
@@ -544,9 +539,7 @@ def test_enumeration_matches_dense_oracle(scheme, n, chunk, t, data):
     elif scheme == "no_repetition":
         plan = SubsetPlan(space, BatchSizes.constant(data.draw(st.integers(1, n))))
     else:
-        steps = data.draw(st.sets(st.integers(0, 2), max_size=2))
-        plan = StratifiedPlan(space, *_drawn_partition(n, data),
-                              overrides={s: _drawn_partition(n, data) for s in steps})
+        plan = StratifiedPlan(space, *_drawn_partition(n, data))
     with mock.patch.object(batching, "_ENUM_CHUNK", chunk):
         chunks = list(plan.iter_outcome_chunks(t))
     assert all(0 < len(idx) == len(prob) <= chunk for idx, prob in chunks)
@@ -566,10 +559,7 @@ def _hypothesis_plan(scheme, n, sizes, data):
         return SubsetPlan(space, sizes)
     cut = data.draw(st.integers(1, n - 1)) if n > 1 else n
     strata = [range(cut), range(cut, n)] if cut < n else [range(n)]
-    counts = [data.draw(st.integers(1, 3)) for _ in strata]
-    steps = data.draw(st.lists(st.integers(0, 40), max_size=4))
-    return StratifiedPlan(space, strata, counts,
-                          overrides={t: ([range(n)], [1 + t % 3]) for t in steps})
+    return StratifiedPlan(space, strata, [data.draw(st.integers(1, 3)) for _ in strata])
 
 
 def _hypothesis_sizes(n, data):
@@ -585,11 +575,11 @@ def _hypothesis_sizes(n, data):
 @given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
        n=st.integers(1, 12), data=st.data())
 def test_block_draws_equal_stacked_step_draws(scheme, n, data):
-    # draw(t0, t1) over any run of one layout
+    # draw(t0, t1) over any run of one batch size
     plan = _hypothesis_plan(scheme, n, _hypothesis_sizes(n, data), data)
     t0 = data.draw(st.integers(0, 20))
     end = t0 + 1
-    while end < 50 and plan.layout(end) == plan.layout(t0):
+    while end < 50 and plan.batch_size(end) == plan.batch_size(t0):
         end += 1
     t1 = data.draw(st.integers(t0 + 1, end))
     seeds = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=5)))
@@ -605,16 +595,16 @@ def test_block_draws_equal_stacked_step_draws(scheme, n, data):
        d=st.integers(1, 12), words=st.integers(1, 200), data=st.data())
 def test_driver_blocks_keep_one_layout_within_the_bound(scheme, n, horizon, n_seeds, d, words,
                                                         data):
-    # the blocks cover 0 .. T-1 in order; each keeps one layout, its (S, k, b)
-    # outcomes and (S, k, d) buffers hold at most `words` words unless it is
-    # one step, and it ends only at T, a layout change or the bound
+    # the blocks cover 0 .. T-1 in order; each keeps one batch size, its
+    # (S, k, b) outcomes and (S, k, d) buffers hold at most `words` words
+    # unless it is one step, and it ends only at T, a size change or the bound
     plan = _hypothesis_plan(scheme, n, _hypothesis_sizes(n, data), data)
     with mock.patch.object(driver, "_BLOCK_WORDS", words):
         blocks = list(driver._blocks(plan, horizon, n_seeds, d))
     assert [t for t0, t1 in blocks for t in range(t0, t1)] == list(range(horizon))
     for t0, t1 in blocks:
-        k, width = t1 - t0, max(plan.batch_size(t0), d)
-        assert all(plan.layout(t) == plan.layout(t0) for t in range(t0, t1))
+        b = plan.batch_size(t0)
+        k, width = t1 - t0, max(b, d)
+        assert all(plan.batch_size(t) == b for t in range(t0, t1))
         assert k == 1 or n_seeds * k * width <= words
-        assert t1 == horizon or plan.layout(t1) != plan.layout(t0) \
-            or n_seeds * (k + 1) * width > words
+        assert t1 == horizon or plan.batch_size(t1) != b or n_seeds * (k + 1) * width > words

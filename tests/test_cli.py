@@ -327,6 +327,29 @@ class TestReport:
         assert "exp_seed1.csv has 51 rows" in err and "longer_seed1.csv has 81 rows" in err
         assert not (out / "report.json").exists()
 
+    def test_two_runs_of_one_length_exit_two(self, sphere_config, capsys):
+        # two configs of one horizon in one directory were once reported as
+        # one run, each seed counted twice
+        cfg, out = sphere_config
+        cfg.with_name("other.ini").write_text(cfg.read_text())
+        for name in ("exp.ini", "other.ini"):
+            assert main(["run", "--config", str(cfg.with_name(name)), "--horizon", "20",
+                         "--quiet"]) == 0
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "trajectory files of runs exp, other" in err
+        assert "report one run's files at a time" in err
+        assert not (out / "report.json").exists()
+
+    def test_a_seed_in_two_files_exits_two(self, sphere_config, capsys):
+        cfg, out = sphere_config
+        assert main(["run", "--config", str(cfg), "--horizon", "20", "--quiet"]) == 0
+        (out / "exp_seed01.csv").write_text((out / "exp_seed1.csv").read_text())
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "trajectory files of run exp" in err and "repeat seed 1;" in err
+        assert not (out / "report.json").exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["report", "--seed", "1"], ["report", "--horizon", "5"],
@@ -447,6 +470,16 @@ class TestRunInputs:
         ([("scheme = segment\nbatch_size = 2",
            "scheme = stratified\nstrata = 0-x; 4-7\nper_stratum_counts = 1, 1")],
          ["run"], "[plan] strata"),
+        ([("scheme = segment\nbatch_size = 2",
+           "scheme = stratified\nstrata = 0-2; 5-3\nper_stratum_counts = 1, 1")],
+         ["run"], "[plan] strata must be"),
+        ([("scheme = segment\nbatch_size = 2",
+           "scheme = stratified\nstrata = 0-3; 4-7\nper_stratum_counts = 1")],
+         ["run"], "[plan] strata: need one positive count per stratum"),
+        ([("scheme = segment\nbatch_size = 2", "scheme = no_repetition\nbatch_size = 9")],
+         ["run"], "[plan] batch_size: batch size 9 exceeds 8 outcomes"),
+        ([("scheme = segment\nbatch_size = 2", "scheme = no_repetition\nbatch_sizes = 1, 9")],
+         ["run"], "[plan] batch_sizes: batch size 9 exceeds 8 outcomes"),
         ([TO_LEAST_SQUARES, _confined("samples = 0")], ["run"], "[confinement] samples"),
         ([TO_LEAST_SQUARES, _confined("lambda = 0")], ["run"], "[confinement] lambda"),
         ([TO_LEAST_SQUARES, _confined("theta = -1")], ["run"], "[confinement] theta"),
@@ -499,7 +532,9 @@ class TestRunInputs:
     ], ids=["seeds-zero", "seeds-negative", "horizon-negative", "x0-off-sphere",
             "list-rate-too-short", "sphere-dimension-1", "check-sphere-dimension-1",
             "least-squares-dimension-0", "n-outcomes-zero", "data-seed-negative",
-            "tau-zero", "csv-non-numeric", "strata-not-an-index", "samples-zero",
+            "tau-zero", "csv-non-numeric", "strata-not-an-index", "strata-reversed-range",
+            "strata-counts-mismatch", "subset-size-over-n", "subset-size-list-over-n",
+            "samples-zero",
             "lambda-zero", "theta-negative", "b-zero", "enabled-not-a-boolean",
             "variant-unknown", "rho0-negative", "check-rho0-negative", "rho0-nan",
             "check-rho0-nan", "confined-list-rate", "check-confined-list-rate",
@@ -548,7 +583,7 @@ _PARSED = {
     cli._ints: (["1, zz", "1, 1.5", ""], ["1, {}"]),
     cli._floats: (["1, zz", "1, nan", "1, inf", "1, -inf", ""], ["1, {}"]),
     cli._growth: (["2", "1:zz", "1:2:3", "1.5:2", "1:nan", "1:inf"], ["{}:2", "1:{}"]),
-    cli._parse_strata: (["0-3; zz", "0-x", ""], []),
+    cli._parse_strata: (["0-3; zz", "0-x", "3-0", ""], []),
 }
 
 

@@ -469,19 +469,6 @@ class TestBlockEngineAgainstStepwise:
         _assert_bitwise(got, stepwise_run(cfg, seeds))
         assert list(got[0].batch_size[:20]) == [sizes.at(t) for t in range(20)]
 
-    def test_stratified_overrides(self, sphere_problem, x0):
-        # overrides on a block's first step, last step and inside a block
-        k = self.K
-        overrides = {t: ([range(6)], [3]) for t in (k - 1, k, k + 2)}
-        plan = StratifiedPlan(sphere_problem.space, [(0, 1, 2), (3, 4, 5)], (1, 2),
-                              overrides=overrides)
-        for rate in RATES.values():
-            cfg = _cfg(sphere_problem, x0, rate, 3 * k + 1, plan=plan)
-            seeds = np.arange(3)
-            with _blocked(k, 3, 3, 4):
-                got = _run_block(cfg, seeds)
-            _assert_bitwise(got, stepwise_run(cfg, seeds))
-
     def test_weighted_outcomes(self, x0):
         w = np.arange(1.0, 7.0)
         p = SphereMeanProblem(random_sphere_mean(4, 6, seed=7).targets, weights=w / w.sum())

@@ -188,8 +188,9 @@ class TestGradientBound:
         assert norms.max() <= 3.0
 
     def test_least_squares_worked_value(self):
-        p = RegularizedLeastSquaresProblem(np.array([[1.0, 0.0]]), np.array([1.0]), tau=0.1)
-        assert p.gradient_bound(rho1=4.0) == pytest.approx(3.2)
+        p = RegularizedLeastSquaresProblem(np.array([[1.0, 0.0]]), np.array([1.0]), tau=0.1,
+                                           region_rho1=4.0)
+        assert p.gradient_bound() == pytest.approx(3.2)
 
     def test_bound_holds_on_ball(self):
         p = random_least_squares(3, 6, seed=11, tau=0.3, region_rho1=4.0)
