@@ -24,6 +24,16 @@ sampled PASS is strong evidence, not a proof, and reports say so.  Directions
 ranging over the convex hull of {H(x, l)} are covered by the extreme points
 themselves (exact for objectives linear in the direction) plus
 Dirichlet-weighted combinations (a heuristic for the quadratic Hessian form).
+
+Memory: the samplers visit their sample points in chunks whose largest
+array holds at most the driver's ``_BLOCK_WORDS`` words (or one point's
+arrays, when a single point needs more), so their transient memory does not
+grow with the number of samples.  The chunks draw their Dirichlet weights
+and step fractions from the same generators in turn, which gives the bits
+of one draw over all points.  Suprema combine exactly, and a witness is the
+first extreme entry in the order of the points (in the kappa check, every
+random step fraction before every endpoint step), the one ``np.argmin`` /
+``np.argmax`` would find over all points at once.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .driver import RunConfig, Trajectory, run_many
+from .driver import _BLOCK_WORDS, RunConfig, Trajectory, run_many
 from .errors import ConfinementViolation, InvalidHyperparameters, SamplerFailure
 from .problems import GradientOracle
 from .schedules import (AdaptiveRate, ScaledSchedule, cumulative_squares, sum_of_squares,
@@ -213,6 +223,40 @@ def _direction_set(oracle, xs, rng, n_combos: int) -> np.ndarray:
     return np.concatenate([table, combos], axis=1)
 
 
+def _flat_directions(oracle, xs, rng, n_combos: int):
+    """Every (point, direction) pair of _direction_set, as two row arrays."""
+    v = _direction_set(oracle, xs, rng, n_combos)
+    return np.repeat(xs, v.shape[1], axis=0), v.reshape(-1, v.shape[-1])
+
+
+def _chunk_size(oracle, n_combos: int) -> int:
+    """Sample points per chunk: the largest array a sampler makes per point,
+    the (n_combos, N, d) Dirichlet product or N + n_combos directions of d
+    words, stays within _BLOCK_WORDS words per chunk, or one point's."""
+    n_out, dim = oracle.space.size, oracle.manifold.ambient_dim
+    return max(1, _BLOCK_WORDS // (dim * max(n_combos * n_out, n_out + n_combos)))
+
+
+def _chunks(oracle, xs, n_combos: int):
+    """The sample points xs in consecutive runs of _chunk_size points."""
+    m = _chunk_size(oracle, n_combos)
+    return (xs[i:i + m] for i in range(0, len(xs), m))
+
+
+def _replaces(value, best, lower: bool) -> bool:
+    """Whether value, an entry after best's in flattened order, replaces it
+    as the first minimum (lower) or maximum, as np.argmin / np.argmax find it
+    over both: the first NaN wins over everything, and ties keep best."""
+    if best is None:
+        return True
+    old = best[0]
+    if old != old:
+        return False
+    if value != value:
+        return True
+    return bool(value < old if lower else value > old)
+
+
 def check_plain_confinement(spec: ConfinementSpec, oracle: GradientOracle,
                             n_samples: int, seed: int = 0) -> ConfinementReport:
     """Sample the band rho0 <= rho <= 10 * rho0 and every outcome l; PASS iff
@@ -221,16 +265,18 @@ def check_plain_confinement(spec: ConfinementSpec, oracle: GradientOracle,
         raise ValueError("n_samples must be >= 1")
     dim = oracle.manifold.ambient_dim
     hi = 10.0 * spec.rho0 if spec.rho0 > 0 else spec.rho0 + 1.0
-    xs = _band_points(spec, dim, spec.rho0, hi, n_samples, (seed, 0))
-    table = _gradient_table(oracle, xs)
-    ips = (spec.grad_rho(xs)[:, None, :] * table).sum(axis=-1)
-    i, l = np.unravel_index(np.argmin(ips), ips.shape)
-    worst = float(ips[i, l])
+    low = None
+    for xs in _chunks(oracle, _band_points(spec, dim, spec.rho0, hi, n_samples, (seed, 0)), 0):
+        ips = (spec.grad_rho(xs)[:, None, :] * _gradient_table(oracle, xs)).sum(axis=-1)
+        i, l = np.unravel_index(np.argmin(ips), ips.shape)
+        if _replaces(ips[i, l], low, lower=True):
+            low = (ips[i, l], {"x": xs[i].tolist(), "outcome": int(l)})
+    worst = float(low[0])
     return ConfinementReport(
         check="plain_confinement",
         passed=bool(worst >= 0.0),
         min_margin=worst,
-        witness=None if worst >= 0.0 else {"x": xs[i].tolist(), "outcome": int(l), "value": worst},
+        witness=None if worst >= 0.0 else low[1] | {"value": worst},
         n_samples=n_samples,
         seed=seed,
         notes="sampled evidence on the band [rho0, 10*rho0]; not a proof",
@@ -247,6 +293,8 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
     {rho <= rho1} and step fractions in [0, theta].  phi may exceed the
     minimal admissible value; any upper bound preserves the guarantee.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     check = validate_robbins_monro(schedule)
     if not check.valid:
         raise ValueError(f"schedule must satisfy the step-size conditions: {check.reason}")
@@ -257,19 +305,22 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
     rho1 = spec.rho0 + lam * c + 0.5 * b * b * sigma
     dim = oracle.manifold.ambient_dim
 
-    xs0 = _sublevel_points(spec, dim, spec.rho0, n_samples, (seed, 1))
-    v0 = _direction_set(oracle, xs0, np.random.default_rng([seed, 2]), _N_COMBOS)
-    ips = (spec.grad_rho(xs0)[:, None, :] * v0).sum(axis=-1)
-    lambda_est = float(max(0.0, -ips.min())) / lam
+    rng = np.random.default_rng([seed, 2])
+    lows = []
+    for xs in _chunks(oracle, _sublevel_points(spec, dim, spec.rho0, n_samples, (seed, 1)),
+                      _N_COMBOS):
+        v = _direction_set(oracle, xs, rng, _N_COMBOS)
+        lows.append(np.min((spec.grad_rho(xs)[:, None, :] * v).sum(axis=-1)))
+    lambda_est = float(max(0.0, -np.min(lows))) / lam
 
-    xs1 = _sublevel_points(spec, dim, rho1, n_samples, (seed, 3))
-    v1 = _direction_set(oracle, xs1, np.random.default_rng([seed, 4]), _N_COMBOS)
-    n_dirs = v1.shape[1]
-    flat_x = np.repeat(xs1, n_dirs, axis=0)
-    flat_v = v1.reshape(-1, dim)
-    thetas = np.random.default_rng([seed, 5]).uniform(0.0, theta, size=flat_v.shape[0])
-    q = hessian_quadform(oracle.manifold, spec.rho, flat_x, -thetas[:, None] * flat_v, flat_v)
-    b_est = float(np.sqrt(max(0.0, float(np.max(q))))) / b
+    rng, rng_theta = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 5])
+    highs = []
+    for xs in _chunks(oracle, _sublevel_points(spec, dim, rho1, n_samples, (seed, 3)), _N_COMBOS):
+        flat_x, flat_v = _flat_directions(oracle, xs, rng, _N_COMBOS)
+        thetas = rng_theta.uniform(0.0, theta, size=flat_v.shape[0])
+        highs.append(np.max(hessian_quadform(oracle.manifold, spec.rho, flat_x,
+                                             -thetas[:, None] * flat_v, flat_v)))
+    b_est = float(np.sqrt(max(0.0, float(np.max(highs))))) / b
 
     phi = max(_SAFETY * lambda_est, _SAFETY * b_est, c / theta)
     return ConfinementConstants(
@@ -287,6 +338,8 @@ def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
     additionally over Dirichlet convex combinations for batch_kappa.  Step
     fractions s cover [0, kappa] including the endpoint.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     if spec.variant not in ("kappa", "batch_kappa"):
         raise ValueError("spec.variant must be kappa or batch_kappa")
     if kappa <= 0:
@@ -295,39 +348,43 @@ def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
     dim = man.ambient_dim
     combos = _N_COMBOS if spec.variant == "batch_kappa" else 0
 
-    # inequality 1: from rho(x) <= rho0, steps of length <= kappa stay <= rho1
-    xs0 = _sublevel_points(spec, dim, spec.rho0, n_samples, (seed, 1))
-    v0 = _direction_set(oracle, xs0, np.random.default_rng([seed, 2]), combos)
-    flat_x0 = np.repeat(xs0, v0.shape[1], axis=0)
-    flat_v0 = v0.reshape(-1, dim)
-    s0 = np.random.default_rng([seed, 3]).uniform(0.0, kappa, size=flat_v0.shape[0])
-    s0 = np.concatenate([s0, np.full(flat_v0.shape[0], kappa)])
-    flat_x0 = np.concatenate([flat_x0, flat_x0])
-    flat_v0 = np.concatenate([flat_v0, flat_v0])
-    reached = spec.rho(man.retract(flat_x0, -s0[:, None] * flat_v0))
-    margin1 = float(spec.rho1 - np.max(reached))
+    # inequality 1: from rho(x) <= rho0, steps of length <= kappa stay <= rho1;
+    # the highest rho reached by random step fractions, then by kappa itself
+    rng, rng_s = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 3])
+    tops = [None, None]
+    for xs in _chunks(oracle, _sublevel_points(spec, dim, spec.rho0, n_samples, (seed, 1)), combos):
+        flat_x, flat_v = _flat_directions(oracle, xs, rng, combos)
+        s_random = rng_s.uniform(0.0, kappa, size=flat_v.shape[0])
+        for k, s in enumerate((s_random, np.full(flat_v.shape[0], kappa))):
+            reached = spec.rho(man.retract(flat_x, -s[:, None] * flat_v))
+            i = int(np.argmax(reached))
+            if _replaces(reached[i], tops[k], lower=False):
+                tops[k] = (reached[i], {"x": flat_x[i].tolist(), "v": flat_v[i].tolist(),
+                                        "s": float(s[i])})
+    top = tops[1] if _replaces(tops[1][0], tops[0], lower=False) else tops[0]
+    margin1 = float(spec.rho1 - top[0])
 
     # inequality 2: on the band, <grad rho, v> dominates the Hessian term
-    xs1 = _band_points(spec, dim, spec.rho0, spec.rho1, n_samples, (seed, 4))
-    v1 = _direction_set(oracle, xs1, np.random.default_rng([seed, 5]), combos)
-    flat_x1 = np.repeat(xs1, v1.shape[1], axis=0)
-    flat_v1 = v1.reshape(-1, dim)
-    s1 = np.random.default_rng([seed, 6]).uniform(0.0, kappa, size=flat_v1.shape[0])
-    lhs = (spec.grad_rho(flat_x1) * flat_v1).sum(axis=-1)
-    quad = hessian_quadform(man, spec.rho, flat_x1, -s1[:, None] * flat_v1, flat_v1)
-    rhs = np.maximum(0.0, 0.5 * kappa * quad)
-    gaps = lhs - rhs
-    margin2 = float(np.min(gaps))
+    rng, rng_s = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 6])
+    low = None
+    for xs in _chunks(oracle, _band_points(spec, dim, spec.rho0, spec.rho1, n_samples, (seed, 4)),
+                      combos):
+        flat_x, flat_v = _flat_directions(oracle, xs, rng, combos)
+        s = rng_s.uniform(0.0, kappa, size=flat_v.shape[0])
+        lhs = (spec.grad_rho(flat_x) * flat_v).sum(axis=-1)
+        quad = hessian_quadform(man, spec.rho, flat_x, -s[:, None] * flat_v, flat_v)
+        gaps = lhs - np.maximum(0.0, 0.5 * kappa * quad)
+        i = int(np.argmin(gaps))
+        if _replaces(gaps[i], low, lower=True):
+            low = (gaps[i], {"x": flat_x[i].tolist(), "v": flat_v[i].tolist(),
+                             "s": float(s[i])})
+    margin2 = float(low[0])
 
     worst = min(margin1, margin2)
     if worst == margin2:
-        i = int(np.argmin(gaps))
-        witness = {"x": flat_x1[i].tolist(), "v": flat_v1[i].tolist(),
-                   "s": float(s1[i]), "gap": margin2}
+        witness = low[1] | {"gap": margin2}
     else:
-        i = int(np.argmax(reached))
-        witness = {"x": flat_x0[i].tolist(), "v": flat_v0[i].tolist(),
-                   "s": float(s0[i]), "rho_reached": float(reached[i])}
+        witness = top[1] | {"rho_reached": float(top[0])}
     passed = bool(worst >= -_INVARIANT_SLACK)
     return ConfinementReport(
         check=f"{spec.variant}_confinement",

@@ -84,7 +84,8 @@ CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
 _CSV_ROW = ",".join("%.17g" if kind is float else "%d" for _, _, kind in _CSV_COLUMNS) + "\n"
 # rows per formatted chunk, so a file of any length is written in flat memory
 _CSV_CHUNK = 1024
-# words per block: its outcome indices over all seeds, and each (S, k, d) buffer
+# words per block: its outcome indices over all seeds, and each (S, k, d) buffer;
+# also the largest array of a chunk of confinement sample points
 _BLOCK_WORDS = 1 << 15
 
 DeterministicSchedule = (PowerLawSchedule, ExplicitSchedule, ScaledSchedule)

@@ -99,7 +99,9 @@ def sum_of_squares(schedule) -> float:
     """Upper bound on sigma = sum_t gamma_t^2, tight to ~1e-9 for power laws.
 
     Computed as an exact partial sum over ``_SQUARE_SUM_TERMS`` entries plus
-    an integral tail bound; requires a square-summable schedule.
+    an integral tail bound; requires a square-summable schedule.  The terms
+    are built in place in one float64 buffer, so a call holds 8 bytes per
+    term and no more.
     """
     if isinstance(schedule, ExplicitSchedule):
         return float(np.sum(np.asarray(schedule.values) ** 2))
@@ -107,8 +109,12 @@ def sum_of_squares(schedule) -> float:
         raise TypeError(f"unsupported schedule type {type(schedule).__name__}")
     if 2 * schedule.p <= 1:
         raise ValueError("sum of squares diverges for 2p <= 1")
-    t = np.arange(_SQUARE_SUM_TERMS, dtype=float)
-    partial = float(np.sum(np.minimum(1.0, schedule.c / (t + 1.0) ** schedule.p) ** 2))
+    g = np.arange(1.0, _SQUARE_SUM_TERMS + 1.0)
+    np.power(g, schedule.p, out=g)
+    np.divide(schedule.c, g, out=g)
+    np.minimum(1.0, g, out=g)
+    np.multiply(g, g, out=g)
+    partial = float(np.sum(g))
     # sum_{t >= M} (t+1)^{-2p} <= integral_{M-1}^{inf} (x+1)^{-2p} dx
     tail = (schedule.c**2 * float(_SQUARE_SUM_TERMS) ** (1.0 - 2.0 * schedule.p)
             / (2.0 * schedule.p - 1.0))

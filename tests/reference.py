@@ -29,7 +29,14 @@ The oracles held here:
   retractions; ``stepwise_run`` computes every step with them;
 * ``sum_cost`` and ``sum_full_gradient``: the moment forms of both problems'
   cost and of the least-squares gradient with ``ndarray.sum`` along d, the
-  references for the record sums.
+  references for the record sums;
+* ``one_shot_sum_of_squares``: sigma from a partial sum built in fresh arrays,
+  the reference for ``schedules.sum_of_squares``;
+* ``one_shot_check_plain_confinement``, ``one_shot_estimate_constants`` and
+  ``one_shot_check_kappa_confinement``: the confinement samplers over all
+  sample points at once, with one (n, N, d) gradient table, one Dirichlet
+  product and ``np.min`` / ``np.argmin`` over whole arrays, the references
+  for the chunked samplers of ``rsgd.confinement``.
 """
 
 from __future__ import annotations
@@ -42,11 +49,14 @@ import numpy as np
 
 from rsgd import rng as crng
 from rsgd.batching import _STREAM_SUBSET
+from rsgd.confinement import (_INVARIANT_SLACK, _N_COMBOS, _SAFETY, ConfinementConstants,
+                              ConfinementReport, _band_points, _gradient_table,
+                              _sublevel_points, hessian_quadform)
 from rsgd.driver import CSV_HEADER, Trajectory
 from rsgd.errors import InvalidPlan
 from rsgd.manifolds import DEGENERACY_EPS, Euclidean, Sphere
 from rsgd.problems import RegularizedLeastSquaresProblem, SphereMeanProblem
-from rsgd.schedules import AdaptiveRate
+from rsgd.schedules import _SQUARE_SUM_TERMS, AdaptiveRate, ExplicitSchedule
 
 
 class DirectLeastSquares(RegularizedLeastSquaresProblem):
@@ -385,3 +395,123 @@ def rowwise_csv(tr: Trajectory, path) -> None:
                 f"{int(tr.batch_size[t])},{tr.batch_grad_norm[t]:.17g},"
                 f"{rho[t]:.17g},{int(tr.in_region[t])}\n"
             )
+
+
+def one_shot_sum_of_squares(schedule) -> float:
+    """sigma = sum_t gamma_t^2 as a partial sum over _SQUARE_SUM_TERMS terms,
+    each operation a fresh array, plus the integral tail bound."""
+    if isinstance(schedule, ExplicitSchedule):
+        return float(np.sum(np.asarray(schedule.values) ** 2))
+    t = np.arange(_SQUARE_SUM_TERMS, dtype=float)
+    partial = float(np.sum(np.minimum(1.0, schedule.c / (t + 1.0) ** schedule.p) ** 2))
+    tail = (schedule.c**2 * float(_SQUARE_SUM_TERMS) ** (1.0 - 2.0 * schedule.p)
+            / (2.0 * schedule.p - 1.0))
+    return partial + tail
+
+
+def _one_shot_directions(oracle, xs, rng, n_combos: int) -> np.ndarray:
+    table = _gradient_table(oracle, xs)
+    if n_combos == 0:
+        return table
+    n, n_out, _ = table.shape
+    w = rng.dirichlet(np.ones(n_out), size=(n, n_combos))
+    combos = (w[..., None] * table[:, None, :, :]).sum(axis=2)
+    return np.concatenate([table, combos], axis=1)
+
+
+def one_shot_check_plain_confinement(spec, oracle, n_samples: int, seed: int = 0):
+    dim = oracle.manifold.ambient_dim
+    hi = 10.0 * spec.rho0 if spec.rho0 > 0 else spec.rho0 + 1.0
+    xs = _band_points(spec, dim, spec.rho0, hi, n_samples, (seed, 0))
+    table = _gradient_table(oracle, xs)
+    ips = (spec.grad_rho(xs)[:, None, :] * table).sum(axis=-1)
+    i, l = np.unravel_index(np.argmin(ips), ips.shape)
+    worst = float(ips[i, l])
+    return ConfinementReport(
+        check="plain_confinement",
+        passed=bool(worst >= 0.0),
+        min_margin=worst,
+        witness=None if worst >= 0.0 else {"x": xs[i].tolist(), "outcome": int(l), "value": worst},
+        n_samples=n_samples,
+        seed=seed,
+        notes="sampled evidence on the band [rho0, 10*rho0]; not a proof",
+    )
+
+
+def one_shot_estimate_constants(spec, oracle, schedule, lam, b, theta, n_samples: int,
+                                seed: int = 0):
+    c = schedule.max_gamma()
+    sigma = one_shot_sum_of_squares(schedule)
+    rho1 = spec.rho0 + lam * c + 0.5 * b * b * sigma
+    dim = oracle.manifold.ambient_dim
+
+    xs0 = _sublevel_points(spec, dim, spec.rho0, n_samples, (seed, 1))
+    v0 = _one_shot_directions(oracle, xs0, np.random.default_rng([seed, 2]), _N_COMBOS)
+    ips = (spec.grad_rho(xs0)[:, None, :] * v0).sum(axis=-1)
+    lambda_est = float(max(0.0, -ips.min())) / lam
+
+    xs1 = _sublevel_points(spec, dim, rho1, n_samples, (seed, 3))
+    v1 = _one_shot_directions(oracle, xs1, np.random.default_rng([seed, 4]), _N_COMBOS)
+    n_dirs = v1.shape[1]
+    flat_x = np.repeat(xs1, n_dirs, axis=0)
+    flat_v = v1.reshape(-1, dim)
+    thetas = np.random.default_rng([seed, 5]).uniform(0.0, theta, size=flat_v.shape[0])
+    q = hessian_quadform(oracle.manifold, spec.rho, flat_x, -thetas[:, None] * flat_v, flat_v)
+    b_est = float(np.sqrt(max(0.0, float(np.max(q))))) / b
+
+    phi = max(_SAFETY * lambda_est, _SAFETY * b_est, c / theta)
+    return ConfinementConstants(
+        lam=lam, b=b, theta=theta, c=c, sigma=sigma,
+        lambda_est=lambda_est, b_est=b_est, phi=phi,
+        rho0=spec.rho0, rho1=rho1,
+    )
+
+
+def one_shot_check_kappa_confinement(spec, oracle, kappa: float, n_samples: int, seed: int = 0):
+    man = oracle.manifold
+    dim = man.ambient_dim
+    combos = _N_COMBOS if spec.variant == "batch_kappa" else 0
+
+    xs0 = _sublevel_points(spec, dim, spec.rho0, n_samples, (seed, 1))
+    v0 = _one_shot_directions(oracle, xs0, np.random.default_rng([seed, 2]), combos)
+    flat_x0 = np.repeat(xs0, v0.shape[1], axis=0)
+    flat_v0 = v0.reshape(-1, dim)
+    s0 = np.random.default_rng([seed, 3]).uniform(0.0, kappa, size=flat_v0.shape[0])
+    s0 = np.concatenate([s0, np.full(flat_v0.shape[0], kappa)])
+    flat_x0 = np.concatenate([flat_x0, flat_x0])
+    flat_v0 = np.concatenate([flat_v0, flat_v0])
+    reached = spec.rho(man.retract(flat_x0, -s0[:, None] * flat_v0))
+    margin1 = float(spec.rho1 - np.max(reached))
+
+    xs1 = _band_points(spec, dim, spec.rho0, spec.rho1, n_samples, (seed, 4))
+    v1 = _one_shot_directions(oracle, xs1, np.random.default_rng([seed, 5]), combos)
+    flat_x1 = np.repeat(xs1, v1.shape[1], axis=0)
+    flat_v1 = v1.reshape(-1, dim)
+    s1 = np.random.default_rng([seed, 6]).uniform(0.0, kappa, size=flat_v1.shape[0])
+    lhs = (spec.grad_rho(flat_x1) * flat_v1).sum(axis=-1)
+    quad = hessian_quadform(man, spec.rho, flat_x1, -s1[:, None] * flat_v1, flat_v1)
+    rhs = np.maximum(0.0, 0.5 * kappa * quad)
+    gaps = lhs - rhs
+    margin2 = float(np.min(gaps))
+
+    worst = min(margin1, margin2)
+    if worst == margin2:
+        i = int(np.argmin(gaps))
+        witness = {"x": flat_x1[i].tolist(), "v": flat_v1[i].tolist(),
+                   "s": float(s1[i]), "gap": margin2}
+    else:
+        i = int(np.argmax(reached))
+        witness = {"x": flat_x0[i].tolist(), "v": flat_v0[i].tolist(),
+                   "s": float(s0[i]), "rho_reached": float(reached[i])}
+    passed = bool(worst >= -_INVARIANT_SLACK)
+    return ConfinementReport(
+        check=f"{spec.variant}_confinement",
+        passed=passed,
+        min_margin=worst,
+        witness=None if passed else witness,
+        n_samples=n_samples,
+        seed=seed,
+        notes="convex-hull directions are sampled (extreme points exact only for "
+              "linear objectives); sampled evidence, not a proof",
+        constants={"kappa": kappa, "margin_step": margin1, "margin_band": margin2},
+    )

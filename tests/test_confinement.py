@@ -1,7 +1,11 @@
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsgd import (
     AdaptiveRate,
@@ -25,8 +29,14 @@ from rsgd import (
     run_confined_deterministic,
     run_confined_deterministic_many,
 )
-from rsgd.confinement import sample_rho_levels
+from rsgd import confinement
+from rsgd.confinement import _N_COMBOS, sample_rho_levels
+from rsgd.driver import _BLOCK_WORDS
 from rsgd.problems import GradientOracle
+from rsgd.schedules import _SQUARE_SUM_TERMS
+
+from reference import (one_shot_check_kappa_confinement, one_shot_check_plain_confinement,
+                       one_shot_estimate_constants)
 
 
 class FieldProblem(GradientOracle):
@@ -341,3 +351,122 @@ def test_report_serialization(ls_problem):
     payload = report.to_dict()
     assert payload["check"] == "plain_confinement"
     assert set(payload) >= {"pass", "min_margin", "witness", "n_samples", "seed", "notes"}
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_samplers_refuse_fewer_than_one_sample(ls_problem, schedule, n_samples):
+    # 0 once ended in numpy's "zero-size array to reduction operation minimum"
+    spec = norm_squared_confinement(1.0, 2.0, "kappa")
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        estimate_constants(spec, ls_problem, schedule, 1.0, 1.0, 1.0, n_samples)
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        check_kappa_confinement(spec, ls_problem, 0.5, n_samples)
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        check_plain_confinement(spec, ls_problem, n_samples)
+
+
+def _affine(x, a, c, nan_above=np.inf):
+    # A x + c without BLAS, so a point's bits do not depend on how many come
+    # with it; NaN where x_0 > nan_above, to hold the samplers to NaN first
+    x = np.asarray(x)
+    return np.where(x[..., :1] > nan_above, np.nan, (x[..., None, :] * a).sum(axis=-1) + c)
+
+
+def _bits(obj):
+    """obj with every float as its hex string and every dict as its item
+    list, so that == compares bits and key order."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return [(k, _bits(v)) for k, v in obj.items()]
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    return obj
+
+
+# each sampler with the Dirichlet combinations per point it draws
+SAMPLERS = {"constants": _N_COMBOS, "plain": 0, "kappa": 0, "batch_kappa": _N_COMBOS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampler=st.sampled_from(sorted(SAMPLERS)),
+       kind=st.sampled_from(["field", "nan_field", "least_squares"]),
+       dim=st.integers(1, 4), n_out=st.integers(1, 9), data_seed=st.integers(0, 2**16),
+       seed=st.integers(0, 2**16), words=st.integers(1, 512),
+       size=st.sampled_from(["1", "m-1", "m", "m+1", "3m+1"]),
+       rho0=st.sampled_from([0.05, 1.0, 4.0]), kappa=st.sampled_from([0.05, 1e6]))
+def test_chunked_samplers_equal_their_one_shot_oracles(sampler, kind, dim, n_out, data_seed,
+                                                       seed, words, size, rho0, kappa):
+    """Every constant, report field and witness equals the one-shot sampler's
+    bit for bit, for n_samples around multiples of the chunk size m."""
+    rng = np.random.default_rng(data_seed)
+    if kind != "least_squares":
+        cut = 0.5 if kind == "nan_field" else np.inf
+        problem = FieldProblem(dim, [lambda x, a=rng.normal(size=(dim, dim)),
+                                     c=rng.normal(size=dim): _affine(x, a, c, cut)
+                                     for _ in range(n_out)])
+    else:
+        problem = random_least_squares(dim, n_out, seed=data_seed, tau=0.2)
+    with mock.patch.object(confinement, "_BLOCK_WORDS", words):
+        m = confinement._chunk_size(problem, SAMPLERS[sampler])
+        n = {"1": 1, "m-1": max(1, m - 1), "m": m, "m+1": m + 1, "3m+1": 3 * m + 1}[size]
+        if sampler == "constants":
+            sched = PowerLawSchedule(0.5, 0.75)
+            args = (norm_squared_confinement(rho0), problem, sched, 1.0, 2.0, 1.0, n, seed)
+            got = vars(estimate_constants(*args))
+            want = vars(one_shot_estimate_constants(*args))
+        elif sampler == "plain":
+            args = (norm_squared_confinement(rho0), problem, n, seed)
+            got = check_plain_confinement(*args).to_dict()
+            want = one_shot_check_plain_confinement(*args).to_dict()
+        else:
+            args = (norm_squared_confinement(rho0, rho0 + 5.0, sampler), problem, kappa, n, seed)
+            got = check_kappa_confinement(*args).to_dict()
+            want = one_shot_check_kappa_confinement(*args).to_dict()
+    assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0, np.nan]), min_size=1, max_size=40),
+       cuts=st.lists(st.integers(1, 39)), lower=st.booleans())
+def test_chunk_extremes_combine_as_one_argmin(values, cuts, lower):
+    """The first extreme kept across chunks is np.argmin / np.argmax of all
+    entries at once: ties (-0.0 and 0.0 among them) and NaNs included."""
+    a = np.array(values)
+    arg = np.argmin if lower else np.argmax
+    best, start = None, 0
+    for stop in sorted({c for c in cuts if c < a.size}) + [a.size]:
+        i = int(arg(a[start:stop]))
+        if confinement._replaces(a[start + i], best, lower):
+            best = (a[start + i], start + i)
+        start = stop
+    assert best[1] == arg(a)
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_sampler_memory_stays_within_the_block_budget(sampler, schedule):
+    # least squares, N = 2000 and d = 4, 200 samples: the one-shot samplers
+    # held every point's (8, N, d) Dirichlet product, about 100 MB
+    d, n_out = 4, 2000
+    problem = random_least_squares(d, n_out, seed=3, tau=0.2)
+    rho0 = problem.rho0_for_norm_squared()
+    combos = SAMPLERS[sampler]
+    # bytes of a chunk's largest array; a sampler keeps a few such alive
+    largest = 8 * max(_BLOCK_WORDS, d * max(combos * n_out, n_out + combos))
+    bound = 12 * largest
+    tracemalloc.start()
+    try:
+        if sampler == "constants":
+            # sum_of_squares' one buffer comes first and is freed
+            bound = max(bound, 8 * _SQUARE_SUM_TERMS + 64 * 1024)
+            estimate_constants(norm_squared_confinement(rho0), problem, schedule,
+                               1.0, 2.0, 1.0, 200)
+        elif sampler == "plain":
+            check_plain_confinement(norm_squared_confinement(rho0), problem, 200)
+        else:
+            check_kappa_confinement(norm_squared_confinement(rho0, rho0 + 5.0, sampler),
+                                    problem, 0.5, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from rsgd import (
     validate_robbins_monro,
 )
 
-from reference import AdaptiveState
+from rsgd.schedules import _SQUARE_SUM_TERMS
+
+from reference import AdaptiveState, one_shot_sum_of_squares
 
 # zeta(1.5) * 0.25, the exact sum of (0.5/(t+1)^0.75)^2
 SIGMA_HALF_34 = 0.6530938371713720
@@ -66,6 +70,23 @@ class TestDeterministic:
 
     def test_sum_of_squares_explicit(self):
         assert sum_of_squares(ExplicitSchedule((0.1, 0.2))) == pytest.approx(0.05)
+
+    def test_sum_of_squares_equals_its_one_shot_form_bitwise(self):
+        # p = 1.0 and 2.0 are exponents numpy's ``**`` treats apart
+        for c in (0.05, 0.5, 1.0, 3.0):
+            for p in (0.51, 0.6, 0.75, 0.9, 1.0, 1.5, 2.0):
+                s = PowerLawSchedule(c, p)
+                assert sum_of_squares(s).hex() == one_shot_sum_of_squares(s).hex(), (c, p)
+
+    def test_sum_of_squares_holds_one_buffer(self):
+        # one float64 per term; building the terms in fresh arrays held three
+        tracemalloc.start()
+        try:
+            sum_of_squares(PowerLawSchedule(0.5, 0.75))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _SQUARE_SUM_TERMS + 64 * 1024
 
     def test_sum_of_squares_is_upper_bound(self):
         s = PowerLawSchedule(0.5, 0.75)
