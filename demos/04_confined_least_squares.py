@@ -26,10 +26,8 @@ print(f"confinement certificate: pass={report.passed}, "
       f"min <grad rho, H> on the band = {report.min_margin:.4f}")
 print(f"({report.notes})")
 
-trial = rsgd.estimate_constants(spec, problem, schedule, lam=1.0, b=1.0, theta=1.0,
-                                n_samples=2000, seed=3)
-constants = rsgd.estimate_constants(spec, problem, schedule, lam=1.0,
-                                    b=max(trial.b_est, 1e-6), theta=1.0,
+# b = "auto": b = max(b_est at b = 1, 1e-6), then the constants at that b
+constants = rsgd.estimate_constants(spec, problem, schedule, lam=1.0, b="auto", theta=1.0,
                                     n_samples=2000, seed=3)
 print()
 print(f"rho0 = {constants.rho0:.3f}, rho1 = {constants.rho1:.3f}, "

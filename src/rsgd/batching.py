@@ -386,40 +386,49 @@ def combine_batch(weights: np.ndarray, grads: np.ndarray, equal: bool) -> np.nda
     return _sum(grads * weights[..., None], -2)
 
 
-def _enumerated_vectors(oracle, x, plan, t):
+def _enumerated_vectors(oracle, points, plan, t):
+    """Yield (p, batch gradients at points[p] (c, d), probabilities (c,)) for
+    every chunk of the outcome space at step t, chunks outermost: each chunk
+    is made once for all points, and each point sees the chunks in order."""
     count = plan.outcome_count(t)
     if count > _ENUM_BUDGET:
         raise EnumerationBudgetExceeded(
             f"{count} outcomes at t={t} exceed the enumeration budget {_ENUM_BUDGET}"
         )
-    x = np.asarray(x, dtype=float)
-    # (d, N): each chunk is gathered coordinate-major, so the batch average
-    # sums contiguous runs of outcomes, and handed on row-major, so the sums
-    # over it keep their order
-    table_t = np.ascontiguousarray(oracle.sample_gradients(x, np.arange(oracle.space.size)).T)
+    # (d, N) per point: each chunk is gathered coordinate-major, so the batch
+    # average sums contiguous runs of outcomes, and handed on row-major, so
+    # the sums over it keep their order
+    outcomes = np.arange(oracle.space.size)
+    tables_t = [np.ascontiguousarray(oracle.sample_gradients(x, outcomes).T) for x in points]
     w = plan.weights_at(t)
     equal = bool(np.all(w == w[0]))
     for idx, prob in plan.iter_outcome_chunks(t):
-        yield np.ascontiguousarray(combine_batch(w, _gather_cm(table_t, idx), equal)), prob
+        for p, table_t in enumerate(tables_t):
+            yield p, np.ascontiguousarray(combine_batch(w, _gather_cm(table_t, idx), equal)), prob
 
 
 def enumerate_expectation(oracle: GradientOracle, x, plan: BatchPlan, t: int = 0) -> np.ndarray:
-    """Exact expectation of the batch gradient at step t, by full enumeration.
+    """Exact expectation of the batch gradient at step t, by full enumeration,
+    at one point x (d,) or at each of the points x (P, d).
 
     This is the independent certificate that a scheme is unbiased: the result
-    must coincide with ``oracle.full_gradient(x)``.
+    must coincide with ``oracle.full_gradient(x)``.  The outcome space is
+    enumerated once for all points, and each point's result is bitwise equal
+    to enumerating at that point alone.
     """
-    acc = np.zeros(np.shape(x)[-1])
-    for vecs, prob in _enumerated_vectors(oracle, x, plan, t):
-        acc += (prob[:, None] * vecs).sum(axis=0)
-    return acc
+    points = np.atleast_2d(np.asarray(x, dtype=float))
+    acc = np.zeros(points.shape)
+    for p, vecs, prob in _enumerated_vectors(oracle, points, plan, t):
+        acc[p] += (prob[:, None] * vecs).sum(axis=0)
+    return acc if np.ndim(x) == 2 else acc[0]
 
 
 def variance_report(oracle: GradientOracle, x, plan: BatchPlan, t: int = 0) -> float:
     """Exact E ||h - grad F(x)||^2 of the batch gradient h at step t, by enumeration."""
-    g = oracle.full_gradient(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    g = oracle.full_gradient(x)
     acc = 0.0
-    for vecs, prob in _enumerated_vectors(oracle, x, plan, t):
+    for _, vecs, prob in _enumerated_vectors(oracle, [x], plan, t):
         dev = vecs - g
         acc += float((prob * (dev * dev).sum(axis=1)).sum())
     return acc

@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,7 +34,7 @@ import numpy as np
 from . import confinement as conf
 from . import diagnostics as diag
 from .batching import BatchSizes, SegmentPlan, StratifiedPlan, SubsetPlan, enumerate_expectation
-from .driver import RunConfig, read_trajectory_csv, record_nbytes, run_many
+from .driver import RunConfig, read_trajectory_csv, record_nbytes, run_many, write_csvs
 from .errors import (
     ConfigError,
     ConfinementViolation,
@@ -164,7 +165,6 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -360,11 +360,30 @@ def _constants_for(params, spec, problem, rate, seed):
     if not check.valid:
         key = "kind = list" if isinstance(rate, ExplicitSchedule) else f"p = {rate.p:g}"
         raise ConfigError(f"[rate] {key} cannot confine a deterministic run: {check.reason}")
-    lam, b, theta, n_samples = params["lambda"], params["b"], params["theta"], params["samples"]
-    if b == "auto":
-        trial = conf.estimate_constants(spec, problem, rate, lam, 1.0, theta, n_samples, seed=seed)
-        b = max(trial.b_est, 1e-6)
-    return conf.estimate_constants(spec, problem, rate, lam, b, theta, n_samples, seed=seed)
+    return conf.estimate_constants(spec, problem, rate, params["lambda"], params["b"],
+                                   params["theta"], params["samples"], seed=seed)
+
+
+@contextmanager
+def _out_dir(cp, args):
+    """[run] out (or --out), created before the command does any work; the
+    directories made for it are removed again if the command leaves them
+    empty (a config error found later, an aborted run, a failed sampler)."""
+    out = Path(_get(cp, "run", "out", args.out))
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"[run] out (or --out) = {out} cannot be created: "
+                          f"{exc.strerror or exc}") from None
+    try:
+        yield out
+    finally:
+        for d in made:  # deepest first; rmdir refuses a directory that holds anything
+            try:
+                d.rmdir()
+            except OSError:
+                break
 
 
 def _resolved(cp) -> dict:
@@ -394,58 +413,55 @@ def cmd_run(args) -> int:
     if listed is not None and len(listed) < horizon:
         raise ConfigError(f"[plan] batch_sizes has {len(listed)} sizes, "
                           f"fewer than the horizon {horizon}")
-    out_dir = Path(_get(cp, "run", "out", args.out))
     x0 = _x0(cp, problem.manifold)
     params = build_confinement(cp, problem)
+    with _out_dir(cp, args) as out_dir:
+        cfg = RunConfig(oracle=problem, plan=plan, rate=rate, x0=x0, horizon=horizon, seed=seed)
+        constants = None
+        try:
+            if params is None:
+                trajectories = run_many(cfg, n_seeds)
+            elif isinstance(rate, AdaptiveRate):
+                spec = _kappa_spec(params, params["rho1"], "adaptive confined runs")
+                trajectories = conf.run_confined_adaptive_many(cfg, spec, params["kappa"], n_seeds)
+            else:
+                spec = conf.norm_squared_confinement(params["rho0"])
+                constants = _constants_for(params, spec, problem, rate, seed)
+                trajectories = conf.run_confined_deterministic_many(
+                    replace(cfg, rho=spec.rho), constants, n_seeds)
+        except (DegenerateRetraction, ConfinementViolation, SamplerFailure) as exc:
+            print(f"run aborted: {exc}", file=sys.stderr)
+            return 3
 
-    cfg = RunConfig(oracle=problem, plan=plan, rate=rate, x0=x0, horizon=horizon, seed=seed)
-    constants = None
-    try:
-        if params is None:
-            trajectories = run_many(cfg, n_seeds)
-        elif isinstance(rate, AdaptiveRate):
-            spec = _kappa_spec(params, params["rho1"], "adaptive confined runs")
-            trajectories = conf.run_confined_adaptive_many(cfg, spec, params["kappa"], n_seeds)
-        else:
-            spec = conf.norm_squared_confinement(params["rho0"])
-            constants = _constants_for(params, spec, problem, rate, seed)
-            trajectories = conf.run_confined_deterministic_many(
-                replace(cfg, rho=spec.rho), constants, n_seeds)
-    except (DegenerateRetraction, ConfinementViolation, SamplerFailure) as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        return 3
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    run_id = Path(args.config).stem
-    for tr in trajectories:
-        tr.write_csv(out_dir / f"{run_id}_seed{tr.seed}.csv")
-    metrics = diag.convergence_metrics(trajectories)
-    metrics["mean_square_curve"] = _downsample(metrics["mean_square_curve"])
-    summary = {
-        "run_id": run_id,
-        "config": _resolved(cp),
-        "overrides": {"seed": args.seed, "horizon": args.horizon},
-        "seeds": [tr.seed for tr in trajectories],
-        "data_seed": problem.data_seed,
-        "metrics": metrics,
-    }
-    if constants is not None:
-        summary["confinement_constants"] = vars(constants) | {}
-    _write_json(out_dir / f"{run_id}_summary.json", summary)
-    if not args.quiet:
-        print(f"wrote {len(trajectories)} trajectories to {out_dir}")
-    if any(tr.status != "ok" for tr in trajectories):
-        print("run aborted: non-finite values encountered", file=sys.stderr)
-        return 3
-    return 0
+        run_id = Path(args.config).stem
+        write_csvs(trajectories, [out_dir / f"{run_id}_seed{tr.seed}.csv" for tr in trajectories])
+        metrics = diag.convergence_metrics(trajectories)
+        metrics["mean_square_curve"] = _downsample(metrics["mean_square_curve"])
+        summary = {
+            "run_id": run_id,
+            "config": _resolved(cp),
+            "overrides": {"seed": args.seed, "horizon": args.horizon},
+            "seeds": [tr.seed for tr in trajectories],
+            "data_seed": problem.data_seed,
+            "metrics": metrics,
+        }
+        if constants is not None:
+            summary["confinement_constants"] = vars(constants) | {}
+        _write_json(out_dir / f"{run_id}_summary.json", summary)
+        if not args.quiet:
+            print(f"wrote {len(trajectories)} trajectories to {out_dir}")
+        if any(tr.status != "ok" for tr in trajectories):
+            print("run aborted: non-finite values encountered", file=sys.stderr)
+            return 3
+        return 0
 
 
 def _check_unbiasedness(problem, plan, seed):
     rng = np.random.default_rng([seed, 11])
     xs = problem.sample_region(rng, 20)
     worst = 0.0
-    for x in xs:
-        dev = enumerate_expectation(problem, x, plan, t=0) - problem.full_gradient(x)
+    for x, mean in zip(xs, enumerate_expectation(problem, xs, plan, t=0)):
+        dev = mean - problem.full_gradient(x)
         worst = max(worst, float(np.sqrt((dev * dev).sum())))
     return {"check": "unbiasedness", "pass": worst <= 1e-10, "worst": worst,
             "tolerance": 1e-10, "points": 20, "seed": seed}
@@ -458,63 +474,62 @@ def cmd_check(args) -> int:
     cp = load_config(args.config)
     problem = build_problem(cp)
     seed, _ = _seeds(cp, args)
-    out_dir = Path(_get(cp, "run", "out", args.out))
-
-    try:
-        if args.name == "unbiasedness":
-            plan = build_plan(cp, problem.space, seed)
-            payload = _check_unbiasedness(problem, plan, seed)
-        elif args.name == "schedule":
-            rate = build_rate(cp)
-            if isinstance(rate, AdaptiveRate):
-                payload = {"check": "schedule", "pass": True,
-                           "reason": "adaptive hyperparameters admissible",
-                           "eta0": rate.eta0()}
-            else:
-                res = validate_robbins_monro(rate)
-                payload = {"check": "schedule", "pass": res.valid, "reason": res.reason}
-        elif args.name == "gradient":
-            report = diag.finite_difference_gradient_check(problem, 200, seed=seed)
-            payload = report.to_dict()
-        elif args.name == "lipschitz":
-            radius = problem.gradient_bound()
-            first = diag.estimate_lipschitz(problem, radius, 4000, seed=seed)
-            second = diag.estimate_lipschitz(problem, radius, 4000, seed=seed + 1)
-            ratio = max(first.c1, second.c1) / max(min(first.c1, second.c1), 1e-30)
-            payload = {"check": "lipschitz", "pass": ratio <= 2.0,
-                       "c1": first.c1, "c2": first.c2,
-                       "c1_reseeded": second.c1, "stability_ratio": ratio,
-                       "radius": radius, "seed": seed}
-        elif args.name in ("confinement", "kappa_confinement"):
-            params = build_confinement(cp, problem)
-            if params is None:
-                raise ConfigError("confinement section missing or disabled")
-            if args.name == "confinement":
-                spec = conf.norm_squared_confinement(params["rho0"])
-                report = conf.check_plain_confinement(spec, problem, params["samples"],
-                                                      seed=seed)
-            else:
+    with _out_dir(cp, args) as out_dir:
+        try:
+            if args.name == "unbiasedness":
+                plan = build_plan(cp, problem.space, seed)
+                payload = _check_unbiasedness(problem, plan, seed)
+            elif args.name == "schedule":
                 rate = build_rate(cp)
                 if isinstance(rate, AdaptiveRate):
-                    rho1 = params["rho1"]
+                    payload = {"check": "schedule", "pass": True,
+                               "reason": "adaptive hyperparameters admissible",
+                               "eta0": rate.eta0()}
                 else:
-                    spec0 = conf.norm_squared_confinement(params["rho0"])
-                    rho1 = _constants_for(params, spec0, problem, rate, seed).rho1
-                spec = _kappa_spec(params, rho1, "kappa_confinement")
-                report = conf.check_kappa_confinement(spec, problem, params["kappa"],
-                                                      params["samples"], seed=seed)
-            payload = report.to_dict()
-    except (SamplerFailure, EnumerationBudgetExceeded) as exc:
-        verb = "sample" if isinstance(exc, SamplerFailure) else "enumerate"
-        print(f"check failed to {verb}: {exc}", file=sys.stderr)
-        return 1
-    except UnboundedRegion as exc:
-        raise ConfigError(f"check {args.name} needs [problem] rho1: {exc}") from None
+                    res = validate_robbins_monro(rate)
+                    payload = {"check": "schedule", "pass": res.valid, "reason": res.reason}
+            elif args.name == "gradient":
+                report = diag.finite_difference_gradient_check(problem, 200, seed=seed)
+                payload = report.to_dict()
+            elif args.name == "lipschitz":
+                radius = problem.gradient_bound()
+                first = diag.estimate_lipschitz(problem, radius, 4000, seed=seed)
+                second = diag.estimate_lipschitz(problem, radius, 4000, seed=seed + 1)
+                ratio = max(first.c1, second.c1) / max(min(first.c1, second.c1), 1e-30)
+                payload = {"check": "lipschitz", "pass": ratio <= 2.0,
+                           "c1": first.c1, "c2": first.c2,
+                           "c1_reseeded": second.c1, "stability_ratio": ratio,
+                           "radius": radius, "seed": seed}
+            elif args.name in ("confinement", "kappa_confinement"):
+                params = build_confinement(cp, problem)
+                if params is None:
+                    raise ConfigError("confinement section missing or disabled")
+                if args.name == "confinement":
+                    spec = conf.norm_squared_confinement(params["rho0"])
+                    report = conf.check_plain_confinement(spec, problem, params["samples"],
+                                                          seed=seed)
+                else:
+                    rate = build_rate(cp)
+                    if isinstance(rate, AdaptiveRate):
+                        rho1 = params["rho1"]
+                    else:
+                        spec0 = conf.norm_squared_confinement(params["rho0"])
+                        rho1 = _constants_for(params, spec0, problem, rate, seed).rho1
+                    spec = _kappa_spec(params, rho1, "kappa_confinement")
+                    report = conf.check_kappa_confinement(spec, problem, params["kappa"],
+                                                          params["samples"], seed=seed)
+                payload = report.to_dict()
+        except (SamplerFailure, EnumerationBudgetExceeded) as exc:
+            verb = "sample" if isinstance(exc, SamplerFailure) else "enumerate"
+            print(f"check failed to {verb}: {exc}", file=sys.stderr)
+            return 1
+        except UnboundedRegion as exc:
+            raise ConfigError(f"check {args.name} needs [problem] rho1: {exc}") from None
 
-    _write_json(out_dir / f"check_{args.name}.json", payload)
-    if not args.quiet:
-        print(f"{args.name}: {'PASS' if payload['pass'] else 'FAIL'}")
-    return 0 if payload["pass"] else 1
+        _write_json(out_dir / f"check_{args.name}.json", payload)
+        if not args.quiet:
+            print(f"{args.name}: {'PASS' if payload['pass'] else 'FAIL'}")
+        return 0 if payload["pass"] else 1
 
 
 def cmd_report(args) -> int:

@@ -283,8 +283,22 @@ def check_plain_confinement(spec: ConfinementSpec, oracle: GradientOracle,
     )
 
 
+def _hessian_sup(spec, oracle, level, theta, n_samples, seed) -> float:
+    """The sampled sup of Hess(rho o R_x)|_{-s v}(v, v) over {rho <= level},
+    the directions v of _direction_set and step fractions s in [0, theta]."""
+    rng, rng_theta = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 5])
+    dim = oracle.manifold.ambient_dim
+    highs = []
+    for xs in _chunks(oracle, _sublevel_points(spec, dim, level, n_samples, (seed, 3)), _N_COMBOS):
+        flat_x, flat_v = _flat_directions(oracle, xs, rng, _N_COMBOS)
+        thetas = rng_theta.uniform(0.0, theta, size=flat_v.shape[0])
+        highs.append(np.max(hessian_quadform(oracle.manifold, spec.rho, flat_x,
+                                             -thetas[:, None] * flat_v, flat_v)))
+    return float(np.max(highs))
+
+
 def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
-                       lam: float, b: float, theta: float, n_samples: int,
+                       lam: float, b: float | str, theta: float, n_samples: int,
                        seed: int = 0) -> ConfinementConstants:
     """Sampled suprema behind phi, with the multiplicative safety factor _SAFETY.
 
@@ -292,17 +306,24 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
     b_est bounds (1/b) * sqrt(max(0, Hess(rho o R_x)|_{-theta v}(v, v))) over
     {rho <= rho1} and step fractions in [0, theta].  phi may exceed the
     minimal admissible value; any upper bound preserves the guarantee.
+
+    b = "auto" takes b = max(b_est, 1e-6) from a first estimate at b = 1: the
+    constants equal those of a call with b = 1 followed by a call with that
+    b, while sigma and the lambda half, which do not depend on b, are
+    computed once.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     check = validate_robbins_monro(schedule)
     if not check.valid:
         raise ValueError(f"schedule must satisfy the step-size conditions: {check.reason}")
-    if min(lam, b, theta) <= 0:
+    auto = isinstance(b, str)
+    if auto and b != "auto":
+        raise ValueError(f"b must be a number or 'auto', got {b!r}")
+    if min(lam, 1.0 if auto else b, theta) <= 0:
         raise ValueError("lambda, b, theta must be > 0")
     c = schedule.max_gamma()
     sigma = sum_of_squares(schedule)
-    rho1 = spec.rho0 + lam * c + 0.5 * b * b * sigma
     dim = oracle.manifold.ambient_dim
 
     rng = np.random.default_rng([seed, 2])
@@ -313,14 +334,14 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
         lows.append(np.min((spec.grad_rho(xs)[:, None, :] * v).sum(axis=-1)))
     lambda_est = float(max(0.0, -np.min(lows))) / lam
 
-    rng, rng_theta = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 5])
-    highs = []
-    for xs in _chunks(oracle, _sublevel_points(spec, dim, rho1, n_samples, (seed, 3)), _N_COMBOS):
-        flat_x, flat_v = _flat_directions(oracle, xs, rng, _N_COMBOS)
-        thetas = rng_theta.uniform(0.0, theta, size=flat_v.shape[0])
-        highs.append(np.max(hessian_quadform(oracle.manifold, spec.rho, flat_x,
-                                             -thetas[:, None] * flat_v, flat_v)))
-    b_est = float(np.sqrt(max(0.0, float(np.max(highs))))) / b
+    def b_est_at(b):
+        rho1 = spec.rho0 + lam * c + 0.5 * b * b * sigma
+        return float(np.sqrt(max(0.0, _hessian_sup(spec, oracle, rho1, theta, n_samples,
+                                                   seed)))) / b, rho1
+
+    if auto:
+        b = max(b_est_at(1.0)[0], 1e-6)
+    b_est, rho1 = b_est_at(b)
 
     phi = max(_SAFETY * lambda_est, _SAFETY * b_est, c / theta)
     return ConfinementConstants(

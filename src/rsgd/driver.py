@@ -44,17 +44,24 @@ bit for bit; ``tests/reference.py`` keeps the broadcast forms as oracles, and
 Trajectories record, per iteration: cost, exact gradient norm, step size,
 batch size, batch gradient norm, and the noise inner product
 <grad F, h - grad F>, plus optional rho values and a region-membership flag.
-``write_csv`` keeps all of them but the noise inner product, so a CSV
-cannot rebuild the descent or martingale checks that need it.  It writes
+The CSV keeps all of them but the noise inner product, so a CSV cannot
+rebuild the descent or martingale checks that need it.  ``write_csvs`` is the
+one writer (``Trajectory.write_csv`` writes one file through it).  It writes
 every float as ``%.17g``, so ``read_trajectory_csv`` gets the same bits back,
-and formats the rows in chunks of ``_CSV_CHUNK``, so a file of any length is
-written in flat memory.  Compactness of the iterate set is monitored, not
-enforced.
+and formats the rows in chunks of ``_CSV_CHUNK``, chunks outermost over
+groups of at most ``_CSV_FILES`` open files, so files of any length are
+written in flat memory.  The ``t``, ``step`` and ``batch_size`` cells of a
+chunk are formatted once into a row template, which every trajectory of the
+group whose chunk of steps and batch sizes is bitwise equal to the first
+one's fills with its own cells; the seeds of a deterministic-rate run share
+it, and a retired or adaptive seed formats its own.  Compactness of the
+iterate set is monitored, not enforced.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from math import isfinite
@@ -81,9 +88,17 @@ _CSV_COLUMNS = (
     ("in_K", "in_region", bool),
 )
 CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
-_CSV_ROW = ",".join("%.17g" if kind is float else "%d" for _, _, kind in _CSV_COLUMNS) + "\n"
+# the columns formatted once per chunk into a row template, whose "%%" then
+# become the "%" of the cells each trajectory fills in (_CSV_OWN, in order)
+_CSV_SHARED = ("t", "step", "batch_size")
+_CSV_TEMPLATE = ",".join(("%" if name in _CSV_SHARED else "%%")
+                         + (".17g" if kind is float else "d")
+                         for name, _, kind in _CSV_COLUMNS) + "\n"
+_CSV_OWN = tuple(attr for name, attr, _ in _CSV_COLUMNS if name not in _CSV_SHARED)
 # rows per formatted chunk, so a file of any length is written in flat memory
 _CSV_CHUNK = 1024
+# files open at once while write_csvs walks the chunks
+_CSV_FILES = 64
 # words per block: its outcome indices over all seeds, and each (S, k, d) buffer;
 # also the largest array of a chunk of confinement sample points
 _BLOCK_WORDS = 1 << 15
@@ -156,18 +171,50 @@ class Trajectory:
         return len(self.F) - 1
 
     def write_csv(self, path) -> None:
-        """Write the ``_CSV_COLUMNS`` of every step, each float as ``%.17g``,
-        one ``%`` operation per chunk of at most ``_CSV_CHUNK`` rows."""
-        n = len(self.F)
-        cols = [getattr(self, attr) for _, attr, _ in _CSV_COLUMNS[1:]]
-        with open(path, "w", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for a in range(0, n, _CSV_CHUNK):
-                b = min(n, a + _CSV_CHUNK)
-                # a missing rho column is written as NaN; zip stops at range(a, b)
-                rows = zip(range(a, b), *(repeat(np.nan) if c is None else c[a:b].tolist()
-                                         for c in cols))
-                fh.write((_CSV_ROW * (b - a)) % tuple(chain.from_iterable(rows)))
+        """Write the ``_CSV_COLUMNS`` of every step: ``write_csvs([self], [path])``."""
+        write_csvs([self], [path])
+
+
+def write_csvs(trajectories, paths) -> None:
+    """Write each trajectory's ``_CSV_COLUMNS`` to its path, every float as
+    ``%.17g``, in chunks of at most ``_CSV_CHUNK`` rows taken outermost over
+    groups of at most ``_CSV_FILES`` open files.
+
+    Per chunk, one ``%`` operation formats the t, step and batch_size cells
+    into a row template, and one more fills a trajectory's other cells into
+    it.  A trajectory whose steps and batch sizes in the chunk are bitwise
+    equal to those of the first trajectory there uses the first one's
+    template."""
+    trajectories, paths = list(trajectories), list(paths)
+    if len(trajectories) != len(paths):
+        raise ValueError(f"{len(trajectories)} trajectories but {len(paths)} paths")
+    for g in range(0, len(trajectories), _CSV_FILES):
+        group = trajectories[g:g + _CSV_FILES]
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(path, "w", newline=""))
+                     for path in paths[g:g + _CSV_FILES]]
+            for fh in files:
+                fh.write(CSV_HEADER + "\n")
+            for a in range(0, max(len(tr.F) for tr in group), _CSV_CHUNK):
+                first = None  # (steps, batch sizes, template) of the chunk's first trajectory
+                for tr, fh in zip(group, files):
+                    b = min(len(tr.F), a + _CSV_CHUNK)
+                    if b <= a:
+                        continue
+                    step, sizes = tr.step[a:b], tr.batch_size[a:b]
+                    if (first is not None
+                            and np.array_equal(step.view(np.int64), first[0].view(np.int64))
+                            and np.array_equal(sizes, first[1])):
+                        template = first[2]
+                    else:
+                        template = (_CSV_TEMPLATE * (b - a)) % tuple(chain.from_iterable(
+                            zip(range(a, b), step.tolist(), sizes.tolist())))
+                        if first is None:
+                            first = (step, sizes, template)
+                    # a missing rho column is written as NaN; zip stops at the chunk's end
+                    rows = zip(*(repeat(np.nan) if c is None else c[a:b].tolist()
+                                 for c in (getattr(tr, attr) for attr in _CSV_OWN)))
+                    fh.write(template % tuple(chain.from_iterable(rows)))
 
 
 def read_trajectory_csv(path, seed: int = -1) -> Trajectory:

@@ -517,6 +517,40 @@ def test_enumeration_bits_equal_a_row_major_accumulation(scheme, uniform, d, b, 
     assert np.float64(var).tobytes() == np.float64(want_var).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
+       problem=st.sampled_from(["sphere_mean", "least_squares"]), uniform=st.booleans(),
+       n=st.integers(2, 6), d=st.integers(2, 4), n_points=st.integers(1, 5),
+       t=st.integers(0, 3), chunk=st.sampled_from([1, 7, 1 << 15]), data=st.data())
+def test_enumeration_at_many_points_equals_one_point_at_a_time(scheme, problem, uniform, n, d,
+                                                               n_points, t, chunk, data):
+    # one enumeration for (P, d) points gives each point the bits of its own;
+    # growing sizes put t > 0 at another batch size than t = 0
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    weights = None if uniform or scheme == "no_repetition" else rng.uniform(0.05, 1.0, size=n)
+    if weights is not None:
+        weights /= weights.sum()
+    if problem == "sphere_mean":
+        prob = SphereMeanProblem(rng.normal(size=(n, d)), weights=weights)
+    else:
+        prob = RegularizedLeastSquaresProblem(rng.normal(size=(n, d)), rng.normal(size=n), 0.3,
+                                              weights=weights)
+    xs = prob.sample_region(rng, n_points) if problem == "sphere_mean" \
+        else rng.normal(size=(n_points, d))
+    sizes = BatchSizes.geometric(1, 2.0, min(n, 3))
+    if scheme == "segment":
+        plan = SegmentPlan(prob.space, sizes)
+    elif scheme == "no_repetition":
+        plan = SubsetPlan(prob.space, sizes)
+    else:
+        plan = StratifiedPlan(prob.space, *_drawn_partition(n, data))
+    with mock.patch.object(batching, "_ENUM_CHUNK", chunk):
+        many = enumerate_expectation(prob, xs, plan, t)
+        ones = [enumerate_expectation(prob, x, plan, t) for x in xs]
+    assert many.shape == (n_points, d)
+    assert many.tobytes() == np.stack(ones).tobytes()
+
+
 def _drawn_partition(n, data):
     """At most three strata of a shuffled range(n), each drawn once or twice."""
     order = data.draw(st.permutations(range(n)))

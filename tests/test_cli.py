@@ -568,6 +568,23 @@ class TestRunInputs:
         monkeypatch.setattr(cli, "_physical_bytes", lambda: need)
         assert main(["run", "--config", str(cfg), "--quiet"]) == 0
 
+    @pytest.mark.parametrize("argv", [["run"], ["check", "schedule"],
+                                      ["check", "unbiasedness"]])
+    @pytest.mark.parametrize("below, reason", [("", "File exists"), ("sub", "Not a directory")],
+                             ids=["a-file", "under-a-file"])
+    def test_out_that_cannot_be_made_exits_2_before_any_work(self, sphere_config, capsys,
+                                                              argv, below, reason):
+        # the config file itself stands where the directory should be
+        cfg, _ = sphere_config
+        with mock.patch.object(cli, "run_many", side_effect=AssertionError("ran")), \
+                mock.patch.object(cli, "enumerate_expectation",
+                                  side_effect=AssertionError("enumerated")):
+            code = main(argv + ["--config", str(cfg), "--out", str(cfg / below), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [run] out (or --out) = {cfg / below} cannot be "
+                              f"created: {reason}")
+
     def test_list_rate_covering_the_horizon_runs(self, sphere_config):
         cfg, out = sphere_config
         cfg.write_text(cfg.read_text().replace("kind = power\nc = 0.5\np = 0.75",

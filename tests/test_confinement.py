@@ -426,6 +426,37 @@ def test_chunked_samplers_equal_their_one_shot_oracles(sampler, kind, dim, n_out
     assert _bits(got) == _bits(want)
 
 
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["field", "zero_field", "least_squares"]), dim=st.integers(1, 4),
+       n_out=st.integers(1, 6), data_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16),
+       n_samples=st.integers(1, 300), rho0=st.sampled_from([0.05, 1.0, 4.0]))
+def test_auto_b_equals_the_two_call_form(kind, dim, n_out, data_seed, seed, n_samples, rho0):
+    """b = "auto" gives the bits of a call at b = 1 and a call at the b it
+    estimates; a zero field estimates b_est = 0, so b takes the floor 1e-6."""
+    rng = np.random.default_rng(data_seed)
+    if kind == "field":
+        problem = FieldProblem(dim, [lambda x, a=rng.normal(size=(dim, dim)),
+                                     c=rng.normal(size=dim): _affine(x, a, c)
+                                     for _ in range(n_out)])
+    elif kind == "zero_field":
+        problem = FieldProblem(dim, [zero_field] * n_out)
+    else:
+        problem = random_least_squares(dim, n_out, seed=data_seed, tau=0.2)
+    spec, sched = norm_squared_confinement(rho0), PowerLawSchedule(0.5, 0.75)
+    trial = estimate_constants(spec, problem, sched, 1.0, 1.0, 1.0, n_samples, seed)
+    want = estimate_constants(spec, problem, sched, 1.0, max(trial.b_est, 1e-6), 1.0, n_samples,
+                              seed)
+    got = estimate_constants(spec, problem, sched, 1.0, "auto", 1.0, n_samples, seed)
+    assert _bits(vars(got)) == _bits(vars(want))
+
+
+@pytest.mark.parametrize("b", ["Auto", "1.0", ""])
+def test_b_takes_no_other_word(ls_problem, schedule, b):
+    spec = norm_squared_confinement(ls_problem.rho0_for_norm_squared())
+    with pytest.raises(ValueError, match="b must be a number or 'auto'"):
+        estimate_constants(spec, ls_problem, schedule, 1.0, b, 1.0, 10)
+
+
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0, np.nan]), min_size=1, max_size=40),
        cuts=st.lists(st.integers(1, 39)), lower=st.booleans())

@@ -359,6 +359,78 @@ def test_csv_write_memory_is_flat(tmp_path):
     assert peak < 4 * 2**20
 
 
+def _run_of_trajectories(data, rng, first_seed):
+    """The trajectories of one run: one horizon and one batch-size column;
+    each seed shares the run's steps, is retired at a drawn step (NaN from
+    there on), or has steps of its own, as under the adaptive rule."""
+    n = data.draw(st.sampled_from([1, driver._CSV_CHUNK]) | st.integers(1, 3 * driver._CSV_CHUNK))
+    steps = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+    steps[rng.random(n) < 0.3] = data.draw(st.sampled_from(_SPECIAL_FLOATS))
+    sizes = rng.integers(0, 10**6, size=n)
+    with_rho = data.draw(st.booleans())
+    out = []
+    for seed in range(first_seed, first_seed + data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(["shared", "retired", "own"]))
+        step = steps.copy()
+        if kind == "retired":
+            step[data.draw(st.integers(0, n - 1)):] = np.nan
+        elif kind == "own":
+            step = rng.random(n)
+        out.append(Trajectory(
+            seed=seed, F=rng.random(n), grad_norm=rng.random(n), step=step, batch_size=sizes,
+            batch_grad_norm=rng.random(n), noise_inner=rng.random(n),
+            in_region=rng.random(n) < 0.5, rho=rng.random(n) if with_rho else None))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_csvs_bytes_equal_rowwise_writer(tmp_path_factory, data):
+    # runs of different horizons, with shared, retired and own steps, written
+    # through groups of open files smaller than the list
+    files = data.draw(st.integers(1, 4))
+    chunk = data.draw(st.sampled_from([1, 7, 64]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    with mock.patch.object(driver, "_CSV_FILES", files), \
+            mock.patch.object(driver, "_CSV_CHUNK", chunk):
+        trs = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            trs += _run_of_trajectories(data, rng, len(trs))
+        tmp = tmp_path_factory.mktemp("csvs")
+        driver.write_csvs(trs, [tmp / f"seed{tr.seed}.csv" for tr in trs])
+    for tr in trs:
+        rowwise_csv(tr, tmp / "rowwise.csv")
+        assert (tmp / f"seed{tr.seed}.csv").read_bytes() == (tmp / "rowwise.csv").read_bytes()
+
+
+def test_csvs_need_one_path_per_trajectory(tmp_path):
+    tr = Trajectory(seed=0, F=np.zeros(2), grad_norm=np.zeros(2), step=np.zeros(2),
+                    batch_size=np.ones(2, dtype=np.int64), batch_grad_norm=np.zeros(2),
+                    noise_inner=np.zeros(2), in_region=np.ones(2, dtype=bool))
+    with pytest.raises(ValueError, match="2 trajectories but 1 paths"):
+        driver.write_csvs([tr, tr], [tmp_path / "a.csv"])
+
+
+def test_csvs_write_memory_is_flat(tmp_path):
+    # eight seeds of one run: four share its steps, four have their own
+    n = 100_001
+    rng = np.random.default_rng(3)
+    steps, sizes = rng.random(n), np.full(n, 4)
+    trs = [Trajectory(seed=s, F=rng.random(n), grad_norm=rng.random(n),
+                      step=steps if s < 4 else rng.random(n), batch_size=sizes,
+                      batch_grad_norm=rng.random(n), noise_inner=rng.random(n),
+                      in_region=np.ones(n, dtype=bool), rho=rng.random(n))
+           for s in range(8)]
+    tracemalloc.start()
+    try:
+        driver.write_csvs(trs, [tmp_path / f"long{s}.csv" for s in range(8)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one file as one string would take about 10 MiB, the eight about 80 MiB
+    assert peak < 4 * 2**20
+
+
 def test_running_min_helper(sphere_problem, x0):
     tr = run_deterministic(_cfg(sphere_problem, x0, PowerLawSchedule(0.5, 0.75), 100))
     rm = running_min_grad_norm(tr)
