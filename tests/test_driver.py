@@ -359,14 +359,14 @@ def test_csv_write_memory_is_flat(tmp_path):
     assert peak < 4 * 2**20
 
 
-def _run_of_trajectories(data, rng, first_seed):
-    """The trajectories of one run: one horizon and one batch-size column;
-    each seed shares the run's steps, is retired at a drawn step (NaN from
-    there on), or has steps of its own, as under the adaptive rule."""
-    n = data.draw(st.sampled_from([1, driver._CSV_CHUNK]) | st.integers(1, 3 * driver._CSV_CHUNK))
-    steps = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
-    steps[rng.random(n) < 0.3] = data.draw(st.sampled_from(_SPECIAL_FLOATS))
-    sizes = rng.integers(0, 10**6, size=n)
+def _run_of_trajectories(data, rng, first_seed, all_steps):
+    """The trajectories of one run: one horizon, one batch-size column and
+    the first steps of all_steps; each seed shares the run's steps, is
+    retired at a drawn step (NaN from there on), or has steps of its own, as
+    under the adaptive rule."""
+    n = data.draw(st.sampled_from([1, driver._CSV_CHUNK]) | st.integers(1, all_steps.size))
+    steps = all_steps[:n]
+    sizes = rng.integers(0, 3, size=n)
     with_rho = data.draw(st.booleans())
     out = []
     for seed in range(first_seed, first_seed + data.draw(st.integers(1, 4))):
@@ -386,16 +386,19 @@ def _run_of_trajectories(data, rng, first_seed):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_csvs_bytes_equal_rowwise_writer(tmp_path_factory, data):
-    # runs of different horizons, with shared, retired and own steps, written
-    # through groups of open files smaller than the list
+    # runs of different horizons and batch sizes over the same steps, with
+    # shared, retired and own steps, written through groups of open files
+    # smaller than the list
     files = data.draw(st.integers(1, 4))
     chunk = data.draw(st.sampled_from([1, 7, 64]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    all_steps = rng.integers(0, 2**64, size=3 * chunk, dtype=np.uint64).view(np.float64)
+    all_steps[rng.random(all_steps.size) < 0.3] = data.draw(st.sampled_from(_SPECIAL_FLOATS))
     with mock.patch.object(driver, "_CSV_FILES", files), \
             mock.patch.object(driver, "_CSV_CHUNK", chunk):
         trs = []
         for _ in range(data.draw(st.integers(1, 3))):
-            trs += _run_of_trajectories(data, rng, len(trs))
+            trs += _run_of_trajectories(data, rng, len(trs), all_steps)
         tmp = tmp_path_factory.mktemp("csvs")
         driver.write_csvs(trs, [tmp / f"seed{tr.seed}.csv" for tr in trs])
     for tr in trs:
