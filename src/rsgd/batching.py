@@ -29,14 +29,30 @@ and one count per stratum for the whole run.  Draws are pure functions of
 are drawn, so ``draw(t0, t1, seeds)`` draws a run of steps of one batch size
 in one vectorised call and gives the same bits as drawing them one at a time;
 ``draw_block`` (one step) is its one-step case.  How many steps a run holds
-is the driver's one block rule (``rsgd.driver._blocks``).
+is the driver's one block rule (``rsgd.driver._blocks``), which finds where
+a run of one size ends from ``BatchSizes.run_end``.
+
+The draws are made slot-major, the S seeds innermost, so that every numpy
+operation of a draw runs along rows of S or k·S entries instead of along
+rows of b.  A run's (S, k, b) outcomes come back in (k, b, S) memory -- the
+per-step (b, S) slabs a coordinate-major driver reads -- from a segment or
+stratified plan and from a subset plan of b < 8; a subset plan of b >= 8
+hands over (k, S, b), the row-major driver's slabs.  A segment plan's
+slots are consecutive, so its randints are (k·b, S) already; a stratified
+plan draws all strata in one randints call, (k, 1, S) keys against (b, 1)
+slots and per-slot moduli, and gathers once; a subset plan of b < 8 replays
+its swaps on (b, k, S) rows and sorts each batch with a compare-exchange
+network (``_sort_network``).  Every value is the one the (S, m) form of
+:mod:`rsgd.rng` gives, so the layout never changes a draw.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice
 
 import numpy as np
@@ -97,6 +113,28 @@ class BatchSizes:
         if t >= len(self.values):
             raise InvalidPlan(f"explicit size list has no entry for t={t}")
         return self.values[t]
+
+    def run_end(self, t: int, stop: int) -> int:
+        """The first step in (t, stop) whose size differs from at(t), or stop.
+
+        Constant sizes and geometric sizes at their cap never change (those
+        never shrink), and a list's change points are found by bisection, so
+        only geometric sizes below their cap are walked step by step."""
+        if self.kind == "explicit":
+            ends = self._change_points
+            return min(stop, ends[bisect_right(ends, t)])
+        b = self.at(t)
+        if self.kind == "constant" or self.growth == 1.0 or b == self.cap:
+            return stop
+        t += 1
+        while t < stop and self.at(t) == b:
+            t += 1
+        return t
+
+    @cached_property
+    def _change_points(self) -> list[int]:
+        # the steps whose size differs from the one before, and the list's end
+        return (np.flatnonzero(np.diff(self.values)) + 1).tolist() + [len(self.values)]
 
 
 class BatchPlan:
@@ -198,14 +236,14 @@ class SegmentPlan(BatchPlan):
 
     def draw(self, t0: int, t1: int, seeds) -> np.ndarray:
         # one stream per seed for the whole run; steps t0 .. t1-1 are slots
-        # cut(t0) .. cut(t1)
+        # cut(t0) .. cut(t1), drawn slot-major: (k, b, S) memory
         keys = crng.stream_keys(seeds, _STREAM_SEGMENT)
-        slots = np.arange(self.cut(t0), self.cut(t1))
+        slots = np.arange(self.cut(t0), self.cut(t1))[:, None]
         if self.space.is_uniform:
             idx = crng.randints(keys, slots, self.space.size)
         else:
             idx = crng.weighted_indices(keys, slots, self.space.cumulative)
-        return idx.reshape(keys.size, t1 - t0, -1)
+        return idx.reshape(t1 - t0, -1, keys.size).transpose(2, 0, 1)
 
     def positions(self, t: int):
         return [(np.arange(self.space.size), self.space.weights)] * self.batch_size(t)
@@ -236,9 +274,8 @@ class SubsetPlan(BatchPlan):
     draw_block = BatchPlan.draw_block
 
     def draw(self, t0: int, t1: int, seeds) -> np.ndarray:
-        keys = crng.stream_keys(seeds, _STREAM_SUBSET + np.arange(t0, t1))
-        rows = _partial_shuffle(keys.ravel(), self.space.size, self.batch_size(t0))
-        return rows.reshape(*keys.shape, -1)
+        keys = crng.stream_keys(seeds, _STREAM_SUBSET + np.arange(t0, t1)[:, None])
+        return _partial_shuffle(keys, self.space.size, self.batch_size(t0)).transpose(2, 0, 1)
 
     def outcome_count(self, t: int) -> int:
         return math.comb(self.space.size, self.batch_size(t))
@@ -280,6 +317,15 @@ class StratifiedPlan(BatchPlan):
         self._mu = [float(space.weights[m].sum()) for m in self._members]
         self._weights = np.concatenate([np.full(c, m / c) for m, c in zip(self._mu, cnts)])
         self._weights.flags.writeable = False
+        # the strata's members one after another, and per batch slot (as a
+        # (b, 1) column) its stratum's size and first entry there
+        self._flat = np.concatenate(self._members)
+        sizes = np.array([m.size for m in self._members])
+        self._moduli = np.repeat(sizes, cnts)[:, None]
+        self._starts = np.repeat(np.cumsum(sizes) - sizes, cnts)[:, None]
+        # per stratum: its first slot, its count, and its conditional cumulative weights
+        self._cond = [(a, c, np.cumsum(space.weights[m]) / muj) for a, c, m, muj in zip(
+            np.cumsum(cnts) - cnts, cnts, self._members, self._mu)]
 
     def weights_at(self, t: int) -> np.ndarray:
         return self._weights
@@ -287,19 +333,17 @@ class StratifiedPlan(BatchPlan):
     draw_block = BatchPlan.draw_block
 
     def draw(self, t0: int, t1: int, seeds) -> np.ndarray:
-        keys = crng.stream_keys(seeds, _STREAM_STRATIFIED + np.arange(t0, t1)).ravel()
-        cols = []
-        offset = 0
-        for m, muj, c in zip(self._members, self._mu, self.counts):
-            slots = offset + np.arange(c)
-            if self.space.is_uniform:
-                pos = crng.randints(keys, slots, m.size)
-            else:
-                cond = np.cumsum(self.space.weights[m]) / muj
-                pos = crng.weighted_indices(keys, slots, cond)
-            cols.append(m[pos])
-            offset += c
-        return np.concatenate(cols, axis=1).reshape(np.size(seeds), t1 - t0, -1)
+        # (k, b, S) positions within each slot's stratum, (k, 1, S) keys
+        # against (b, 1) slots, then one gather
+        keys = crng.stream_keys(seeds, _STREAM_STRATIFIED + np.arange(t0, t1)[:, None])[:, None]
+        slots = np.arange(self._moduli.size)[:, None]
+        if self.space.is_uniform:
+            pos = crng.randints(keys, slots, self._moduli)
+        else:
+            pos = np.concatenate([crng.weighted_indices(keys, slots[a:a + c], cond)
+                                  for a, c, cond in self._cond], axis=1)
+        pos += self._starts
+        return self._flat.take(pos).transpose(2, 0, 1)
 
     def positions(self, t: int):
         return [(m, self.space.weights[m] / muj)
@@ -307,20 +351,25 @@ class StratifiedPlan(BatchPlan):
 
 
 def _partial_shuffle(keys: np.ndarray, n: int, b: int) -> np.ndarray:
-    """First b entries, sorted, of a Fisher-Yates shuffle of range(n) per key.
+    """First b entries, sorted, of a Fisher-Yates shuffle of range(n) per key:
+    (k, b, S) for keys (k, S).
 
     Swap j exchanges positions j and p_j = j + randints(key, j, n - j), the
     words a pool shuffle consumes, but no (rows, n) pool is built (Bentley &
     Floyd 1987).  Before swap j, a position q >= j holds what the latest
     earlier swap i with p_i = q moved there, or q if there is none; swap i
-    moved there what position i held before it.  Those "latest earlier swap"
-    links depend on the p_j alone, so one sort finds them and pointer
-    doubling follows them: O(b log b) per row, never O(n).
+    moved there what position i held before it.  For b < 8 the swaps are
+    replayed on slot-major rows (``_replayed_shuffle``).  Otherwise the
+    "latest earlier swap" links, which depend on the p_j alone, are found by
+    one sort along each key's row of b swaps and followed by pointer
+    doubling: O(b log b) per key, never O(n).
     """
-    m, js = keys.size, np.arange(b)
-    pos = js + crng.randints(keys, js, n - js)
+    js = np.arange(b)
     if b < _SHORT:
-        return _replayed_shuffle(pos)
+        col = js[:, None, None]
+        return _replayed_shuffle(col + crng.randints(keys, col, n - col))
+    pos = (js + crng.randints(keys[..., None], js, n - js)).reshape(-1, b)
+    m = pos.shape[0]
     base = np.arange(0, m * b, b)[:, None]  # flat offset of each row
     # each row's swaps sorted by target position, equal targets in swap order
     ranked, order = np.divmod(np.sort(pos * b + js, axis=1), b)
@@ -346,33 +395,54 @@ def _partial_shuffle(keys: np.ndarray, n: int, b: int) -> np.ndarray:
     out = np.where(prev >= 0, np.take(held, base + np.maximum(prev, 0)), pos)
     # canonical sorted order: the draw is a set
     out.sort(axis=1)
-    return out
+    return out.reshape(keys.shape + (b,)).swapaxes(-1, -2)
 
 
 def _replayed_shuffle(pos: np.ndarray) -> np.ndarray:
-    """``_partial_shuffle``'s result from its swap targets pos (m, b), for a
-    short b: the swaps are replayed one column at a time, O(b^2) operations
-    on whole columns instead of sorts and gathers along rows of b entries.
+    """``_partial_shuffle``'s result from its swap targets pos (b, k, S), for
+    a short b: the swaps are replayed on whole slot-major rows of k·S entries,
+    O(b^2) operations, and a compare-exchange network sorts each batch.
 
     Swap j writes position j for good (later swaps aim at positions > j) and
     puts there what position p_j held, which is what the latest earlier swap
     i with p_i == p_j moved there, or p_j if there is none; swap i moved there
     what position i held before swap i, found the same way."""
-    cols = [pos[:, j] for j in range(pos.shape[1])]
     held = []  # held[i]: what position i held before swap i
-    for i in range(len(cols)):
+    for i in range(len(pos)):
         h = i
         for e in range(i):
-            h = np.where(cols[e] == i, held[e], h)
+            h = np.where(pos[e] == i, held[e], h)
         held.append(h)
-    out = np.empty_like(pos)
-    for j, p in enumerate(cols):
+    rows = []
+    for j, p in enumerate(pos):
         v = p
         for i in range(j):
-            v = np.where(cols[i] == p, held[i], v)
-        out[:, j] = v
-    out.sort(axis=1)
-    return out
+            v = np.where(pos[i] == p, held[i], v)
+        rows.append(v)
+    # canonical sorted order, the draw being a set, in (k, b, S) memory
+    return np.stack(_sort_network(rows), axis=1)
+
+
+def _sort_network(rows: list) -> list:
+    """The b arrays ``rows`` sorted elementwise, smallest first, by Batcher's
+    odd-even merge sort network (Knuth, TAOCP vol. 3, 5.3.4): each
+    compare-exchange of wires i < j puts the elementwise minimum on i and the
+    maximum on j, two whole-row operations.  It is the network for the next
+    power of two with every pair that touches a wire >= b left out: those
+    wires would hold values larger than all others, which no pair moves."""
+    rows, b = list(rows), len(rows)
+    p = 1
+    while p < b:
+        k = p
+        while k >= 1:
+            for j in range(k % p, b - k, 2 * k):
+                for i in range(j, j + min(k, b - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        rows[i], rows[i + k] = (np.minimum(rows[i], rows[i + k]),
+                                                np.maximum(rows[i], rows[i + k]))
+            k //= 2
+        p *= 2
+    return rows
 
 
 def combine_batch(weights: np.ndarray, grads: np.ndarray, equal: bool) -> np.ndarray:

@@ -11,10 +11,17 @@ The loop runs over blocks of steps, and ``_blocks`` alone decides where they
 end: a block keeps one batch size (``plan.batch_size``) and holds at most
 ``max(1, _BLOCK_WORDS // (S * max(b, d)))`` steps, so its outcome indices
 (S, k, b) and its buffers (S, k, d) hold at most ``_BLOCK_WORDS`` words each
-(or one step's) whatever the horizon.  No draw depends on the order of the
-steps, so a block's batches come from one ``plan.draw(t0, t1, seeds)`` call,
-and its weights and deterministic rates (a confined run's ``ScaledSchedule``
-divides each ``gamma(t)`` by phi) are computed once per block.
+(or one step's) whatever the horizon.  A block is cut at T, at the word
+bound or at the size sequence's next change point, whichever comes first;
+``BatchSizes.run_end`` finds that point without asking for the size of
+every step, except for geometric sizes below their cap.  No draw depends on
+the order of the steps, so a block's batches come from one
+``plan.draw(t0, t1, seeds)`` call, and its weights and deterministic rates
+(a confined run's ``ScaledSchedule`` divides each ``gamma(t)`` by phi) are
+computed once per block.  A coordinate-major run reads its outcomes as
+(k, b, S) memory, which is how the plans draw them (see :mod:`rsgd.batching`),
+so it makes no transposed copy of them; a row-major run copies them to
+(k, S, b) once per block.
 
 Per step the loop computes only what the next iterate needs: the batch
 gradient, the rate (and, under the adaptive rule, the batch gradient norm),
@@ -27,7 +34,8 @@ first event wins, a non-finite record at step t coming before a failed
 retraction at step t, and everything the row recorded after it is masked
 with NaN.  A row whose record went non-finite inside a block keeps iterating
 to the block's end, and its values are discarded.  When every row is live
-and every retraction succeeded, a step skips the row selects.
+and every retraction succeeded, a step skips the row selects, and a block
+after which every row is still alive writes its records without masks.
 
 The state of a run is coordinate-major ((d, S) memory, its buffers and
 per-outcome arrays (d, k, S) and (d, b, S)) when
@@ -218,7 +226,14 @@ def write_csvs(trajectories, paths) -> None:
 
 
 def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
-    """Rebuild the recorded columns of a trajectory written by write_csv."""
+    """Rebuild the recorded columns of a trajectory written by write_csv.
+
+    ``rsgd run`` writes files only for runs whose seeds ended ok or
+    non-finite, and a retired row's records are NaN from its retirement on,
+    so a file whose last F is NaN is a non-finite seed.  Its ``abort_t`` is
+    its first row whose F or grad_norm is not finite, the driver's own
+    retirement test; a retraction that failed at step t writes the same rows
+    as a non-finite record at t + 1 can, and may read as t + 1."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
@@ -233,10 +248,16 @@ def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
     fields = {attr: data[:, i].astype(kind, copy=False)
               for i, (_, attr, kind) in enumerate(_CSV_COLUMNS) if attr is not None}
     rho = fields.pop("rho")
+    status, abort_t = "ok", None
+    if np.isnan(fields["F"][-1]):
+        status = "nonfinite"
+        abort_t = int(np.argmin(np.isfinite(fields["F"]) & np.isfinite(fields["grad_norm"])))
     return Trajectory(
         seed=seed,
         noise_inner=np.full(len(data), np.nan),
         rho=None if np.all(np.isnan(rho)) else rho,
+        status=status,
+        abort_t=abort_t,
         **fields,
     )
 
@@ -244,14 +265,12 @@ def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
 def _blocks(plan: BatchPlan, T: int, s_count: int, d: int):
     """Split steps 0 .. T-1 into (t0, t1) blocks that keep one batch size b
     and hold at most max(1, _BLOCK_WORDS // (S * max(b, d))) steps each,
-    S = s_count."""
+    S = s_count: each block ends at T, at the word bound or at the size
+    sequence's next change point (``BatchSizes.run_end``), whichever is first."""
     t0 = 0
     while t0 < T:
         b = plan.batch_size(t0)
-        stop = min(T, t0 + max(1, _BLOCK_WORDS // (s_count * max(b, d))))
-        t1 = t0 + 1
-        while t1 < stop and plan.batch_size(t1) == b:
-            t1 += 1
+        t1 = plan.sizes.run_end(t0, min(T, t0 + max(1, _BLOCK_WORDS // (s_count * max(b, d)))))
         yield t0, t1
         t0 = t1
 
@@ -285,6 +304,7 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray) -> list[Trajectory]:
 
     # alive: not retired by the records evaluated so far
     alive = np.ones(s_count, dtype=bool)
+    every_alive = True
     degenerate = np.zeros(s_count, dtype=bool)
     abort_t = np.full(s_count, -1, dtype=np.int64)
 
@@ -298,14 +318,18 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray) -> list[Trajectory]:
         g = oracle.full_gradient(xs)
         return oracle.cost(xs), g, man.norm(xs, g)
 
+    def put(rec, cols, values, keep):
+        # keep is None when no row has retired: the values go in unmasked
+        rec[:, cols] = values if keep is None else np.where(keep, values, nan)
+
     def write_states(t, xs, fx, gnt, keep):
         cols = slice(t, t + xs.shape[1])
-        F[:, cols] = np.where(keep, fx, nan)
-        gn[:, cols] = np.where(keep, gnt, nan)
+        put(F, cols, fx, keep)
+        put(gn, cols, gnt, keep)
         if rho_rec is not None:
-            rho_rec[:, cols] = np.where(keep, cfg.rho(xs), nan)
+            put(rho_rec, cols, cfg.rho(xs), keep)
         if iterates is not None:
-            iterates[:, cols] = np.where(keep[..., None], xs, nan)
+            put(iterates, cols, xs, None if keep is None else keep[..., None])
 
     # overflow/invalid are tolerated: rows going non-finite are caught and retired
     with np.errstate(over="ignore", invalid="ignore"):
@@ -320,7 +344,9 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray) -> list[Trajectory]:
                 neg_rates = (-rates).tolist()
 
             # (k, S, b): the outcomes of one step are one contiguous slab, in
-            # (b, S) memory when the state is coordinate-major
+            # (b, S) memory when the state is coordinate-major; plans draw in
+            # (k, b, S) memory (k, S, b for subsets of b >= 8), where the
+            # matching layout makes these no copy
             if cm:
                 block = np.ascontiguousarray(block.transpose(1, 2, 0)).swapaxes(1, 2)
             else:
@@ -386,16 +412,17 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray) -> list[Trajectory]:
             degenerate |= ended & (fail_k < blown_k) & fail_degenerate
             alive &= ~ended
 
+            every_alive = bool(np.logical_and.reduce(alive))
             ks = np.arange(n_steps)
-            write_states(t0, xs, fx, gnt, ks <= last_state[:, None])
-            keep = ks <= last_step[:, None]
+            write_states(t0, xs, fx, gnt, None if every_alive else ks <= last_state[:, None])
+            keep = None if every_alive else ks <= last_step[:, None]
             cols = slice(t0, t1)
-            bgn[:, cols] = np.where(keep, bhs if adaptive else man.norm(xs, hs), nan)
-            noise[:, cols] = np.where(keep, man.inner(xs, g, hs - g), nan)
-            step[:, cols] = np.where(keep, etas if adaptive else rates, nan)
+            put(bgn, cols, bhs if adaptive else man.norm(xs, hs), keep)
+            put(noise, cols, man.inner(xs, g, hs - g), keep)
+            put(step, cols, etas if adaptive else rates, keep)
 
         fx, _, gnt = evaluate(x[:, None])
-        write_states(T, x[:, None], fx, gnt, alive[:, None])
+        write_states(T, x[:, None], fx, gnt, None if every_alive else alive[:, None])
 
     if adaptive:
         step[:, T] = np.where(alive, cfg.rate.alpha / np.power(cfg.rate.beta + acc, expo), nan)

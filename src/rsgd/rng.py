@@ -8,6 +8,15 @@ trajectories can run concurrently or vectorized without interfering.
 The construction is the splitmix64 finalizer (Stafford mix 13) applied to a
 weyl-sequence counter, the same scheme SplittableRandom uses.  All helpers
 operate on uint64 ndarrays; Python-int seeds are folded in modulo 2**64.
+
+There is one form of every helper: its arguments broadcast against each
+other as numpy arrays, and each element of the result is the value of its
+own (seed, stream) or (key, slot) pair.  So the caller picks the shape and
+memory order of the result by the axes it gives the arguments.  The batch
+plans build their counters slot-major -- slots (m, 1) against keys (S,) give
+(m, S), the keys innermost and contiguous -- so every operation after the
+draw runs along rows of S (or k·S) entries; ``keys[:, None]`` against slots
+(m,) gives the same values as (S, m).
 """
 
 from __future__ import annotations
@@ -24,52 +33,55 @@ _INV_2_53 = 1.0 / float(1 << 53)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer; input and output are uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer of a fresh uint64 array, computed in place."""
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def stream_keys(seeds, stream) -> np.ndarray:
-    """One 64-bit key per (seed, stream) pair.
+    """64-bit keys of (seed, stream) pairs, seeds and streams broadcast.
 
     ``stream`` separates independent uses of the same seed (e.g. the draw at
-    iteration t uses stream t).  One stream gives keys of shape (S,); an
-    array of K streams gives (S, K), column k equal to the keys of stream k.
+    iteration t uses stream t): ``stream_keys(seeds, t)`` gives the (S,) keys
+    of stream t, and ``stream_keys(seeds, ts[:, None])`` those of K streams,
+    (K, S) with the seeds innermost.
     """
-    s = np.atleast_1d(np.asarray(seeds)).astype(np.uint64)
-    k = _mix(s * _GOLDEN + _GOLDEN)
+    s = np.atleast_1d(seeds).astype(np.uint64)
     # uint64 products wrap, which is (stream * _ROUND) mod 2**64
     offset = np.asarray(stream).astype(np.uint64) * np.uint64(_ROUND)
-    return _mix(k.reshape(k.shape + (1,) * offset.ndim) + offset)
+    return _mix(_mix(s * _GOLDEN + _GOLDEN) + offset)
 
 
-def raw64(keys: np.ndarray, slots, round_: int = 0) -> np.ndarray:
+def raw64(keys, slots, round_: int = 0) -> np.ndarray:
     """uint64 values at the given slots of each key's stream.
 
-    ``keys`` has shape (S,), ``slots`` any integer array shape (m,) or (S, m);
-    the result broadcasts to (S, m).  ``round_`` derives replacement values
-    for rejection resampling.
+    ``keys`` and ``slots`` broadcast: slots (m, 1) against keys (S,) give the
+    slot-major (m, S) values, and keys (S, 1) against slots (m,) the same
+    values as (S, m).  ``round_`` derives replacement values for rejection
+    resampling.
     """
-    sl = np.asarray(slots).astype(np.uint64)
-    if sl.ndim == 1:
-        sl = sl[None, :]
-    ctr = keys[:, None] + (sl + np.uint64(1)) * _GOLDEN
+    ctr = (np.atleast_1d(slots).astype(np.uint64) + np.uint64(1)) * _GOLDEN
     if round_:
-        ctr = ctr + np.uint64((int(round_) * _ROUND) & _MASK64)
-    return _mix(ctr)
+        ctr += np.uint64((int(round_) * _ROUND) & _MASK64)
+    return _mix(np.atleast_1d(keys).astype(np.uint64, copy=False) + ctr)
 
 
 def uniforms(keys: np.ndarray, slots) -> np.ndarray:
-    """float64 in [0, 1) with 53 random bits."""
+    """float64 in [0, 1) with 53 random bits; keys and slots broadcast as in
+    ``raw64``."""
     return (raw64(keys, slots) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def randints(keys: np.ndarray, slots, n) -> np.ndarray:
     """Exactly uniform integers in [0, n) for each (key, slot) pair.
 
-    ``n`` is one modulus, or an array of moduli that broadcasts against the
-    slots; each value depends only on its key, slot and modulus.  Uses the
+    ``keys``, ``slots`` and ``n`` broadcast as in ``raw64``: ``n`` is one
+    modulus, or one per slot; each value depends only on its key, slot and
+    modulus.  Uses the
     multiply-shift bound (Lemire) on the top 32 bits with rejection, so the
     distribution is exactly uniform.  The rejection branch fires with
     probability < n / 2**32 and resamples from derived rounds.
@@ -80,10 +92,12 @@ def randints(keys: np.ndarray, slots, n) -> np.ndarray:
     nn = n.astype(np.uint64)
     lo_mask = np.uint64(0xFFFFFFFF)
     threshold = (np.uint64(1 << 32) - nn) % nn
-    x = raw64(keys, slots) >> np.uint64(32)
-    prod = x * nn
-    out = (prod >> np.uint64(32)).astype(np.int64)
+    prod = raw64(keys, slots)
+    prod >>= np.uint64(32)
+    prod *= nn
     reject = (prod & lo_mask) < threshold
+    prod >>= np.uint64(32)
+    out = prod.view(np.int64)  # below 2**31
     round_ = 0
     while np.any(reject):
         round_ += 1
@@ -95,7 +109,8 @@ def randints(keys: np.ndarray, slots, n) -> np.ndarray:
 
 
 def weighted_indices(keys: np.ndarray, slots, cumulative: np.ndarray) -> np.ndarray:
-    """Indices drawn from the distribution with the given cumulative weights."""
+    """Indices drawn from the distribution with the given cumulative weights;
+    keys and slots broadcast as in ``raw64``."""
     u = uniforms(keys, slots)
     idx = np.searchsorted(cumulative, u, side="right")
     return np.minimum(idx, len(cumulative) - 1).astype(np.int64)

@@ -8,6 +8,13 @@ The oracles held here:
   reference for the moment form of ``RegularizedLeastSquaresProblem``;
 * ``pool_subsets``: the no-repetition draw as a dense pool shuffle, the
   reference for ``SubsetPlan``;
+* ``rowmajor_draw``: a block of any plan's draws with the counters keys
+  outermost and slots innermost, each no-repetition batch replayed one swap
+  column at a time (``column_replay``) and sorted along its row, and one
+  ``randints`` call and one gather per stratum, the reference for the
+  slot-major ``draw`` of all three plans;
+* ``walked_blocks``: the driver's blocks found by asking the plan for the
+  batch size of every step, the reference for ``driver._blocks``;
 * ``dense_outcomes``: every batch of a plan at one step with its probability,
   from ``itertools``, the reference for ``iter_outcome_chunks``;
 * ``BatchDraw``, ``draw_batch`` and ``batch_gradient``: one batch for one seed
@@ -47,8 +54,9 @@ from itertools import combinations, product
 
 import numpy as np
 
+from rsgd import driver
 from rsgd import rng as crng
-from rsgd.batching import _STREAM_SUBSET
+from rsgd.batching import _STREAM_SEGMENT, _STREAM_STRATIFIED, _STREAM_SUBSET
 from rsgd.confinement import (_INVARIANT_SLACK, _N_COMBOS, _SAFETY, ConfinementConstants,
                               ConfinementReport, _band_points, _gradient_table,
                               _sublevel_points, hessian_quadform)
@@ -90,7 +98,7 @@ def pool_subsets(n: int, b: int, t: int, seeds) -> np.ndarray:
     j + randints(key, j, n - j); rows sorted."""
     keys = crng.stream_keys(seeds, _STREAM_SUBSET + t)
     js = np.arange(b)
-    targets = js + crng.randints(keys, js, n - js)
+    targets = js + crng.randints(keys[:, None], js, n - js)
     out = np.empty((keys.size, b), dtype=np.int64)
     for row, swaps in enumerate(targets.tolist()):
         pool = list(range(n))
@@ -98,6 +106,74 @@ def pool_subsets(n: int, b: int, t: int, seeds) -> np.ndarray:
             pool[j], pool[p] = pool[p], pool[j]
         out[row] = sorted(pool[:b])
     return out
+
+
+def rowmajor_draw(plan, t0: int, t1: int, seeds) -> np.ndarray:
+    """``plan.draw(t0, t1, seeds)``, (S, k, b), drawn row-major: the keys of
+    the seeds (and steps) outermost against the slots of a batch, ``keys[:,
+    None]`` against slots (m,), so that a row holds one seed's slots."""
+    seeds = np.asarray(seeds)
+    s_count, k, b = seeds.size, t1 - t0, plan.batch_size(t0)
+    space = plan.space
+    if plan.scheme == "segment":
+        # the segment stream's slots of steps t0 .. t1-1 follow those of 0 .. t0-1
+        start = sum(plan.batch_size(t) for t in range(t0))
+        keys = crng.stream_keys(seeds, _STREAM_SEGMENT)[:, None]
+        slots = np.arange(start, start + k * b)
+        idx = (crng.randints(keys, slots, space.size) if space.is_uniform
+               else crng.weighted_indices(keys, slots, space.cumulative))
+        return idx.reshape(s_count, k, b)
+    stream = _STREAM_SUBSET if plan.scheme == "no_repetition" else _STREAM_STRATIFIED
+    keys = crng.stream_keys(seeds[:, None], stream + np.arange(t0, t1)).reshape(-1, 1)
+    if plan.scheme == "no_repetition":
+        js = np.arange(b)
+        return column_replay(js + crng.randints(keys, js, space.size - js)).reshape(s_count, k, b)
+    cols, offset = [], 0
+    for group, count in zip(plan.strata, plan.counts):
+        members, slots = np.asarray(group), offset + np.arange(count)
+        if space.is_uniform:
+            pos = crng.randints(keys, slots, members.size)
+        else:
+            mu = float(space.weights[members].sum())
+            pos = crng.weighted_indices(keys, slots, np.cumsum(space.weights[members]) / mu)
+        cols.append(members[pos])
+        offset += count
+    return np.concatenate(cols, axis=1).reshape(s_count, k, b)
+
+
+def column_replay(pos: np.ndarray) -> np.ndarray:
+    """The sorted first b entries of each row's partial Fisher-Yates shuffle,
+    from its swap targets pos (m, b): the swaps replayed one column at a
+    time, each row then sorted."""
+    cols = [pos[:, j] for j in range(pos.shape[1])]
+    held = []  # held[i]: what position i held before swap i
+    for i in range(len(cols)):
+        h = i
+        for e in range(i):
+            h = np.where(cols[e] == i, held[e], h)
+        held.append(h)
+    out = np.empty_like(pos)
+    for j, p in enumerate(cols):
+        v = p
+        for i in range(j):
+            v = np.where(cols[i] == p, held[i], v)
+        out[:, j] = v
+    out.sort(axis=1)
+    return out
+
+
+def walked_blocks(plan, T: int, s_count: int, d: int):
+    """``driver._blocks``, one step at a time: a block of batch size b grows
+    while the next step has size b, up to T and the word bound."""
+    t0 = 0
+    while t0 < T:
+        b = plan.batch_size(t0)
+        stop = min(T, t0 + max(1, driver._BLOCK_WORDS // (s_count * max(b, d))))
+        t1 = t0 + 1
+        while t1 < stop and plan.batch_size(t1) == b:
+            t1 += 1
+        yield t0, t1
+        t0 = t1
 
 
 def dense_outcomes(plan, t: int):

@@ -27,7 +27,7 @@ from rsgd import batching, driver
 from rsgd.problems import GradientOracle
 
 from reference import (BatchDraw, batch_gradient, dense_outcomes, draw_batch, mean_combine,
-                       pool_subsets)
+                       pool_subsets, rowmajor_draw, walked_blocks)
 
 
 class FixedVectorsProblem(GradientOracle):
@@ -642,3 +642,90 @@ def test_driver_blocks_keep_one_layout_within_the_bound(scheme, n, horizon, n_se
         assert all(plan.batch_size(t) == b for t in range(t0, t1))
         assert k == 1 or n_seeds * k * width <= words
         assert t1 == horizon or plan.batch_size(t1) != b or n_seeds * (k + 1) * width > words
+
+
+def _oracle_plan(scheme, data):
+    """A plan of batch sizes up to 16, so both shuffle paths (b < 8 and
+    b >= 8), with non-uniform weights where the scheme allows them, and up
+    to four strata drawn one to three times each."""
+    large = [100, 1000] + ([10**6] if scheme == "no_repetition" else [])
+    n = data.draw(st.integers(1, 24) | st.sampled_from(large))
+    if scheme == "no_repetition" or data.draw(st.booleans()):
+        space = FiniteSampleSpace.uniform(n)
+    else:
+        raw = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(n) + 0.01
+        space = FiniteSampleSpace(raw / raw.sum())
+    if scheme == "stratified":
+        order = data.draw(st.permutations(range(n))) if n <= 24 else list(range(n))
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+        strata = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        return StratifiedPlan(space, strata, [data.draw(st.integers(1, 3)) for _ in strata])
+    top = min(16, n) if scheme == "no_repetition" else 16
+    kind = data.draw(st.sampled_from(["constant", "geometric", "explicit"]))
+    if kind == "constant":
+        sizes = BatchSizes.constant(data.draw(st.integers(1, top)))
+    elif kind == "geometric":
+        sizes = BatchSizes.geometric(1, data.draw(st.floats(1.0, 3.0)), top)
+    else:
+        sizes = BatchSizes.explicit(data.draw(st.lists(st.integers(1, top), min_size=80,
+                                                       max_size=80)))
+    return (SegmentPlan if scheme == "segment" else SubsetPlan)(space, sizes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
+       s_count=st.sampled_from([1, 7, 8, 100]), t0=st.integers(1, 40), data=st.data())
+def test_draws_equal_the_rowmajor_oracle(scheme, s_count, t0, data):
+    plan = _oracle_plan(scheme, data)
+    end = plan.sizes.run_end(t0, t0 + 30)
+    t1 = data.draw(st.integers(t0 + 1, end))
+    seeds = np.array(data.draw(st.lists(st.integers(-(2**40), 2**40), min_size=s_count,
+                                        max_size=s_count)))
+    got = plan.draw(t0, t1, seeds)
+    assert got.shape == (s_count, t1 - t0, plan.batch_size(t0))
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, rowmajor_draw(plan, t0, t1, seeds))
+
+
+@pytest.mark.parametrize("b", range(1, 17))
+def test_sort_network_sorts_every_zero_one_input(b):
+    # a comparator network that sorts every 0-1 input sorts every input
+    # (Knuth's 0-1 principle): the 2**b patterns are the columns of the rows
+    rows = (np.arange(2**b) >> np.arange(b)[:, None]) & 1
+    np.testing.assert_array_equal(np.stack(batching._sort_network(list(rows))),
+                                  np.sort(rows, axis=0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(b=st.integers(1, 16), width=st.integers(1, 50), top=st.integers(0, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_sort_network_equals_np_sort_with_ties(b, width, top, seed):
+    rows = np.random.default_rng(seed).integers(-top, top + 1, size=(b, width))
+    np.testing.assert_array_equal(np.stack(batching._sort_network(list(rows))),
+                                  np.sort(rows, axis=0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["constant", "geometric", "explicit"]), horizon=st.integers(0, 120),
+       n_seeds=st.sampled_from([1, 3, 100]), d=st.integers(1, 12),
+       words=st.integers(1, 3000), data=st.data())
+def test_blocks_cut_at_change_points_equal_the_step_walk(kind, horizon, n_seeds, d, words,
+                                                          data):
+    # geometric sizes reach their cap inside the horizon or not, lists repeat
+    space = FiniteSampleSpace.uniform(20)
+    if kind == "constant":
+        sizes = BatchSizes.constant(data.draw(st.integers(1, 20)))
+    elif kind == "geometric":
+        base = data.draw(st.integers(1, 4))
+        sizes = BatchSizes.geometric(base, data.draw(st.floats(1.0, 1.5)),
+                                     data.draw(st.integers(base, 20)))
+    else:
+        runs = data.draw(st.lists(st.tuples(st.integers(1, 20), st.integers(1, 30)),
+                                  min_size=1, max_size=12))
+        values = [b for b, rep in runs for _ in range(rep)]
+        values += [values[-1]] * max(0, horizon - len(values))
+        sizes = BatchSizes.explicit(values)
+    plan = SegmentPlan(space, sizes)
+    with mock.patch.object(driver, "_BLOCK_WORDS", words):
+        assert list(driver._blocks(plan, horizon, n_seeds, d)) == \
+            list(walked_blocks(plan, horizon, n_seeds, d))

@@ -351,6 +351,47 @@ class TestReport:
         assert not (out / "report.json").exists()
 
 
+    def test_aborted_run_reports_its_nonfinite_seeds(self, tmp_path, capsys):
+        # 16 least-squares rows scaled x30 diverge under c = 0.9: run exits 3
+        # and writes every seed's CSV; report reads the same statuses back
+        rng = np.random.default_rng(3)
+        rows = np.column_stack([30 * rng.normal(size=(16, 3)), 30 * rng.normal(size=16)])
+        data = tmp_path / "rows.csv"
+        data.write_text("a0,a1,a2,y\n" + "".join(
+            ",".join("%.17g" % v for v in row) + "\n" for row in rows))
+        out = tmp_path / "runs"
+        cfg = tmp_path / "div.ini"
+        cfg.write_text(f"""
+[problem]
+kind = least_squares
+dimension = 3
+n_outcomes = 16
+csv = {data}
+tau = 0.2
+
+[plan]
+scheme = segment
+batch_size = 2
+
+[rate]
+kind = power
+c = 0.9
+p = 0.75
+
+[run]
+horizon = 200
+seeds = 3
+out = {out}
+""")
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 3
+        ran = json.loads((out / "div_summary.json").read_text())["metrics"]
+        assert ran["statuses"] == ["nonfinite"] * 3 and ran["all_ok"] is False
+        assert main(["report", "--out", str(out), "--quiet"]) == 0
+        reported = json.loads((out / "report.json").read_text())["metrics"]
+        assert reported["statuses"] == ran["statuses"]
+        assert reported["all_ok"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ["report", "--seed", "1"], ["report", "--horizon", "5"],
     ["check", "unbiasedness", "--config", "exp.ini", "--horizon", "5"],

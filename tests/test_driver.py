@@ -272,6 +272,21 @@ class TestCsv:
         np.testing.assert_array_equal(back.batch_grad_norm, tr.batch_grad_norm,)
         np.testing.assert_array_equal(back.batch_size, tr.batch_size)
 
+    def test_nonfinite_seeds_read_back_with_their_status(self, tmp_path):
+        # rows scaled x30 and c = 0.9 diverge: every seed's record overflows
+        rng = np.random.default_rng(3)
+        p = RegularizedLeastSquaresProblem(30 * rng.normal(size=(16, 3)),
+                                           30 * rng.normal(size=16), tau=0.2)
+        cfg = RunConfig(oracle=p, plan=SegmentPlan(p.space, BatchSizes.constant(2)),
+                        rate=PowerLawSchedule(0.9, 0.75), x0=np.zeros(3), horizon=200)
+        trs = run_many(cfg, 3) + run_many(replace(cfg, horizon=20), 1)
+        paths = [tmp_path / f"run{i}.csv" for i in range(len(trs))]
+        driver.write_csvs(trs, paths)
+        assert [tr.status for tr in trs] == ["nonfinite"] * 3 + ["ok"]
+        for tr, path in zip(trs, paths):
+            back = read_trajectory_csv(path, seed=tr.seed)
+            assert (back.status, back.abort_t) == (tr.status, tr.abort_t)
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("wrong,header\n1,2\n")
@@ -851,6 +866,34 @@ def test_batch_equals_stepwise_and_alone_in_both_layouts(scheme, rate, kind, n_s
         assert tr.iterates.tobytes() == single.iterates.tobytes()
     if fault is not None:
         assert batch[row].status == ("degenerate" if fault == "degenerate" else "nonfinite")
+
+
+@pytest.mark.parametrize("n_seeds, d", [(100, 4), (_CM_SEEDS - 1, 4), (100, 9)])
+@pytest.mark.parametrize("first, second", [("record", "nonfinite"), ("degenerate", "record"),
+                                           ("nonfinite", "degenerate")])
+@pytest.mark.parametrize("scheme", ["segment", "no_repetition", "stratified"])
+def test_rows_retiring_in_two_blocks_equal_stepwise_and_alone(scheme, first, second,
+                                                              n_seeds, d):
+    # blocks of 10 steps: block 0 records unmasked, row 1 retires in block 1
+    # and row 2 in block 2, and every later record is masked, in both layouts
+    p = random_sphere_mean(d, 12, seed=d)
+    cfg = RunConfig(oracle=p, plan=_layout_plan(scheme, p.space, 4), rate=RATES["power"],
+                    x0=p.manifold.random_point(np.random.default_rng(d)), horizon=40, seed=3,
+                    store_iterates=True)
+    seeds = 3 + np.arange(n_seeds)
+    with _blocked(10, n_seeds, 4, d):
+        clean = _run_block(cfg, seeds)
+        for row, t, kind in [(1, 13, first), (2, 27, second)]:
+            _trap(p, clean[row].iterates[t].copy(), kind)
+        batch = _run_block(cfg, seeds)
+        alone = [_run_block(cfg, seeds[i : i + 1])[0] for i in range(n_seeds)]
+    assert [(tr.status, tr.abort_t) for tr in batch[:3]] == [
+        ("ok", None), ("degenerate" if first == "degenerate" else "nonfinite", 13),
+        ("degenerate" if second == "degenerate" else "nonfinite", 27)]
+    _assert_bitwise(batch, stepwise_run(cfg, seeds))
+    _assert_bitwise(batch, alone)
+    for tr, single in zip(batch, alone):
+        assert tr.iterates.tobytes() == single.iterates.tobytes()
 
 
 @pytest.mark.parametrize("workload, n_seeds, d, cm", [
