@@ -81,10 +81,9 @@ def randints(keys: np.ndarray, slots, n) -> np.ndarray:
 
     ``keys``, ``slots`` and ``n`` broadcast as in ``raw64``: ``n`` is one
     modulus, or one per slot; each value depends only on its key, slot and
-    modulus.  Uses the
-    multiply-shift bound (Lemire) on the top 32 bits with rejection, so the
-    distribution is exactly uniform.  The rejection branch fires with
-    probability < n / 2**32 and resamples from derived rounds.
+    modulus.  Uses the multiply-shift bound (Lemire) on the top 32 bits with
+    rejection, so the distribution is exactly uniform.  The rejection branch
+    fires with probability < n / 2**32 and resamples from derived rounds.
     """
     n = np.asarray(n)
     if n.size and not (n.min() >= 1 and n.max() <= (1 << 31)):
