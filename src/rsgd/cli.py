@@ -290,6 +290,9 @@ def build_rate(cp):
 def build_confinement(cp, problem):
     if not _get(cp, "confinement", "enabled"):
         return None
+    if problem.manifold.kind != "euclidean":
+        raise ConfigError("[confinement] enabled = true needs a Euclidean problem: the "
+                          f"certificates sample flat space, not the {problem.manifold.kind}")
     rho0 = _get(cp, "confinement", "rho0")
     if rho0 == "auto":
         if not hasattr(problem, "rho0_for_norm_squared"):

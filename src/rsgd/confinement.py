@@ -24,16 +24,32 @@ sampled PASS is strong evidence, not a proof, and reports say so.  Directions
 ranging over the convex hull of {H(x, l)} are covered by the extreme points
 themselves (exact for objectives linear in the direction) plus
 Dirichlet-weighted combinations (a heuristic for the quadratic Hessian form).
+The samplers draw points along straight rays and step by x - s v, so they
+sample flat space only: a non-Euclidean oracle raises ValueError.
+
+One generator, ``_pairs``, draws every sample.  Sampler k takes its rho
+levels from the stream [seed, k, 0], its ray directions from [seed, k, 1],
+its Dirichlet weights from [seed, k + 1] and its step fractions from
+[seed, k + 2]:
+
+    k = 0  plain check          band [rho0, 10 rho0]
+    k = 1  lambda half          sublevel {rho <= rho0}
+    k = 1  kappa step check     sublevel {rho <= rho0}
+    k = 3  Hessian sup (b_est)  sublevel {rho <= rho1}
+    k = 4  kappa band check     band [rho0, rho1]
 
 Memory: the samplers visit their sample points in chunks whose largest
 array holds at most the driver's ``_BLOCK_WORDS`` words (or one point's
 arrays, when a single point needs more), so their transient memory does not
 grow with the number of samples.  The chunks draw their Dirichlet weights
 and step fractions from the same generators in turn, which gives the bits
-of one draw over all points.  Suprema combine exactly, and a witness is the
-first extreme entry in the order of the points (in the kappa check, every
-random step fraction before every endpoint step), the one ``np.argmin`` /
-``np.argmax`` would find over all points at once.
+of one draw over all points.  Each chunk keeps its first extreme entry
+(``_pick``), and one ``np.argmin`` / ``np.argmax`` over those picks
+(``_first``) finds the entry it would find over all points at once: the
+first NaN wins over everything, and ties keep the earlier entry.  In the
+kappa step check every random step fraction comes before every endpoint
+step, and the band margin before the step margin.  A NaN fails a check, and
+a NaN supremum behind phi raises SamplerFailure.
 """
 
 from __future__ import annotations
@@ -190,45 +206,6 @@ def sample_rho_levels(rho: Callable, dim: int, targets: np.ndarray,
     return pts
 
 
-def _band_points(spec, dim, lo, hi, n, key):
-    # separate streams for targets and ray directions keep the first n samples
-    # identical as n grows, which makes the sup estimates monotone in n
-    targets = np.random.default_rng([*key, 0]).uniform(lo, hi, size=n)
-    return sample_rho_levels(spec.rho, dim, targets, np.random.default_rng([*key, 1]))
-
-
-def _sublevel_points(spec, dim, c, n, key):
-    base = float(np.asarray(spec.rho(np.zeros(dim))))
-    if c < base:
-        raise SamplerFailure(f"sublevel {c:g} is below rho(origin) = {base:g}")
-    targets = base + (c - base) * np.random.default_rng([*key, 0]).uniform(size=n)
-    return sample_rho_levels(spec.rho, dim, targets, np.random.default_rng([*key, 1]))
-
-
-def _gradient_table(oracle: GradientOracle, xs: np.ndarray) -> np.ndarray:
-    """All outcome gradients at each sample point: (n, N, d)."""
-    n_out = oracle.space.size
-    idx = np.broadcast_to(np.arange(n_out), (xs.shape[0], n_out))
-    return oracle.sample_gradients(xs, idx)
-
-
-def _direction_set(oracle, xs, rng, n_combos: int) -> np.ndarray:
-    """Extreme points H(x, l) plus Dirichlet-weighted convex combinations."""
-    table = _gradient_table(oracle, xs)
-    if n_combos == 0:
-        return table
-    n, n_out, _ = table.shape
-    w = rng.dirichlet(np.ones(n_out), size=(n, n_combos))
-    combos = (w[..., None] * table[:, None, :, :]).sum(axis=2)
-    return np.concatenate([table, combos], axis=1)
-
-
-def _flat_directions(oracle, xs, rng, n_combos: int):
-    """Every (point, direction) pair of _direction_set, as two row arrays."""
-    v = _direction_set(oracle, xs, rng, n_combos)
-    return np.repeat(xs, v.shape[1], axis=0), v.reshape(-1, v.shape[-1])
-
-
 def _chunk_size(oracle, n_combos: int) -> int:
     """Sample points per chunk: the largest array a sampler makes per point,
     the (n_combos, N, d) Dirichlet product or N + n_combos directions of d
@@ -237,24 +214,56 @@ def _chunk_size(oracle, n_combos: int) -> int:
     return max(1, _BLOCK_WORDS // (dim * max(n_combos * n_out, n_out + n_combos)))
 
 
-def _chunks(oracle, xs, n_combos: int):
-    """The sample points xs in consecutive runs of _chunk_size points."""
-    m = _chunk_size(oracle, n_combos)
-    return (xs[i:i + m] for i in range(0, len(xs), m))
+def _pairs(spec, oracle, hi, n, seed, k, combos, lo=None, step=None):
+    """Every (point, direction) pair of n sample points, as row arrays x and
+    v per chunk of _chunk_size points, and a step fraction per row drawn
+    uniformly from [0, step) when step is given.
+
+    The points have rho levels uniform on [lo, hi], or on the sublevel set
+    {rho <= hi} from rho(origin) when lo is None.  The directions at a point
+    are the outcome gradients H(x, l), then `combos` Dirichlet-weighted
+    convex combinations of them.
+    """
+    man = oracle.manifold
+    if man.kind != "euclidean":
+        raise ValueError(f"confinement certificates sample flat space, not the {man.kind}")
+    dim, n_out = man.ambient_dim, oracle.space.size
+    if lo is None:
+        lo = float(np.asarray(spec.rho(np.zeros(dim))))
+        if hi < lo:
+            raise SamplerFailure(f"sublevel {hi:g} is below rho(origin) = {lo:g}")
+    # separate streams for levels and rays keep the first n samples identical
+    # as n grows, which makes the sup estimates monotone in n
+    levels = np.random.default_rng([seed, k, 0]).uniform(lo, hi, size=n)
+    xs = sample_rho_levels(spec.rho, dim, levels, np.random.default_rng([seed, k, 1]))
+    rng_w, rng_s = np.random.default_rng([seed, k + 1]), np.random.default_rng([seed, k + 2])
+    m = _chunk_size(oracle, combos)
+    for x in (xs[i:i + m] for i in range(0, n, m)):
+        v = oracle.sample_gradients(x, np.broadcast_to(np.arange(n_out), (len(x), n_out)))
+        if combos:
+            w = rng_w.dirichlet(np.ones(n_out), size=(len(x), combos))
+            v = np.concatenate([v, (w[..., None] * v[:, None, :, :]).sum(axis=2)], axis=1)
+        flat_x, flat_v = np.repeat(x, v.shape[1], axis=0), v.reshape(-1, dim)
+        if step is None:
+            yield flat_x, flat_v
+        else:
+            yield flat_x, flat_v, rng_s.uniform(0.0, step, size=len(flat_v))
 
 
-def _replaces(value, best, lower: bool) -> bool:
-    """Whether value, an entry after best's in flattened order, replaces it
-    as the first minimum (lower) or maximum, as np.argmin / np.argmax find it
-    over both: the first NaN wins over everything, and ties keep best."""
-    if best is None:
-        return True
-    old = best[0]
-    if old != old:
-        return False
-    if value != value:
-        return True
-    return bool(value < old if lower else value > old)
+def _pick(values, lower: bool, **rows):
+    """The first minimum (lower) or maximum of values, as np.argmin /
+    np.argmax find it, with the entry of each array in rows at its index.
+    The entries are copied out, so a pick keeps no chunk alive."""
+    i = int(np.argmin(values) if lower else np.argmax(values))
+    return values[i], {key: row[i].tolist() for key, row in rows.items()}
+
+
+def _first(picks, lower: bool):
+    """The pick np.argmin (lower) or np.argmax finds over the picks' values,
+    which is the entry it finds over all their chunks at once: the first NaN
+    wins over everything, and ties keep the earlier pick."""
+    values = np.array([value for value, _ in picks])
+    return picks[int(np.argmin(values) if lower else np.argmax(values))]
 
 
 def check_plain_confinement(spec: ConfinementSpec, oracle: GradientOracle,
@@ -263,38 +272,31 @@ def check_plain_confinement(spec: ConfinementSpec, oracle: GradientOracle,
     the inner product <grad rho(x), H(x, l)> never goes negative."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    dim = oracle.manifold.ambient_dim
     hi = 10.0 * spec.rho0 if spec.rho0 > 0 else spec.rho0 + 1.0
-    low = None
-    for xs in _chunks(oracle, _band_points(spec, dim, spec.rho0, hi, n_samples, (seed, 0)), 0):
-        ips = (spec.grad_rho(xs)[:, None, :] * _gradient_table(oracle, xs)).sum(axis=-1)
-        i, l = np.unravel_index(np.argmin(ips), ips.shape)
-        if _replaces(ips[i, l], low, lower=True):
-            low = (ips[i, l], {"x": xs[i].tolist(), "outcome": int(l)})
-    worst = float(low[0])
+    n_out = oracle.space.size
+    worst, at = _first([_pick((spec.grad_rho(x) * v).sum(axis=-1), True,
+                              x=x, outcome=np.arange(len(v)) % n_out)
+                        for x, v in _pairs(spec, oracle, hi, n_samples, seed, 0, 0,
+                                           lo=spec.rho0)], lower=True)
+    worst = float(worst)
     return ConfinementReport(
         check="plain_confinement",
         passed=bool(worst >= 0.0),
         min_margin=worst,
-        witness=None if worst >= 0.0 else low[1] | {"value": worst},
+        witness=None if worst >= 0.0 else at | {"value": worst},
         n_samples=n_samples,
         seed=seed,
         notes="sampled evidence on the band [rho0, 10*rho0]; not a proof",
     )
 
 
-def _hessian_sup(spec, oracle, level, theta, n_samples, seed) -> float:
-    """The sampled sup of Hess(rho o R_x)|_{-s v}(v, v) over {rho <= level},
-    the directions v of _direction_set and step fractions s in [0, theta]."""
-    rng, rng_theta = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 5])
-    dim = oracle.manifold.ambient_dim
-    highs = []
-    for xs in _chunks(oracle, _sublevel_points(spec, dim, level, n_samples, (seed, 3)), _N_COMBOS):
-        flat_x, flat_v = _flat_directions(oracle, xs, rng, _N_COMBOS)
-        thetas = rng_theta.uniform(0.0, theta, size=flat_v.shape[0])
-        highs.append(np.max(hessian_quadform(oracle.manifold, spec.rho, flat_x,
-                                             -thetas[:, None] * flat_v, flat_v)))
-    return float(np.max(highs))
+def _finite(name: str, pick):
+    """The value of a pick, or SamplerFailure naming the quantity and the
+    point where it is NaN (max(0.0, nan) would read it as 0)."""
+    value, at = pick
+    if value != value:
+        raise SamplerFailure(f"{name} is NaN at x = {at['x']}")
+    return value
 
 
 def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
@@ -305,7 +307,8 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
     lambda_est bounds (1/lam) * max(0, -<grad rho(x), v>) over {rho <= rho0},
     b_est bounds (1/b) * sqrt(max(0, Hess(rho o R_x)|_{-theta v}(v, v))) over
     {rho <= rho1} and step fractions in [0, theta].  phi may exceed the
-    minimal admissible value; any upper bound preserves the guarantee.
+    minimal admissible value; any upper bound preserves the guarantee.  A
+    NaN sample raises SamplerFailure.
 
     b = "auto" takes b = max(b_est, 1e-6) from a first estimate at b = 1: the
     constants equal those of a call with b = 1 followed by a call with that
@@ -324,20 +327,22 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
         raise ValueError("lambda, b, theta must be > 0")
     c = schedule.max_gamma()
     sigma = sum_of_squares(schedule)
-    dim = oracle.manifold.ambient_dim
 
-    rng = np.random.default_rng([seed, 2])
-    lows = []
-    for xs in _chunks(oracle, _sublevel_points(spec, dim, spec.rho0, n_samples, (seed, 1)),
-                      _N_COMBOS):
-        v = _direction_set(oracle, xs, rng, _N_COMBOS)
-        lows.append(np.min((spec.grad_rho(xs)[:, None, :] * v).sum(axis=-1)))
-    lambda_est = float(max(0.0, -np.min(lows))) / lam
+    low = _finite("lambda_est: <grad rho(x), v>", _first(
+        [_pick((spec.grad_rho(x) * v).sum(axis=-1), True, x=x)
+         for x, v in _pairs(spec, oracle, spec.rho0, n_samples, seed, 1, _N_COMBOS)],
+        lower=True))
+    lambda_est = float(max(0.0, -low)) / lam
 
     def b_est_at(b):
+        # the sup of Hess(rho o R_x)|_{-s v}(v, v) over {rho <= rho1}, s in [0, theta]
         rho1 = spec.rho0 + lam * c + 0.5 * b * b * sigma
-        return float(np.sqrt(max(0.0, _hessian_sup(spec, oracle, rho1, theta, n_samples,
-                                                   seed)))) / b, rho1
+        high = _finite("b_est: Hess(rho o R_x)(v, v)", _first(
+            [_pick(hessian_quadform(oracle.manifold, spec.rho, x, -s[:, None] * v, v),
+                   False, x=x)
+             for x, v, s in _pairs(spec, oracle, rho1, n_samples, seed, 3, _N_COMBOS,
+                                   step=theta)], lower=False))
+        return float(np.sqrt(max(0.0, high))) / b, rho1
 
     if auto:
         b = max(b_est_at(1.0)[0], 1e-6)
@@ -357,7 +362,8 @@ def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
 
     Directions v run over the outcome gradients for the kappa variant and
     additionally over Dirichlet convex combinations for batch_kappa.  Step
-    fractions s cover [0, kappa] including the endpoint.
+    fractions s cover [0, kappa] including the endpoint.  The worse margin
+    is the first minimum of (band, step), so a NaN margin fails the check.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -366,46 +372,31 @@ def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
     if kappa <= 0:
         raise ValueError("kappa must be > 0")
     man = oracle.manifold
-    dim = man.ambient_dim
     combos = _N_COMBOS if spec.variant == "batch_kappa" else 0
 
     # inequality 1: from rho(x) <= rho0, steps of length <= kappa stay <= rho1;
-    # the highest rho reached by random step fractions, then by kappa itself
-    rng, rng_s = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 3])
-    tops = [None, None]
-    for xs in _chunks(oracle, _sublevel_points(spec, dim, spec.rho0, n_samples, (seed, 1)), combos):
-        flat_x, flat_v = _flat_directions(oracle, xs, rng, combos)
-        s_random = rng_s.uniform(0.0, kappa, size=flat_v.shape[0])
-        for k, s in enumerate((s_random, np.full(flat_v.shape[0], kappa))):
-            reached = spec.rho(man.retract(flat_x, -s[:, None] * flat_v))
-            i = int(np.argmax(reached))
-            if _replaces(reached[i], tops[k], lower=False):
-                tops[k] = (reached[i], {"x": flat_x[i].tolist(), "v": flat_v[i].tolist(),
-                                        "s": float(s[i])})
-    top = tops[1] if _replaces(tops[1][0], tops[0], lower=False) else tops[0]
-    margin1 = float(spec.rho1 - top[0])
+    # the highest rho reached, every random step fraction before every kappa
+    randoms, ends = [], []
+    for x, v, s_random in _pairs(spec, oracle, spec.rho0, n_samples, seed, 1, combos,
+                                 step=kappa):
+        for picks, s in ((randoms, s_random), (ends, np.full(len(v), kappa))):
+            reached = spec.rho(man.retract(x, -s[:, None] * v))
+            picks.append(_pick(reached, False, x=x, v=v, s=s))
+    top, at_top = _first(randoms + ends, lower=False)
+    margin1 = float(spec.rho1 - top)
 
     # inequality 2: on the band, <grad rho, v> dominates the Hessian term
-    rng, rng_s = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 6])
-    low = None
-    for xs in _chunks(oracle, _band_points(spec, dim, spec.rho0, spec.rho1, n_samples, (seed, 4)),
-                      combos):
-        flat_x, flat_v = _flat_directions(oracle, xs, rng, combos)
-        s = rng_s.uniform(0.0, kappa, size=flat_v.shape[0])
-        lhs = (spec.grad_rho(flat_x) * flat_v).sum(axis=-1)
-        quad = hessian_quadform(man, spec.rho, flat_x, -s[:, None] * flat_v, flat_v)
-        gaps = lhs - np.maximum(0.0, 0.5 * kappa * quad)
-        i = int(np.argmin(gaps))
-        if _replaces(gaps[i], low, lower=True):
-            low = (gaps[i], {"x": flat_x[i].tolist(), "v": flat_v[i].tolist(),
-                             "s": float(s[i])})
-    margin2 = float(low[0])
+    bands = []
+    for x, v, s in _pairs(spec, oracle, spec.rho1, n_samples, seed, 4, combos, lo=spec.rho0,
+                          step=kappa):
+        quad = hessian_quadform(man, spec.rho, x, -s[:, None] * v, v)
+        gaps = (spec.grad_rho(x) * v).sum(axis=-1) - np.maximum(0.0, 0.5 * kappa * quad)
+        bands.append(_pick(gaps, True, x=x, v=v, s=s))
+    low, at_low = _first(bands, lower=True)
+    margin2 = float(low)
 
-    worst = min(margin1, margin2)
-    if worst == margin2:
-        witness = low[1] | {"gap": margin2}
-    else:
-        witness = top[1] | {"rho_reached": float(top[0])}
+    worst, witness = _first([(margin2, at_low | {"gap": margin2}),
+                             (margin1, at_top | {"rho_reached": float(top)})], lower=True)
     passed = bool(worst >= -_INVARIANT_SLACK)
     return ConfinementReport(
         check=f"{spec.variant}_confinement",

@@ -43,7 +43,9 @@ The oracles held here:
   ``one_shot_check_kappa_confinement``: the confinement samplers over all
   sample points at once, with one (n, N, d) gradient table, one Dirichlet
   product and ``np.min`` / ``np.argmin`` over whole arrays, the references
-  for the chunked samplers of ``rsgd.confinement``.
+  for the chunked samplers of ``rsgd.confinement``.  They draw their points
+  with their own copies of the band and sublevel samplers, and a NaN fails
+  a check and raises ``SamplerFailure`` in the constants.
 """
 
 from __future__ import annotations
@@ -58,10 +60,9 @@ from rsgd import driver
 from rsgd import rng as crng
 from rsgd.batching import _STREAM_SEGMENT, _STREAM_STRATIFIED, _STREAM_SUBSET
 from rsgd.confinement import (_INVARIANT_SLACK, _N_COMBOS, _SAFETY, ConfinementConstants,
-                              ConfinementReport, _band_points, _gradient_table,
-                              _sublevel_points, hessian_quadform)
+                              ConfinementReport, hessian_quadform, sample_rho_levels)
 from rsgd.driver import CSV_HEADER, Trajectory
-from rsgd.errors import InvalidPlan
+from rsgd.errors import InvalidPlan, SamplerFailure
 from rsgd.manifolds import DEGENERACY_EPS, Euclidean, Sphere
 from rsgd.problems import RegularizedLeastSquaresProblem, SphereMeanProblem
 from rsgd.schedules import _SQUARE_SUM_TERMS, AdaptiveRate, ExplicitSchedule
@@ -485,6 +486,26 @@ def one_shot_sum_of_squares(schedule) -> float:
     return partial + tail
 
 
+def _band_points(spec, dim, lo, hi, n, key):
+    targets = np.random.default_rng([*key, 0]).uniform(lo, hi, size=n)
+    return sample_rho_levels(spec.rho, dim, targets, np.random.default_rng([*key, 1]))
+
+
+def _sublevel_points(spec, dim, c, n, key):
+    base = float(np.asarray(spec.rho(np.zeros(dim))))
+    if c < base:
+        raise SamplerFailure(f"sublevel {c:g} is below rho(origin) = {base:g}")
+    targets = base + (c - base) * np.random.default_rng([*key, 0]).uniform(size=n)
+    return sample_rho_levels(spec.rho, dim, targets, np.random.default_rng([*key, 1]))
+
+
+def _gradient_table(oracle, xs):
+    """All outcome gradients at each sample point: (n, N, d)."""
+    n_out = oracle.space.size
+    idx = np.broadcast_to(np.arange(n_out), (xs.shape[0], n_out))
+    return oracle.sample_gradients(xs, idx)
+
+
 def _one_shot_directions(oracle, xs, rng, n_combos: int) -> np.ndarray:
     table = _gradient_table(oracle, xs)
     if n_combos == 0:
@@ -524,6 +545,9 @@ def one_shot_estimate_constants(spec, oracle, schedule, lam, b, theta, n_samples
     xs0 = _sublevel_points(spec, dim, spec.rho0, n_samples, (seed, 1))
     v0 = _one_shot_directions(oracle, xs0, np.random.default_rng([seed, 2]), _N_COMBOS)
     ips = (spec.grad_rho(xs0)[:, None, :] * v0).sum(axis=-1)
+    if np.isnan(ips.min()):
+        x = xs0[np.unravel_index(np.argmin(ips), ips.shape)[0]].tolist()
+        raise SamplerFailure(f"lambda_est: <grad rho(x), v> is NaN at x = {x}")
     lambda_est = float(max(0.0, -ips.min())) / lam
 
     xs1 = _sublevel_points(spec, dim, rho1, n_samples, (seed, 3))
@@ -533,6 +557,9 @@ def one_shot_estimate_constants(spec, oracle, schedule, lam, b, theta, n_samples
     flat_v = v1.reshape(-1, dim)
     thetas = np.random.default_rng([seed, 5]).uniform(0.0, theta, size=flat_v.shape[0])
     q = hessian_quadform(oracle.manifold, spec.rho, flat_x, -thetas[:, None] * flat_v, flat_v)
+    if np.isnan(np.max(q)):
+        x = flat_x[np.argmax(q)].tolist()
+        raise SamplerFailure(f"b_est: Hess(rho o R_x)(v, v) is NaN at x = {x}")
     b_est = float(np.sqrt(max(0.0, float(np.max(q))))) / b
 
     phi = max(_SAFETY * lambda_est, _SAFETY * b_est, c / theta)
@@ -570,8 +597,10 @@ def one_shot_check_kappa_confinement(spec, oracle, kappa: float, n_samples: int,
     gaps = lhs - rhs
     margin2 = float(np.min(gaps))
 
-    worst = min(margin1, margin2)
-    if worst == margin2:
+    # the first minimum of (band, step), NaN first
+    band = int(np.argmin([margin2, margin1])) == 0
+    worst = margin2 if band else margin1
+    if band:
         i = int(np.argmin(gaps))
         witness = {"x": flat_x1[i].tolist(), "v": flat_v1[i].tolist(),
                    "s": float(s1[i]), "gap": margin2}

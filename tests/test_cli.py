@@ -534,6 +534,8 @@ class TestRunInputs:
         ([TO_LEAST_SQUARES, _confined("rho0 = nan")], ["run"], "[confinement] rho0"),
         ([TO_LEAST_SQUARES, _confined("rho0 = nan")], ["check", "confinement"],
          "[confinement] rho0"),
+        ([_confined("rho0 = 2.0")], ["run"], "[confinement] enabled"),
+        ([_confined("rho0 = 2.0")], ["check", "confinement"], "[confinement] enabled"),
         ([TO_LEAST_SQUARES, _confined("rho0 = 4.0"), LIST_RATE], ["run", "--horizon", "3"],
          "[rate] kind"),
         ([TO_LEAST_SQUARES, _confined("variant = kappa\nrho0 = 4.0"), LIST_RATE],
@@ -578,7 +580,8 @@ class TestRunInputs:
             "samples-zero",
             "lambda-zero", "theta-negative", "b-zero", "enabled-not-a-boolean",
             "variant-unknown", "rho0-negative", "check-rho0-negative", "rho0-nan",
-            "check-rho0-nan", "confined-list-rate", "check-confined-list-rate",
+            "check-rho0-nan", "sphere-confined", "check-sphere-confined", "confined-list-rate",
+            "check-confined-list-rate",
             "confined-p-not-square-summable", "p-nan", "check-p-nan", "check-seed-negative",
             "check-seed-flag-negative", "confined-seed-negative", "confined-seed-flag-negative",
             "seed-past-int64", "seed-flag-past-int64", "seed-wraps", "seed-flag-wraps",

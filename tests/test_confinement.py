@@ -25,11 +25,12 @@ from rsgd import (
     hessian_quadform,
     norm_squared_confinement,
     random_least_squares,
+    random_sphere_mean,
     run_confined_adaptive_many,
     run_confined_deterministic,
     run_confined_deterministic_many,
 )
-from rsgd import confinement
+from rsgd import cli, confinement
 from rsgd.confinement import _N_COMBOS, sample_rho_levels
 from rsgd.driver import _BLOCK_WORDS
 from rsgd.problems import GradientOracle
@@ -365,6 +366,94 @@ def test_samplers_refuse_fewer_than_one_sample(ls_problem, schedule, n_samples):
         check_plain_confinement(spec, ls_problem, n_samples)
 
 
+def test_samplers_refuse_curved_space(schedule):
+    # on the sphere they sampled points off the manifold, along straight rays
+    sphere = random_sphere_mean(3, 4, 0)
+    spec = norm_squared_confinement(1.0, 2.0, "kappa")
+    with pytest.raises(ValueError, match="sample flat space, not the sphere"):
+        check_plain_confinement(spec, sphere, 10)
+    with pytest.raises(ValueError, match="sample flat space, not the sphere"):
+        check_kappa_confinement(spec, sphere, 0.5, 10)
+    with pytest.raises(ValueError, match="sample flat space, not the sphere"):
+        estimate_constants(spec, sphere, schedule, 1.0, 1.0, 1.0, 10)
+
+
+def test_sublevel_below_rho_at_the_origin_fails(ls_problem, schedule):
+    # rays start at the origin, so no level below rho(origin) = 1 is reachable
+    spec = replace(norm_squared_confinement(0.5, 2.0, "kappa"),
+                   rho=lambda x: (np.asarray(x) ** 2).sum(axis=-1) + 1.0)
+    with pytest.raises(SamplerFailure, match=r"sublevel 0\.5 is below rho\(origin\) = 1"):
+        estimate_constants(spec, ls_problem, schedule, 1.0, 1.0, 1.0, 10)
+    with pytest.raises(SamplerFailure, match=r"sublevel 0\.5 is below rho\(origin\) = 1"):
+        check_kappa_confinement(spec, ls_problem, 0.5, 10)
+
+
+def _nan_beyond(x):
+    # 0.1 x, NaN where x_0 > 1.5
+    x = np.asarray(x, dtype=float)
+    return np.where(x[..., :1] > 1.5, np.nan, 0.1 * x)
+
+
+def test_a_nan_band_margin_fails_the_kappa_check():
+    # the band [1, 4] reaches x_0 > 1.5 and the step check from {rho <= 1}
+    # does not; min(margin_step, nan) once dropped the NaN and passed
+    spec = norm_squared_confinement(1.0, 4.0, "kappa")
+    report = check_kappa_confinement(spec, FieldProblem(2, [_nan_beyond]), 0.5, 500)
+    assert np.isfinite(report.constants["margin_step"])
+    assert np.isnan(report.constants["margin_band"])
+    assert not report.passed and np.isnan(report.min_margin)
+    assert list(report.witness) == ["x", "v", "s", "gap"] and report.witness["x"][0] > 1.5
+
+
+def test_a_nan_supremum_raises_sampler_failure(schedule):
+    # {rho <= rho1} reaches x_0 > 1.5; max(0.0, nan) once read the Hessian
+    # sup as 0 and gave b_est = 0
+    spec = norm_squared_confinement(1.0)
+    with pytest.raises(SamplerFailure, match=r"b_est: .* is NaN at x = \["):
+        estimate_constants(spec, FieldProblem(2, [_nan_beyond]), schedule, 1.0, 2.0, 1.0, 500)
+
+
+NAN_CONFINED_CONFIG = """
+[problem]
+kind = least_squares
+dimension = 2
+n_outcomes = 1
+data_seed = 0
+tau = 0.2
+
+[plan]
+scheme = segment
+batch_size = 1
+
+[rate]
+kind = power
+c = 0.5
+p = 0.75
+
+[confinement]
+enabled = true
+variant = kappa
+rho0 = 1.0
+b = 2.0
+kappa = 0.5
+samples = 500
+
+[run]
+horizon = 10
+"""
+
+
+@pytest.mark.parametrize("argv, code", [(["run"], 3), (["check", "kappa_confinement"], 1)])
+def test_cli_reports_a_nan_supremum(tmp_path, capsys, argv, code):
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text(NAN_CONFINED_CONFIG)
+    with mock.patch.object(cli, "build_problem", return_value=FieldProblem(2, [_nan_beyond])):
+        assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out"),
+                                "--quiet"]) == code
+    assert "b_est: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _affine(x, a, c, nan_above=np.inf):
     # A x + c without BLAS, so a point's bits do not depend on how many come
     # with it; NaN where x_0 > nan_above, to hold the samplers to NaN first
@@ -382,6 +471,16 @@ def _bits(obj):
     if isinstance(obj, (list, tuple)):
         return [_bits(v) for v in obj]
     return obj
+
+
+def _outcome(sample, *args):
+    """A sampler's constants or report as a dict, or the message of the
+    SamplerFailure it raises (a NaN supremum behind phi)."""
+    try:
+        out = sample(*args)
+    except SamplerFailure as exc:
+        return f"SamplerFailure: {exc}"
+    return vars(out) if isinstance(out, ConfinementConstants) else out.to_dict()
 
 
 # each sampler with the Dirichlet combinations per point it draws
@@ -413,16 +512,14 @@ def test_chunked_samplers_equal_their_one_shot_oracles(sampler, kind, dim, n_out
         if sampler == "constants":
             sched = PowerLawSchedule(0.5, 0.75)
             args = (norm_squared_confinement(rho0), problem, sched, 1.0, 2.0, 1.0, n, seed)
-            got = vars(estimate_constants(*args))
-            want = vars(one_shot_estimate_constants(*args))
+            pair = (estimate_constants, one_shot_estimate_constants)
         elif sampler == "plain":
             args = (norm_squared_confinement(rho0), problem, n, seed)
-            got = check_plain_confinement(*args).to_dict()
-            want = one_shot_check_plain_confinement(*args).to_dict()
+            pair = (check_plain_confinement, one_shot_check_plain_confinement)
         else:
             args = (norm_squared_confinement(rho0, rho0 + 5.0, sampler), problem, kappa, n, seed)
-            got = check_kappa_confinement(*args).to_dict()
-            want = one_shot_check_kappa_confinement(*args).to_dict()
+            pair = (check_kappa_confinement, one_shot_check_kappa_confinement)
+        got, want = (_outcome(sample, *args) for sample in pair)
     assert _bits(got) == _bits(want)
 
 
@@ -464,14 +561,12 @@ def test_chunk_extremes_combine_as_one_argmin(values, cuts, lower):
     """The first extreme kept across chunks is np.argmin / np.argmax of all
     entries at once: ties (-0.0 and 0.0 among them) and NaNs included."""
     a = np.array(values)
-    arg = np.argmin if lower else np.argmax
-    best, start = None, 0
-    for stop in sorted({c for c in cuts if c < a.size}) + [a.size]:
-        i = int(arg(a[start:stop]))
-        if confinement._replaces(a[start + i], best, lower):
-            best = (a[start + i], start + i)
-        start = stop
-    assert best[1] == arg(a)
+    bounds = [0] + sorted({c for c in cuts if c < a.size}) + [a.size]
+    picks = [confinement._pick(a[start:stop], lower, index=np.arange(start, stop))
+             for start, stop in zip(bounds, bounds[1:])]
+    value, at = confinement._first(picks, lower)
+    assert at["index"] == (np.argmin if lower else np.argmax)(a)
+    assert _bits(float(value)) == _bits(float(a[at["index"]]))
 
 
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
