@@ -13,8 +13,10 @@ segment batches of 4, rate 0.5/(t+1)^0.75.  A last row runs the same problem
 in R^9 at S = 100: from d = 8 on the state stays row-major, the one regime
 where many seeds sum a short batch axis (b = 4) by numpy's row-major
 reduction.  Each figure is the best of three runs of ``rsgd.run_many`` over
-a short horizon, in process CPU time.  It prints figures and checks nothing;
-on a shared machine they move by 10-30% from run to run.
+a short horizon, in process CPU time, after one untimed run of the same
+seeds: the first runs of a process also pay for its warm-up (22-30 us per
+step at S = 1, against 14 later).  It prints figures and checks nothing; on
+a shared machine they move by 10-30% from run to run.
 """
 
 import time
@@ -35,6 +37,7 @@ def config(d):
 
 
 def best_of_three(cfg, n_seeds):
+    rsgd.run_many(cfg, n_seeds)  # untimed: the process warms up
     best = float("inf")
     for _ in range(3):
         start = time.process_time()
@@ -43,7 +46,7 @@ def best_of_three(cfg, n_seeds):
     return best
 
 
-print(f"README sphere problem, segment b = 4, power rate, T = {horizon}, best of 3")
+print(f"README sphere problem, segment b = 4, power rate, T = {horizon}, best of 3 after 1")
 print(f"{'S':>6} {'d':>3} {'layout':>17} {'us/step':>9} {'seed-steps/s':>13}")
 configs = {d: config(d) for d in (4, 9)}
 for n_seeds, d in ((1, 4), (10, 4), (32, 4), (100, 4), (1000, 4), (100, 9)):

@@ -36,14 +36,7 @@ from .diagnostics import (
     martingale_summary,
     track_martingale,
 )
-from .driver import (
-    RunConfig,
-    Trajectory,
-    read_trajectory_csv,
-    run_adaptive,
-    run_deterministic,
-    run_many,
-)
+from .driver import RunConfig, run_adaptive, run_deterministic, run_many
 from .errors import (
     ConfigError,
     ConfinementViolation,
@@ -65,6 +58,7 @@ from .problems import (
     random_least_squares,
     random_sphere_mean,
 )
+from .records import Trajectory, read_trajectory_csv
 from .schedules import (
     AdaptiveRate,
     ExplicitSchedule,

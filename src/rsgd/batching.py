@@ -67,6 +67,8 @@ _STREAM_SUBSET = 1 << 40
 _STREAM_STRATIFIED = 1 << 41
 
 _ENUM_CHUNK = 1 << 15
+# words of the gathered outcome gradients averaged at once
+_ENUM_WORDS = 1 << 15
 _ENUM_BUDGET = 10**6
 
 
@@ -459,22 +461,31 @@ def combine_batch(weights: np.ndarray, grads: np.ndarray, equal: bool) -> np.nda
 def _enumerated_vectors(oracle, points, plan, t):
     """Yield (p, batch gradients at points[p] (c, d), probabilities (c,)) for
     every chunk of the outcome space at step t, chunks outermost: each chunk
-    is made once for all points, and each point sees the chunks in order."""
+    is made once for all points, and each point sees the chunks in order.
+    A chunk's batch gradients are averaged over slices of its batches whose
+    gathered (rows, b, d) gradients hold at most ``_ENUM_WORDS`` words (or
+    one batch's); each average depends on its own batch alone, so the
+    slices change no bit."""
     count = plan.outcome_count(t)
     if count > _ENUM_BUDGET:
         raise EnumerationBudgetExceeded(
             f"{count} outcomes at t={t} exceed the enumeration budget {_ENUM_BUDGET}"
         )
-    # (d, N) per point: each chunk is gathered coordinate-major, so the batch
-    # average sums contiguous runs of outcomes, and handed on row-major, so
-    # the sums over it keep their order
+    # (d, N) per point: each slice of a chunk is gathered coordinate-major, so
+    # the batch average sums contiguous runs of outcomes, and the averages
+    # are handed on row-major, so the sums over them keep their order
     outcomes = np.arange(oracle.space.size)
     tables_t = [np.ascontiguousarray(oracle.sample_gradients(x, outcomes).T) for x in points]
     w = plan.weights_at(t)
     equal = bool(np.all(w == w[0]))
     for idx, prob in plan.iter_outcome_chunks(t):
+        c, b = idx.shape
+        step = max(1, _ENUM_WORDS // (b * tables_t[0].shape[0]))
         for p, table_t in enumerate(tables_t):
-            yield p, np.ascontiguousarray(combine_batch(w, _gather_cm(table_t, idx), equal)), prob
+            vecs = np.empty((c, table_t.shape[0]))
+            for r in range(0, c, step):
+                vecs[r:r + step] = combine_batch(w, _gather_cm(table_t, idx[r:r + step]), equal)
+            yield p, vecs, prob
 
 
 def enumerate_expectation(oracle: GradientOracle, x, plan: BatchPlan, t: int = 0) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 from . import confinement as conf
 from . import diagnostics as diag
 from .batching import BatchSizes, SegmentPlan, StratifiedPlan, SubsetPlan, enumerate_expectation
-from .driver import RunConfig, read_trajectory_csv, record_nbytes, run_many, write_csvs
+from .driver import RunConfig, run_many
 from .errors import (
     ConfigError,
     ConfinementViolation,
@@ -51,6 +51,7 @@ from .problems import (
     random_least_squares,
     random_sphere_mean,
 )
+from .records import CsvSink, Tee, _part, read_trajectory_csv
 from .schedules import AdaptiveRate, ExplicitSchedule, PowerLawSchedule, validate_robbins_monro
 
 CHECK_NAMES = ("unbiasedness", "schedule", "gradient", "lipschitz",
@@ -165,9 +166,27 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _writing():
+        with open(path, "w") as fh:
+            json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def _writable(*paths) -> None:
+    """Refuse, before any work, an output file whose path is a directory."""
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"output file {path} cannot be written: it is a directory")
+
+
+@contextmanager
+def _writing():
+    """An output file that cannot be written is a config error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"output file {exc.filename} cannot be written: "
+                          f"{exc.strerror or exc}") from None
 
 
 def load_config(path) -> configparser.ConfigParser:
@@ -343,17 +362,20 @@ def _physical_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _record_horizon(cp, args) -> int:
-    """The horizon, once the records of the run (``record_nbytes``) are known
-    to fit in physical memory.  Checked before anything of the run is
-    allocated."""
+def _run_size(cp, args):
+    """The horizon of ``rsgd run``, once it and the number of seeds are
+    checked, before anything of the run is allocated: the step count must be
+    exact in a float64 (the summary's curve picks its steps through one), and
+    the CSV buffers of the seeds (``CsvSink.nbytes``) must fit in physical
+    memory."""
     horizon = _get(cp, "run", "horizon", args.horizon)
+    if horizon > 2**53:
+        raise ConfigError(f"[run] horizon (or --horizon) must be <= 2**53, got {horizon}")
     n_seeds = _get(cp, "run", "seeds")
-    need, have = record_nbytes(n_seeds, horizon), _physical_bytes()
+    need, have = CsvSink.nbytes(n_seeds, horizon), _physical_bytes()
     if need > have:
-        raise ConfigError(f"[run] seeds = {n_seeds} and [run] horizon (or --horizon) = "
-                          f"{horizon} need {need / 2**30:.3g} GiB of records, more than the "
-                          f"{have / 2**30:.3g} GiB of physical memory")
+        raise ConfigError(f"[run] seeds = {n_seeds} needs {need / 2**30:.3g} GiB of CSV "
+                          f"buffers, more than the {have / 2**30:.3g} GiB of physical memory")
     return horizon
 
 
@@ -393,16 +415,13 @@ def _resolved(cp) -> dict:
     return {s: dict(cp.items(s)) for s in cp.sections()}
 
 
-def _downsample(curve: np.ndarray, limit: int = 256) -> list:
-    if curve.size <= limit:
-        return curve.tolist()
-    idx = np.unique(np.linspace(0, curve.size - 1, limit).astype(int))
-    return curve[idx].tolist()
+# steps of the mean-square curve kept in a summary or report
+_CURVE_POINTS = 256
 
 
 def cmd_run(args) -> int:
     cp = load_config(args.config)
-    horizon = _record_horizon(cp, args)
+    horizon = _run_size(cp, args)
     problem = build_problem(cp)
     seed, n_seeds = _seeds(cp, args)
     plan = build_plan(cp, problem.space, seed)
@@ -419,41 +438,54 @@ def cmd_run(args) -> int:
     x0 = _x0(cp, problem.manifold)
     params = build_confinement(cp, problem)
     with _out_dir(cp, args) as out_dir:
+        run_id = Path(args.config).stem
+        summary_path = out_dir / f"{run_id}_summary.json"
+        csvs = CsvSink([out_dir / f"{run_id}_seed{s}.csv" for s in range(seed, seed + n_seeds)],
+                       horizon)
+        _writable(summary_path, _part(summary_path), *csvs.paths, *csvs.parts)
+        # the records stream into the CSVs and the summary's metrics as the
+        # run goes; the files are published only once the summary is written
+        fold = diag.ConvergenceFold(n_seeds, horizon, curve_points=_CURVE_POINTS)
+        sink = Tee(csvs, fold)
         cfg = RunConfig(oracle=problem, plan=plan, rate=rate, x0=x0, horizon=horizon, seed=seed)
         constants = None
         try:
-            if params is None:
-                trajectories = run_many(cfg, n_seeds)
-            elif isinstance(rate, AdaptiveRate):
-                spec = _kappa_spec(params, params["rho1"], "adaptive confined runs")
-                trajectories = conf.run_confined_adaptive_many(cfg, spec, params["kappa"], n_seeds)
-            else:
-                spec = conf.norm_squared_confinement(params["rho0"])
-                constants = _constants_for(params, spec, problem, rate, seed)
-                trajectories = conf.run_confined_deterministic_many(
-                    replace(cfg, rho=spec.rho), constants, n_seeds)
-        except (DegenerateRetraction, ConfinementViolation, SamplerFailure) as exc:
-            print(f"run aborted: {exc}", file=sys.stderr)
-            return 3
+            with _writing():
+                try:
+                    if params is None:
+                        ends = run_many(cfg, n_seeds, sink)
+                    elif isinstance(rate, AdaptiveRate):
+                        spec = _kappa_spec(params, params["rho1"], "adaptive confined runs")
+                        ends = conf.run_confined_adaptive_many(cfg, spec, params["kappa"],
+                                                               n_seeds, sink)
+                    else:
+                        spec = conf.norm_squared_confinement(params["rho0"])
+                        constants = _constants_for(params, spec, problem, rate, seed)
+                        ends = conf.run_confined_deterministic_many(
+                            replace(cfg, rho=spec.rho), constants, n_seeds, sink)
+                except (DegenerateRetraction, ConfinementViolation, SamplerFailure) as exc:
+                    print(f"run aborted: {exc}", file=sys.stderr)
+                    return 3
 
-        run_id = Path(args.config).stem
-        write_csvs(trajectories, [out_dir / f"{run_id}_seed{tr.seed}.csv" for tr in trajectories])
-        metrics = diag.convergence_metrics(trajectories)
-        metrics["mean_square_curve"] = _downsample(metrics["mean_square_curve"])
-        summary = {
-            "run_id": run_id,
-            "config": _resolved(cp),
-            "overrides": {"seed": args.seed, "horizon": args.horizon},
-            "seeds": [tr.seed for tr in trajectories],
-            "data_seed": problem.data_seed,
-            "metrics": metrics,
-        }
-        if constants is not None:
-            summary["confinement_constants"] = vars(constants) | {}
-        _write_json(out_dir / f"{run_id}_summary.json", summary)
+                summary = {
+                    "run_id": run_id,
+                    "config": _resolved(cp),
+                    "overrides": {"seed": args.seed, "horizon": args.horizon},
+                    "seeds": [end.seed for end in ends],
+                    "data_seed": problem.data_seed,
+                    "metrics": fold.result(),
+                }
+                if constants is not None:
+                    summary["confinement_constants"] = vars(constants) | {}
+                _write_json(_part(summary_path), summary)
+                csvs.publish()
+                os.replace(_part(summary_path), summary_path)
+        finally:
+            csvs.discard()
+            _part(summary_path).unlink(missing_ok=True)
         if not args.quiet:
-            print(f"wrote {len(trajectories)} trajectories to {out_dir}")
-        if any(tr.status != "ok" for tr in trajectories):
+            print(f"wrote {len(ends)} trajectories to {out_dir}")
+        if any(end.status != "ok" for end in ends):
             print("run aborted: non-finite values encountered", file=sys.stderr)
             return 3
         return 0
@@ -478,6 +510,8 @@ def cmd_check(args) -> int:
     problem = build_problem(cp)
     seed, _ = _seeds(cp, args)
     with _out_dir(cp, args) as out_dir:
+        path = out_dir / f"check_{args.name}.json"
+        _writable(path)
         try:
             if args.name == "unbiasedness":
                 plan = build_plan(cp, problem.space, seed)
@@ -529,7 +563,7 @@ def cmd_check(args) -> int:
         except UnboundedRegion as exc:
             raise ConfigError(f"check {args.name} needs [problem] rho1: {exc}") from None
 
-        _write_json(out_dir / f"check_{args.name}.json", payload)
+        _write_json(path, payload)
         if not args.quiet:
             print(f"{args.name}: {'PASS' if payload['pass'] else 'FAIL'}")
         return 0 if payload["pass"] else 1
@@ -541,20 +575,25 @@ def cmd_report(args) -> int:
     if not files:
         print(f"no trajectory CSV files in {out_dir}", file=sys.stderr)
         return 2
-    trajectories, run_ids = [], set()
-    for f in files:
+    _writable(out_dir / "report.json")
+    # one file at a time: read, fold into the metrics, keep its table row
+    fold, first, rows, run_ids = None, {}, [], set()
+    for i, f in enumerate(files):
         try:
             cut = f.stem.rindex("_seed")
             seed = int(f.stem[cut + 5 :])
-            trajectories.append(read_trajectory_csv(f, seed=seed))
+            tr = read_trajectory_csv(f, seed=seed)
         except (ValueError, OSError) as exc:
             print(f"malformed trajectory file {f}: {exc}", file=sys.stderr)
             return 2
         run_ids.add(f.stem[:cut])
-    first = {}  # horizon -> the first file of that length
-    for tr, f in zip(trajectories, files):
-        first.setdefault(tr.horizon, f.name)
-    twice = sorted(s for s, n in Counter(tr.seed for tr in trajectories).items() if n > 1)
+        first.setdefault(tr.horizon, f.name)  # horizon -> the first file of that length
+        fold = fold or diag.ConvergenceFold(len(files), tr.horizon, curve_points=_CURVE_POINTS)
+        if tr.horizon == fold.horizon:  # a file of another length is named below
+            fold.add(0, i, tr.grad_norm[None], tr.step[None])
+            fold.statuses[i] = tr.status
+        rows.append((tr.seed, tr.F[-1], tr.grad_norm[-1]))
+    twice = sorted(s for s, n in Counter(seed for seed, _, _ in rows).items() if n > 1)
     if len(first) > 1:
         named = ", ".join(f"{first[h]} has {h + 1} rows" for h in sorted(first))
         why = f"trajectory files of different lengths in {out_dir} ({named})"
@@ -568,16 +607,14 @@ def cmd_report(args) -> int:
     if why:
         print(f"{why}; report one run's files at a time", file=sys.stderr)
         return 2
-    metrics = diag.convergence_metrics(trajectories)
-    metrics["mean_square_curve"] = _downsample(metrics["mean_square_curve"])
+    metrics = fold.result()
     _write_json(out_dir / "report.json", {"n_files": len(files), "metrics": metrics})
     if not args.quiet:
         thr = metrics["threshold"]
         print(f"{'seed':>8} {'final_F':>14} {'final_grad':>12} {'min_grad':>12} {'below':>6}")
-        for tr in trajectories:
-            below = int(tr.grad_norm.min() <= thr)
-            print(f"{tr.seed:>8} {tr.F[-1]:>14.6g} {tr.grad_norm[-1]:>12.4g} "
-                  f"{tr.grad_norm.min():>12.4g} {below:>6}")
+        for (seed, final_f, final_grad), low in zip(rows, fold.mins):
+            print(f"{seed:>8} {final_f:>14.6g} {final_grad:>12.4g} "
+                  f"{low:>12.4g} {int(low <= thr):>6}")
         print(f"fraction with final grad norm <= {thr:g}: "
               f"{metrics['fraction_final_below']:.2f}")
     return 0

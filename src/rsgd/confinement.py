@@ -59,9 +59,10 @@ from typing import Callable
 
 import numpy as np
 
-from .driver import _BLOCK_WORDS, RunConfig, Trajectory, run_many
+from .driver import _BLOCK_WORDS, RunConfig, run_many
 from .errors import ConfinementViolation, InvalidHyperparameters, SamplerFailure
 from .problems import GradientOracle
+from .records import MemorySink, Tee, Trajectory
 from .schedules import (AdaptiveRate, ScaledSchedule, cumulative_squares, sum_of_squares,
                         validate_robbins_monro)
 
@@ -411,10 +412,48 @@ def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
     )
 
 
+class _Watch:
+    """A sink that checks a confined run's invariant, lhs(records) <= bound,
+    on each block and keeps every seed's first failing step and value."""
+
+    def __init__(self, n_seeds: int, bound: float, lhs: Callable):
+        self.bound, self.lhs = bound, lhs
+        self.t = np.full(n_seeds, -1)
+        self.value = np.zeros(n_seeds)
+
+    def put(self, rec) -> None:
+        lhs = self.lhs(rec)
+        bad = lhs > self.bound
+        for i in np.flatnonzero(bad.any(axis=1) & (self.t < 0)):
+            k = int(bad[i].argmax())
+            self.t[i], self.value[i] = rec.t0 + k, lhs[i, k]
+
+    def close(self, seeds, status, abort_t) -> None:
+        pass
+
+    def first(self):
+        """(seed index, t, value) of the lowest failing seed, or None."""
+        failed = np.flatnonzero(self.t >= 0)
+        return None if not failed.size else (int(failed[0]), int(self.t[failed[0]]),
+                                             float(self.value[failed[0]]))
+
+
+def _watched(cfg: RunConfig, n_seeds: int, sink, bound: float, lhs: Callable):
+    """``run_many`` into sink (a ``MemorySink`` when None) with the invariant
+    lhs(records) <= bound watched: its results and ``_Watch.first``."""
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be >= 1")
+    watch = _Watch(n_seeds, bound, lhs)
+    out = run_many(cfg, n_seeds, Tee(MemorySink(cfg, n_seeds) if sink is None else sink, watch))
+    return out, watch.first()
+
+
 def run_confined_deterministic_many(cfg: RunConfig, constants: ConfinementConstants,
-                                    n_seeds: int) -> list[Trajectory]:
+                                    n_seeds: int, sink=None) -> list:
     """Deterministic-rate runs scaled by 1/phi, with the induction invariant
-    asserted at every recorded step of every trajectory."""
+    asserted at every recorded step of every trajectory, block by block as
+    the run hands its records to ``sink`` (``run_many``'s).  A violation is
+    raised after the run, for the lowest failing seed."""
     if isinstance(cfg.rate, AdaptiveRate):
         raise TypeError("confined deterministic runs need a deterministic schedule")
     if cfg.rho is None:
@@ -423,20 +462,28 @@ def run_confined_deterministic_many(cfg: RunConfig, constants: ConfinementConsta
     if start > constants.rho0 + _INVARIANT_SLACK:
         raise InvalidHyperparameters(
             f"rho(x0) = {start:g} must not exceed rho0 = {constants.rho0:g}")
-    out = run_many(replace(cfg, rate=ScaledSchedule(cfg.rate, constants.phi),
-                           region_rho1=constants.rho1), n_seeds)
-    tail = constants.sigma - cumulative_squares(cfg.rate, cfg.horizon)
-    for tr in out:
-        lhs = tr.rho + 0.5 * constants.b**2 * tail
-        bad = np.flatnonzero(lhs > constants.rho1 + _INVARIANT_SLACK)
-        if bad.size:
-            t = int(bad[0])
-            raise ConfinementViolation(
-                f"induction invariant failed at t={t}: rho + b^2/2 * tail = {lhs[t]:.6g} "
-                f"> rho1 = {constants.rho1:.6g} (seed {tr.seed}); "
-                "lambda_est or b_est likely underestimated",
-                t=t, seed=tr.seed,
-            )
+    carry = 0.0  # sum_{j < t0} gamma_j^2 of the next block
+    half_b2 = 0.5 * constants.b**2
+
+    def lhs(rec):
+        # rho + b^2/2 * sum_{j >= t} gamma_j^2, the tail as sigma - sum_{j < t}
+        nonlocal carry
+        k = rec.rho.shape[1]
+        cum = cumulative_squares(cfg.rate, min(rec.t0 + k, cfg.horizon), rec.t0, carry)
+        carry = cum[-1]
+        return rec.rho + half_b2 * (constants.sigma - cum[:k])
+
+    out, failed = _watched(replace(cfg, rate=ScaledSchedule(cfg.rate, constants.phi),
+                                   region_rho1=constants.rho1), n_seeds, sink,
+                           constants.rho1 + _INVARIANT_SLACK, lhs)
+    if failed:
+        i, t, value = failed
+        raise ConfinementViolation(
+            f"induction invariant failed at t={t}: rho + b^2/2 * tail = {value:.6g} "
+            f"> rho1 = {constants.rho1:.6g} (seed {out[i].seed}); "
+            "lambda_est or b_est likely underestimated",
+            t=t, seed=out[i].seed,
+        )
     return out
 
 
@@ -445,8 +492,9 @@ def run_confined_deterministic(cfg: RunConfig, constants: ConfinementConstants) 
 
 
 def run_confined_adaptive_many(cfg: RunConfig, spec: ConfinementSpec, kappa: float,
-                               n_seeds: int) -> list[Trajectory]:
-    """Adaptive runs under a kappa-confinement; every step must stay <= rho1."""
+                               n_seeds: int, sink=None) -> list:
+    """Adaptive runs under a kappa-confinement; every step must stay <= rho1,
+    checked block by block as the run hands its records to ``sink``."""
     if not isinstance(cfg.rate, AdaptiveRate):
         raise TypeError("confined adaptive runs need adaptive hyperparameters")
     if spec.rho1 is None:
@@ -458,13 +506,12 @@ def run_confined_adaptive_many(cfg: RunConfig, spec: ConfinementSpec, kappa: flo
     start = float(np.asarray(spec.rho(cfg.x0)))
     if start > spec.rho1 + _INVARIANT_SLACK:
         raise InvalidHyperparameters(f"rho(x0) = {start:g} must not exceed rho1 = {spec.rho1:g}")
-    out = run_many(replace(cfg, rho=spec.rho, region_rho1=spec.rho1), n_seeds)
-    for tr in out:
-        bad = np.flatnonzero(tr.rho > spec.rho1 + _INVARIANT_SLACK)
-        if bad.size:
-            t = int(bad[0])
-            raise ConfinementViolation(
-                f"rho(x_t) = {tr.rho[t]:.6g} > rho1 = {spec.rho1:.6g} at t={t} "
-                f"(seed {tr.seed})", t=t, seed=tr.seed,
-            )
+    out, failed = _watched(replace(cfg, rho=spec.rho, region_rho1=spec.rho1), n_seeds, sink,
+                           spec.rho1 + _INVARIANT_SLACK, lambda rec: rec.rho)
+    if failed:
+        i, t, value = failed
+        raise ConfinementViolation(
+            f"rho(x_t) = {value:.6g} > rho1 = {spec.rho1:.6g} at t={t} "
+            f"(seed {out[i].seed})", t=t, seed=out[i].seed,
+        )
     return out

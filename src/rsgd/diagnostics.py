@@ -196,43 +196,120 @@ def adaptive_square_sums(trajectory) -> tuple[float, float]:
     return nxt, cur
 
 
+class ConvergenceFold:
+    """``convergence_metrics`` folded over blocks of records, so that no
+    array of it grows with the number of seeds times the horizon.
+
+    ``add(t0, i0, grad_norm, step)`` takes the columns t0 .. t0 + k - 1 of
+    seeds i0 .. i0 + s - 1 as (s, k) arrays (steps may be one shared row),
+    in any order that gives each column its seeds in order: a whole run's
+    seeds block by block (``put``, as a sink of ``driver.run_many``, and
+    ``convergence_metrics``, all at once), or one seed's whole trajectory
+    after another (``rsgd report``).  ``result`` has the
+    bits of the list form, because the fold follows numpy's order: the
+    mean-square curve's column sums over seeds are sequential, and so is
+    each seed's ``cumsum``, which is carried from block to block; at T = 0
+    the one column is summed pairwise, as ``np.mean`` sums the finals.
+    With ``curve_points``, the curve keeps only the columns
+    ``np.unique(np.linspace(0, T, curve_points).astype(int))`` when T + 1
+    exceeds it.
+    """
+
+    def __init__(self, n_seeds: int, horizon: int, threshold: float = 1e-3,
+                 curve_points: int | None = None):
+        self.n_seeds, self.horizon, self.threshold = n_seeds, horizon, threshold
+        self.finals = np.full(n_seeds, np.nan)
+        self.mins = np.full(n_seeds, np.inf)
+        self.weighted = np.zeros(n_seeds)
+        self.decade = np.zeros(n_seeds)  # the cumsum at int(0.9 T)
+        self.statuses = ["ok"] * n_seeds
+        self.columns = None
+        if curve_points is not None and horizon + 1 > curve_points:
+            self.columns = np.unique(np.linspace(0, horizon, curve_points).astype(int))
+        self.curve = np.zeros(horizon + 1 if self.columns is None else self.columns.size)
+
+    def add(self, t0: int, i0: int, grad_norm: np.ndarray, step: np.ndarray) -> None:
+        T = self.horizon
+        k = grad_norm.shape[1]
+        rows = slice(i0, i0 + grad_norm.shape[0])
+        gsq = grad_norm**2
+        self.mins[rows] = np.minimum(self.mins[rows], grad_norm.min(axis=1))
+        if t0 + k == T + 1:
+            self.finals[rows] = grad_norm[:, -1]
+        if self.columns is None:
+            cols, part = slice(t0, t0 + k), gsq
+        else:
+            cols = (self.columns >= t0) & (self.columns < t0 + k)
+            part = gsq[:, self.columns[cols] - t0]
+        if i0 == 0 and part.shape[1] > 1:
+            # numpy adds the rows of a C-order (S, m > 1) block one after
+            # another; a single column, or a contiguous one, it sums pairwise
+            self.curve[cols] = np.add.reduce(np.ascontiguousarray(part), axis=0)
+        else:
+            for i, row in enumerate(part, i0):
+                if i:
+                    self.curve[cols] += row
+                else:
+                    self.curve[cols] = row
+        m = min(k, T - t0)  # columns with a step
+        if m > 0:
+            # the squares are spent: the terms and their running sums reuse them
+            terms = np.multiply(step[:, :m], gsq[:, :m], out=gsq[:, :m])
+            if t0:
+                terms = np.concatenate([self.weighted[rows, None], terms], axis=1)
+            csum = np.cumsum(terms, axis=1, out=terms)[:, 1 if t0 else 0:]
+            j = int(0.9 * T) - t0
+            if 0 <= j < m:
+                self.decade[rows] = csum[:, j]
+            self.weighted[rows] = csum[:, -1]
+
+    def put(self, rec) -> None:
+        self.add(rec.t0, 0, rec.grad_norm, rec.step)
+
+    def close(self, seeds, status, abort_t) -> None:
+        self.statuses = list(status)
+
+    def result(self) -> dict:
+        finals, mins, thr = self.finals, self.mins, self.threshold
+        mean_square_final = float((finals**2).mean())
+        return {
+            "n_seeds": self.n_seeds,
+            "horizon": self.horizon,
+            "threshold": thr,
+            "final_grad_norms": finals.tolist(),
+            "fraction_final_below": float((finals <= thr).mean()),
+            "min_grad_norms": mins.tolist(),
+            "fraction_min_below": float((mins <= thr).mean()),
+            "mean_square_final": mean_square_final,
+            "mean_square_curve": (self.curve / self.n_seeds if self.horizon
+                                  else np.array([mean_square_final])),
+            "weighted_grad_square_sums": self.weighted.tolist(),
+            "last_decade_increments": (self.weighted - self.decade).tolist(),
+            "statuses": self.statuses,
+            "all_ok": bool(all(s == "ok" for s in self.statuses)),
+        }
+
+
 def convergence_metrics(trajectories: list, threshold: float = 1e-3) -> dict:
     """Cross-seed convergence summary.
 
     Reports final and running-minimum gradient norms per seed, the fraction of
     seeds below the threshold under both readings, the mean-square gradient
     curve, and the partial sums sum_t rate_t ||g_t||^2 whose flattening the
-    analysis predicts (the last-decade increment should be small).
+    analysis predicts (the last-decade increment should be small): a
+    ``ConvergenceFold`` of all the trajectories as one block.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    finals = np.array([tr.grad_norm[-1] for tr in trajectories])
-    mins = np.array([tr.grad_norm.min() for tr in trajectories])
     T = trajectories[0].horizon
-    gsq = np.stack([tr.grad_norm**2 for tr in trajectories])
-    weighted = []
-    last_decade = []
     for tr in trajectories:
-        terms = tr.step[:T] * tr.grad_norm[:T] ** 2
-        csum = np.cumsum(terms)
-        weighted.append(float(csum[-1]) if T else 0.0)
-        last_decade.append(float(csum[-1] - csum[int(0.9 * T)]) if T else 0.0)
-    statuses = [tr.status for tr in trajectories]
-    return {
-        "n_seeds": len(trajectories),
-        "horizon": T,
-        "threshold": threshold,
-        "final_grad_norms": finals.tolist(),
-        "fraction_final_below": float((finals <= threshold).mean()),
-        "min_grad_norms": mins.tolist(),
-        "fraction_min_below": float((mins <= threshold).mean()),
-        "mean_square_final": float(gsq[:, -1].mean()),
-        "mean_square_curve": gsq.mean(axis=0),
-        "weighted_grad_square_sums": weighted,
-        "last_decade_increments": last_decade,
-        "statuses": statuses,
-        "all_ok": bool(all(s == "ok" for s in statuses)),
-    }
+        if tr.horizon != T:
+            raise ValueError(f"trajectories of horizons {T} and {tr.horizon}")
+    fold = ConvergenceFold(len(trajectories), T, threshold)
+    fold.add(0, 0, np.stack([tr.grad_norm for tr in trajectories]),
+             np.stack([tr.step for tr in trajectories]))
+    fold.statuses = [tr.status for tr in trajectories]
+    return fold.result()
 
 
 def finite_difference_gradient_check(oracle: GradientOracle, n_points: int,

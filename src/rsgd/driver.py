@@ -49,29 +49,14 @@ at a time computes it, and the records equal those of a step-at-a-time loop
 bit for bit; ``tests/reference.py`` keeps the broadcast forms as oracles, and
 ``tests/test_kernels.py`` holds every kernel to them in both layouts.
 
-Trajectories record, per iteration: cost, exact gradient norm, step size,
-batch size, batch gradient norm, and the noise inner product
-<grad F, h - grad F>, plus optional rho values and a region-membership flag.
-The CSV keeps all of them but the noise inner product, so a CSV cannot
-rebuild the descent or martingale checks that need it.  ``write_csvs`` is the
-one writer (``Trajectory.write_csv`` writes one file through it).  It writes
-every float as ``%.17g``, so ``read_trajectory_csv`` gets the same bits back,
-and formats the rows in chunks of ``_CSV_CHUNK``, chunks outermost over
-groups of at most ``_CSV_FILES`` open files, so files of any length are
-written in flat memory.  The ``t``, ``step`` and ``batch_size`` cells of a
-chunk are formatted once into a row template, which every trajectory of the
-group whose chunk of steps and batch sizes is bitwise equal to the first
-one's fills with its own cells; the seeds of a deterministic-rate run share
-it, and a retired or adaptive seed formats its own.  Compactness of the
-iterate set is monitored, not enforced.
+The engine keeps no record itself: it hands each block's finished, masked
+records to a sink of :mod:`rsgd.records`, ``MemorySink`` unless the caller
+gives another.
 """
 
 from __future__ import annotations
 
-import warnings
-from contextlib import ExitStack
-from dataclasses import dataclass, field
-from itertools import chain, repeat
+from dataclasses import dataclass
 from math import isfinite
 from typing import Callable
 
@@ -81,32 +66,9 @@ from .batching import BatchPlan, combine_batch
 from .errors import DegenerateRetraction
 from .manifolds import _empty, coordinate_major
 from .problems import GradientOracle
+from .records import MemorySink, Records, Trajectory
 from .schedules import AdaptiveRate, ExplicitSchedule, PowerLawSchedule, ScaledSchedule
 
-# one entry per CSV column: header name, Trajectory field, type; the first
-# column is the step index t, ints are written as %d and floats as %.17g
-_CSV_COLUMNS = (
-    ("t", None, int),
-    ("F", "F", float),
-    ("grad_norm", "grad_norm", float),
-    ("step", "step", float),
-    ("batch_size", "batch_size", int),
-    ("batch_grad_norm", "batch_grad_norm", float),
-    ("rho", "rho", float),
-    ("in_K", "in_region", bool),
-)
-CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
-# the columns formatted once per chunk into a row template, whose "%%" then
-# become the "%" of the cells each trajectory fills in (_CSV_OWN, in order)
-_CSV_SHARED = ("t", "step", "batch_size")
-_CSV_TEMPLATE = ",".join(("%" if name in _CSV_SHARED else "%%")
-                         + (".17g" if kind is float else "d")
-                         for name, _, kind in _CSV_COLUMNS) + "\n"
-_CSV_OWN = tuple(attr for name, attr, _ in _CSV_COLUMNS if name not in _CSV_SHARED)
-# rows per formatted chunk, so a file of any length is written in flat memory
-_CSV_CHUNK = 1024
-# files open at once while write_csvs walks the chunks
-_CSV_FILES = 64
 # words per block: its outcome indices over all seeds, and each (S, k, d) buffer;
 # also the largest array of a chunk of confinement sample points
 _BLOCK_WORDS = 1 << 15
@@ -149,119 +111,6 @@ class RunConfig:
             raise TypeError(f"unsupported rate type {type(self.rate).__name__}")
 
 
-@dataclass
-class Trajectory:
-    """Per-iteration records of one run; arrays have length horizon + 1.
-
-    Entries at index T (the final state) have no step attached: batch columns
-    hold NaN there, batch_size holds 0, and step[T] is the rate the next
-    iteration would use (defined for power-law and adaptive rates).
-
-    noise_inner holds <grad F(x_t), h_t - grad F(x_t)>, the martingale
-    increment numerator; <grad F, h_t> is noise_inner + grad_norm^2.
-    """
-
-    seed: int
-    F: np.ndarray
-    grad_norm: np.ndarray
-    step: np.ndarray
-    batch_size: np.ndarray
-    batch_grad_norm: np.ndarray
-    noise_inner: np.ndarray
-    in_region: np.ndarray
-    rho: np.ndarray | None = None
-    status: str = "ok"
-    abort_t: int | None = None
-    iterates: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.F) - 1
-
-    def write_csv(self, path) -> None:
-        """Write the ``_CSV_COLUMNS`` of every step: ``write_csvs([self], [path])``."""
-        write_csvs([self], [path])
-
-
-def write_csvs(trajectories, paths) -> None:
-    """Write each trajectory's ``_CSV_COLUMNS`` to its path, every float as
-    ``%.17g``, in chunks of at most ``_CSV_CHUNK`` rows taken outermost over
-    groups of at most ``_CSV_FILES`` open files.
-
-    Per chunk, one ``%`` operation formats the t, step and batch_size cells
-    into a row template, and one more fills a trajectory's other cells into
-    it.  A trajectory whose steps and batch sizes in the chunk are bitwise
-    equal to those of the first trajectory there uses the first one's
-    template."""
-    trajectories, paths = list(trajectories), list(paths)
-    if len(trajectories) != len(paths):
-        raise ValueError(f"{len(trajectories)} trajectories but {len(paths)} paths")
-    for g in range(0, len(trajectories), _CSV_FILES):
-        group = trajectories[g:g + _CSV_FILES]
-        with ExitStack() as stack:
-            files = [stack.enter_context(open(path, "w", newline=""))
-                     for path in paths[g:g + _CSV_FILES]]
-            for fh in files:
-                fh.write(CSV_HEADER + "\n")
-            for a in range(0, max(len(tr.F) for tr in group), _CSV_CHUNK):
-                first = None  # (steps, batch sizes, template) of the chunk's first trajectory
-                for tr, fh in zip(group, files):
-                    b = min(len(tr.F), a + _CSV_CHUNK)
-                    if b <= a:
-                        continue
-                    step, sizes = tr.step[a:b], tr.batch_size[a:b]
-                    if (first is not None
-                            and np.array_equal(step.view(np.int64), first[0].view(np.int64))
-                            and np.array_equal(sizes, first[1])):
-                        template = first[2]
-                    else:
-                        template = (_CSV_TEMPLATE * (b - a)) % tuple(chain.from_iterable(
-                            zip(range(a, b), step.tolist(), sizes.tolist())))
-                        if first is None:
-                            first = (step, sizes, template)
-                    # a missing rho column is written as NaN; zip stops at the chunk's end
-                    rows = zip(*(repeat(np.nan) if c is None else c[a:b].tolist()
-                                 for c in (getattr(tr, attr) for attr in _CSV_OWN)))
-                    fh.write(template % tuple(chain.from_iterable(rows)))
-
-
-def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
-    """Rebuild the recorded columns of a trajectory written by write_csv.
-
-    ``rsgd run`` writes files only for runs whose seeds ended ok or
-    non-finite, and a retired row's records are NaN from its retirement on,
-    so a file whose last F is NaN is a non-finite seed.  Its ``abort_t`` is
-    its first row whose F or grad_norm is not finite, the driver's own
-    retirement test; a retraction that failed at step t writes the same rows
-    as a non-finite record at t + 1 can, and may read as t + 1."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        with warnings.catch_warnings():  # a file without rows is named below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if not data.size:
-        raise ValueError(f"{path}: no data rows")
-    if data.shape[1] != len(_CSV_COLUMNS):
-        raise ValueError(f"{path}: expected {len(_CSV_COLUMNS)} columns, found {data.shape[1]}")
-    fields = {attr: data[:, i].astype(kind, copy=False)
-              for i, (_, attr, kind) in enumerate(_CSV_COLUMNS) if attr is not None}
-    rho = fields.pop("rho")
-    status, abort_t = "ok", None
-    if np.isnan(fields["F"][-1]):
-        status = "nonfinite"
-        abort_t = int(np.argmin(np.isfinite(fields["F"]) & np.isfinite(fields["grad_norm"])))
-    return Trajectory(
-        seed=seed,
-        noise_inner=np.full(len(data), np.nan),
-        rho=None if np.all(np.isnan(rho)) else rho,
-        status=status,
-        abort_t=abort_t,
-        **fields,
-    )
-
-
 def _blocks(plan: BatchPlan, T: int, s_count: int, d: int):
     """Split steps 0 .. T-1 into (t0, t1) blocks that keep one batch size b
     and hold at most max(1, _BLOCK_WORDS // (S * max(b, d))) steps each,
@@ -275,32 +124,18 @@ def _blocks(plan: BatchPlan, T: int, s_count: int, d: int):
         t0 = t1
 
 
-def record_nbytes(n_seeds: int, horizon: int) -> int:
-    """Bytes of the records ``_run_block`` allocates for a run with rho: per
-    seed and step six float64 columns (F, grad_norm, step, batch_grad_norm,
-    noise_inner, rho) and the bool in_region, and per step the batch size."""
-    return (49 * n_seeds + 8) * (horizon + 1)
-
-
-def _run_block(cfg: RunConfig, seeds: np.ndarray) -> list[Trajectory]:
+def _run_block(cfg: RunConfig, seeds: np.ndarray, sink=None) -> list:
     oracle, plan, man = cfg.oracle, cfg.plan, cfg.oracle.manifold
     T = cfg.horizon
     seeds = np.asarray(seeds, dtype=np.int64)
     s_count = seeds.size
+    sink = MemorySink(cfg, s_count) if sink is None else sink
     d = man.ambient_dim
     cm = coordinate_major(s_count, d)
 
     x = _empty((s_count, d), cm)
     x[...] = cfg.x0
     nan = np.nan
-    F = np.full((s_count, T + 1), nan)
-    gn = np.full((s_count, T + 1), nan)
-    step = np.full((s_count, T + 1), nan)
-    bgn = np.full((s_count, T + 1), nan)
-    noise = np.full((s_count, T + 1), nan)
-    bsize = np.zeros(T + 1, dtype=np.int64)
-    rho_rec = np.full((s_count, T + 1), nan) if cfg.rho is not None else None
-    iterates = np.full((s_count, T + 1, d), nan) if cfg.store_iterates else None
 
     # alive: not retired by the records evaluated so far
     alive = np.ones(s_count, dtype=bool)
@@ -318,18 +153,19 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray) -> list[Trajectory]:
         g = oracle.full_gradient(xs)
         return oracle.cost(xs), g, man.norm(xs, g)
 
-    def put(rec, cols, values, keep):
+    def mask(values, keep):
         # keep is None when no row has retired: the values go in unmasked
-        rec[:, cols] = values if keep is None else np.where(keep, values, nan)
+        return values if keep is None else np.where(keep, values, nan)
 
-    def write_states(t, xs, fx, gnt, keep):
-        cols = slice(t, t + xs.shape[1])
-        put(F, cols, fx, keep)
-        put(gn, cols, gnt, keep)
-        if rho_rec is not None:
-            put(rho_rec, cols, cfg.rho(xs), keep)
-        if iterates is not None:
-            put(iterates, cols, xs, None if keep is None else keep[..., None])
+    def records(t0, xs, fx, gnt, state_keep, step, sizes, bgn, noise, step_keep):
+        rho = None if cfg.rho is None else mask(cfg.rho(xs), state_keep)
+        return Records(
+            t0=t0, F=mask(fx, state_keep), grad_norm=mask(gnt, state_keep),
+            step=mask(step, step_keep), batch_size=sizes,
+            batch_grad_norm=mask(bgn, step_keep), noise_inner=mask(noise, step_keep), rho=rho,
+            in_region=None if rho is None or cfg.region_rho1 is None else rho <= cfg.region_rho1,
+            iterates=None if not cfg.store_iterates
+            else mask(xs, None if state_keep is None else state_keep[..., None]))
 
     # overflow/invalid are tolerated: rows going non-finite are caught and retired
     with np.errstate(over="ignore", invalid="ignore"):
@@ -338,7 +174,7 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray) -> list[Trajectory]:
             block = plan.draw(t0, t1, seeds)
             weights = plan.weights_at(t0)
             equal = bool(np.all(weights == weights[0]))
-            bsize[t0:t1] = block.shape[2]
+            sizes = np.full(n_steps, block.shape[2], dtype=np.int64)
             if not adaptive:
                 rates = np.array([cfg.rate.gamma(t) for t in range(t0, t1)])
                 neg_rates = (-rates).tolist()
@@ -414,55 +250,30 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray) -> list[Trajectory]:
 
             every_alive = bool(np.logical_and.reduce(alive))
             ks = np.arange(n_steps)
-            write_states(t0, xs, fx, gnt, None if every_alive else ks <= last_state[:, None])
-            keep = None if every_alive else ks <= last_step[:, None]
-            cols = slice(t0, t1)
-            put(bgn, cols, bhs if adaptive else man.norm(xs, hs), keep)
-            put(noise, cols, man.inner(xs, g, hs - g), keep)
-            put(step, cols, etas if adaptive else rates, keep)
+            sink.put(records(
+                t0, xs, fx, gnt, None if every_alive else ks <= last_state[:, None],
+                etas if adaptive else rates[None], sizes, bhs if adaptive else man.norm(xs, hs),
+                man.inner(xs, g, hs - g), None if every_alive else ks <= last_step[:, None]))
 
         fx, _, gnt = evaluate(x[:, None])
-        write_states(T, x[:, None], fx, gnt, None if every_alive else alive[:, None])
 
+    # the final state has no step: its rate is the one the next step would use
     if adaptive:
-        step[:, T] = np.where(alive, cfg.rate.alpha / np.power(cfg.rate.beta + acc, expo), nan)
+        step_T = np.where(alive, cfg.rate.alpha / np.power(cfg.rate.beta + acc, expo), nan)
     else:
         try:
-            step[:, T] = np.where(alive, cfg.rate.gamma(T), nan)
+            step_T = np.where(alive, cfg.rate.gamma(T), nan)
         except IndexError:
-            pass
+            step_T = np.full(s_count, nan)
+    no_step = np.full((s_count, 1), nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sink.put(records(T, x[:, None], fx, gnt, None if every_alive else alive[:, None],
+                         step_T[:, None], np.zeros(1, dtype=np.int64), no_step, no_step, None))
 
-    if rho_rec is not None and cfg.region_rho1 is not None:
-        with np.errstate(invalid="ignore"):
-            in_reg = rho_rec <= cfg.region_rho1
-    else:
-        in_reg = np.ones((s_count, T + 1), dtype=bool)
-
-    out = []
-    for i, s in enumerate(seeds):
-        if degenerate[i]:
-            status = "degenerate"
-        elif alive[i]:
-            status = "ok"
-        else:
-            status = "nonfinite"
-        out.append(
-            Trajectory(
-                seed=int(s),
-                F=F[i],
-                grad_norm=gn[i],
-                step=step[i],
-                batch_size=bsize,
-                batch_grad_norm=bgn[i],
-                noise_inner=noise[i],
-                in_region=in_reg[i],
-                rho=None if rho_rec is None else rho_rec[i],
-                status=status,
-                abort_t=None if abort_t[i] < 0 else int(abort_t[i]),
-                iterates=None if iterates is None else iterates[i],
-            )
-        )
-    return out
+    status = ["degenerate" if degenerate[i] else "ok" if alive[i] else "nonfinite"
+              for i in range(s_count)]
+    return sink.close(seeds.tolist(), status,
+                      [None if t < 0 else t for t in abort_t.tolist()])
 
 
 def run_deterministic(cfg: RunConfig) -> Trajectory:
@@ -479,16 +290,18 @@ def run_adaptive(cfg: RunConfig) -> Trajectory:
     return run_many(cfg, 1)[0]
 
 
-def run_many(cfg: RunConfig, n_seeds: int) -> list[Trajectory]:
+def run_many(cfg: RunConfig, n_seeds: int, sink=None) -> list:
     """Independent trajectories with seeds cfg.seed .. cfg.seed + n_seeds - 1.
 
     Results are identical to running each seed alone (same arithmetic, and
-    draws depend only on (seed, t)), merged in seed order.
+    draws depend only on (seed, t)), merged in seed order: one
+    ``Trajectory`` per seed from the default ``MemorySink``, or what the
+    given sink's ``close`` returns, one result per seed.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    out = _run_block(cfg, cfg.seed + np.arange(n_seeds, dtype=np.int64))
-    bad = [tr.seed for tr in out if tr.status == "degenerate"]
+    out = _run_block(cfg, cfg.seed + np.arange(n_seeds, dtype=np.int64), sink)
+    bad = [r.seed for r in out if r.status == "degenerate"]
     if bad:
         raise DegenerateRetraction(f"retraction degenerated for seeds {bad}")
     return out

@@ -12,6 +12,9 @@ import numpy as np
 from .errors import InvalidHyperparameters
 
 _SQUARE_SUM_TERMS = 10**6
+# most terms sum_of_squares holds at once: a multiple of 8 above numpy's
+# pairwise block of 128
+_SQUARE_SUM_LEAF = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -99,9 +102,9 @@ def sum_of_squares(schedule) -> float:
     """Upper bound on sigma = sum_t gamma_t^2, tight to ~1e-9 for power laws.
 
     Computed as an exact partial sum over ``_SQUARE_SUM_TERMS`` entries plus
-    an integral tail bound; requires a square-summable schedule.  The terms
-    are built in place in one float64 buffer, so a call holds 8 bytes per
-    term and no more.
+    an integral tail bound; requires a square-summable schedule.  The
+    partial sum has the bits of ``np.sum`` over one buffer of all the terms,
+    in memory that holds at most ``_SQUARE_SUM_LEAF`` of them (``_pairwise``).
     """
     if isinstance(schedule, ExplicitSchedule):
         return float(np.sum(np.asarray(schedule.values) ** 2))
@@ -109,24 +112,45 @@ def sum_of_squares(schedule) -> float:
         raise TypeError(f"unsupported schedule type {type(schedule).__name__}")
     if 2 * schedule.p <= 1:
         raise ValueError("sum of squares diverges for 2p <= 1")
-    g = np.arange(1.0, _SQUARE_SUM_TERMS + 1.0)
-    np.power(g, schedule.p, out=g)
-    np.divide(schedule.c, g, out=g)
-    np.minimum(1.0, g, out=g)
-    np.multiply(g, g, out=g)
-    partial = float(np.sum(g))
+
+    def leaf(lo, hi):
+        # the terms gamma_t^2 for t = lo .. hi - 1, built in place
+        g = np.arange(lo + 1.0, hi + 1.0)
+        np.power(g, schedule.p, out=g)
+        np.divide(schedule.c, g, out=g)
+        np.minimum(1.0, g, out=g)
+        np.multiply(g, g, out=g)
+        return np.add.reduce(g)
+
+    partial = float(_pairwise(leaf, 0, _SQUARE_SUM_TERMS))
     # sum_{t >= M} (t+1)^{-2p} <= integral_{M-1}^{inf} (x+1)^{-2p} dx
     tail = (schedule.c**2 * float(_SQUARE_SUM_TERMS) ** (1.0 - 2.0 * schedule.p)
             / (2.0 * schedule.p - 1.0))
     return partial + tail
 
 
-def cumulative_squares(schedule, horizon: int) -> np.ndarray:
-    """Partial sums: entry t holds sum_{j < t} gamma_j^2, for t = 0 .. horizon."""
-    g = np.array([schedule.gamma(t) for t in range(horizon)], dtype=float)
-    out = np.zeros(horizon + 1)
-    np.cumsum(g * g, out=out[1:])
-    return out
+def _pairwise(leaf, lo: int, n: int):
+    """The sum of terms lo .. lo + n - 1 as ``np.add.reduce`` adds one
+    contiguous float64 array of them: numpy splits more than 128 terms into
+    halves, the first rounded down to a multiple of 8, and adds the halves'
+    sums.  The split is walked down to runs of at most ``_SQUARE_SUM_LEAF``
+    terms, each summed by ``leaf(lo, hi)`` with ``np.add.reduce`` (which
+    adds its terms the same way, to a starting 0.0 that changes no sum of
+    squares)."""
+    if n <= _SQUARE_SUM_LEAF:
+        return leaf(lo, lo + n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(leaf, lo, half) + _pairwise(leaf, lo + half, n - half)
+
+
+def cumulative_squares(schedule, horizon: int, start: int = 0, base: float = 0.0) -> np.ndarray:
+    """Partial sums: entry t - start holds sum_{j < t} gamma_j^2, for t =
+    start .. horizon, given base = sum_{j < start} gamma_j^2.  The sums are
+    sequential, so the entries of consecutive calls, each given the last
+    entry of the one before as its base, are those of one call."""
+    g = np.array([schedule.gamma(t) for t in range(start, horizon)], dtype=float)
+    return np.cumsum(np.concatenate(([base], g * g)))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ The oracles held here:
 * ``sample_gradient``: H(x, l) for one outcome;
 * ``running_min_grad_norm``: the running minimum of a trajectory's gradient norm;
 * ``rowwise_csv``: the trajectory CSV one row at a time, the reference for
-  ``Trajectory.write_csv``;
+  ``Trajectory.write_csv`` and ``records.CsvSink``;
 * ``broadcast_sample_gradients``, ``mean_combine``, ``sum_dot`` and
   ``broadcast_retract_flagged``: the step kernels written with broadcasts and
   ``ndarray.sum`` / ``mean``, the references for both problems'
@@ -38,7 +38,13 @@ The oracles held here:
   cost and of the least-squares gradient with ``ndarray.sum`` along d, the
   references for the record sums;
 * ``one_shot_sum_of_squares``: sigma from a partial sum built in fresh arrays,
-  the reference for ``schedules.sum_of_squares``;
+  and ``one_buffer_sum_of_squares``, the same terms built in place in one
+  buffer and summed by one ``np.sum``, the references for
+  ``schedules.sum_of_squares``;
+* ``list_convergence_metrics``: the convergence summary over every seed's
+  whole trajectory at once, with one (S, T+1) array of squared gradient
+  norms and a ``cumsum`` per seed, the reference for
+  ``diagnostics.ConvergenceFold``;
 * ``one_shot_check_plain_confinement``, ``one_shot_estimate_constants`` and
   ``one_shot_check_kappa_confinement``: the confinement samplers over all
   sample points at once, with one (n, N, d) gradient table, one Dirichlet
@@ -61,10 +67,10 @@ from rsgd import rng as crng
 from rsgd.batching import _STREAM_SEGMENT, _STREAM_STRATIFIED, _STREAM_SUBSET
 from rsgd.confinement import (_INVARIANT_SLACK, _N_COMBOS, _SAFETY, ConfinementConstants,
                               ConfinementReport, hessian_quadform, sample_rho_levels)
-from rsgd.driver import CSV_HEADER, Trajectory
 from rsgd.errors import InvalidPlan, SamplerFailure
 from rsgd.manifolds import DEGENERACY_EPS, Euclidean, Sphere
 from rsgd.problems import RegularizedLeastSquaresProblem, SphereMeanProblem
+from rsgd.records import CSV_HEADER, Trajectory
 from rsgd.schedules import _SQUARE_SUM_TERMS, AdaptiveRate, ExplicitSchedule
 
 
@@ -484,6 +490,48 @@ def one_shot_sum_of_squares(schedule) -> float:
     tail = (schedule.c**2 * float(_SQUARE_SUM_TERMS) ** (1.0 - 2.0 * schedule.p)
             / (2.0 * schedule.p - 1.0))
     return partial + tail
+
+
+def one_buffer_sum_of_squares(schedule) -> float:
+    """sigma with the _SQUARE_SUM_TERMS terms of a power law built in place in
+    one float64 buffer and summed by one ``np.sum``, plus the integral tail."""
+    g = np.arange(1.0, _SQUARE_SUM_TERMS + 1.0)
+    np.power(g, schedule.p, out=g)
+    np.divide(schedule.c, g, out=g)
+    np.minimum(1.0, g, out=g)
+    np.multiply(g, g, out=g)
+    tail = (schedule.c**2 * float(_SQUARE_SUM_TERMS) ** (1.0 - 2.0 * schedule.p)
+            / (2.0 * schedule.p - 1.0))
+    return float(np.sum(g)) + tail
+
+
+def list_convergence_metrics(trajectories: list, threshold: float = 1e-3) -> dict:
+    """The convergence summary with every trajectory's records at once."""
+    finals = np.array([tr.grad_norm[-1] for tr in trajectories])
+    mins = np.array([tr.grad_norm.min() for tr in trajectories])
+    T = trajectories[0].horizon
+    gsq = np.stack([tr.grad_norm**2 for tr in trajectories])
+    weighted, last_decade = [], []
+    for tr in trajectories:
+        csum = np.cumsum(tr.step[:T] * tr.grad_norm[:T] ** 2)
+        weighted.append(float(csum[-1]) if T else 0.0)
+        last_decade.append(float(csum[-1] - csum[int(0.9 * T)]) if T else 0.0)
+    statuses = [tr.status for tr in trajectories]
+    return {
+        "n_seeds": len(trajectories),
+        "horizon": T,
+        "threshold": threshold,
+        "final_grad_norms": finals.tolist(),
+        "fraction_final_below": float((finals <= threshold).mean()),
+        "min_grad_norms": mins.tolist(),
+        "fraction_min_below": float((mins <= threshold).mean()),
+        "mean_square_final": float(gsq[:, -1].mean()),
+        "mean_square_curve": gsq.mean(axis=0),
+        "weighted_grad_square_sums": weighted,
+        "last_decade_increments": last_decade,
+        "statuses": statuses,
+        "all_ok": bool(all(s == "ok" for s in statuses)),
+    }
 
 
 def _band_points(spec, dim, lo, hi, n, key):

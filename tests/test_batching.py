@@ -466,13 +466,37 @@ def test_enumeration_equals_full_gradient_nonuniform(problem, scheme, n, d, data
     assert np.sqrt((dev * dev).sum()) <= 1e-12 * max(1.0, scale)
 
 
+def test_enumeration_memory_does_not_grow_with_the_gather():
+    # the 20 points of check unbiasedness over two full chunks of 2^15
+    # batches: doubling b adds the chunk's outcome indices (8 bytes per batch
+    # and position), not its gathered gradients (8 b d bytes per batch),
+    # which once took 2 MiB at b = 2 and 4 MiB at b = 4
+    peaks = []
+    for n, b in ((182, 2), (14, 4)):
+        prob = random_least_squares(4, n, seed=3, tau=0.2, region_rho1=4.0)
+        plan = SegmentPlan(prob.space, BatchSizes.constant(b))
+        xs = np.random.default_rng(0).normal(size=(20, 4))
+        tracemalloc.start()
+        try:
+            enumerate_expectation(prob, xs, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    chunk = batching._ENUM_CHUNK
+    assert peaks[1] < peaks[0] + 2 * 8 * chunk and peaks[1] < 5 * 2**20, peaks
+
+
 @settings(max_examples=150, deadline=None)
 @given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
        uniform=st.booleans(), d=st.sampled_from([1, 2, 4, 7, 8, 9]), b=st.integers(1, 9),
-       chunk=st.sampled_from([1, 5, 64, 1 << 15]), data=st.data())
-def test_enumeration_bits_equal_a_row_major_accumulation(scheme, uniform, d, b, chunk, data):
-    # whatever memory the batch averages are formed in, the expectation and
-    # the variance keep the bits of averaging a row-major gather table[idx]
+       chunk=st.sampled_from([1, 5, 64, 1 << 15]), words=st.sampled_from([1, 50, 1 << 15]),
+       data=st.data())
+def test_enumeration_bits_equal_a_row_major_accumulation(scheme, uniform, d, b, chunk, words,
+                                                         data):
+    # whatever memory the batch averages are formed in, and over whatever
+    # slices of a chunk, the expectation and the variance keep the bits of
+    # averaging a row-major gather table[idx]
     if scheme == "no_repetition":
         uniform, n = True, data.draw(st.integers(b, b + 3))
     else:
@@ -500,7 +524,8 @@ def test_enumeration_bits_equal_a_row_major_accumulation(scheme, uniform, d, b, 
         cuts = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False)) if k > 1 else []
         counts = np.diff([0, *sorted(rng.choice(np.arange(1, b), size=k - 1, replace=False)), b])
         plan = StratifiedPlan(prob.space, np.split(order, cuts), counts)
-    with mock.patch.object(batching, "_ENUM_CHUNK", chunk):
+    with mock.patch.object(batching, "_ENUM_CHUNK", chunk), \
+            mock.patch.object(batching, "_ENUM_WORDS", words):
         mean, var = enumerate_expectation(prob, x, plan), variance_report(prob, x, plan)
         chunks = list(plan.iter_outcome_chunks(0))
     table = prob.sample_gradients(x, np.arange(n))

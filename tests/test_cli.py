@@ -1,6 +1,7 @@
 import configparser
 import json
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -8,10 +9,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rsgd import cli
+from rsgd import cli, driver, records
 from rsgd import confinement as conf
 from rsgd.cli import CONFIG_KEYS, _parse_strata, build_plan, load_config, main
-from rsgd.driver import CSV_HEADER, record_nbytes
+from rsgd.records import CSV_HEADER, CsvSink
+from rsgd.manifolds import Sphere
 from rsgd.problems import FiniteSampleSpace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -351,6 +353,26 @@ class TestReport:
         assert not (out / "report.json").exists()
 
 
+    def test_report_memory_is_flat_in_the_files(self, sphere_config):
+        # one file is read, folded and dropped at a time: ten times the
+        # files hold no more memory (the 36 more files parsed would take
+        # 4.4 MiB)
+        cfg, _ = sphere_config
+        peaks = []
+        for seeds in (4, 40):
+            out = cfg.parent / f"runs{seeds}"
+            cfg.write_text(SPHERE_CONFIG.format(out=out).replace("seeds = 3", f"seeds = {seeds}"))
+            assert main(["run", "--config", str(cfg), "--horizon", "2000", "--quiet"]) == 0
+            main(["report", "--out", str(out), "--quiet"])  # warm caches
+            tracemalloc.start()
+            try:
+                assert main(["report", "--out", str(out), "--quiet"]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < peaks[0] + 64 * 1024, peaks
+
     def test_aborted_run_reports_its_nonfinite_seeds(self, tmp_path, capsys):
         # 16 least-squares rows scaled x30 diverge under c = 0.9: run exits 3
         # and writes every seed's CSV; report reads the same statuses back
@@ -587,7 +609,7 @@ class TestRunInputs:
             "seed-past-int64", "seed-flag-past-int64", "seed-wraps", "seed-flag-wraps",
             "batch-growth-nan", "size-keys-exclusive", "stratified-batch-size",
             "stratified-batch-growth", "stratified-batch-sizes", "batch-sizes-short",
-            "horizon-flag-past-memory", "seeds-past-memory"])
+            "horizon-flag-past-2-53", "seeds-past-memory"])
     def test_exit_2(self, sphere_config, capsys, edits, argv, key):
         cfg, out = sphere_config
         bad_csv = cfg.parent / "bad.csv"
@@ -601,16 +623,40 @@ class TestRunInputs:
         assert err.startswith("config error:") and key in err
         assert not out.exists()
 
-    def test_records_bounded_by_physical_memory(self, sphere_config, capsys, monkeypatch):
+    def test_csv_buffers_bounded_by_physical_memory(self, sphere_config, capsys, monkeypatch):
         cfg, out = sphere_config
-        need = record_nbytes(3, 200)
+        need = CsvSink.nbytes(3, 200)
         monkeypatch.setattr(cli, "_physical_bytes", lambda: need - 1)
         assert main(["run", "--config", str(cfg), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: [run] seeds = 3 and [run] horizon")
+        assert err.startswith("config error: [run] seeds = 3 needs")
         assert not out.exists()
         monkeypatch.setattr(cli, "_physical_bytes", lambda: need)
         assert main(["run", "--config", str(cfg), "--quiet"]) == 0
+
+    def test_run_memory_is_flat_in_the_horizon(self, sphere_config):
+        # the records stream into the CSVs and the summary, so ten times the
+        # steps hold no more memory; in memory, the records of the 4,500
+        # more steps of 3 seeds alone would take 646 KiB.  Blocks of 85
+        # steps and CSV chunks of 64 rows keep both horizons many of each.
+        # The longer run leaves some 25 KiB more in the interpreter's free
+        # lists of small objects, which tracemalloc counts as held.
+        cfg, out = sphere_config
+        peaks = []
+        with mock.patch.object(driver, "_BLOCK_WORDS", 1 << 10), \
+                mock.patch.object(records, "_CSV_CHUNK", 64):
+            main(["run", "--config", str(cfg), "--horizon", "100", "--quiet"])  # warm caches
+            for horizon in (500, 5_000):
+                tracemalloc.start()
+                try:
+                    assert main(["run", "--config", str(cfg), "--horizon", str(horizon),
+                                 "--quiet"]) == 0
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                peaks.append(peak)
+        assert len((out / "exp_seed1.csv").read_text().splitlines()) == 5_002
+        assert peaks[1] < peaks[0] + 128 * 1024, peaks
 
     @pytest.mark.parametrize("argv", [["run"], ["check", "schedule"],
                                       ["check", "unbiasedness"]])
@@ -628,6 +674,79 @@ class TestRunInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [run] out (or --out) = {cfg / below} cannot be "
                               f"created: {reason}")
+
+    @pytest.mark.parametrize("blocked", ["exp_seed2.csv", "exp_summary.json"])
+    def test_run_output_that_is_a_directory_exits_2_before_any_work(self, sphere_config,
+                                                                    capsys, blocked):
+        # once an IsADirectoryError traceback after the run, with the CSVs
+        # of a run whose summary failed left behind
+        cfg, out = sphere_config
+        (out / blocked).mkdir(parents=True)
+        with mock.patch.object(cli, "run_many", side_effect=AssertionError("ran")):
+            assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == (f"config error: output file {out / blocked} cannot "
+                                           "be written: it is a directory\n")
+        assert [f.name for f in out.iterdir()] == [blocked]
+
+    def test_check_output_that_is_a_directory_exits_2_before_any_work(self, sphere_config,
+                                                                      capsys):
+        cfg, out = sphere_config
+        (out / "check_unbiasedness.json").mkdir(parents=True)
+        with mock.patch.object(cli, "enumerate_expectation",
+                               side_effect=AssertionError("enumerated")):
+            assert main(["check", "unbiasedness", "--config", str(cfg), "--quiet"]) == 2
+        assert "output file" in capsys.readouterr().err
+        assert [f.name for f in out.iterdir()] == ["check_unbiasedness.json"]
+
+    def test_report_output_that_is_a_directory_exits_2(self, sphere_config, capsys):
+        cfg, out = sphere_config
+        assert main(["run", "--config", str(cfg), "--horizon", "20", "--quiet"]) == 0
+        (out / "report.json").mkdir()
+        assert main(["report", "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (f"config error: output file {out / 'report.json'} "
+                                           "cannot be written: it is a directory\n")
+
+    def test_unwritable_output_names_the_file(self, sphere_config, capsys, monkeypatch):
+        # a write that fails during the run is named too, and leaves no file
+        cfg, out = sphere_config
+        real_open = open
+
+        def full_disk(path, *args, **kw):
+            if str(path).endswith("exp_seed3.csv.part"):
+                raise OSError(28, "No space left on device", str(path))
+            return real_open(path, *args, **kw)
+
+        monkeypatch.setattr("builtins.open", full_disk)
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == (f"config error: output file {out / 'exp_seed3.csv'}"
+                                           ".part cannot be written: No space left on device\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("abort", ["degenerate", "confinement"])
+    def test_aborted_run_leaves_no_file(self, tmp_path, capsys, monkeypatch, abort):
+        # every block reached its CSV before the run ended in the error
+        out = tmp_path / "runs"
+        cfg = tmp_path / "exp.ini"
+        if abort == "degenerate":
+            cfg.write_text(SPHERE_CONFIG.format(out=out))
+            retract = Sphere.retract_flagged
+
+            def degenerate(self, x, v):
+                y, ok = retract(self, x, v)
+                return y, ok & (np.arange(len(ok)) != 1)
+
+            monkeypatch.setattr(Sphere, "retract_flagged", degenerate)
+            message = "run aborted: retraction degenerated for seeds [2]"
+        else:
+            cfg.write_text(LS_CONFINED_CONFIG.format(out=out))
+            cumulative = conf.cumulative_squares
+            monkeypatch.setattr(conf, "cumulative_squares",
+                                lambda *args: cumulative(*args) - 1e6)
+            message = "run aborted: induction invariant failed at t=0"
+        with mock.patch.object(records, "_CSV_CHUNK", 64):
+            assert main(["run", "--config", str(cfg), "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
     def test_list_rate_covering_the_horizon_runs(self, sphere_config):
         cfg, out = sphere_config

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsgd import (
     AdaptiveRate,
@@ -24,8 +26,11 @@ from rsgd import (
     sum_of_squares,
     track_martingale,
 )
+from rsgd.diagnostics import ConvergenceFold
 from rsgd.driver import Trajectory
 from rsgd.problems import GradientOracle
+
+from reference import list_convergence_metrics
 
 
 class QuadraticProblem(GradientOracle):
@@ -214,6 +219,61 @@ class TestConvergenceMetrics:
     def test_requires_trajectories(self):
         with pytest.raises(ValueError):
             convergence_metrics([])
+
+    def test_refuses_trajectories_of_different_horizons(self):
+        _, a = _sphere_run(horizon=20)
+        _, b = _sphere_run(horizon=30)
+        with pytest.raises(ValueError, match="horizons 20 and 30"):
+            convergence_metrics([a, b])
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit, NaN included, as numbers or lists of numbers."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(n_seeds=st.sampled_from([1, 2, 7, 8, 9, 30]), horizon=st.sampled_from([0, 1, 2, 9, 300])
+       | st.integers(0, 40), curve_points=st.sampled_from([None, 4, 256]), data=st.data())
+def test_fold_has_the_bits_of_the_list_form(n_seeds, horizon, curve_points, data):
+    # seeds retired at drawn steps (NaN from there on), norms over many
+    # decades, folded trajectory by trajectory and block by block
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    trs = []
+    for seed in range(n_seeds):
+        gn = rng.random(horizon + 1) * 10.0 ** rng.uniform(-8, 3, horizon + 1)
+        step = rng.random(horizon + 1) * 10.0 ** rng.uniform(-3, 0)
+        status = "ok"
+        if data.draw(st.booleans()):
+            end = data.draw(st.integers(0, horizon))
+            gn[end:], step[end:], status = np.nan, np.nan, "nonfinite"
+        trs.append(Trajectory(seed=seed, F=gn, grad_norm=gn, step=step, batch_size=None,
+                              batch_grad_norm=gn, noise_inner=gn, in_region=None,
+                              status=status))
+    want = list_convergence_metrics(trs)
+    fold = ConvergenceFold(n_seeds, horizon, curve_points=curve_points)
+    t0 = 0
+    while t0 <= horizon:
+        # blocks in either memory order, as a coordinate-major run hands them
+        order = data.draw(st.sampled_from("CF"))
+        k = data.draw(st.integers(1, horizon + 1 - t0))
+        fold.add(t0, 0, np.stack([tr.grad_norm[t0:t0 + k] for tr in trs]).copy(order),
+                 np.stack([tr.step[t0:t0 + k] for tr in trs]).copy(order))
+        t0 += k
+    fold.close(range(n_seeds), [tr.status for tr in trs], [None] * n_seeds)
+    folded = fold.result()
+    if curve_points is not None and horizon + 1 > curve_points:
+        kept = np.unique(np.linspace(0, horizon, curve_points).astype(int))
+        assert _same(folded.pop("mean_square_curve"), want["mean_square_curve"][kept])
+        folded["mean_square_curve"] = want["mean_square_curve"]
+    for got in (folded, convergence_metrics(trs)):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if key in ("n_seeds", "horizon", "statuses", "all_ok"):
+                assert got[key] == value, key
+            else:
+                assert _same(got[key], value), key
 
 
 class CorruptedGradientProblem(GradientOracle):

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,7 +30,7 @@ from rsgd import (
     run_deterministic,
     run_many,
 )
-from rsgd import driver
+from rsgd import driver, records
 from rsgd.driver import _run_block
 from rsgd.manifolds import _CM_SEEDS, Sphere, coordinate_major
 from rsgd.schedules import ScaledSchedule
@@ -243,18 +247,12 @@ class TestRegionMonitor:
         assert np.all(tr.in_region)
 
 
-@pytest.mark.parametrize("region_rho1", [None, 1.0])
-def test_record_nbytes_is_what_a_run_with_rho_holds(region_rho1):
+def test_csv_sink_nbytes_is_what_its_buffer_holds():
     # the figure the CLI checks against physical memory before a run
-    p = random_least_squares(2, 4, seed=3, tau=0.05)
-    cfg = RunConfig(oracle=p, plan=SegmentPlan(p.space, BatchSizes.constant(2)),
-                    rate=PowerLawSchedule(0.5, 0.75), x0=np.array([2.0, 0.0]), horizon=20,
-                    rho=lambda x: (x * x).sum(axis=-1), region_rho1=region_rho1)
-    trs = driver.run_many(cfg, 3)
-    columns = ("F", "grad_norm", "step", "batch_grad_norm", "noise_inner", "rho", "in_region")
-    assert all(tr.batch_size is trs[0].batch_size for tr in trs)
-    held = sum(getattr(tr, c).nbytes for tr in trs for c in columns) + trs[0].batch_size.nbytes
-    assert held == driver.record_nbytes(3, 20)
+    for horizon in (20, 5000):
+        sink = records.CsvSink([f"seed{s}.csv" for s in range(3)], horizon)
+        held = sum(a.nbytes for a in sink.buf.values()) + sink.sizes.nbytes
+        assert held == records.CsvSink.nbytes(3, horizon)
 
 
 class TestCsv:
@@ -281,7 +279,8 @@ class TestCsv:
                         rate=PowerLawSchedule(0.9, 0.75), x0=np.zeros(3), horizon=200)
         trs = run_many(cfg, 3) + run_many(replace(cfg, horizon=20), 1)
         paths = [tmp_path / f"run{i}.csv" for i in range(len(trs))]
-        driver.write_csvs(trs, paths)
+        for tr, path in zip(trs, paths):
+            tr.write_csv(path)
         assert [tr.status for tr in trs] == ["nonfinite"] * 3 + ["ok"]
         for tr, path in zip(trs, paths):
             back = read_trajectory_csv(path, seed=tr.seed)
@@ -303,7 +302,7 @@ _SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
 def _csv_trajectory(data) -> Trajectory:
     """A trajectory of 1 to three CSV chunks of rows whose float columns hold
     random bit patterns (every class of double) plus drawn special values."""
-    chunk = driver._CSV_CHUNK
+    chunk = records._CSV_CHUNK
     n = data.draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1])
                   | st.integers(1, 3 * chunk))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -374,79 +373,50 @@ def test_csv_write_memory_is_flat(tmp_path):
     assert peak < 4 * 2**20
 
 
-def _run_of_trajectories(data, rng, first_seed, all_steps):
-    """The trajectories of one run: one horizon, one batch-size column and
-    the first steps of all_steps; each seed shares the run's steps, is
-    retired at a drawn step (NaN from there on), or has steps of its own, as
-    under the adaptive rule."""
-    n = data.draw(st.sampled_from([1, driver._CSV_CHUNK]) | st.integers(1, all_steps.size))
-    steps = all_steps[:n]
-    sizes = rng.integers(0, 3, size=n)
-    with_rho = data.draw(st.booleans())
-    out = []
-    for seed in range(first_seed, first_seed + data.draw(st.integers(1, 4))):
-        kind = data.draw(st.sampled_from(["shared", "retired", "own"]))
-        step = steps.copy()
-        if kind == "retired":
-            step[data.draw(st.integers(0, n - 1)):] = np.nan
-        elif kind == "own":
-            step = rng.random(n)
-        out.append(Trajectory(
-            seed=seed, F=rng.random(n), grad_norm=rng.random(n), step=step, batch_size=sizes,
-            batch_grad_norm=rng.random(n), noise_inner=rng.random(n),
-            in_region=rng.random(n) < 0.5, rho=rng.random(n) if with_rho else None))
-    return out
+# eight seeds of one run, 100,001 rows each, streamed through a CsvSink in
+# blocks of 1,000 steps: four share the run's steps and four have their own;
+# prints the growth of the process's peak RSS, in KiB, over writing them.
+# The peak is VmHWM, this process's own since its exec: ru_maxrss also
+# counts the RSS of the interpreter it was forked from.
+_EIGHT_LONG_FILES = """
+import sys
+import numpy as np
+from rsgd import records
+n = 100_001
+rng = np.random.default_rng(3)
+steps = rng.random(n)
+step = np.stack([steps if s < 4 else rng.random(n) for s in range(8)])
+cols = {name: rng.random((8, n))
+        for name in ("F", "grad_norm", "batch_grad_norm", "noise_inner", "rho")}
+sink = records.CsvSink([f"{sys.argv[1]}/long{s}.csv" for s in range(8)], n - 1)
 
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_csvs_bytes_equal_rowwise_writer(tmp_path_factory, data):
-    # runs of different horizons and batch sizes over the same steps, with
-    # shared, retired and own steps, written through groups of open files
-    # smaller than the list
-    files = data.draw(st.integers(1, 4))
-    chunk = data.draw(st.sampled_from([1, 7, 64]))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    all_steps = rng.integers(0, 2**64, size=3 * chunk, dtype=np.uint64).view(np.float64)
-    all_steps[rng.random(all_steps.size) < 0.3] = data.draw(st.sampled_from(_SPECIAL_FLOATS))
-    with mock.patch.object(driver, "_CSV_FILES", files), \
-            mock.patch.object(driver, "_CSV_CHUNK", chunk):
-        trs = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            trs += _run_of_trajectories(data, rng, len(trs), all_steps)
-        tmp = tmp_path_factory.mktemp("csvs")
-        driver.write_csvs(trs, [tmp / f"seed{tr.seed}.csv" for tr in trs])
-    for tr in trs:
-        rowwise_csv(tr, tmp / "rowwise.csv")
-        assert (tmp / f"seed{tr.seed}.csv").read_bytes() == (tmp / "rowwise.csv").read_bytes()
-
-
-def test_csvs_need_one_path_per_trajectory(tmp_path):
-    tr = Trajectory(seed=0, F=np.zeros(2), grad_norm=np.zeros(2), step=np.zeros(2),
-                    batch_size=np.ones(2, dtype=np.int64), batch_grad_norm=np.zeros(2),
-                    noise_inner=np.zeros(2), in_region=np.ones(2, dtype=bool))
-    with pytest.raises(ValueError, match="2 trajectories but 1 paths"):
-        driver.write_csvs([tr, tr], [tmp_path / "a.csv"])
+before = peak_kib()
+for t0 in range(0, n, 1000):
+    k = min(1000, n - t0)
+    block = {name: col[:, t0:t0 + k] for name, col in cols.items()}
+    sink.put(records.Records(t0=t0, step=step[:, t0:t0 + k], batch_size=np.full(k, 4),
+                            in_region=None, iterates=None, **block))
+sink.close(range(8), ["ok"] * 8, [None] * 8)
+sink.publish()
+print(peak_kib() - before)
+"""
 
 
 def test_csvs_write_memory_is_flat(tmp_path):
-    # eight seeds of one run: four share its steps, four have their own
-    n = 100_001
-    rng = np.random.default_rng(3)
-    steps, sizes = rng.random(n), np.full(n, 4)
-    trs = [Trajectory(seed=s, F=rng.random(n), grad_norm=rng.random(n),
-                      step=steps if s < 4 else rng.random(n), batch_size=sizes,
-                      batch_grad_norm=rng.random(n), noise_inner=rng.random(n),
-                      in_region=np.ones(n, dtype=bool), rho=rng.random(n))
-           for s in range(8)]
-    tracemalloc.start()
-    try:
-        driver.write_csvs(trs, [tmp_path / f"long{s}.csv" for s in range(8)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # in a fresh interpreter, whose heap holds no freed memory that a large
+    # string could reuse unseen; tracing every cell's allocations with
+    # tracemalloc took six times as long
+    src = str(Path(records.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _EIGHT_LONG_FILES, str(tmp_path)],
+                         env=os.environ | {"PYTHONPATH": src}, capture_output=True, text=True,
+                         check=True).stdout
+    assert all((tmp_path / f"long{s}.csv").stat().st_size > 8 * 2**20 for s in range(8))
     # one file as one string would take about 10 MiB, the eight about 80 MiB
-    assert peak < 4 * 2**20
+    assert int(out) < 4 * 1024
 
 
 def test_running_min_helper(sphere_problem, x0):
@@ -929,3 +899,49 @@ def test_layout_is_kept_for_the_whole_run(n_seeds, d):
     out = _run_block(cfg, np.arange(n_seeds))
     assert out[0].abort_t == 5
     assert p.seen == [coordinate_major(n_seeds, d)] * 40
+
+
+@settings(max_examples=25, deadline=None)
+@given(rate=st.sampled_from(sorted(RATES)), n_seeds=st.sampled_from([1, 3, 9, 70]),
+       horizon=st.integers(0, 150), chunk=st.sampled_from([1, 7, 64, 1024]), data=st.data())
+def test_streamed_csvs_equal_the_rowwise_csvs_of_the_run(tmp_path_factory, rate, n_seeds,
+                                                         horizon, chunk, data):
+    # a run streamed into a CsvSink writes, per seed, the bytes of the same
+    # run kept in memory written one row at a time: chunks that end inside
+    # blocks and at T, seeds retired at drawn steps, and the adaptive rule's
+    # steps of each seed's own
+    faults = {data.draw(st.integers(0, max(0, horizon - 1))): ("nonfinite", row)
+              for row in data.draw(st.sets(st.integers(0, n_seeds - 1), max_size=3))}
+    tmp = tmp_path_factory.mktemp("stream")
+
+    def cfg():
+        p = random_sphere_mean(4, 6, seed=7)
+        p.manifold = FaultySphere(4, dict(faults))
+        x = Sphere(4).random_point(np.random.default_rng(5))
+        return RunConfig(oracle=p, plan=SegmentPlan(p.space, BatchSizes.constant(2)),
+                         rate=RATES[rate], x0=x, horizon=horizon, seed=10)
+
+    with mock.patch.object(records, "_CSV_CHUNK", chunk), _blocked(5, n_seeds, 2, 4):
+        trs = run_many(cfg(), n_seeds)
+        sink = records.CsvSink([tmp / f"run_seed{tr.seed}.csv" for tr in trs], horizon)
+        ends = run_many(cfg(), n_seeds, sink)
+    assert not list(tmp.glob("run_seed*.csv"))  # under their part names until published
+    sink.publish()
+    assert [(e.seed, e.status, e.abort_t) for e in ends] == \
+        [(tr.seed, tr.status, tr.abort_t) for tr in trs]
+    for tr in trs:
+        rowwise_csv(tr, tmp / "rowwise.csv")
+        assert (tmp / f"run_seed{tr.seed}.csv").read_bytes() == (tmp / "rowwise.csv").read_bytes()
+
+
+def test_csv_sink_discard_leaves_no_file(tmp_path):
+    p = random_sphere_mean(4, 6, seed=7)
+    cfg = RunConfig(oracle=p, plan=SegmentPlan(p.space, BatchSizes.constant(2)),
+                    rate=RATES["power"], x0=Sphere(4).random_point(np.random.default_rng(5)),
+                    horizon=3000, seed=1)
+    sink = records.CsvSink([tmp_path / f"run_seed{s}.csv" for s in (1, 2)], cfg.horizon)
+    run_many(cfg, 2, sink)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["run_seed1.csv.part",
+                                                           "run_seed2.csv.part"]
+    sink.discard()
+    assert not list(tmp_path.iterdir())

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsgd import (
     AdaptiveRate,
@@ -13,9 +15,9 @@ from rsgd import (
     validate_robbins_monro,
 )
 
-from rsgd.schedules import _SQUARE_SUM_TERMS
+from rsgd.schedules import _SQUARE_SUM_LEAF, _SQUARE_SUM_TERMS
 
-from reference import AdaptiveState, one_shot_sum_of_squares
+from reference import AdaptiveState, one_buffer_sum_of_squares, one_shot_sum_of_squares
 
 # zeta(1.5) * 0.25, the exact sum of (0.5/(t+1)^0.75)^2
 SIGMA_HALF_34 = 0.6530938371713720
@@ -78,21 +80,40 @@ class TestDeterministic:
                 s = PowerLawSchedule(c, p)
                 assert sum_of_squares(s).hex() == one_shot_sum_of_squares(s).hex(), (c, p)
 
-    def test_sum_of_squares_holds_one_buffer(self):
-        # one float64 per term; building the terms in fresh arrays held three
+    def test_sum_of_squares_memory_is_bounded(self):
+        # one float64 per term of a leaf of the pairwise walk; one buffer of
+        # all the terms held 7.6 MiB
         tracemalloc.start()
         try:
             sum_of_squares(PowerLawSchedule(0.5, 0.75))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * _SQUARE_SUM_TERMS + 64 * 1024
+        assert peak < 8 * _SQUARE_SUM_LEAF + 64 * 1024
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.floats(1e-3, 10.0), p=st.floats(0.5, 3.0, exclude_min=True))
+    def test_sum_of_squares_has_the_bits_of_one_buffer(self, c, p):
+        s = PowerLawSchedule(c, p)
+        assert sum_of_squares(s).hex() == one_buffer_sum_of_squares(s).hex(), (c, p)
 
     def test_sum_of_squares_is_upper_bound(self):
         s = PowerLawSchedule(0.5, 0.75)
         sigma = sum_of_squares(s)
         partial = cumulative_squares(s, 200000)[-1]
         assert sigma >= partial
+
+    def test_cumulative_squares_carried_over_blocks(self):
+        # the sums of consecutive blocks, each from the last one's end, are
+        # those of one call
+        s = PowerLawSchedule(0.5, 0.75)
+        parts, base, t = [], 0.0, 0
+        for k in (1, 7, 100, 892):
+            cum = cumulative_squares(s, t + k, t, base)
+            parts.append(cum[:-1])
+            base, t = cum[-1], t + k
+        got = np.concatenate(parts + [[base]])
+        assert got.tobytes() == cumulative_squares(s, 1000).tobytes()
 
     def test_cumulative_squares(self):
         s = PowerLawSchedule(0.5, 0.75)
