@@ -57,6 +57,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
+from . import budget
 from . import rng as crng
 from .errors import EnumerationBudgetExceeded, InvalidPlan
 from .manifolds import _SHORT, _sum
@@ -67,8 +68,6 @@ _STREAM_SUBSET = 1 << 40
 _STREAM_STRATIFIED = 1 << 41
 
 _ENUM_CHUNK = 1 << 15
-# words of the gathered outcome gradients averaged at once
-_ENUM_WORDS = 1 << 15
 _ENUM_BUDGET = 10**6
 
 
@@ -463,7 +462,7 @@ def _enumerated_vectors(oracle, points, plan, t):
     every chunk of the outcome space at step t, chunks outermost: each chunk
     is made once for all points, and each point sees the chunks in order.
     A chunk's batch gradients are averaged over slices of its batches whose
-    gathered (rows, b, d) gradients hold at most ``_ENUM_WORDS`` words (or
+    gathered (rows, b, d) gradients hold at most ``budget.WORDS`` words (or
     one batch's); each average depends on its own batch alone, so the
     slices change no bit."""
     count = plan.outcome_count(t)
@@ -478,11 +477,12 @@ def _enumerated_vectors(oracle, points, plan, t):
     tables_t = [np.ascontiguousarray(oracle.sample_gradients(x, outcomes).T) for x in points]
     w = plan.weights_at(t)
     equal = bool(np.all(w == w[0]))
+    d = np.shape(points)[-1]
     for idx, prob in plan.iter_outcome_chunks(t):
         c, b = idx.shape
-        step = max(1, _ENUM_WORDS // (b * tables_t[0].shape[0]))
+        step = max(1, budget.WORDS // (b * d))
         for p, table_t in enumerate(tables_t):
-            vecs = np.empty((c, table_t.shape[0]))
+            vecs = np.empty((c, d))
             for r in range(0, c, step):
                 vecs[r:r + step] = combine_batch(w, _gather_cm(table_t, idx[r:r + step]), equal)
             yield p, vecs, prob

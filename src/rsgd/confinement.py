@@ -39,9 +39,9 @@ its Dirichlet weights from [seed, k + 1] and its step fractions from
     k = 4  kappa band check     band [rho0, rho1]
 
 Memory: the samplers visit their sample points in chunks whose largest
-array holds at most the driver's ``_BLOCK_WORDS`` words (or one point's
-arrays, when a single point needs more), so their transient memory does not
-grow with the number of samples.  The chunks draw their Dirichlet weights
+array holds at most ``budget.WORDS`` words (or one point's arrays, when a
+single point needs more), so their transient memory does not grow with the
+number of samples.  The chunks draw their Dirichlet weights
 and step fractions from the same generators in turn, which gives the bits
 of one draw over all points.  Each chunk keeps its first extreme entry
 (``_pick``), and one ``np.argmin`` / ``np.argmax`` over those picks
@@ -59,7 +59,8 @@ from typing import Callable
 
 import numpy as np
 
-from .driver import _BLOCK_WORDS, RunConfig, run_many
+from . import budget
+from .driver import RunConfig, run_many
 from .errors import ConfinementViolation, InvalidHyperparameters, SamplerFailure
 from .problems import GradientOracle
 from .records import MemorySink, Tee, Trajectory
@@ -210,9 +211,9 @@ def sample_rho_levels(rho: Callable, dim: int, targets: np.ndarray,
 def _chunk_size(oracle, n_combos: int) -> int:
     """Sample points per chunk: the largest array a sampler makes per point,
     the (n_combos, N, d) Dirichlet product or N + n_combos directions of d
-    words, stays within _BLOCK_WORDS words per chunk, or one point's."""
+    words, stays within budget.WORDS words per chunk, or one point's."""
     n_out, dim = oracle.space.size, oracle.manifold.ambient_dim
-    return max(1, _BLOCK_WORDS // (dim * max(n_combos * n_out, n_out + n_combos)))
+    return max(1, budget.WORDS // (dim * max(n_combos * n_out, n_out + n_combos)))
 
 
 def _pairs(spec, oracle, hi, n, seed, k, combos, lo=None, step=None):

@@ -9,8 +9,8 @@ is bitwise identical to running each seed alone.
 
 The loop runs over blocks of steps, and ``_blocks`` alone decides where they
 end: a block keeps one batch size (``plan.batch_size``) and holds at most
-``max(1, _BLOCK_WORDS // (S * max(b, d)))`` steps, so its outcome indices
-(S, k, b) and its buffers (S, k, d) hold at most ``_BLOCK_WORDS`` words each
+``max(1, budget.WORDS // (S * max(b, d)))`` steps, so its outcome indices
+(S, k, b) and its buffers (S, k, d) hold at most ``budget.WORDS`` words each
 (or one step's) whatever the horizon.  A block is cut at T, at the word
 bound or at the size sequence's next change point, whichever comes first;
 ``BatchSizes.run_end`` finds that point without asking for the size of
@@ -62,16 +62,13 @@ from typing import Callable
 
 import numpy as np
 
+from . import budget
 from .batching import BatchPlan, combine_batch
 from .errors import DegenerateRetraction
 from .manifolds import _empty, coordinate_major
 from .problems import GradientOracle
 from .records import MemorySink, Records, Trajectory
 from .schedules import AdaptiveRate, ExplicitSchedule, PowerLawSchedule, ScaledSchedule
-
-# words per block: its outcome indices over all seeds, and each (S, k, d) buffer;
-# also the largest array of a chunk of confinement sample points
-_BLOCK_WORDS = 1 << 15
 
 DeterministicSchedule = (PowerLawSchedule, ExplicitSchedule, ScaledSchedule)
 
@@ -113,13 +110,13 @@ class RunConfig:
 
 def _blocks(plan: BatchPlan, T: int, s_count: int, d: int):
     """Split steps 0 .. T-1 into (t0, t1) blocks that keep one batch size b
-    and hold at most max(1, _BLOCK_WORDS // (S * max(b, d))) steps each,
+    and hold at most max(1, budget.WORDS // (S * max(b, d))) steps each,
     S = s_count: each block ends at T, at the word bound or at the size
     sequence's next change point (``BatchSizes.run_end``), whichever is first."""
     t0 = 0
     while t0 < T:
         b = plan.batch_size(t0)
-        t1 = plan.sizes.run_end(t0, min(T, t0 + max(1, _BLOCK_WORDS // (s_count * max(b, d)))))
+        t1 = plan.sizes.run_end(t0, min(T, t0 + max(1, budget.WORDS // (s_count * max(b, d)))))
         yield t0, t1
         t0 = t1
 

@@ -19,10 +19,10 @@ descent or martingale checks that need it.  Every float is written as
 ``%.17g``, so ``read_trajectory_csv`` gets the same bits back.
 Rows are formatted ``_CSV_CHUNK`` at a time by ``_csv_text``: the ``t``,
 ``step`` and ``batch_size`` cells of a chunk are formatted once into a row
-template, which every file whose chunk of steps and batch sizes is bitwise
-equal to the first one's fills with its own cells; the seeds of a
-deterministic-rate run share it, and a retired or adaptive seed formats its
-own.  ``CsvSink`` buffers a chunk of rows of every seed and appends it to
+template, which every file whose chunk of steps is bitwise equal to the
+first one's fills with its own cells (the files of one run share their
+batch sizes); the seeds of a deterministic-rate run share it, and a retired
+or adaptive seed formats its own.  ``CsvSink`` buffers a chunk of rows of every seed and appends it to
 each file in turn, one file open at a time, under a temporary name that
 ``publish`` renames, so files of any length are written in flat memory;
 ``Trajectory.write_csv`` writes one finished trajectory through it.
@@ -112,16 +112,16 @@ def _csv_text(a, step, sizes, own, first):
 
     One ``%`` operation formats the t, step and batch_size cells into a row
     template, and one more fills the other cells into it.  ``first`` is the
-    (steps, sizes, template) of the first file formatted at these rows, or
-    None; its template is reused when the steps and sizes are bitwise equal
-    to its own.  Returns the text and ``first`` for the next file."""
-    if (first is not None and np.array_equal(step.view(np.int64), first[0].view(np.int64))
-            and np.array_equal(sizes, first[1])):
-        template = first[2]
+    (steps, template) of the first file formatted at these rows, which share
+    their batch sizes, or None; its template is reused when the steps are
+    bitwise equal to its own.  Returns the text and ``first`` for the next
+    file."""
+    if first is not None and np.array_equal(step.view(np.int64), first[0].view(np.int64)):
+        template = first[1]
     else:
         template = (_CSV_TEMPLATE * len(step)) % tuple(chain.from_iterable(
             zip(range(a, a + len(step)), step.tolist(), sizes.tolist())))
-        first = first or (step, sizes, template)
+        first = first or (step, template)
     # zip stops at the chunk's end
     rows = zip(*(repeat(np.nan) if c is None else c.tolist() for c in own))
     return template % tuple(chain.from_iterable(rows)), first

@@ -9,12 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import budget
 from .errors import InvalidHyperparameters
 
 _SQUARE_SUM_TERMS = 10**6
-# most terms sum_of_squares holds at once: a multiple of 8 above numpy's
-# pairwise block of 128
-_SQUARE_SUM_LEAF = 1 << 15
+# the terms numpy's pairwise summation adds without splitting them further
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,8 @@ def sum_of_squares(schedule) -> float:
     Computed as an exact partial sum over ``_SQUARE_SUM_TERMS`` entries plus
     an integral tail bound; requires a square-summable schedule.  The
     partial sum has the bits of ``np.sum`` over one buffer of all the terms,
-    in memory that holds at most ``_SQUARE_SUM_LEAF`` of them (``_pairwise``).
+    in memory that holds at most ``budget.WORDS`` of them, or 128
+    (``_pairwise``).
     """
     if isinstance(schedule, ExplicitSchedule):
         return float(np.sum(np.asarray(schedule.values) ** 2))
@@ -133,11 +134,11 @@ def _pairwise(leaf, lo: int, n: int):
     """The sum of terms lo .. lo + n - 1 as ``np.add.reduce`` adds one
     contiguous float64 array of them: numpy splits more than 128 terms into
     halves, the first rounded down to a multiple of 8, and adds the halves'
-    sums.  The split is walked down to runs of at most ``_SQUARE_SUM_LEAF``
-    terms, each summed by ``leaf(lo, hi)`` with ``np.add.reduce`` (which
-    adds its terms the same way, to a starting 0.0 that changes no sum of
-    squares)."""
-    if n <= _SQUARE_SUM_LEAF:
+    sums.  The split is walked down to runs of at most ``budget.WORDS``
+    terms (or 128, when the budget is smaller), each summed by
+    ``leaf(lo, hi)`` with ``np.add.reduce`` (which adds its terms the same
+    way, to a starting 0.0 that changes no sum of squares)."""
+    if n <= max(budget.WORDS, _PAIRWISE_BLOCK):
         return leaf(lo, lo + n)
     half = n // 2
     half -= half % 8

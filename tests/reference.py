@@ -62,7 +62,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from rsgd import driver
+from rsgd import budget, driver
 from rsgd import rng as crng
 from rsgd.batching import _STREAM_SEGMENT, _STREAM_STRATIFIED, _STREAM_SUBSET
 from rsgd.confinement import (_INVARIANT_SLACK, _N_COMBOS, _SAFETY, ConfinementConstants,
@@ -175,7 +175,7 @@ def walked_blocks(plan, T: int, s_count: int, d: int):
     t0 = 0
     while t0 < T:
         b = plan.batch_size(t0)
-        stop = min(T, t0 + max(1, driver._BLOCK_WORDS // (s_count * max(b, d))))
+        stop = min(T, t0 + max(1, budget.WORDS // (s_count * max(b, d))))
         t1 = t0 + 1
         while t1 < stop and plan.batch_size(t1) == b:
             t1 += 1

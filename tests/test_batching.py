@@ -23,7 +23,7 @@ from rsgd import (
     random_sphere_mean,
     variance_report,
 )
-from rsgd import batching, driver
+from rsgd import batching, budget, driver
 from rsgd.problems import GradientOracle
 
 from reference import (BatchDraw, batch_gradient, dense_outcomes, draw_batch, mean_combine,
@@ -525,7 +525,7 @@ def test_enumeration_bits_equal_a_row_major_accumulation(scheme, uniform, d, b, 
         counts = np.diff([0, *sorted(rng.choice(np.arange(1, b), size=k - 1, replace=False)), b])
         plan = StratifiedPlan(prob.space, np.split(order, cuts), counts)
     with mock.patch.object(batching, "_ENUM_CHUNK", chunk), \
-            mock.patch.object(batching, "_ENUM_WORDS", words):
+            mock.patch.object(budget, "WORDS", words):
         mean, var = enumerate_expectation(prob, x, plan), variance_report(prob, x, plan)
         chunks = list(plan.iter_outcome_chunks(0))
     table = prob.sample_gradients(x, np.arange(n))
@@ -545,12 +545,13 @@ def test_enumeration_bits_equal_a_row_major_accumulation(scheme, uniform, d, b, 
 @settings(max_examples=100, deadline=None)
 @given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
        problem=st.sampled_from(["sphere_mean", "least_squares"]), uniform=st.booleans(),
-       n=st.integers(2, 6), d=st.integers(2, 4), n_points=st.integers(1, 5),
+       n=st.integers(2, 6), d=st.integers(2, 4), n_points=st.integers(0, 5),
        t=st.integers(0, 3), chunk=st.sampled_from([1, 7, 1 << 15]), data=st.data())
 def test_enumeration_at_many_points_equals_one_point_at_a_time(scheme, problem, uniform, n, d,
                                                                n_points, t, chunk, data):
-    # one enumeration for (P, d) points gives each point the bits of its own;
-    # growing sizes put t > 0 at another batch size than t = 0
+    # one enumeration for (P, d) points gives each point the bits of its own,
+    # and (0, d) points an empty (0, d) result; growing sizes put t > 0 at
+    # another batch size than t = 0
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     weights = None if uniform or scheme == "no_repetition" else rng.uniform(0.05, 1.0, size=n)
     if weights is not None:
@@ -573,7 +574,7 @@ def test_enumeration_at_many_points_equals_one_point_at_a_time(scheme, problem, 
         many = enumerate_expectation(prob, xs, plan, t)
         ones = [enumerate_expectation(prob, x, plan, t) for x in xs]
     assert many.shape == (n_points, d)
-    assert many.tobytes() == np.stack(ones).tobytes()
+    assert many.tobytes() == np.array(ones).tobytes()
 
 
 def _drawn_partition(n, data):
@@ -658,7 +659,7 @@ def test_driver_blocks_keep_one_layout_within_the_bound(scheme, n, horizon, n_se
     # (S, k, b) outcomes and (S, k, d) buffers hold at most `words` words
     # unless it is one step, and it ends only at T, a size change or the bound
     plan = _hypothesis_plan(scheme, n, _hypothesis_sizes(n, data), data)
-    with mock.patch.object(driver, "_BLOCK_WORDS", words):
+    with mock.patch.object(budget, "WORDS", words):
         blocks = list(driver._blocks(plan, horizon, n_seeds, d))
     assert [t for t0, t1 in blocks for t in range(t0, t1)] == list(range(horizon))
     for t0, t1 in blocks:
@@ -751,6 +752,6 @@ def test_blocks_cut_at_change_points_equal_the_step_walk(kind, horizon, n_seeds,
         values += [values[-1]] * max(0, horizon - len(values))
         sizes = BatchSizes.explicit(values)
     plan = SegmentPlan(space, sizes)
-    with mock.patch.object(driver, "_BLOCK_WORDS", words):
+    with mock.patch.object(budget, "WORDS", words):
         assert list(driver._blocks(plan, horizon, n_seeds, d)) == \
             list(walked_blocks(plan, horizon, n_seeds, d))

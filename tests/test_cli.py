@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rsgd import cli, driver, records
+from rsgd import budget, cli, records
 from rsgd import confinement as conf
 from rsgd.cli import CONFIG_KEYS, _parse_strata, build_plan, load_config, main
 from rsgd.records import CSV_HEADER, CsvSink
@@ -643,7 +643,7 @@ class TestRunInputs:
         # lists of small objects, which tracemalloc counts as held.
         cfg, out = sphere_config
         peaks = []
-        with mock.patch.object(driver, "_BLOCK_WORDS", 1 << 10), \
+        with mock.patch.object(budget, "WORDS", 1 << 10), \
                 mock.patch.object(records, "_CSV_CHUNK", 64):
             main(["run", "--config", str(cfg), "--horizon", "100", "--quiet"])  # warm caches
             for horizon in (500, 5_000):

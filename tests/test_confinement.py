@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -30,9 +31,8 @@ from rsgd import (
     run_confined_deterministic,
     run_confined_deterministic_many,
 )
-from rsgd import cli, confinement
+from rsgd import budget, cli, confinement
 from rsgd.confinement import _N_COMBOS, sample_rho_levels
-from rsgd.driver import _BLOCK_WORDS
 from rsgd.problems import GradientOracle
 from rsgd.schedules import _SQUARE_SUM_TERMS
 
@@ -485,6 +485,9 @@ def _outcome(sample, *args):
 
 # each sampler with the Dirichlet combinations per point it draws
 SAMPLERS = {"constants": _N_COMBOS, "plain": 0, "kappa": 0, "batch_kappa": _N_COMBOS}
+# sum_of_squares walks leaves of the word budget too, whose size changes no
+# bit of it (test_schedules); under the drawn budgets it is computed once
+_sum_of_squares_once = functools.cache(confinement.sum_of_squares)
 
 
 @settings(max_examples=200, deadline=None)
@@ -506,7 +509,8 @@ def test_chunked_samplers_equal_their_one_shot_oracles(sampler, kind, dim, n_out
                                      for _ in range(n_out)])
     else:
         problem = random_least_squares(dim, n_out, seed=data_seed, tau=0.2)
-    with mock.patch.object(confinement, "_BLOCK_WORDS", words):
+    with mock.patch.object(budget, "WORDS", words), \
+            mock.patch.object(confinement, "sum_of_squares", _sum_of_squares_once):
         m = confinement._chunk_size(problem, SAMPLERS[sampler])
         n = {"1": 1, "m-1": max(1, m - 1), "m": m, "m+1": m + 1, "3m+1": 3 * m + 1}[size]
         if sampler == "constants":
@@ -578,7 +582,7 @@ def test_sampler_memory_stays_within_the_block_budget(sampler, schedule):
     rho0 = problem.rho0_for_norm_squared()
     combos = SAMPLERS[sampler]
     # bytes of a chunk's largest array; a sampler keeps a few such alive
-    largest = 8 * max(_BLOCK_WORDS, d * max(combos * n_out, n_out + combos))
+    largest = 8 * max(budget.WORDS, d * max(combos * n_out, n_out + combos))
     bound = 12 * largest
     tracemalloc.start()
     try:

@@ -30,7 +30,7 @@ from rsgd import (
     run_deterministic,
     run_many,
 )
-from rsgd import driver, records
+from rsgd import budget, records
 from rsgd.driver import _run_block
 from rsgd.manifolds import _CM_SEEDS, Sphere, coordinate_major
 from rsgd.schedules import ScaledSchedule
@@ -339,6 +339,64 @@ def test_csv_bytes_equal_rowwise_writer(tmp_path_factory, data):
     assert (tmp / "chunked.csv").read_bytes() == (tmp / "rowwise.csv").read_bytes()
 
 
+def _run_records(data, rng, all_steps):
+    """One run as one ``records.Records`` block, and its trajectories: one
+    horizon, one batch-size column and the first steps of all_steps; each
+    seed shares the run's steps, is retired at a drawn step (NaN from there
+    on), has steps of its own, as under the adaptive rule, or has the run's
+    steps with the signs of their zeros and NaNs flipped: equal in value,
+    not in bits."""
+    n = data.draw(st.sampled_from([1, records._CSV_CHUNK]) | st.integers(1, all_steps.size))
+    steps = all_steps[:n]
+    n_seeds = data.draw(st.integers(1, 6))
+    step = np.tile(steps, (n_seeds, 1))
+    for row in step:
+        kind = data.draw(st.sampled_from(["shared", "retired", "own", "flipped"]))
+        if kind == "retired":
+            row[data.draw(st.integers(0, n - 1)):] = np.nan
+        elif kind == "own":
+            row[:] = rng.random(n)
+        elif kind == "flipped":
+            flip = (steps == 0) | np.isnan(steps)
+            row[flip] = -steps[flip]
+    cols = {name: rng.random((n_seeds, n))
+            for name in ("F", "grad_norm", "batch_grad_norm", "noise_inner")}
+    rho = rng.random((n_seeds, n)) if data.draw(st.booleans()) else None
+    in_region = rng.random((n_seeds, n)) < 0.5 if data.draw(st.booleans()) else None
+    sizes = rng.integers(0, 3, size=n)
+    rec = records.Records(t0=0, step=step, batch_size=sizes, rho=rho, in_region=in_region,
+                          iterates=None, **cols)
+    trs = [Trajectory(seed=i, step=step[i], batch_size=sizes,
+                      rho=None if rho is None else rho[i],
+                      in_region=np.ones(n, dtype=bool) if in_region is None else in_region[i],
+                      **{name: col[i] for name, col in cols.items()})
+           for i in range(n_seeds)]
+    return rec, trs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_csvs_bytes_equal_rowwise_writer(tmp_path_factory, data):
+    # the seeds of one run, streamed through a CsvSink, over random bit
+    # patterns and special values as steps, with signed zeros in every run:
+    # a file reuses the first file's row template only for bitwise equal steps
+    chunk = data.draw(st.sampled_from([1, 7, 64]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    all_steps = rng.integers(0, 2**64, size=3 * chunk, dtype=np.uint64).view(np.float64)
+    all_steps[rng.random(all_steps.size) < 0.3] = data.draw(st.sampled_from(_SPECIAL_FLOATS))
+    all_steps[rng.random(all_steps.size) < 0.1] = data.draw(st.sampled_from([0.0, -0.0]))
+    tmp = tmp_path_factory.mktemp("csvs")
+    with mock.patch.object(records, "_CSV_CHUNK", chunk):
+        rec, trs = _run_records(data, rng, all_steps)
+        sink = records.CsvSink([tmp / f"seed{tr.seed}.csv" for tr in trs], trs[0].horizon)
+        sink.put(rec)
+        sink.close([tr.seed for tr in trs], ["ok"] * len(trs), [None] * len(trs))
+        sink.publish()
+    for tr in trs:
+        rowwise_csv(tr, tmp / "rowwise.csv")
+        assert (tmp / f"seed{tr.seed}.csv").read_bytes() == (tmp / "rowwise.csv").read_bytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_csv_round_trip_is_bitwise(tmp_path_factory, data):
@@ -457,7 +515,7 @@ RATES = {"power": PowerLawSchedule(0.5, 0.75), "adaptive": AdaptiveRate(0.5, 1.0
 def _blocked(steps, n_seeds, b, d):
     """Patch the block budget so that a block of batch size b in dimension d
     holds `steps` steps."""
-    return mock.patch.object(driver, "_BLOCK_WORDS", steps * n_seeds * max(b, d))
+    return mock.patch.object(budget, "WORDS", steps * n_seeds * max(b, d))
 
 
 class FaultySphere(Sphere):
@@ -508,7 +566,7 @@ class TestBlockEngineAgainstStepwise:
         # 100 seeds x batch 8: 40 steps per block; 2K + 3 steps span three blocks
         p = random_sphere_mean(4, 16, seed=25)
         x = p.manifold.random_point(np.random.default_rng(100))
-        k = driver._BLOCK_WORDS // (100 * 8)
+        k = budget.WORDS // (100 * 8)
         cfg = RunConfig(oracle=p, plan=_plan(scheme, p.space, 8), rate=RATES[rate], x0=x,
                         horizon=2 * k + 3, seed=0)
         seeds = np.arange(100)
@@ -757,7 +815,7 @@ def test_batch_equals_single_property(scheme, rate, kind, d, n_seeds, offset, wo
     cfg = RunConfig(oracle=p, plan=_plan(scheme, p.space, b), rate=RATES[rate], x0=x0,
                     horizon=horizon, seed=offset, store_iterates=True, rho=rho)
     run = run_adaptive if rate == "adaptive" else run_deterministic
-    with mock.patch.object(driver, "_BLOCK_WORDS", words):
+    with mock.patch.object(budget, "WORDS", words):
         batch = run_many(cfg, n_seeds)
         alone = [run(replace(cfg, seed=offset + k)) for k in range(n_seeds)]
     _assert_bitwise(batch, alone)
@@ -821,7 +879,7 @@ def test_batch_equals_stepwise_and_alone_in_both_layouts(scheme, rate, kind, n_s
                     horizon=horizon, seed=7, store_iterates=True,
                     rho=None if kind == "sphere" else (lambda x: (x * x).sum(axis=-1)))
     seeds = 7 + np.arange(n_seeds)
-    patch = mock.patch.object(driver, "_BLOCK_WORDS", words or driver._BLOCK_WORDS)
+    patch = mock.patch.object(budget, "WORDS", words or budget.WORDS)
     if fault is not None:
         row, t = data.draw(st.integers(0, n_seeds - 1)), data.draw(st.integers(1, horizon - 1))
         with patch:

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from rsgd import (
     validate_robbins_monro,
 )
 
-from rsgd.schedules import _SQUARE_SUM_LEAF, _SQUARE_SUM_TERMS
+from rsgd import budget
+from rsgd.schedules import _SQUARE_SUM_TERMS
 
 from reference import AdaptiveState, one_buffer_sum_of_squares, one_shot_sum_of_squares
 
@@ -89,7 +91,14 @@ class TestDeterministic:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * _SQUARE_SUM_LEAF + 64 * 1024
+        assert peak < 8 * budget.WORDS + 64 * 1024
+
+    @pytest.mark.parametrize("words", [1, 100, 128, 1000, 1 << 20])
+    def test_sum_of_squares_keeps_its_bits_under_any_word_budget(self, words):
+        # below numpy's pairwise block of 128 the leaves stay at 128 terms
+        s = PowerLawSchedule(0.5, 0.75)
+        with mock.patch.object(budget, "WORDS", words):
+            assert sum_of_squares(s).hex() == one_buffer_sum_of_squares(s).hex()
 
     @settings(max_examples=40, deadline=None)
     @given(c=st.floats(1e-3, 10.0), p=st.floats(0.5, 3.0, exclude_min=True))
