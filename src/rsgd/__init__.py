@@ -18,7 +18,6 @@ from .confinement import (
     check_kappa_confinement,
     check_plain_confinement,
     estimate_constants,
-    hessian_quadform,
     norm_squared_confinement,
     run_confined_adaptive_many,
     run_confined_deterministic,

@@ -153,7 +153,7 @@ class ConfinementReport:
         return out
 
 
-def hessian_quadform(manifold, rho: Callable, x, u, v):
+def _hessian_quadform(manifold, rho: Callable, x, u, v):
     """Hess(rho o R_x)|_u (v, v) by central second differences along v."""
 
     def f(s):
@@ -340,7 +340,7 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
         # the sup of Hess(rho o R_x)|_{-s v}(v, v) over {rho <= rho1}, s in [0, theta]
         rho1 = spec.rho0 + lam * c + 0.5 * b * b * sigma
         high = _finite("b_est: Hess(rho o R_x)(v, v)", _first(
-            [_pick(hessian_quadform(oracle.manifold, spec.rho, x, -s[:, None] * v, v),
+            [_pick(_hessian_quadform(oracle.manifold, spec.rho, x, -s[:, None] * v, v),
                    False, x=x)
              for x, v, s in _pairs(spec, oracle, rho1, n_samples, seed, 3, _N_COMBOS,
                                    step=theta)], lower=False))
@@ -391,7 +391,7 @@ def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
     bands = []
     for x, v, s in _pairs(spec, oracle, spec.rho1, n_samples, seed, 4, combos, lo=spec.rho0,
                           step=kappa):
-        quad = hessian_quadform(man, spec.rho, x, -s[:, None] * v, v)
+        quad = _hessian_quadform(man, spec.rho, x, -s[:, None] * v, v)
         gaps = (spec.grad_rho(x) * v).sum(axis=-1) - np.maximum(0.0, 0.5 * kappa * quad)
         bands.append(_pick(gaps, True, x=x, v=v, s=s))
     low, at_low = _first(bands, lower=True)

@@ -11,7 +11,8 @@ The loop runs over blocks of steps, and ``_blocks`` alone decides where they
 end: a block keeps one batch size (``plan.batch_size``) and holds at most
 ``max(1, budget.WORDS // (S * max(b, d)))`` steps, so its outcome indices
 (S, k, b) and its buffers (S, k, d) hold at most ``budget.WORDS`` words each
-(or one step's) whatever the horizon.  A block is cut at T, at the word
+(or one step's, and the last block's iterates one column more, x_T)
+whatever the horizon.  A block is cut at T, at the word
 bound or at the size sequence's next change point, whichever comes first;
 ``BatchSizes.run_end`` finds that point without asking for the size of
 every step, except for geometric sizes below their cap.  No draw depends on
@@ -25,17 +26,22 @@ so it makes no transposed copy of them; a row-major run copies them to
 
 Per step the loop computes only what the next iterate needs: the batch
 gradient, the rate (and, under the adaptive rule, the batch gradient norm),
-the retraction and the finiteness of its result.  A row whose retraction
-fails stays where it is.  The iterates and batch gradients of a block go
-into its (S, k, d) buffers, and the exact record -- cost, gradient and its
-norm, batch gradient norm, noise inner product, rho -- is evaluated once per
-block on those buffers.  Rows are retired at that point: for each row the
-first event wins, a non-finite record at step t coming before a failed
-retraction at step t, and everything the row recorded after it is masked
-with NaN.  A row whose record went non-finite inside a block keeps iterating
-to the block's end, and its values are discarded.  When every row is live
-and every retraction succeeded, a step skips the row selects, and a block
-after which every row is still alive writes its records without masks.
+the retraction and the finiteness of its result.  A retraction returns no ok
+array (None) when every row succeeded, so a step whose rows all succeeded
+builds and reduces no mask.  A row whose retraction fails stays where it
+is.  The iterates and batch gradients of a block go into its (S, k, d)
+buffers, and the exact record -- cost, gradient and its norm, batch gradient
+norm, noise inner product, rho -- is evaluated once per block on those
+buffers.  Rows are retired at that point: for each row the first event
+wins, a non-finite record at step t coming before a failed retraction at
+step t, and everything the row recorded after it is masked with NaN.  A row
+whose record went non-finite inside a block keeps iterating to the block's
+end, and its values are discarded.  When every row is live and every
+retraction succeeded, a step skips the row selects, and a block after which
+every row is still alive writes its records without masks.  The last
+block's iterate buffer holds one more column, x_T, so one evaluation records
+both that block and the final state; only horizon 0, which has no block,
+evaluates x_T on its own.
 
 The state of a run is coordinate-major ((d, S) memory, its buffers and
 per-outcome arrays (d, k, S) and (d, b, S)) when
@@ -148,14 +154,14 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, sink=None) -> list:
 
     def evaluate(xs):
         g = oracle.full_gradient(xs)
-        return oracle.cost(xs), g, man.norm(xs, g)
+        return oracle.cost(xs), g, man.norm(xs, g), None if cfg.rho is None else cfg.rho(xs)
 
     def mask(values, keep):
         # keep is None when no row has retired: the values go in unmasked
         return values if keep is None else np.where(keep, values, nan)
 
-    def records(t0, xs, fx, gnt, state_keep, step, sizes, bgn, noise, step_keep):
-        rho = None if cfg.rho is None else mask(cfg.rho(xs), state_keep)
+    def records(t0, xs, fx, gnt, rho, state_keep, step, sizes, bgn, noise, step_keep):
+        rho = None if rho is None else mask(rho, state_keep)
         return Records(
             t0=t0, F=mask(fx, state_keep), grad_norm=mask(gnt, state_keep),
             step=mask(step, step_keep), batch_size=sizes,
@@ -184,7 +190,9 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, sink=None) -> list:
                 block = np.ascontiguousarray(block.transpose(1, 2, 0)).swapaxes(1, 2)
             else:
                 block = np.ascontiguousarray(block.swapaxes(0, 1))
-            xs = _empty((s_count, n_steps, d), cm)
+            # the last block's iterates hold one more column, x_T
+            last = t1 == T
+            xs = _empty((s_count, n_steps + last, d), cm)
             hs = _empty((s_count, n_steps, d), cm)
             if adaptive:
                 etas = np.empty((s_count, n_steps))
@@ -209,16 +217,17 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, sink=None) -> list:
                     v = h * neg_rates[k]
 
                 y, ok = man.retract_flagged(x, v)
-                # fast path: every row live, every retraction ok and finite
-                # (a finite sum of all entries has no non-finite entry)
-                if every_live and np.logical_and.reduce(ok, axis=None) \
-                        and isfinite(np.add.reduce(y, axis=None)):
+                # fast path: every row live, every retraction ok (ok is None)
+                # and finite (a finite sum of all entries has no non-finite entry)
+                if every_live and ok is None and isfinite(np.add.reduce(y, axis=None)):
                     x = y
                 else:
-                    failed = live & ~(ok & np.logical_and.reduce(np.isfinite(y), axis=-1))
+                    finite = np.logical_and.reduce(np.isfinite(y), axis=-1)
+                    failed = live & ~(finite if ok is None else ok & finite)
                     if np.logical_or.reduce(failed):
                         fail_k[failed] = k
-                        fail_degenerate |= failed & ~ok
+                        if ok is not None:
+                            fail_degenerate |= failed & ~ok
                         live &= ~failed
                         every_live = False
                     x = np.where(live[:, None], y, x)
@@ -233,8 +242,17 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, sink=None) -> list:
                     acc = tk
 
             # the record of the block, and retirement: per row the first
-            # event wins, a non-finite record at k before the retraction at k
-            fx, g, gnt = evaluate(xs)
+            # event wins, a non-finite record at k before the retraction at
+            # k.  The last block's one evaluation also records x_T; its
+            # results are sliced, so the kernels see the buffer's layout
+            if last:
+                xs[:, n_steps] = x
+            fx, g, gnt, rho = evaluate(xs)
+            if last:
+                rho_T = None if rho is None else rho[:, n_steps:]
+                final = fx[:, n_steps:], gnt[:, n_steps:], rho_T
+                xs, fx, g, gnt = (a[:, :n_steps] for a in (xs, fx, g, gnt))
+                rho = None if rho is None else rho[:, :n_steps]
             blown = ~(np.isfinite(fx) & np.isfinite(gnt))
             blown_k = np.where(blown.any(axis=1), blown.argmax(axis=1), n_steps)
             first = np.minimum(blown_k, fail_k)
@@ -248,11 +266,13 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, sink=None) -> list:
             every_alive = bool(np.logical_and.reduce(alive))
             ks = np.arange(n_steps)
             sink.put(records(
-                t0, xs, fx, gnt, None if every_alive else ks <= last_state[:, None],
+                t0, xs, fx, gnt, rho, None if every_alive else ks <= last_state[:, None],
                 etas if adaptive else rates[None], sizes, bhs if adaptive else man.norm(xs, hs),
                 man.inner(xs, g, hs - g), None if every_alive else ks <= last_step[:, None]))
 
-        fx, _, gnt = evaluate(x[:, None])
+        if T == 0:
+            fx, _, gnt, rho = evaluate(x[:, None])
+            final = fx, gnt, rho
 
     # the final state has no step: its rate is the one the next step would use
     if adaptive:
@@ -264,7 +284,7 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, sink=None) -> list:
             step_T = np.full(s_count, nan)
     no_step = np.full((s_count, 1), nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        sink.put(records(T, x[:, None], fx, gnt, None if every_alive else alive[:, None],
+        sink.put(records(T, x[:, None], *final, None if every_alive else alive[:, None],
                          step_T[:, None], np.zeros(1, dtype=np.int64), no_step, no_step, None))
 
     status = ["degenerate" if degenerate[i] else "ok" if alive[i] else "nonfinite"

@@ -8,6 +8,12 @@ point of shape (d,) or a batch of shape (S, d).
 
 All operations are pure functions of their inputs and hold no state.
 
+``retract_flagged`` returns the new points and an ok mask of the rows whose
+retraction succeeded, or None in place of the mask when every row did: the
+engine's per-step fast path then tests ``ok is None`` and builds no array.
+Flat space always returns None; the sphere decides from the one all-ok
+reduction it makes anyway.
+
 The sums that run once per step go along axes of d or b entries, which are
 often shorter than 8.  numpy adds fewer than 8 terms one after the other,
 starting from 0.0; 8 or more it adds pairwise in blocks of 8 along an axis
@@ -101,14 +107,16 @@ class Manifold:
     def retract(self, x, v):
         """Map the tangent vector v at x back to the manifold."""
         y, ok = self.retract_flagged(x, v)
-        if not np.all(ok):
+        if ok is not None and not np.all(ok):
             raise DegenerateRetraction(
                 f"retraction step degenerate on {self.kind}: ||x + v|| <= {DEGENERACY_EPS}"
             )
         return y
 
     def retract_flagged(self, x, v):
-        """Like :meth:`retract` but returns (point, ok_mask) instead of raising."""
+        """Like :meth:`retract` but returns (point, ok) instead of raising:
+        ok is None when every row succeeded, and otherwise the boolean mask
+        of the rows that did."""
         raise NotImplementedError
 
     def retract_adjoint(self, x, u, z):
@@ -154,8 +162,7 @@ class Euclidean(Manifold):
         self.intrinsic_dim = int(dim)
 
     def retract_flagged(self, x, v):
-        y = x + v
-        return y, np.ones(np.shape(y)[:-1], dtype=bool)
+        return x + v, None
 
     def retract_adjoint(self, x, u, z):
         return np.array(z, dtype=float, copy=True)
@@ -190,7 +197,8 @@ class Sphere(Manifold):
         y = x + v
         n = np.sqrt(_dot(y, y))
         ok = n > DEGENERACY_EPS
-        if not np.logical_and.reduce(ok, axis=None):
+        every_ok = np.logical_and.reduce(ok, axis=None)
+        if not every_ok:
             n = np.where(ok, n, 1.0)
         out = y / n[..., None]
         # R_x(0) = x exactly: renormalization must not move a fixed point;
@@ -200,8 +208,10 @@ class Sphere(Manifold):
             zero = np.logical_and.reduce(v == 0.0, axis=-1)
             if np.logical_or.reduce(zero, axis=None):
                 out = np.where(zero[..., None], x, out)
-                ok = ok | zero
-        return out, ok
+                if not every_ok:
+                    ok = ok | zero
+                    every_ok = np.logical_and.reduce(ok, axis=None)
+        return out, None if every_ok else ok
 
     def _radius(self, x, u):
         n = np.sqrt(_dot(x + u, x + u))

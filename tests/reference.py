@@ -33,7 +33,9 @@ The oracles held here:
   ``broadcast_retract_flagged``: the step kernels written with broadcasts and
   ``ndarray.sum`` / ``mean``, the references for both problems'
   ``sample_gradients``, ``combine_batch``, ``manifolds._dot`` and the
-  retractions; ``stepwise_run`` computes every step with them;
+  retractions (whose ok array the reference always returns, where the
+  package returns None when every row succeeded); ``stepwise_run`` computes
+  every step with them;
 * ``sum_cost`` and ``sum_full_gradient``: the moment forms of both problems'
   cost and of the least-squares gradient with ``ndarray.sum`` along d, the
   references for the record sums;
@@ -66,7 +68,7 @@ from rsgd import budget, driver
 from rsgd import rng as crng
 from rsgd.batching import _STREAM_SEGMENT, _STREAM_STRATIFIED, _STREAM_SUBSET
 from rsgd.confinement import (_INVARIANT_SLACK, _N_COMBOS, _SAFETY, ConfinementConstants,
-                              ConfinementReport, hessian_quadform, sample_rho_levels)
+                              ConfinementReport, _hessian_quadform, sample_rho_levels)
 from rsgd.errors import InvalidPlan, SamplerFailure
 from rsgd.manifolds import DEGENERACY_EPS, Euclidean, Sphere
 from rsgd.problems import RegularizedLeastSquaresProblem, SphereMeanProblem
@@ -277,14 +279,16 @@ def sum_full_gradient(problem, x):
 
 def broadcast_retract_flagged(man, x, v):
     """The Euclidean or sphere retraction with its broadcast divide and zero
-    test; a manifold whose class has its own retract_flagged (a test double)
-    answers itself."""
+    test, and its ok array even when every row succeeded; a manifold whose
+    class has its own retract_flagged (a test double) answers itself, its
+    None read as every row ok."""
     own = type(man).retract_flagged
     if own is Euclidean.retract_flagged:
         y = x + v
         return y, np.ones(np.shape(y)[:-1], dtype=bool)
     if own is not Sphere.retract_flagged:
-        return man.retract_flagged(x, v)
+        y, ok = man.retract_flagged(x, v)
+        return y, np.ones(np.shape(y)[:-1], dtype=bool) if ok is None else ok
     y = x + v
     n = np.sqrt(sum_dot(y, y))
     ok = n > DEGENERACY_EPS
@@ -604,7 +608,7 @@ def one_shot_estimate_constants(spec, oracle, schedule, lam, b, theta, n_samples
     flat_x = np.repeat(xs1, n_dirs, axis=0)
     flat_v = v1.reshape(-1, dim)
     thetas = np.random.default_rng([seed, 5]).uniform(0.0, theta, size=flat_v.shape[0])
-    q = hessian_quadform(oracle.manifold, spec.rho, flat_x, -thetas[:, None] * flat_v, flat_v)
+    q = _hessian_quadform(oracle.manifold, spec.rho, flat_x, -thetas[:, None] * flat_v, flat_v)
     if np.isnan(np.max(q)):
         x = flat_x[np.argmax(q)].tolist()
         raise SamplerFailure(f"b_est: Hess(rho o R_x)(v, v) is NaN at x = {x}")
@@ -640,7 +644,7 @@ def one_shot_check_kappa_confinement(spec, oracle, kappa: float, n_samples: int,
     flat_v1 = v1.reshape(-1, dim)
     s1 = np.random.default_rng([seed, 6]).uniform(0.0, kappa, size=flat_v1.shape[0])
     lhs = (spec.grad_rho(flat_x1) * flat_v1).sum(axis=-1)
-    quad = hessian_quadform(man, spec.rho, flat_x1, -s1[:, None] * flat_v1, flat_v1)
+    quad = _hessian_quadform(man, spec.rho, flat_x1, -s1[:, None] * flat_v1, flat_v1)
     rhs = np.maximum(0.0, 0.5 * kappa * quad)
     gaps = lhs - rhs
     margin2 = float(np.min(gaps))

@@ -732,8 +732,9 @@ class TestRunInputs:
             retract = Sphere.retract_flagged
 
             def degenerate(self, x, v):
+                # None: every row ok; row 1 degenerates all the same
                 y, ok = retract(self, x, v)
-                return y, ok & (np.arange(len(ok)) != 1)
+                return y, (np.arange(len(y)) != 1) & (True if ok is None else ok)
 
             monkeypatch.setattr(Sphere, "retract_flagged", degenerate)
             message = "run aborted: retraction degenerated for seeds [2]"

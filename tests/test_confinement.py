@@ -23,7 +23,6 @@ from rsgd import (
     check_plain_confinement,
     cumulative_squares,
     estimate_constants,
-    hessian_quadform,
     norm_squared_confinement,
     random_least_squares,
     random_sphere_mean,
@@ -32,7 +31,7 @@ from rsgd import (
     run_confined_deterministic_many,
 )
 from rsgd import budget, cli, confinement
-from rsgd.confinement import _N_COMBOS, sample_rho_levels
+from rsgd.confinement import _N_COMBOS, _hessian_quadform, sample_rho_levels
 from rsgd.problems import GradientOracle
 from rsgd.schedules import _SQUARE_SUM_TERMS
 
@@ -113,7 +112,7 @@ class TestHessianQuadform:
         x = rng.normal(size=(50, 3))
         u = rng.normal(size=(50, 3))
         v = rng.normal(size=(50, 3))
-        q = hessian_quadform(man, spec.rho, x, u, v)
+        q = _hessian_quadform(man, spec.rho, x, u, v)
         np.testing.assert_allclose(q, 2.0 * (v * v).sum(axis=1), rtol=1e-5, atol=1e-7)
 
 

@@ -518,6 +518,11 @@ def _blocked(steps, n_seeds, b, d):
     return mock.patch.object(budget, "WORDS", steps * n_seeds * max(b, d))
 
 
+def _every_ok(y, ok):
+    """The ok array of a retraction, its None (every row ok) made all True."""
+    return np.ones(np.shape(y)[:-1], dtype=bool) if ok is None else ok
+
+
 class FaultySphere(Sphere):
     """The sphere whose retraction, at chosen steps, reports one row degenerate
     or returns it non-finite; it counts its calls, one per step."""
@@ -534,7 +539,7 @@ class FaultySphere(Sphere):
         if fault is not None:
             kind, row = fault
             if kind == "degenerate":
-                ok = ok.copy()
+                ok = _every_ok(y, ok).copy()
                 ok[row] = False
             else:
                 y = y.copy()
@@ -848,7 +853,7 @@ def _trap(problem, point, kind):
         def retract_flagged(self, x, v):
             y, ok = super().retract_flagged(x, v)
             if kind == "degenerate":
-                return y, ok & ~at(x)
+                return y, _every_ok(y, ok) & ~at(x)
             return np.where(at(x)[..., None], np.inf, y), ok
 
     problem.manifold = Trapped(problem.manifold.ambient_dim)
@@ -922,6 +927,71 @@ def test_rows_retiring_in_two_blocks_equal_stepwise_and_alone(scheme, first, sec
     _assert_bitwise(batch, alone)
     for tr, single in zip(batch, alone):
         assert tr.iterates.tobytes() == single.iterates.tobytes()
+
+
+class TestLastBlockRecordsFinalState:
+    """The last block has one more iterate column, x_T, and its one
+    evaluation records the block and the final state: the records equal the
+    step-at-a-time oracle's on every path to x_T, in both layouts, and the
+    cost, gradient and rho run once per block, never once more for x_T."""
+
+    K = 5
+
+    @staticmethod
+    def _problem(kind):
+        if kind == "sphere":
+            p = random_sphere_mean(4, 12, seed=4)
+            return p, p.manifold.random_point(np.random.default_rng(4)), None
+        p = random_least_squares(4, 12, seed=4, tau=0.2)
+        return p, np.linspace(-1.0, 1.0, 4), lambda x: (x * x).sum(axis=-1)
+
+    @pytest.mark.parametrize("horizon, fault", [
+        (0, None), (1, None), (K, None), (2 * K, None), (2 * K + 3, None),
+        (2 * K, ("record", 2 * K - 2)), (2 * K, ("record", 2 * K)),
+        (2 * K, ("degenerate", 2 * K - 1)), (2 * K, ("nonfinite", 2 * K - 1)),
+        (1, ("degenerate", 0)),
+    ], ids=["T=0", "T=1", "T=K", "T=2K", "T=2K+3", "retired-in-last-block",
+            "nonfinite-x_T", "degenerate-at-T-1", "nonfinite-at-T-1", "T=1-degenerate"])
+    @pytest.mark.parametrize("n_seeds", [_CM_SEEDS - 1, 100])
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    @pytest.mark.parametrize("kind", ["sphere", "least_squares"])
+    def test_records_equal_stepwise(self, kind, rate, n_seeds, horizon, fault):
+        p, x0, rho = self._problem(kind)
+        cfg = RunConfig(oracle=p, plan=_plan("segment", p.space), rate=RATES[rate], x0=x0,
+                        horizon=horizon, seed=2, store_iterates=True, rho=rho,
+                        region_rho1=None if rho is None else 3.0)
+        seeds = 2 + np.arange(n_seeds)
+        with _blocked(self.K, n_seeds, 4, 4):
+            if fault is not None:
+                kind_, t = fault
+                _trap(p, _run_block(cfg, seeds)[1].iterates[t].copy(), kind_)
+            got = _run_block(cfg, seeds)
+        _assert_bitwise(got, stepwise_run(cfg, seeds))
+        if fault is None or fault[1] == horizon:
+            assert {tr.status for tr in got} == {"ok"}
+        else:
+            assert got[1].abort_t == fault[1]
+            assert got[1].status == ("degenerate" if fault[0] == "degenerate" else "nonfinite")
+
+    @pytest.mark.parametrize("horizon, blocks", [(0, 1), (1, 1), (K, 1), (2 * K, 2),
+                                                 (2 * K + 3, 3)])
+    @pytest.mark.parametrize("n_seeds", [_CM_SEEDS - 1, 100])
+    def test_cost_runs_once_per_block(self, n_seeds, horizon, blocks):
+        p, x0, rho = self._problem("least_squares")
+        calls = {"cost": 0, "full_gradient": 0, "rho": 0}
+
+        def counted(name, f):
+            def call(x):
+                calls[name] += 1
+                return f(x)
+            return call
+
+        p.cost, p.full_gradient = counted("cost", p.cost), counted("full_gradient", p.full_gradient)
+        cfg = RunConfig(oracle=p, plan=_plan("segment", p.space), rate=RATES["power"], x0=x0,
+                        horizon=horizon, seed=0, rho=counted("rho", rho), region_rho1=3.0)
+        with _blocked(self.K, n_seeds, 4, 4):
+            _run_block(cfg, np.arange(n_seeds))
+        assert calls == {"cost": blocks, "full_gradient": blocks, "rho": blocks}
 
 
 @pytest.mark.parametrize("workload, n_seeds, d, cm", [
