@@ -241,16 +241,11 @@ class ConvergenceFold:
         else:
             cols = (self.columns >= t0) & (self.columns < t0 + k)
             part = gsq[:, self.columns[cols] - t0]
-        if i0 == 0 and part.shape[1] > 1:
-            # numpy adds the rows of a C-order (S, m > 1) block one after
-            # another; a single column, or a contiguous one, it sums pairwise
-            self.curve[cols] = np.add.reduce(np.ascontiguousarray(part), axis=0)
-        else:
-            for i, row in enumerate(part, i0):
-                if i:
-                    self.curve[cols] += row
-                else:
-                    self.curve[cols] = row
+        for i, row in enumerate(part, i0):
+            if i:
+                self.curve[cols] += row
+            else:
+                self.curve[cols] = row
         m = min(k, T - t0)  # columns with a step
         if m > 0:
             # the squares are spent: the terms and their running sums reuse them

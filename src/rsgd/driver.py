@@ -11,9 +11,10 @@ The loop runs over blocks of steps, and ``_blocks`` alone decides where they
 end: a block keeps one batch size (``plan.batch_size``) and holds at most
 ``max(1, budget.WORDS // (S * max(b, d)))`` steps, so its outcome indices
 (S, k, b) and its buffers (S, k, d) hold at most ``budget.WORDS`` words each
-(or one step's, and the last block's iterates one column more, x_T)
-whatever the horizon.  A block is cut at T, at the word
-bound or at the size sequence's next change point, whichever comes first;
+(or one step's, and the last block's buffers one column more, x_T)
+whatever the horizon.  A block is cut at T, at the word bound or at the
+size sequence's next change point, whichever comes first, and horizon 0
+is one block of no steps;
 ``BatchSizes.run_end`` finds that point without asking for the size of
 every step, except for geometric sizes below their cap.  No draw depends on
 the order of the steps, so a block's batches come from one
@@ -39,9 +40,11 @@ whose record went non-finite inside a block keeps iterating to the block's
 end, and its values are discarded.  When every row is live and every
 retraction succeeded, a step skips the row selects, and a block after which
 every row is still alive writes its records without masks.  The last
-block's iterate buffer holds one more column, x_T, so one evaluation records
-both that block and the final state; only horizon 0, which has no block,
-evaluates x_T on its own.
+block's columns end with x_T, which takes no step: its batch size is 0, its
+batch gradient norm and noise inner product are NaN and its rate is the one
+the next step would use.  So the final state takes the block's one
+evaluation and one retirement, a non-finite x_T retiring its row at T, and
+each block, the last included, is one put into the sink.
 
 The state of a run is coordinate-major ((d, S) memory, its buffers and
 per-outcome arrays (d, k, S) and (d, b, S)) when
@@ -118,13 +121,16 @@ def _blocks(plan: BatchPlan, T: int, s_count: int, d: int):
     """Split steps 0 .. T-1 into (t0, t1) blocks that keep one batch size b
     and hold at most max(1, budget.WORDS // (S * max(b, d))) steps each,
     S = s_count: each block ends at T, at the word bound or at the size
-    sequence's next change point (``BatchSizes.run_end``), whichever is first."""
+    sequence's next change point (``BatchSizes.run_end``), whichever is first.
+    Horizon 0 is one block of no steps, (0, 0), which holds x_0 = x_T."""
     t0 = 0
     while t0 < T:
         b = plan.batch_size(t0)
         t1 = plan.sizes.run_end(t0, min(T, t0 + max(1, budget.WORDS // (s_count * max(b, d)))))
         yield t0, t1
         t0 = t1
+    if not T:
+        yield 0, 0
 
 
 def _run_block(cfg: RunConfig, seeds: np.ndarray, sink=None) -> list:
@@ -142,7 +148,6 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, sink=None) -> list:
 
     # alive: not retired by the records evaluated so far
     alive = np.ones(s_count, dtype=bool)
-    every_alive = True
     degenerate = np.zeros(s_count, dtype=bool)
     abort_t = np.full(s_count, -1, dtype=np.int64)
 
@@ -151,56 +156,50 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, sink=None) -> list:
         alpha, beta, expo = cfg.rate.alpha, cfg.rate.beta, cfg.rate.exponent
         acc = np.zeros(s_count)
         comp = np.zeros(s_count)
-
-    def evaluate(xs):
-        g = oracle.full_gradient(xs)
-        return oracle.cost(xs), g, man.norm(xs, g), None if cfg.rho is None else cfg.rho(xs)
+    else:
+        # x_T takes no step: its rate is the one the next step would use
+        try:
+            next_rate = cfg.rate.gamma(T)
+        except IndexError:  # past the end of a list of rates
+            next_rate = nan
 
     def mask(values, keep):
         # keep is None when no row has retired: the values go in unmasked
         return values if keep is None else np.where(keep, values, nan)
 
-    def records(t0, xs, fx, gnt, rho, state_keep, step, sizes, bgn, noise, step_keep):
-        rho = None if rho is None else mask(rho, state_keep)
-        return Records(
-            t0=t0, F=mask(fx, state_keep), grad_norm=mask(gnt, state_keep),
-            step=mask(step, step_keep), batch_size=sizes,
-            batch_grad_norm=mask(bgn, step_keep), noise_inner=mask(noise, step_keep), rho=rho,
-            in_region=None if rho is None or cfg.region_rho1 is None else rho <= cfg.region_rho1,
-            iterates=None if not cfg.store_iterates
-            else mask(xs, None if state_keep is None else state_keep[..., None]))
-
     # overflow/invalid are tolerated: rows going non-finite are caught and retired
     with np.errstate(over="ignore", invalid="ignore"):
         for t0, t1 in _blocks(plan, T, s_count, d):
             n_steps = t1 - t0
-            block = plan.draw(t0, t1, seeds)
-            weights = plan.weights_at(t0)
-            equal = bool(np.all(weights == weights[0]))
-            sizes = np.full(n_steps, block.shape[2], dtype=np.int64)
-            if not adaptive:
-                rates = np.array([cfg.rate.gamma(t) for t in range(t0, t1)])
-                neg_rates = (-rates).tolist()
-
-            # (k, S, b): the outcomes of one step are one contiguous slab, in
-            # (b, S) memory when the state is coordinate-major; plans draw in
-            # (k, b, S) memory (k, S, b for subsets of b >= 8), where the
-            # matching layout makes these no copy
-            if cm:
-                block = np.ascontiguousarray(block.transpose(1, 2, 0)).swapaxes(1, 2)
-            else:
-                block = np.ascontiguousarray(block.swapaxes(0, 1))
-            # the last block's iterates hold one more column, x_T
+            # the last block's columns end with x_T, which has no batch
             last = t1 == T
-            xs = _empty((s_count, n_steps + last, d), cm)
-            hs = _empty((s_count, n_steps, d), cm)
+            n_cols = n_steps + last
+            sizes = np.zeros(n_cols, dtype=np.int64)
+            if not adaptive:
+                rates = np.array([cfg.rate.gamma(t) for t in range(t0, t1)] + [next_rate] * last)
+                neg_rates = (-rates[:n_steps]).tolist()
+            # horizon 0's block has no step to draw for
+            if n_steps:
+                block = plan.draw(t0, t1, seeds)
+                weights = plan.weights_at(t0)
+                equal = bool(np.all(weights == weights[0]))
+                sizes[:n_steps] = block.shape[2]
+                # (k, S, b): the outcomes of one step are one contiguous slab, in
+                # (b, S) memory when the state is coordinate-major; plans draw in
+                # (k, b, S) memory (k, S, b for subsets of b >= 8), where the
+                # matching layout makes these no copy
+                if cm:
+                    block = np.ascontiguousarray(block.transpose(1, 2, 0)).swapaxes(1, 2)
+                else:
+                    block = np.ascontiguousarray(block.swapaxes(0, 1))
+            xs = _empty((s_count, n_cols, d), cm)
+            hs = _empty((s_count, n_cols, d), cm)
             if adaptive:
-                etas = np.empty((s_count, n_steps))
-                bhs = np.empty_like(etas)
+                etas = np.empty((s_count, n_cols))
             # per step, only a failed retraction stops a row (it stays at x)
             live = alive.copy()
             every_live = bool(np.logical_and.reduce(live))
-            fail_k = np.full(s_count, n_steps)
+            fail_k = np.full(s_count, n_cols)
             fail_degenerate = np.zeros(s_count, dtype=bool)
 
             for k in range(n_steps):
@@ -211,7 +210,6 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, sink=None) -> list:
                     bh = man.norm(x, h)
                     eta = alpha / np.power(beta + acc, expo)
                     etas[:, k] = eta
-                    bhs[:, k] = bh
                     v = h * -eta[..., None]
                 else:
                     v = h * neg_rates[k]
@@ -241,51 +239,41 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, sink=None) -> list:
                     comp = (tk - acc) - yk
                     acc = tk
 
-            # the record of the block, and retirement: per row the first
-            # event wins, a non-finite record at k before the retraction at
-            # k.  The last block's one evaluation also records x_T; its
-            # results are sliced, so the kernels see the buffer's layout
             if last:
+                # x_T: no batch gradient, and the rate the next step would use
                 xs[:, n_steps] = x
-            fx, g, gnt, rho = evaluate(xs)
-            if last:
-                rho_T = None if rho is None else rho[:, n_steps:]
-                final = fx[:, n_steps:], gnt[:, n_steps:], rho_T
-                xs, fx, g, gnt = (a[:, :n_steps] for a in (xs, fx, g, gnt))
-                rho = None if rho is None else rho[:, :n_steps]
+                hs[:, n_steps] = nan
+                if adaptive:
+                    etas[:, n_steps] = alpha / np.power(beta + acc, expo)
+
+            # the record of the block, and retirement: per row the first
+            # event wins, a non-finite record at k before the retraction at k
+            g = oracle.full_gradient(xs)
+            fx, gnt = oracle.cost(xs), man.norm(xs, g)
             blown = ~(np.isfinite(fx) & np.isfinite(gnt))
-            blown_k = np.where(blown.any(axis=1), blown.argmax(axis=1), n_steps)
+            blown_k = np.where(blown.any(axis=1), blown.argmax(axis=1), n_cols)
             first = np.minimum(blown_k, fail_k)
             last_state = np.where(alive, first, -1)
             last_step = np.where(alive, np.where(blown_k <= fail_k, blown_k - 1, fail_k), -1)
-            ended = alive & (first < n_steps)
+            ended = alive & (first < n_cols)
             abort_t[ended] = t0 + first[ended]
             degenerate |= ended & (fail_k < blown_k) & fail_degenerate
             alive &= ~ended
 
+            ks = np.arange(n_cols)
             every_alive = bool(np.logical_and.reduce(alive))
-            ks = np.arange(n_steps)
-            sink.put(records(
-                t0, xs, fx, gnt, rho, None if every_alive else ks <= last_state[:, None],
-                etas if adaptive else rates[None], sizes, bhs if adaptive else man.norm(xs, hs),
-                man.inner(xs, g, hs - g), None if every_alive else ks <= last_step[:, None]))
-
-        if T == 0:
-            fx, _, gnt, rho = evaluate(x[:, None])
-            final = fx, gnt, rho
-
-    # the final state has no step: its rate is the one the next step would use
-    if adaptive:
-        step_T = np.where(alive, cfg.rate.alpha / np.power(cfg.rate.beta + acc, expo), nan)
-    else:
-        try:
-            step_T = np.where(alive, cfg.rate.gamma(T), nan)
-        except IndexError:
-            step_T = np.full(s_count, nan)
-    no_step = np.full((s_count, 1), nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sink.put(records(T, x[:, None], *final, None if every_alive else alive[:, None],
-                         step_T[:, None], np.zeros(1, dtype=np.int64), no_step, no_step, None))
+            state_keep = None if every_alive else ks <= last_state[:, None]
+            step_keep = None if every_alive else ks <= last_step[:, None]
+            rho = None if cfg.rho is None else mask(cfg.rho(xs), state_keep)
+            sink.put(Records(
+                t0=t0, F=mask(fx, state_keep), grad_norm=mask(gnt, state_keep),
+                step=mask(etas if adaptive else rates[None], step_keep), batch_size=sizes,
+                batch_grad_norm=mask(man.norm(xs, hs), step_keep),
+                noise_inner=mask(man.inner(xs, g, hs - g), step_keep), rho=rho,
+                in_region=None if rho is None or cfg.region_rho1 is None
+                else rho <= cfg.region_rho1,
+                iterates=None if not cfg.store_iterates
+                else mask(xs, None if state_keep is None else state_keep[..., None])))
 
     status = ["degenerate" if degenerate[i] else "ok" if alive[i] else "nonfinite"
               for i in range(s_count)]

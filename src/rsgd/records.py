@@ -1,8 +1,8 @@
 """What a run records and where the records go.
 
 The engine (:mod:`rsgd.driver`) keeps no record itself: ``_run_block``
-hands the finished, masked records of each block -- and of the final state
-at T, as a block of one column -- to one sink, as a ``Records``.
+hands the finished, masked records of each block -- the last one's columns
+end with the final state at T -- to one sink, as a ``Records``.
 ``MemorySink`` (``run_many``'s default) puts them into (S, T+1) arrays and
 returns one ``Trajectory`` per seed.  ``CsvSink`` streams them into one CSV
 per seed and returns one ``SeedEnd`` per seed, so a run into it holds no
@@ -68,7 +68,8 @@ class Trajectory:
 
     Entries at index T (the final state) have no step attached: batch columns
     hold NaN there, batch_size holds 0, and step[T] is the rate the next
-    iteration would use (defined for power-law and adaptive rates).
+    iteration would use (defined for power-law and adaptive rates; NaN for
+    a seed retired at T or before, like its other step columns).
 
     noise_inner holds <grad F(x_t), h_t - grad F(x_t)>, the martingale
     increment numerator; <grad F, h_t> is noise_inner + grad_norm^2.
@@ -131,11 +132,11 @@ def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
     """Rebuild the recorded columns of a trajectory written by write_csv.
 
     ``rsgd run`` writes files only for runs whose seeds ended ok or
-    non-finite, and a retired row's records are NaN from its retirement on,
-    so a file whose last F is NaN is a non-finite seed.  Its ``abort_t`` is
-    its first row whose F or grad_norm is not finite, the driver's own
-    retirement test; a retraction that failed at step t writes the same rows
-    as a non-finite record at t + 1 can, and may read as t + 1."""
+    non-finite, and the driver retires a row at its first record whose F or
+    grad_norm is not finite, x_T included: a file with such a row is a
+    non-finite seed, and that row is its ``abort_t``.  A retraction that
+    failed at step t writes the same rows as a non-finite record at t + 1
+    can, and may read as t + 1."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
@@ -150,16 +151,14 @@ def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
     fields = {attr: data[:, i].astype(kind, copy=False)
               for i, (_, attr, kind) in enumerate(_CSV_COLUMNS) if attr is not None}
     rho = fields.pop("rho")
-    status, abort_t = "ok", None
-    if np.isnan(fields["F"][-1]):
-        status = "nonfinite"
-        abort_t = int(np.argmin(np.isfinite(fields["F"]) & np.isfinite(fields["grad_norm"])))
+    finite = np.isfinite(fields["F"]) & np.isfinite(fields["grad_norm"])
+    ok = bool(finite.all())
     return Trajectory(
         seed=seed,
         noise_inner=np.full(len(data), np.nan),
         rho=None if np.all(np.isnan(rho)) else rho,
-        status=status,
-        abort_t=abort_t,
+        status="ok" if ok else "nonfinite",
+        abort_t=None if ok else int(np.argmin(finite)),
         **fields,
     )
 

@@ -173,7 +173,8 @@ def column_replay(pos: np.ndarray) -> np.ndarray:
 
 def walked_blocks(plan, T: int, s_count: int, d: int):
     """``driver._blocks``, one step at a time: a block of batch size b grows
-    while the next step has size b, up to T and the word bound."""
+    while the next step has size b, up to T and the word bound; horizon 0 is
+    the one block (0, 0)."""
     t0 = 0
     while t0 < T:
         b = plan.batch_size(t0)
@@ -183,6 +184,8 @@ def walked_blocks(plan, T: int, s_count: int, d: int):
             t1 += 1
         yield t0, t1
         t0 = t1
+    if not T:
+        yield 0, 0
 
 
 def dense_outcomes(plan, t: int):
@@ -401,21 +404,21 @@ def stepwise_run(cfg, seeds) -> list[Trajectory]:
         return np.sqrt(sum_dot(v, v))
 
     def record(t):
+        """Record x_t and retire the rows whose record is not finite."""
         fx, g = oracle.cost(x), oracle.full_gradient(x)
         gnt = norm(g)
         F[:, t] = np.where(alive, fx, nan)
         gn[:, t] = np.where(alive, gnt, nan)
         if rho_rec is not None:
             rho_rec[:, t] = np.where(alive, cfg.rho(x), nan)
-        return g, gnt, fx
+        blown = alive & ~(np.isfinite(fx) & np.isfinite(gnt))
+        abort_t[blown] = t
+        alive[blown] = False
+        return g
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
-            g, gnt, fx = record(t)
-            blown = alive & ~(np.isfinite(fx) & np.isfinite(gnt))
-            abort_t[blown] = t
-            alive &= ~blown
-
+            g = record(t)
             outcomes = np.stack([draw_batch(plan, t, seed=int(s)).outcomes for s in seeds])
             h = batch_gradient(oracle, x, BatchDraw(t, outcomes, plan.weights_at(t)))
             bh = norm(h)

@@ -413,6 +413,50 @@ out = {out}
         assert reported["statuses"] == ran["statuses"]
         assert reported["all_ok"] is False
 
+    @pytest.mark.parametrize("horizon, code, status", [
+        (76, 0, "ok"), (77, 3, "nonfinite"), (78, 3, "nonfinite")])
+    def test_run_and_report_agree_on_a_seed_retired_at_x_T(self, tmp_path, capsys, horizon,
+                                                           code, status):
+        # this run's gradient norm first overflows at t = 77: at horizon 77
+        # that is x_T's record, which retires the seed as any other record does
+        rng = np.random.default_rng(0)
+        rows = np.column_stack([rng.normal(size=(6, 3)) * 40, rng.normal(size=6)])
+        data = tmp_path / "rows.csv"
+        data.write_text("a0,a1,a2,y\n" + "".join(
+            ",".join("%.17g" % v for v in row) + "\n" for row in rows))
+        out = tmp_path / "runs"
+        cfg = tmp_path / "over.ini"
+        cfg.write_text(f"""
+[problem]
+kind = least_squares
+dimension = 3
+n_outcomes = 6
+csv = {data}
+tau = 0.2
+
+[plan]
+scheme = segment
+batch_size = 2
+
+[rate]
+kind = power
+c = 1
+p = 0.75
+
+[run]
+horizon = {horizon}
+x0 = 1, 1, 1
+out = {out}
+""")
+        assert main(["run", "--config", str(cfg), "--quiet"]) == code
+        assert main(["report", "--out", str(out), "--quiet"]) == 0
+        for name in ("over_summary.json", "report.json"):
+            metrics = json.loads((out / name).read_text())["metrics"]
+            assert metrics["statuses"] == [status], name
+            assert metrics["all_ok"] is (status == "ok"), name
+        grad_norm = records.read_trajectory_csv(out / "over_seed0.csv").grad_norm
+        assert np.isfinite(grad_norm[:77]).all() and not np.isfinite(grad_norm[77:]).any()
+
 
 @pytest.mark.parametrize("argv", [
     ["report", "--seed", "1"], ["report", "--horizon", "5"],

@@ -886,7 +886,10 @@ def test_batch_equals_stepwise_and_alone_in_both_layouts(scheme, rate, kind, n_s
     seeds = 7 + np.arange(n_seeds)
     patch = mock.patch.object(budget, "WORDS", words or budget.WORDS)
     if fault is not None:
-        row, t = data.draw(st.integers(0, n_seeds - 1)), data.draw(st.integers(1, horizon - 1))
+        # a record is taken at every t in [0, T], a retraction at t in [0, T - 1]
+        # (at t = 0 every row is at x0, so a trapped retraction would fail for all)
+        row = data.draw(st.integers(0, n_seeds - 1))
+        t = data.draw(st.integers(0, horizon) if fault == "record" else st.integers(1, horizon - 1))
         with patch:
             point = _run_block(cfg, seeds)[row].iterates[t].copy()
         _trap(p, point, fault)
@@ -930,10 +933,11 @@ def test_rows_retiring_in_two_blocks_equal_stepwise_and_alone(scheme, first, sec
 
 
 class TestLastBlockRecordsFinalState:
-    """The last block has one more iterate column, x_T, and its one
-    evaluation records the block and the final state: the records equal the
-    step-at-a-time oracle's on every path to x_T, in both layouts, and the
-    cost, gradient and rho run once per block, never once more for x_T."""
+    """The last block has one more column, x_T, and its one evaluation
+    records the block and the final state: the records equal the
+    step-at-a-time oracle's on every path to x_T, a non-finite x_T retiring
+    its row, in both layouts; the cost, gradient and rho run once per block,
+    never once more for x_T, and the sink takes one put per block."""
 
     K = 5
 
@@ -949,9 +953,10 @@ class TestLastBlockRecordsFinalState:
         (0, None), (1, None), (K, None), (2 * K, None), (2 * K + 3, None),
         (2 * K, ("record", 2 * K - 2)), (2 * K, ("record", 2 * K)),
         (2 * K, ("degenerate", 2 * K - 1)), (2 * K, ("nonfinite", 2 * K - 1)),
-        (1, ("degenerate", 0)),
+        (1, ("degenerate", 0)), (0, ("record", 0)),
     ], ids=["T=0", "T=1", "T=K", "T=2K", "T=2K+3", "retired-in-last-block",
-            "nonfinite-x_T", "degenerate-at-T-1", "nonfinite-at-T-1", "T=1-degenerate"])
+            "nonfinite-x_T", "degenerate-at-T-1", "nonfinite-at-T-1", "T=1-degenerate",
+            "T=0-nonfinite-x_0"])
     @pytest.mark.parametrize("n_seeds", [_CM_SEEDS - 1, 100])
     @pytest.mark.parametrize("rate", sorted(RATES))
     @pytest.mark.parametrize("kind", ["sphere", "least_squares"])
@@ -967,9 +972,10 @@ class TestLastBlockRecordsFinalState:
                 _trap(p, _run_block(cfg, seeds)[1].iterates[t].copy(), kind_)
             got = _run_block(cfg, seeds)
         _assert_bitwise(got, stepwise_run(cfg, seeds))
-        if fault is None or fault[1] == horizon:
+        if fault is None:
             assert {tr.status for tr in got} == {"ok"}
         else:
+            # a non-finite record retires its row at x_T too
             assert got[1].abort_t == fault[1]
             assert got[1].status == ("degenerate" if fault[0] == "degenerate" else "nonfinite")
 
@@ -992,6 +998,27 @@ class TestLastBlockRecordsFinalState:
         with _blocked(self.K, n_seeds, 4, 4):
             _run_block(cfg, np.arange(n_seeds))
         assert calls == {"cost": blocks, "full_gradient": blocks, "rho": blocks}
+
+    @pytest.mark.parametrize("horizon, blocks", [(0, 1), (1, 1), (K, 1), (2 * K, 2),
+                                                 (2 * K + 3, 3)])
+    @pytest.mark.parametrize("n_seeds", [_CM_SEEDS - 1, 100])
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    def test_one_put_per_block(self, rate, n_seeds, horizon, blocks):
+        # the puts' columns tile 0 .. T, x_T the last column of the last one
+        p, x0, rho = self._problem("least_squares")
+        cfg = RunConfig(oracle=p, plan=_plan("segment", p.space), rate=RATES[rate], x0=x0,
+                        horizon=horizon, seed=0, rho=rho, region_rho1=3.0)
+        columns = []
+
+        class Counting(records.MemorySink):
+            def put(self, rec):
+                columns.append((rec.t0, rec.t0 + rec.batch_size.size))
+                super().put(rec)
+
+        with _blocked(self.K, n_seeds, 4, 4):
+            _run_block(cfg, np.arange(n_seeds), Counting(cfg, n_seeds))
+        assert len(columns) == blocks
+        assert [t for t0, t1 in columns for t in range(t0, t1)] == list(range(horizon + 1))
 
 
 @pytest.mark.parametrize("workload, n_seeds, d, cm", [
