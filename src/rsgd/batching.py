@@ -244,7 +244,7 @@ class SegmentPlan(BatchPlan):
             idx = crng.randints(keys, slots, self.space.size)
         else:
             idx = crng.weighted_indices(keys, slots, self.space.cumulative)
-        return idx.reshape(t1 - t0, -1, keys.size).transpose(2, 0, 1)
+        return idx.reshape(t1 - t0, self.batch_size(t0), keys.size).transpose(2, 0, 1)
 
     def positions(self, t: int):
         return [(np.arange(self.space.size), self.space.weights)] * self.batch_size(t)

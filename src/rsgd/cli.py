@@ -153,22 +153,11 @@ CONFIG_KEYS = {
 _SIZE_KEYS = ("batch_size", "batch_growth", "batch_sizes")  # one of them at most
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
 def _write_json(path: Path, payload: dict) -> None:
     with _writing():
         with open(path, "w") as fh:
-            json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+            # numpy floats are floats; arrays and other numpy scalars go through tolist
+            json.dump(payload, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
             fh.write("\n")
 
 
@@ -494,10 +483,8 @@ def cmd_run(args) -> int:
 def _check_unbiasedness(problem, plan, seed):
     rng = np.random.default_rng([seed, 11])
     xs = problem.sample_region(rng, 20)
-    worst = 0.0
-    for x, mean in zip(xs, enumerate_expectation(problem, xs, plan, t=0)):
-        dev = mean - problem.full_gradient(x)
-        worst = max(worst, float(np.sqrt((dev * dev).sum())))
+    dev = enumerate_expectation(problem, xs, plan, t=0) - problem.full_gradient(xs)
+    worst = float(diag._pick(np.sqrt((dev * dev).sum(axis=1)), False)[0])
     return {"check": "unbiasedness", "pass": worst <= 1e-10, "worst": worst,
             "tolerance": 1e-10, "points": 20, "seed": seed}
 
@@ -530,9 +517,14 @@ def cmd_check(args) -> int:
                 payload = report.to_dict()
             elif args.name == "lipschitz":
                 radius = problem.gradient_bound()
+                if not math.isfinite(radius):
+                    raise SamplerFailure(f"the gradient bound, the radius of the sampled "
+                                         f"tangent steps, is {radius}")
                 first = diag.estimate_lipschitz(problem, radius, 4000, seed=seed)
                 second = diag.estimate_lipschitz(problem, radius, 4000, seed=seed + 1)
-                ratio = max(first.c1, second.c1) / max(min(first.c1, second.c1), 1e-30)
+                # numpy's max and min propagate a NaN estimate into the ratio
+                c1s = np.array([first.c1, second.c1])
+                ratio = float(c1s.max() / np.maximum(c1s.min(), 1e-30))
                 payload = {"check": "lipschitz", "pass": ratio <= 2.0,
                            "c1": first.c1, "c2": first.c2,
                            "c1_reseeded": second.c1, "stability_ratio": ratio,

@@ -44,9 +44,10 @@ single point needs more), so their transient memory does not grow with the
 number of samples.  The chunks draw their Dirichlet weights
 and step fractions from the same generators in turn, which gives the bits
 of one draw over all points.  Each chunk keeps its first extreme entry
-(``_pick``), and one ``np.argmin`` / ``np.argmax`` over those picks
-(``_first``) finds the entry it would find over all points at once: the
-first NaN wins over everything, and ties keep the earlier entry.  In the
+(``_pick``), and the same rule over those picks (``_first``) finds the
+entry it would find over all points at once: the first NaN wins over
+everything, and ties keep the earlier entry.  The rule is the package's one
+verdict rule and lives in :mod:`rsgd.diagnostics`.  In the
 kappa step check every random step fraction comes before every endpoint
 step, and the band margin before the step margin.  A NaN fails a check, and
 a NaN supremum behind phi raises SamplerFailure.
@@ -60,6 +61,7 @@ from typing import Callable
 import numpy as np
 
 from . import budget
+from .diagnostics import _at, _first, _pick
 from .driver import RunConfig, run_many
 from .errors import ConfinementViolation, InvalidHyperparameters, SamplerFailure
 from .problems import GradientOracle
@@ -252,22 +254,6 @@ def _pairs(spec, oracle, hi, n, seed, k, combos, lo=None, step=None):
             yield flat_x, flat_v, rng_s.uniform(0.0, step, size=len(flat_v))
 
 
-def _pick(values, lower: bool, **rows):
-    """The first minimum (lower) or maximum of values, as np.argmin /
-    np.argmax find it, with the entry of each array in rows at its index.
-    The entries are copied out, so a pick keeps no chunk alive."""
-    i = int(np.argmin(values) if lower else np.argmax(values))
-    return values[i], {key: row[i].tolist() for key, row in rows.items()}
-
-
-def _first(picks, lower: bool):
-    """The pick np.argmin (lower) or np.argmax finds over the picks' values,
-    which is the entry it finds over all their chunks at once: the first NaN
-    wins over everything, and ties keep the earlier pick."""
-    values = np.array([value for value, _ in picks])
-    return picks[int(np.argmin(values) if lower else np.argmax(values))]
-
-
 def check_plain_confinement(spec: ConfinementSpec, oracle: GradientOracle,
                             n_samples: int, seed: int = 0) -> ConfinementReport:
     """Sample the band rho0 <= rho <= 10 * rho0 and every outcome l; PASS iff
@@ -426,7 +412,7 @@ class _Watch:
         lhs = self.lhs(rec)
         bad = lhs > self.bound
         for i in np.flatnonzero(bad.any(axis=1) & (self.t < 0)):
-            k = int(bad[i].argmax())
+            k = _at(bad[i], False)
             self.t[i], self.value[i] = rec.t0 + k, lhs[i, k]
 
     def close(self, seeds, status, abort_t) -> None:

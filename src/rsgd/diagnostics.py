@@ -6,6 +6,13 @@ recorded trajectories, tracks the noise martingale z_t, and aggregates
 convergence statistics across seeds.  Constants enter the checks as sampled
 estimates with explicit margins, because their exact suprema are not
 computable; reports carry the margins used.
+
+Every verdict of the package takes its extreme by one rule, ``_at``: the
+first minimum or maximum, as ``np.argmin`` / ``np.argmax`` find it, so the
+first NaN wins over everything and ties keep the earlier entry.  A NaN
+therefore fails every check.  ``_pick`` and ``_first`` apply the rule to
+chunks of samples and to the picks of those chunks (see
+:mod:`rsgd.confinement`); ``_verdict`` builds the report of each check here.
 """
 
 from __future__ import annotations
@@ -45,8 +52,8 @@ def estimate_lipschitz(oracle: GradientOracle, radius: float, n_samples: int,
     Uses the identity grad(F o R_x)(u) = adjoint(dR_x|_u)(grad F(R_x(u))).
     Estimates are nondecreasing in n_samples for a fixed seed.
     """
-    if radius <= 0 or n_samples < 1:
-        raise ValueError("radius must be > 0 and n_samples >= 1")
+    if not 0 < radius < np.inf or n_samples < 1:
+        raise ValueError("radius must be finite and > 0, and n_samples >= 1")
     man = oracle.manifold
     xs = oracle.sample_region(np.random.default_rng([seed, 0]), n_samples)
     dirs = man.project_tangent(xs, np.random.default_rng([seed, 1]).normal(size=xs.shape))
@@ -63,6 +70,27 @@ def estimate_lipschitz(oracle: GradientOracle, radius: float, n_samples: int,
     c2 = float((np.abs(man.norm(y, gy) - man.norm(xs, pull)) / mags).max())
     return LipschitzEstimate(c1=c1, c2=c2, region=oracle.region_label,
                              radius=float(radius), n_samples=n_samples, seed=seed)
+
+
+def _at(values, lower: bool) -> int:
+    """Index of the first minimum (lower) or maximum of values, as np.argmin /
+    np.argmax find it: the first NaN wins over everything, and ties keep the
+    earlier entry."""
+    return int(np.argmin(values) if lower else np.argmax(values))
+
+
+def _pick(values, lower: bool, **rows):
+    """The extreme ``_at`` finds in values, with the entry of each array in
+    rows at its index.  The entries are copied out, so a pick keeps no chunk
+    alive."""
+    i = _at(values, lower)
+    return values[i], {key: row[i].tolist() for key, row in rows.items()}
+
+
+def _first(picks, lower: bool):
+    """The pick ``_at`` finds over the picks' values, which is the entry it
+    finds over all their chunks at once."""
+    return picks[_at(np.array([value for value, _ in picks]), lower)]
 
 
 @dataclass
@@ -85,6 +113,18 @@ class CheckReport:
                 **self.details}
 
 
+def _verdict(check: str, values, tol: float, index: str, value: str,
+             details: dict) -> CheckReport:
+    """The report of a check that holds iff no entry of values exceeds tol:
+    its worst entry is the one ``_at`` finds, named ``{index: i, value: v}``
+    as the witness of a failure."""
+    i = _at(values, False)
+    worst = float(values[i])
+    passed = bool(worst <= tol)
+    return CheckReport(check=check, passed=passed, worst=worst,
+                       witness=None if passed else {index: i, value: worst}, details=details)
+
+
 def check_descent_inequality(trajectory, c1: float, margin: float = 1.2,
                              slack: float = 1e-9) -> CheckReport:
     """Per-step check of F(x_{t+1}) <= F(x_t) - step * <g, h> + (margin*c1/2) * step^2 ||h||^2.
@@ -101,16 +141,8 @@ def check_descent_inequality(trajectory, c1: float, margin: float = 1.2,
         raise ValueError("trajectory lacks recorded noise inner products")
     gdh = u + trajectory.grad_norm[:T] ** 2
     rhs = f[:T] - s * gdh + 0.5 * margin * c1 * s * s * bgn * bgn + slack
-    gaps = f[1:] - rhs
-    t = int(np.argmax(gaps))
-    worst = float(gaps[t])
-    return CheckReport(
-        check="descent_inequality",
-        passed=bool(worst <= 0.0),
-        worst=worst,
-        witness=None if worst <= 0.0 else {"t": t, "excess": worst},
-        details={"c1": c1, "margin": margin, "slack": slack, "steps": T},
-    )
+    return _verdict("descent_inequality", f[1:] - rhs, 0.0, "t", "excess",
+                    {"c1": c1, "margin": margin, "slack": slack, "steps": T})
 
 
 def check_gradient_square_difference(trajectory, bound_a: float, c1: float, c2: float,
@@ -121,16 +153,8 @@ def check_gradient_square_difference(trajectory, bound_a: float, c1: float, c2: 
     s = trajectory.step[:T]
     diffs = np.abs(gn[1:] ** 2 - gn[:T] ** 2)
     allowance = margin * 2.0 * bound_a**2 * (c1 + c2) * s
-    gaps = diffs - allowance
-    t = int(np.argmax(gaps))
-    worst = float(gaps[t])
-    return CheckReport(
-        check="gradient_square_difference",
-        passed=bool(worst <= 0.0),
-        worst=worst,
-        witness=None if worst <= 0.0 else {"t": t, "excess": worst},
-        details={"bound_a": bound_a, "c1": c1, "c2": c2, "margin": margin, "steps": T},
-    )
+    return _verdict("gradient_square_difference", diffs - allowance, 0.0, "t", "excess",
+                    {"bound_a": bound_a, "c1": c1, "c2": c2, "margin": margin, "steps": T})
 
 
 @dataclass(frozen=True)
@@ -329,12 +353,5 @@ def finite_difference_gradient_check(oracle: GradientOracle, n_points: int,
     g = oracle.full_gradient(xs)
     ip = man.inner(xs, g, w)
     rel = np.abs(fd - ip) / np.maximum(1.0, man.norm(xs, g))
-    i = int(np.argmax(rel))
-    worst = float(rel[i])
-    return CheckReport(
-        check="finite_difference_gradient",
-        passed=bool(worst <= tol),
-        worst=worst,
-        witness=None if worst <= tol else {"index": i, "rel_error": worst},
-        details={"n_points": n_points, "step": step, "tol": tol, "seed": seed},
-    )
+    return _verdict("finite_difference_gradient", rel, tol, "index", "rel_error",
+                    {"n_points": n_points, "step": step, "tol": tol, "seed": seed})

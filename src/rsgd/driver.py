@@ -14,7 +14,7 @@ end: a block keeps one batch size (``plan.batch_size``) and holds at most
 (or one step's, and the last block's buffers one column more, x_T)
 whatever the horizon.  A block is cut at T, at the word bound or at the
 size sequence's next change point, whichever comes first, and horizon 0
-is one block of no steps;
+is one block of no steps, which draws its empty range like any other;
 ``BatchSizes.run_end`` finds that point without asking for the size of
 every step, except for geometric sizes below their cap.  No draw depends on
 the order of the steps, so a block's batches come from one
@@ -178,20 +178,19 @@ def _run_block(cfg: RunConfig, seeds: np.ndarray, sink=None) -> list:
             if not adaptive:
                 rates = np.array([cfg.rate.gamma(t) for t in range(t0, t1)] + [next_rate] * last)
                 neg_rates = (-rates[:n_steps]).tolist()
-            # horizon 0's block has no step to draw for
-            if n_steps:
-                block = plan.draw(t0, t1, seeds)
-                weights = plan.weights_at(t0)
-                equal = bool(np.all(weights == weights[0]))
-                sizes[:n_steps] = block.shape[2]
-                # (k, S, b): the outcomes of one step are one contiguous slab, in
-                # (b, S) memory when the state is coordinate-major; plans draw in
-                # (k, b, S) memory (k, S, b for subsets of b >= 8), where the
-                # matching layout makes these no copy
-                if cm:
-                    block = np.ascontiguousarray(block.transpose(1, 2, 0)).swapaxes(1, 2)
-                else:
-                    block = np.ascontiguousarray(block.swapaxes(0, 1))
+            # horizon 0's block draws no step: (S, 0, b)
+            block = plan.draw(t0, t1, seeds)
+            weights = plan.weights_at(t0)
+            equal = bool(np.all(weights == weights[0]))
+            sizes[:n_steps] = block.shape[2]
+            # (k, S, b): the outcomes of one step are one contiguous slab, in
+            # (b, S) memory when the state is coordinate-major; plans draw in
+            # (k, b, S) memory (k, S, b for subsets of b >= 8), where the
+            # matching layout makes these no copy
+            if cm:
+                block = np.ascontiguousarray(block.transpose(1, 2, 0)).swapaxes(1, 2)
+            else:
+                block = np.ascontiguousarray(block.swapaxes(0, 1))
             xs = _empty((s_count, n_cols, d), cm)
             hs = _empty((s_count, n_cols, d), cm)
             if adaptive:

@@ -53,7 +53,10 @@ The oracles held here:
   product and ``np.min`` / ``np.argmin`` over whole arrays, the references
   for the chunked samplers of ``rsgd.confinement``.  They draw their points
   with their own copies of the band and sublevel samplers, and a NaN fails
-  a check and raises ``SamplerFailure`` in the constants.
+  a check and raises ``SamplerFailure`` in the constants;
+* ``looped_verdict``: a check's verdict found by walking its excess values
+  one at a time, the reference for ``diagnostics._verdict`` and the rule
+  ``diagnostics._at`` behind every verdict.
 """
 
 from __future__ import annotations
@@ -539,6 +542,22 @@ def list_convergence_metrics(trajectories: list, threshold: float = 1e-3) -> dic
         "statuses": statuses,
         "all_ok": bool(all(s == "ok" for s in statuses)),
     }
+
+
+def looped_verdict(excess, tol: float = 0.0):
+    """(passed, worst, witness index or None) of a check that holds iff no
+    entry of excess exceeds tol.  The worst entry is the first NaN or, with
+    none, the first of the largest entries, found one entry at a time."""
+    at = 0
+    for i, value in enumerate(excess):
+        if value != value:
+            at = i
+            break
+        if value > excess[at]:
+            at = i
+    worst = float(excess[at])
+    passed = worst <= tol
+    return passed, worst, None if passed else at
 
 
 def _band_points(spec, dim, lo, hi, n, key):

@@ -401,6 +401,30 @@ def test_draws_match_recorded_digests(name):
     assert blocked.hexdigest()[:32] == GOLDEN_DRAWS[name]
 
 
+def _empty_range_plans():
+    uniform = FiniteSampleSpace.uniform(16)
+    w = np.arange(1, 17, dtype=float)
+    weighted = FiniteSampleSpace(w / w.sum())
+    halves = [range(8), range(8, 16)]
+    sizes = {"constant": BatchSizes.constant(3), "geometric": BatchSizes.geometric(1, 1.5, 16)}
+    plans = {}
+    for kind, s in sizes.items():
+        plans[f"segment-{kind}"] = SegmentPlan(uniform, s)
+        plans[f"segment_weighted-{kind}"] = SegmentPlan(weighted, s)
+        plans[f"no_repetition-{kind}"] = SubsetPlan(uniform, s)
+    plans["stratified-constant"] = StratifiedPlan(uniform, halves, (2, 1))
+    plans["stratified_weighted-constant"] = StratifiedPlan(weighted, halves, (1, 3))
+    return plans
+
+
+@pytest.mark.parametrize("t", [0, 5])
+@pytest.mark.parametrize("name", sorted(_empty_range_plans()))
+def test_every_plan_draws_an_empty_range(name, t):
+    # the engine's horizon-0 block draws (0, 0) like any other block
+    plan, seeds = _empty_range_plans()[name], np.arange(4) + 5
+    assert plan.draw(t, t, seeds).shape == (seeds.size, 0, plan.batch_size(t))
+
+
 class TestSparseSubsets:
     @pytest.mark.parametrize("n", [1, 5, 16, 100_000])
     @pytest.mark.parametrize("full", [False, True], ids=["b=1", "b=N"])

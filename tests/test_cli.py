@@ -1,15 +1,17 @@
 import configparser
 import json
+import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from rsgd import budget, cli, records
+from rsgd import budget, cli, diagnostics, records
 from rsgd import confinement as conf
 from rsgd.cli import CONFIG_KEYS, _parse_strata, build_plan, load_config, main
 from rsgd.records import CSV_HEADER, CsvSink
@@ -217,7 +219,82 @@ x0 = 1.0, 1.0
         assert not out.exists()
 
 
+# sphere targets near the float limit: their squares overflow, so every
+# enumerated expectation and the gradient bound are non-finite
+OVERFLOW_SPHERE_CSV = """a0,a1,a2
+1.5e308,1.2e308,-1.4e308
+-1.3e308,1.1e308,1.0e308
+0.9e308,-1.6e308,1.2e308
+-1.1e308,-1.0e308,-1.3e308
+"""
+
+
+@pytest.fixture
+def overflow_sphere(tmp_path):
+    data = tmp_path / "targets.csv"
+    data.write_text(OVERFLOW_SPHERE_CSV)
+    out = tmp_path / "runs"
+    cfg = tmp_path / "ovs.ini"
+    cfg.write_text(f"""
+[problem]
+kind = sphere_mean
+dimension = 3
+n_outcomes = 4
+csv = {data}
+
+[plan]
+scheme = segment
+batch_size = 2
+
+[rate]
+kind = power
+c = 0.5
+p = 0.75
+
+[run]
+horizon = 10
+out = {out}
+""")
+    return cfg, out
+
+
 class TestCheck:
+    def test_unbiasedness_fails_on_nan_expectations(self, overflow_sphere, capsys):
+        cfg, out = overflow_sphere
+        with np.errstate(all="ignore"):
+            assert main(["check", "unbiasedness", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().out == "unbiasedness: FAIL\n"
+        text = (out / "check_unbiasedness.json").read_text()
+        assert '"worst": NaN' in text
+        payload = json.loads(text)
+        assert payload["pass"] is False and math.isnan(payload["worst"])
+
+    def test_lipschitz_on_an_infinite_gradient_bound_fails_to_sample(self, overflow_sphere,
+                                                                      capsys):
+        cfg, out = overflow_sphere
+        with np.errstate(all="ignore"):
+            assert main(["check", "lipschitz", "--config", str(cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("check failed to sample: the gradient bound, the radius of the "
+                       "sampled tangent steps, is inf\n")
+        assert not (out / "check_lipschitz.json").exists()
+
+    @pytest.mark.parametrize("nan_call", [0, 1], ids=["first", "reseeded"])
+    def test_lipschitz_fails_on_a_nan_estimate(self, sphere_config, capsys, nan_call):
+        cfg, out = sphere_config
+        real, calls = diagnostics.estimate_lipschitz, []
+
+        def estimate(*args, **kwargs):
+            est = real(*args, **kwargs)
+            calls.append(est)
+            return replace(est, c1=math.nan) if len(calls) - 1 == nan_call else est
+
+        with mock.patch.object(cli.diag, "estimate_lipschitz", estimate):
+            assert main(["check", "lipschitz", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().out == "lipschitz: FAIL\n"
+        payload = json.loads((out / "check_lipschitz.json").read_text())
+        assert payload["pass"] is False and math.isnan(payload["stability_ratio"])
+
     def test_unbiasedness_passes(self, sphere_config):
         cfg, out = sphere_config
         assert main(["check", "unbiasedness", "--config", str(cfg), "--quiet"]) == 0

@@ -30,7 +30,7 @@ from rsgd import (
     run_confined_deterministic,
     run_confined_deterministic_many,
 )
-from rsgd import budget, cli, confinement
+from rsgd import budget, cli, confinement, diagnostics
 from rsgd.confinement import _N_COMBOS, _hessian_quadform, sample_rho_levels
 from rsgd.problems import GradientOracle
 from rsgd.schedules import _SQUARE_SUM_TERMS
@@ -565,9 +565,9 @@ def test_chunk_extremes_combine_as_one_argmin(values, cuts, lower):
     entries at once: ties (-0.0 and 0.0 among them) and NaNs included."""
     a = np.array(values)
     bounds = [0] + sorted({c for c in cuts if c < a.size}) + [a.size]
-    picks = [confinement._pick(a[start:stop], lower, index=np.arange(start, stop))
+    picks = [diagnostics._pick(a[start:stop], lower, index=np.arange(start, stop))
              for start, stop in zip(bounds, bounds[1:])]
-    value, at = confinement._first(picks, lower)
+    value, at = diagnostics._first(picks, lower)
     assert at["index"] == (np.argmin if lower else np.argmax)(a)
     assert _bits(float(value)) == _bits(float(a[at["index"]]))
 

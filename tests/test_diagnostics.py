@@ -26,11 +26,12 @@ from rsgd import (
     sum_of_squares,
     track_martingale,
 )
+from rsgd import diagnostics
 from rsgd.diagnostics import ConvergenceFold
 from rsgd.driver import Trajectory
 from rsgd.problems import GradientOracle
 
-from reference import list_convergence_metrics
+from reference import list_convergence_metrics, looped_verdict
 
 
 class QuadraticProblem(GradientOracle):
@@ -328,3 +329,86 @@ class TestFiniteDifferenceCheck:
         bad = CorruptedGradientProblem(random_sphere_mean(4, 16, seed=7))
         report = finite_difference_gradient_check(bad, 200, seed=2)
         assert not report.passed and report.witness is not None
+
+
+def _excess_trajectory(T, noise_inner, batch_grad_norm, step):
+    """Zero F and gradient norms, with the given step columns (T entries
+    each; the column at T takes no step)."""
+    nan = np.array([np.nan])
+    return Trajectory(seed=0, F=np.zeros(T + 1), grad_norm=np.zeros(T + 1),
+                      step=np.append(step, nan), batch_size=np.ones(T + 1, dtype=np.int64),
+                      batch_grad_norm=np.append(batch_grad_norm, nan),
+                      noise_inner=np.append(noise_inner, nan),
+                      in_region=np.ones(T + 1, dtype=bool))
+
+
+class SignedCostProblem(GradientOracle):
+    """On R^1, points at 0 with zero gradient and a cost whose central
+    difference at point i is +-excess[i]: the finite-difference check's
+    relative error there is |excess[i]|, exactly for powers of two, 0, inf
+    and NaN."""
+
+    def __init__(self, excess):
+        self.excess = np.asarray(excess, dtype=float)
+        self.manifold = Euclidean(1)
+
+    def cost(self, x):
+        return np.sign(x[:, 0]) * self.excess * diagnostics._FD_STEP
+
+    def full_gradient(self, x):
+        return np.zeros(np.shape(x))
+
+    def sample_region(self, rng, size):
+        return np.zeros((size, 1))
+
+    @property
+    def region_label(self):
+        return "R^1"
+
+
+def _assert_verdict(report, excess, tol, index, value):
+    # equal values, or both NaN (whatever their sign bits)
+    passed, worst, at = looped_verdict(excess, tol)
+    assert report.passed is passed
+    assert report.worst == worst or np.isnan(report.worst) and np.isnan(worst)
+    if at is None:
+        assert report.witness is None
+    else:
+        assert report.witness == {index: at, value: report.worst}
+
+
+_VALUES = [-np.inf, -1.0, 0.0, 2.0, np.inf, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(excess=st.lists(st.sampled_from(_VALUES), min_size=1, max_size=30))
+def test_trajectory_checks_take_the_first_worst_step(excess):
+    """Both trajectory checks, built so that their per-step excess is the
+    drawn one, find the worst step the way a loop does: the first NaN, else
+    the first of the ties, and only a worst excess <= 0 passes."""
+    e = np.array(excess)
+    T, nan = e.size, np.isnan(e)
+    # F = grad_norm = 0, step 1 and c1 = 0: the gap is the noise inner
+    # product, or NaN through the batch gradient norm
+    tr = _excess_trajectory(T, np.where(nan, 0.0, e), np.where(nan, np.nan, 0.0), np.ones(T))
+    _assert_verdict(check_descent_inequality(tr, c1=0.0, slack=0.0), e, 0.0, "t", "excess")
+    # zero gradient norms and an allowance of exactly the step: the gap is -step
+    tr = _excess_trajectory(T, np.zeros(T), np.zeros(T), -e)
+    report = check_gradient_square_difference(tr, 1.0, 0.5, 0.0, margin=1.0)
+    _assert_verdict(report, e, 0.0, "t", "excess")
+
+
+@settings(max_examples=200, deadline=None)
+@given(excess=st.lists(st.sampled_from([0.0, 2.0**-20, 2.0**-14, 0.5, 2.0, -np.inf, np.inf,
+                                        np.nan]), min_size=1, max_size=30))
+def test_finite_difference_check_takes_the_first_worst_point(excess):
+    """Relative errors of +-excess (so |excess|, ties, inf and NaN among
+    them) fail the first worst point against the tolerance 1e-4."""
+    report = finite_difference_gradient_check(SignedCostProblem(excess), len(excess))
+    _assert_verdict(report, np.abs(excess), diagnostics._FD_TOL, "index", "rel_error")
+
+
+@pytest.mark.parametrize("radius", [np.inf, -np.inf, np.nan, 0.0])
+def test_lipschitz_refuses_a_radius_that_is_not_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="radius must be finite and > 0"):
+        estimate_lipschitz(QuadraticProblem(np.eye(2)), radius, 10)
