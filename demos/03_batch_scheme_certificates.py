@@ -42,4 +42,4 @@ print()
 print("a geometrically growing batch (cap 6):",
       [growing.batch_size(t) for t in range(10)])
 print("cut points of the sample stream:     ",
-      [growing.cut(t) for t in range(11)])
+      [growing.sizes.cut(t) for t in range(11)])

@@ -24,10 +24,12 @@ its subsets with ``itertools.combinations``.
 
 A plan's batch size alone fixes what it draws at a step: a segment or subset
 plan follows its size sequence, and a stratified plan keeps one partition
-and one count per stratum for the whole run.  Draws are pure functions of
-(seed, t): see :mod:`rsgd.rng`.  Nothing depends on the order in which steps
-are drawn, so ``draw(t0, t1, seeds)`` draws a run of steps of one batch size
-in one vectorised call and gives the same bits as drawing them one at a time;
+and one count per stratum for the whole run.  ``BatchSizes`` alone knows how
+a size sequence is stored, and its ``run_end``, ``cut`` and ``largest``
+never walk it step by step.  Draws are pure functions of (seed, t): see
+:mod:`rsgd.rng`.  Nothing depends on the order in which steps are drawn, so
+``draw(t0, t1, seeds)`` draws a run of steps of one batch size in one
+vectorised call and gives the same bits as drawing them one at a time;
 ``draw_block`` (one step) is its one-step case.  How many steps a run holds
 is the driver's one block rule (``rsgd.driver._blocks``), which finds where
 a run of one size ends from ``BatchSizes.run_end``.
@@ -51,9 +53,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -80,6 +83,7 @@ class BatchSizes:
     growth: float = 1.0
     cap: int | None = None
     values: tuple[int, ...] = ()
+    _runs: list = field(default_factory=lambda: [(0, 0)], init=False, repr=False, compare=False)
 
     @classmethod
     def constant(cls, b: int) -> "BatchSizes":
@@ -115,22 +119,35 @@ class BatchSizes:
             raise InvalidPlan(f"explicit size list has no entry for t={t}")
         return self.values[t]
 
-    def run_end(self, t: int, stop: int) -> int:
-        """The first step in (t, stop) whose size differs from at(t), or stop.
+    def largest(self) -> int:
+        """The largest size the sequence takes; growing geometric sizes reach their cap."""
+        if self.kind == "explicit":
+            return max(self.values)
+        return self.cap if self.kind == "geometric" and self.growth > 1.0 else self.base
 
-        Constant sizes and geometric sizes at their cap never change (those
-        never shrink), and a list's change points are found by bisection, so
-        only geometric sizes below their cap are walked step by step."""
+    def run_end(self, t: int, stop: int) -> int:
+        """The first step in (t, stop) whose size differs from at(t), or stop,
+        found by bisection: on a list's change points, else on ``at``, which
+        never decreases (a run at the largest size lasts)."""
         if self.kind == "explicit":
             ends = self._change_points
             return min(stop, ends[bisect_right(ends, t)])
         b = self.at(t)
-        if self.kind == "constant" or self.growth == 1.0 or b == self.cap:
-            return stop
-        t += 1
-        while t < stop and self.at(t) == b:
-            t += 1
-        return t
+        return stop if b == self.largest() else bisect_right(range(stop), b, t + 1, key=self.at)
+
+    def cut(self, t: int) -> int:
+        """The sizes of steps 0 .. t-1 summed: the first stream slot of step t.
+        Each run of one size is kept as (first step, sum before it) from the
+        first cut past it on, so memory grows with the runs, never with t."""
+        runs = self._runs
+        while runs[-1][0] < t:
+            s, c = runs[-1]
+            e = self.run_end(s, t)
+            if e == t:  # step t lies in the last run found, or starts the next
+                break
+            runs.append((e, c + self.at(s) * (e - s)))
+        s, c = runs[bisect_right(runs, t, key=itemgetter(0)) - 1]
+        return c + self.at(s) * (t - s) if t > s else c
 
     @cached_property
     def _change_points(self) -> list[int]:
@@ -148,6 +165,9 @@ class BatchPlan:
     space: FiniteSampleSpace
     scheme: str
     sizes: BatchSizes
+
+    def __init__(self, space: FiniteSampleSpace, sizes: BatchSizes):
+        self.space, self.sizes = space, sizes
 
     def batch_size(self, t: int) -> int:
         return self.sizes.at(t)
@@ -206,40 +226,14 @@ class SegmentPlan(BatchPlan):
 
     scheme = "segment"
 
-    def __init__(self, space: FiniteSampleSpace, sizes: BatchSizes):
-        self.space = space
-        self.sizes = sizes
-        # running sums of the sizes, kept only where no closed form holds: up
-        # to the step where geometric sizes reach their cap, or over an
-        # explicit list
-        self._cuts = [0]
-        self._cap_t = None
-
-    def cut(self, t: int) -> int:
-        """First stream slot of batch t: the sizes of batches 0 .. t-1 summed."""
-        sizes, cuts = self.sizes, self._cuts
-        if sizes.kind == "constant" or (sizes.kind == "geometric" and sizes.growth == 1.0):
-            return sizes.base * t
-        while self._cap_t is None and len(cuts) <= t:
-            k = len(cuts) - 1
-            b = sizes.at(k)
-            if sizes.kind == "geometric" and b == sizes.cap:
-                # geometric sizes never shrink: every later batch has the cap
-                self._cap_t = k
-            else:
-                cuts.append(cuts[-1] + b)
-        if self._cap_t is not None and t > self._cap_t:
-            return cuts[self._cap_t] + sizes.cap * (t - self._cap_t)
-        return cuts[t]
-
     weights_at = BatchPlan.weights_at
     draw_block = BatchPlan.draw_block
 
     def draw(self, t0: int, t1: int, seeds) -> np.ndarray:
         # one stream per seed for the whole run; steps t0 .. t1-1 are slots
-        # cut(t0) .. cut(t1), drawn slot-major: (k, b, S) memory
+        # sizes.cut(t0) .. sizes.cut(t1), drawn slot-major: (k, b, S) memory
         keys = crng.stream_keys(seeds, _STREAM_SEGMENT)
-        slots = np.arange(self.cut(t0), self.cut(t1))[:, None]
+        slots = np.arange(self.sizes.cut(t0), self.sizes.cut(t1))[:, None]
         if self.space.is_uniform:
             idx = crng.randints(keys, slots, self.space.size)
         else:
@@ -261,15 +255,10 @@ class SubsetPlan(BatchPlan):
                 "no-repetition batches need uniform outcome weights; "
                 "the subset average is biased otherwise"
             )
-        # the largest size the sequence takes
-        if sizes.kind == "explicit":
-            b = max(sizes.values)
-        else:
-            b = sizes.cap if sizes.kind == "geometric" and sizes.growth > 1.0 else sizes.base
+        b = sizes.largest()
         if b > space.size:
             raise InvalidPlan(f"batch size {b} exceeds {space.size} outcomes")
-        self.space = space
-        self.sizes = sizes
+        super().__init__(space, sizes)
 
     weights_at = BatchPlan.weights_at
     draw_block = BatchPlan.draw_block
@@ -311,9 +300,8 @@ class StratifiedPlan(BatchPlan):
         flat = sorted(i for g in groups for i in g)
         if flat != list(range(space.size)):
             raise InvalidPlan("strata must partition the outcome set exactly")
-        self.space = space
+        super().__init__(space, BatchSizes.constant(sum(cnts)))
         self.strata, self.counts = groups, cnts
-        self.sizes = BatchSizes.constant(sum(cnts))
         self._members = [np.asarray(g, dtype=np.int64) for g in groups]
         self._mu = [float(space.weights[m].sum()) for m in self._members]
         self._weights = np.concatenate([np.full(c, m / c) for m, c in zip(self._mu, cnts)])

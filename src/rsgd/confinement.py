@@ -55,7 +55,7 @@ a NaN supremum behind phi raises SamplerFailure.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -94,6 +94,8 @@ class ConfinementSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        if not np.isfinite([self.rho0, 0.0 if self.rho1 is None else self.rho1]).all():
+            raise ValueError(f"rho0 and rho1 must be finite, got {self.rho0}, {self.rho1}")
         if self.variant != "plain":
             if self.rho1 is None or not self.rho0 < self.rho1:
                 raise ValueError("kappa variants need rho0 < rho1")
@@ -127,6 +129,10 @@ class ConfinementConstants:
     rho1: float
 
     def __post_init__(self):
+        # a NaN passes every comparison below
+        bad = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
         if min(self.lam, self.b, self.theta) <= 0:
             raise ValueError("lambda, b, theta must be > 0")
         if self.phi < max(self.lambda_est, self.b_est, self.c / self.theta):

@@ -15,15 +15,14 @@ end: a block keeps one batch size (``plan.batch_size``) and holds at most
 whatever the horizon.  A block is cut at T, at the word bound or at the
 size sequence's next change point, whichever comes first, and horizon 0
 is one block of no steps, which draws its empty range like any other;
-``BatchSizes.run_end`` finds that point without asking for the size of
-every step, except for geometric sizes below their cap.  No draw depends on
-the order of the steps, so a block's batches come from one
-``plan.draw(t0, t1, seeds)`` call, and its weights and deterministic rates
-(a confined run's ``ScaledSchedule`` divides each ``gamma(t)`` by phi) are
-computed once per block.  A coordinate-major run reads its outcomes as
-(k, b, S) memory, which is how the plans draw them (see :mod:`rsgd.batching`),
-so it makes no transposed copy of them; a row-major run copies them to
-(k, S, b) once per block.
+``BatchSizes.run_end`` finds that point by bisection, without asking for
+the size of every step.  No draw depends on the order of the steps, so a
+block's batches come from one ``plan.draw(t0, t1, seeds)`` call, and its
+weights and deterministic rates (a confined run's ``ScaledSchedule``
+divides each ``gamma(t)`` by phi) are computed once per block.  A
+coordinate-major run reads its outcomes as (k, b, S) memory, which is how
+the plans draw them (see :mod:`rsgd.batching`), so it makes no transposed
+copy of them; a row-major run copies them to (k, S, b) once per block.
 
 Per step the loop computes only what the next iterate needs: the batch
 gradient, the rate (and, under the adaptive rule, the batch gradient norm),

@@ -309,7 +309,7 @@ def _read_csv_rows(path) -> np.ndarray:
 
     Rows that are empty or whose cells, quoted or not, are all whitespace are
     skipped; the data rows are parsed by ``np.loadtxt``, which streams them in
-    chunks.
+    chunks.  A ``nan`` or ``inf`` cell is refused, naming its data row.
     """
     with open(path) as fh:
         lines = (line for line in fh if line.replace(",", "").replace('"', "").strip())
@@ -323,10 +323,14 @@ def _read_csv_rows(path) -> np.ndarray:
         else:
             raise ValueError(f"{path}: first row parses as numbers; a header row is required")
         try:
-            return np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2,
+            data = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2,
                               comments=None, quotechar='"')
         except ValueError as exc:
             raise ValueError(f"{path}: non-numeric cell or ragged data row ({exc})") from None
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: data row {bad[0] + 1} holds a non-finite cell")
+    return data
 
 
 def load_sphere_mean_csv(path) -> SphereMeanProblem:

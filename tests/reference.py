@@ -13,8 +13,10 @@ The oracles held here:
   column at a time (``column_replay``) and sorted along its row, and one
   ``randints`` call and one gather per stratum, the reference for the
   slot-major ``draw`` of all three plans;
-* ``walked_blocks``: the driver's blocks found by asking the plan for the
-  batch size of every step, the reference for ``driver._blocks``;
+* ``walked_run_end``: where a run of one batch size ends, found by asking
+  for the size of every step, the reference for ``BatchSizes.run_end``;
+* ``walked_blocks``: the driver's blocks found the same way, the reference
+  for ``driver._blocks``;
 * ``dense_outcomes``: every batch of a plan at one step with its probability,
   from ``itertools``, the reference for ``iter_outcome_chunks``;
 * ``BatchDraw``, ``draw_batch`` and ``batch_gradient``: one batch for one seed
@@ -174,6 +176,16 @@ def column_replay(pos: np.ndarray) -> np.ndarray:
     return out
 
 
+def walked_run_end(sizes, t: int, stop: int) -> int:
+    """``BatchSizes.run_end``, one step at a time: the first step in
+    (t, stop) whose size differs from the size at t, or stop."""
+    b = sizes.at(t)
+    t += 1
+    while t < stop and sizes.at(t) == b:
+        t += 1
+    return t
+
+
 def walked_blocks(plan, T: int, s_count: int, d: int):
     """``driver._blocks``, one step at a time: a block of batch size b grows
     while the next step has size b, up to T and the word bound; horizon 0 is
@@ -181,10 +193,8 @@ def walked_blocks(plan, T: int, s_count: int, d: int):
     t0 = 0
     while t0 < T:
         b = plan.batch_size(t0)
-        stop = min(T, t0 + max(1, budget.WORDS // (s_count * max(b, d))))
-        t1 = t0 + 1
-        while t1 < stop and plan.batch_size(t1) == b:
-            t1 += 1
+        t1 = walked_run_end(plan.sizes, t0,
+                            min(T, t0 + max(1, budget.WORDS // (s_count * max(b, d)))))
         yield t0, t1
         t0 = t1
     if not T:

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,7 @@ from rsgd import batching, budget, driver
 from rsgd.problems import GradientOracle
 
 from reference import (BatchDraw, batch_gradient, dense_outcomes, draw_batch, mean_combine,
-                       pool_subsets, rowmajor_draw, walked_blocks)
+                       pool_subsets, rowmajor_draw, walked_blocks, walked_run_end)
 
 
 class FixedVectorsProblem(GradientOracle):
@@ -102,7 +103,7 @@ class TestBatchSizes:
 class TestSegmentPlan:
     def test_cuts_start_at_zero_and_increase(self, triple):
         plan = SegmentPlan(triple.space, BatchSizes.explicit([2, 1, 3]))
-        assert [plan.cut(t) for t in range(4)] == [0, 2, 3, 6]
+        assert [plan.sizes.cut(t) for t in range(4)] == [0, 2, 3, 6]
 
     @pytest.mark.parametrize("sizes", [
         BatchSizes.constant(3),
@@ -117,23 +118,28 @@ class TestSegmentPlan:
         for t in range(n):
             running.append(running[-1] + sizes.at(t))
         plan = SegmentPlan(triple.space, sizes)
-        assert [plan.cut(t) for t in range(n + 1)] == running
-        # a fresh plan asked out of order: the last cut first
-        plan = SegmentPlan(triple.space, sizes)
-        assert [plan.cut(t) for t in (n, 0, n // 2, 7)] == [running[t] for t in (n, 0, n // 2, 7)]
+        assert [plan.sizes.cut(t) for t in range(n + 1)] == running
+        # fresh sizes asked out of order: the last cut first
+        plan = SegmentPlan(triple.space, replace(sizes))
+        order = (n, 0, n // 2, 7)
+        assert [plan.sizes.cut(t) for t in order] == [running[t] for t in order]
 
-    @pytest.mark.parametrize("sizes", [BatchSizes.constant(3), BatchSizes.geometric(1, 1.5, cap=64)],
-                             ids=["constant", "geometric"])
-    def test_far_cuts_hold_no_list(self, triple, sizes):
+    @pytest.mark.parametrize("sizes, t", [
+        (BatchSizes.constant(3), 10**7),
+        (BatchSizes.geometric(1, 1.5, cap=64), 10**7),
+        # below its cap past 10**7 steps: the size first exceeds 4 at t = 2,231,436
+        (BatchSizes.geometric(4, 1.0000001, cap=16), 10**6),
+    ], ids=["constant", "geometric", "geometric-slow"])
+    def test_far_cuts_hold_no_list(self, triple, sizes, t):
         plan = SegmentPlan(triple.space, sizes)
         tracemalloc.start()
         try:
-            cut = plan.cut(10**7)
+            cut = plan.sizes.cut(t)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cut == sum(sizes.at(t) for t in range(20)) + sizes.at(20) * (10**7 - 20)
-        # a list of every cut would hold 10**7 Python ints, about 390 MiB
+        assert cut == sum(sizes.at(k) for k in range(20)) + sizes.at(20) * (t - 20)
+        # a list of every cut would hold t Python ints, about 39 MiB per 10**6
         assert peak < 64 * 1024
 
     def test_unit_batches_are_single_draws(self, triple):
@@ -779,3 +785,15 @@ def test_blocks_cut_at_change_points_equal_the_step_walk(kind, horizon, n_seeds,
     with mock.patch.object(budget, "WORDS", words):
         assert list(driver._blocks(plan, horizon, n_seeds, d)) == \
             list(walked_blocks(plan, horizon, n_seeds, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(8, 40), base=st.integers(1, 64), room=st.integers(0, 2**20),
+       t=st.integers(0, 40).flatmap(lambda e: st.integers(0, 2**e)),
+       window=st.integers(1, 10**4))
+def test_run_end_equals_the_step_walk_far_out(k, base, room, t, window):
+    # growth 1 + 2**-k multiplies the size by e every 2**k steps: t of every
+    # magnitude up to 2**40 meets runs longer than the window, runs of one
+    # step and the cap, and bisection on ``at`` must find the walk's end
+    sizes = BatchSizes.geometric(base, 1.0 + 2.0**-k, base + room)
+    assert sizes.run_end(t, t + window) == walked_run_end(sizes, t, t + window)

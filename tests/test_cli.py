@@ -651,6 +651,11 @@ class TestRunInputs:
         ([("data_seed = 7", "data_seed = -1")], ["run"], "[problem] data_seed"),
         ([("kind = sphere_mean", "kind = least_squares\ntau = 0")], ["run"], "[problem] tau"),
         ([("dimension = 4", "csv = {bad_csv}")], ["run"], "[problem] csv"),
+        # read as a target, the nan would fail every check and abort the run (exit 3)
+        ([("dimension = 4", "csv = {nan_csv}")], ["run"],
+         "nan.csv: data row 2 holds a non-finite cell"),
+        ([("dimension = 4", "csv = {nan_csv}")], ["check", "unbiasedness"],
+         "nan.csv: data row 2 holds a non-finite cell"),
         ([("scheme = segment\nbatch_size = 2",
            "scheme = stratified\nstrata = 0-x; 4-7\nper_stratum_counts = 1, 1")],
          ["run"], "[plan] strata"),
@@ -718,9 +723,9 @@ class TestRunInputs:
     ], ids=["seeds-zero", "seeds-negative", "horizon-negative", "x0-off-sphere",
             "list-rate-too-short", "sphere-dimension-1", "check-sphere-dimension-1",
             "least-squares-dimension-0", "n-outcomes-zero", "data-seed-negative",
-            "tau-zero", "csv-non-numeric", "strata-not-an-index", "strata-reversed-range",
-            "strata-counts-mismatch", "subset-size-over-n", "subset-size-list-over-n",
-            "samples-zero",
+            "tau-zero", "csv-non-numeric", "csv-nan", "check-csv-nan", "strata-not-an-index",
+            "strata-reversed-range", "strata-counts-mismatch", "subset-size-over-n",
+            "subset-size-list-over-n", "samples-zero",
             "lambda-zero", "theta-negative", "b-zero", "enabled-not-a-boolean",
             "variant-unknown", "rho0-negative", "check-rho0-negative", "rho0-nan",
             "check-rho0-nan", "sphere-confined", "check-sphere-confined", "confined-list-rate",
@@ -735,9 +740,11 @@ class TestRunInputs:
         cfg, out = sphere_config
         bad_csv = cfg.parent / "bad.csv"
         bad_csv.write_text("a1,a2\n1.0,x\n")
+        nan_csv = cfg.parent / "nan.csv"
+        nan_csv.write_text("a1,a2,a3\n1,0,0\n0,nan,0\n0,0,1\n")
         text = cfg.read_text()
         for old, new in edits:
-            text = text.replace(old, new.format(bad_csv=bad_csv))
+            text = text.replace(old, new.format(bad_csv=bad_csv, nan_csv=nan_csv))
         cfg.write_text(text)
         assert main(argv + ["--config", str(cfg), "--quiet"]) == 2
         err = capsys.readouterr().err

@@ -213,6 +213,25 @@ class TestEstimateConstants:
             ConfinementConstants(lam=1.0, b=1.0, theta=1.0, c=0.5, sigma=0.65,
                                  lambda_est=0.0, b_est=0.0, phi=1.0, rho0=1.0, rho1=99.0)
 
+    @pytest.mark.parametrize("name", ["lam", "b", "theta", "c", "sigma", "lambda_est",
+                                      "b_est", "phi", "rho0", "rho1"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_constants_refuse_a_non_finite_field(self, name, value):
+        # a NaN passes the min and > comparisons of the other checks
+        valid = dict(lam=1.0, b=1.0, theta=1.0, c=0.5, sigma=0.65, lambda_est=0.0,
+                     b_est=0.0, phi=1.0, rho0=1.0, rho1=1.0 + 0.5 + 0.325)
+        ConfinementConstants(**valid)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ConfinementConstants(**valid | {name: value})
+
+    @pytest.mark.parametrize("levels", [(np.nan, None), (np.inf, None), (1.0, np.nan),
+                                        (1.0, np.inf)])
+    @pytest.mark.parametrize("variant", ["plain", "kappa"])
+    def test_spec_refuses_non_finite_levels(self, levels, variant):
+        # a NaN rho0 would reach the sampler, where numpy raises OverflowError
+        with pytest.raises(ValueError, match="rho0 and rho1 must be finite"):
+            norm_squared_confinement(*levels, variant)
+
 
 class TestConfinedDeterministic:
     def _setup(self, ls_problem, schedule, n_samples=1500):

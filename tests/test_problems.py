@@ -251,6 +251,17 @@ class TestCsvLoading:
         with pytest.raises(ValueError, match="bad.csv"):
             load_sphere_mean_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("load", [load_sphere_mean_csv,
+                                      lambda path: load_least_squares_csv(path, tau=0.1)],
+                             ids=["sphere", "least-squares"])
+    def test_non_finite_cell_rejected_naming_its_row(self, tmp_path, cell, load):
+        # blank rows are not counted: the bad cell sits in the second data row
+        path = tmp_path / "cells.csv"
+        path.write_text(f"a1,a2,y\n1,0,0.5\n\n0,{cell},-1\n2,2,2\n")
+        with pytest.raises(ValueError, match="cells.csv: data row 2 holds a non-finite cell$"):
+            load(path)
+
     @pytest.mark.parametrize("rows", ["1,2\n3\n", "1,2\n3,4,5\n", "1,2,\n"],
                              ids=["short", "long", "empty-cell"])
     def test_ragged_rows_rejected(self, tmp_path, rows):
