@@ -40,7 +40,6 @@ from .errors import (
     ConfigError,
     ConfinementViolation,
     DegenerateRetraction,
-    EnumerationBudgetExceeded,
     InvalidHyperparameters,
     InvalidPlan,
     SamplerFailure,

@@ -1,4 +1,4 @@
-"""Batch-forming schemes and their exact expectation / variance by enumeration.
+"""Batch-forming schemes and the exact law of their batch gradient.
 
 Three schemes produce the averaged stochastic gradient used at each step:
 
@@ -12,15 +12,21 @@ Three schemes produce the averaged stochastic gradient used at each step:
   stratum contributes a fixed number of i.i.d. conditional draws, weighted by
   stratum probability over per-stratum count.
 
-Every scheme knows its own outcome space, so its expectation and variance at
-a step can be computed exactly by exhaustive enumeration; this is how the
-unbiasedness of each scheme is certified (``rsgd check unbiasedness``).  The
-segment and stratified batches have independent positions: ``positions(t)``
-gives each position's outcomes and conditional probabilities, and
-``BatchPlan`` derives from it the one enumerator of both (``outcome_count``
-and ``iter_outcome_chunks``, a mixed-radix count over the positions).  A
-subset batch's positions are not independent, so ``SubsetPlan`` enumerates
-its subsets with ``itertools.combinations``.
+A batch gradient is h = sum_l c_l H(x, l), where c_l is the total weight
+outcome l gets in the batch.  The plan alone fixes the law of c, and
+``coefficients(t)`` gives its mean and covariance in a structured form
+(Horvitz & Thompson 1952), never as a dense N x N matrix.  From it
+``enumerate_expectation`` and ``variance_report`` compute E h and
+E ||h - E h||^2 exactly at any batch size, walking the N outcomes rather
+than the batches; this is how the unbiasedness of each scheme is certified
+(``rsgd check unbiasedness``).  The segment and stratified batches have
+independent slots: ``positions(t)`` gives each run of identically
+distributed slots as (outcomes, conditional probabilities, count), and
+``BatchPlan`` derives from it both the coefficient law and the enumeration
+of every batch (``outcome_count`` and ``iter_outcome_chunks``, a
+mixed-radix count over the slots) that the tests check the law against.  A
+subset batch's slots are not independent, so ``SubsetPlan`` gives its law in
+closed form and enumerates its subsets with ``itertools.combinations``.
 
 A plan's batch size alone fixes what it draws at a step: a segment or subset
 plan follows its size sequence, and a stratified plan keeps one partition
@@ -52,7 +58,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice
@@ -62,16 +67,15 @@ import numpy as np
 
 from . import budget
 from . import rng as crng
-from .errors import EnumerationBudgetExceeded, InvalidPlan
-from .manifolds import _SHORT, _sum
-from .problems import FiniteSampleSpace, GradientOracle, _gather_cm
+from .errors import InvalidPlan
+from .manifolds import _SHORT, _dot, _sum
+from .problems import FiniteSampleSpace, GradientOracle
 
 _STREAM_SEGMENT = 1 << 36
 _STREAM_SUBSET = 1 << 40
 _STREAM_STRATIFIED = 1 << 41
 
 _ENUM_CHUNK = 1 << 15
-_ENUM_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -189,32 +193,46 @@ class BatchPlan:
         return self.draw(t, t + 1, seeds)[:, 0]
 
     def positions(self, t: int):
-        """Per batch position at step t, (outcomes, conditional probabilities):
-        the positions draw independently, so a batch's probability is the
-        product of its entries' probabilities at their positions."""
+        """The batch slots at step t in runs of identically distributed ones,
+        in slot order, as (outcomes, conditional probabilities, count): the
+        slots draw independently, so a batch's probability is the product of
+        its entries' probabilities at their slots."""
         raise NotImplementedError
+
+    def coefficients(self, t: int):
+        """The law of c in the batch gradient h = sum_l c_l H(x, l) at step t:
+        (E c (N,), alpha (N,), rows [(beta, members, q)]) with Cov(c) =
+        diag(alpha) - sum_r beta_r q_r q_r^T, each q_r zero off its members.
+        A run of k independent slots of one weight w, drawing from q, adds
+        k w q to E c and k w^2 (diag(q) - q q^T) to Cov(c)."""
+        n, w, slot = self.space.size, self.weights_at(t), 0
+        mean, alpha, rows = np.zeros(n), np.zeros(n), []
+        for members, cond, count in self.positions(t):
+            wj, slot = w[slot], slot + count
+            mean[members] += count * wj * cond
+            alpha[members] += count * wj * wj * cond
+            rows.append((count * wj * wj, members, cond))
+        return mean, alpha, rows
 
     def outcome_count(self, t: int) -> int:
         """Exact size of the scheme's outcome space at step t (Python int)."""
-        # one power per distinct radix: a product of b factors one at a time
-        # costs O(b^2) digit operations, seconds at b = 1e5
-        radices = Counter(int(members.size) for members, _ in self.positions(t))
-        return math.prod(n**c for n, c in radices.items())
+        # one power per run: a product of b factors one at a time costs
+        # O(b^2) digit operations, seconds at b = 1e5
+        return math.prod(members.size**count for members, _, count in self.positions(t))
 
     def iter_outcome_chunks(self, t: int):
         """Yield (indices (c, B), probabilities (c,)) covering the outcome space,
         at most _ENUM_CHUNK outcomes per chunk: batch k is k written in the
-        mixed radix of the positions' outcome counts, the last position's
-        digit lowest."""
-        positions = self.positions(t)
+        mixed radix of the slots' outcome counts, the last slot's digit
+        lowest."""
+        slots = [(m, cond) for m, cond, count in self.positions(t) for _ in range(count)]
         total = self.outcome_count(t)
         for start in range(0, total, _ENUM_CHUNK):
             rem = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-            idx = np.empty((rem.size, len(positions)), dtype=np.int64)
+            idx = np.empty((rem.size, len(slots)), dtype=np.int64)
             prob = np.ones(rem.size)
-            digit = np.empty_like(rem)  # divided in place: fresh arrays per position add RSS
-            for pos in range(len(positions) - 1, -1, -1):
-                members, cond = positions[pos]
+            digit = np.empty_like(rem)  # divided in place: fresh arrays per slot add RSS
+            for pos, (members, cond) in reversed(list(enumerate(slots))):
                 np.divmod(rem, members.size, out=(rem, digit))
                 idx[:, pos] = members[digit]
                 prob *= cond[digit]
@@ -241,7 +259,7 @@ class SegmentPlan(BatchPlan):
         return idx.reshape(t1 - t0, self.batch_size(t0), keys.size).transpose(2, 0, 1)
 
     def positions(self, t: int):
-        return [(np.arange(self.space.size), self.space.weights)] * self.batch_size(t)
+        return [(np.arange(self.space.size), self.space.weights, self.batch_size(t))]
 
 
 class SubsetPlan(BatchPlan):
@@ -251,10 +269,8 @@ class SubsetPlan(BatchPlan):
 
     def __init__(self, space: FiniteSampleSpace, sizes: BatchSizes):
         if not space.is_uniform:
-            raise InvalidPlan(
-                "no-repetition batches need uniform outcome weights; "
-                "the subset average is biased otherwise"
-            )
+            raise InvalidPlan("no-repetition batches need uniform outcome weights; "
+                              "the subset average is biased otherwise")
         b = sizes.largest()
         if b > space.size:
             raise InvalidPlan(f"batch size {b} exceeds {space.size} outcomes")
@@ -267,6 +283,14 @@ class SubsetPlan(BatchPlan):
         keys = crng.stream_keys(seeds, _STREAM_SUBSET + np.arange(t0, t1)[:, None])
         return _partial_shuffle(keys, self.space.size, self.batch_size(t0)).transpose(2, 0, 1)
 
+    def coefficients(self, t: int):
+        # each outcome is in the batch with probability b/N, each pair with
+        # b(b-1)/(N(N-1)): Cov(c) = kappa (I/N - 11^T/N^2), u = 1/N
+        n, b = self.space.size, self.batch_size(t)
+        kappa = (n - b) / ((n - 1) * b) if b < n else 0.0
+        u = np.full(n, 1.0 / n)
+        return np.full(n, b / n * self.weights_at(t)[0]), kappa * u, [(kappa, np.arange(n), u)]
+
     def outcome_count(self, t: int) -> int:
         return math.comb(self.space.size, self.batch_size(t))
 
@@ -274,12 +298,8 @@ class SubsetPlan(BatchPlan):
         n, b = self.space.size, self.batch_size(t)
         prob = 1.0 / math.comb(n, b)
         it = combinations(range(n), b)
-        while True:
-            block = list(islice(it, _ENUM_CHUNK))
-            if not block:
-                return
-            idx = np.asarray(block, dtype=np.int64)
-            yield idx, np.full(idx.shape[0], prob)
+        while block := list(islice(it, _ENUM_CHUNK)):
+            yield np.asarray(block, dtype=np.int64), np.full(len(block), prob)
 
 
 class StratifiedPlan(BatchPlan):
@@ -335,8 +355,8 @@ class StratifiedPlan(BatchPlan):
         return self._flat.take(pos).transpose(2, 0, 1)
 
     def positions(self, t: int):
-        return [(m, self.space.weights[m] / muj)
-                for m, muj, c in zip(self._members, self._mu, self.counts) for _ in range(c)]
+        return [(m, self.space.weights[m] / muj, c)
+                for m, muj, c in zip(self._members, self._mu, self.counts)]
 
 
 def _partial_shuffle(keys: np.ndarray, n: int, b: int) -> np.ndarray:
@@ -445,59 +465,54 @@ def combine_batch(weights: np.ndarray, grads: np.ndarray, equal: bool) -> np.nda
     return _sum(grads * weights[..., None], -2)
 
 
-def _enumerated_vectors(oracle, points, plan, t):
-    """Yield (p, batch gradients at points[p] (c, d), probabilities (c,)) for
-    every chunk of the outcome space at step t, chunks outermost: each chunk
-    is made once for all points, and each point sees the chunks in order.
-    A chunk's batch gradients are averaged over slices of its batches whose
-    gathered (rows, b, d) gradients hold at most ``budget.WORDS`` words (or
-    one batch's); each average depends on its own batch alone, so the
-    slices change no bit."""
-    count = plan.outcome_count(t)
-    if count > _ENUM_BUDGET:
-        raise EnumerationBudgetExceeded(
-            f"{count} outcomes at t={t} exceed the enumeration budget {_ENUM_BUDGET}"
-        )
-    # (d, N) per point: each slice of a chunk is gathered coordinate-major, so
-    # the batch average sums contiguous runs of outcomes, and the averages
-    # are handed on row-major, so the sums over them keep their order
-    outcomes = np.arange(oracle.space.size)
-    tables_t = [np.ascontiguousarray(oracle.sample_gradients(x, outcomes).T) for x in points]
-    w = plan.weights_at(t)
-    equal = bool(np.all(w == w[0]))
-    d = np.shape(points)[-1]
-    for idx, prob in plan.iter_outcome_chunks(t):
-        c, b = idx.shape
-        step = max(1, budget.WORDS // (b * d))
-        for p, table_t in enumerate(tables_t):
-            vecs = np.empty((c, d))
-            for r in range(0, c, step):
-                vecs[r:r + step] = combine_batch(w, _gather_cm(table_t, idx[r:r + step]), equal)
-            yield p, vecs, prob
+def _outcome_sums(oracle, points, outcomes, coef, centre, square=False):
+    """Per point x of points (P, d) and its centre g in centre (P, d),
+    sum_i coef_i (H(x, outcomes_i) - g), (P, d), or with ``square``
+    sum_i coef_i ||H(x, outcomes_i) - g||^2, (P,).  The outcomes are walked
+    in slices whose (P, s, d) gradients hold at most ``budget.WORDS`` words
+    (or one outcome's), and the terms are added one after the other in the
+    order of the outcomes (``add.accumulate``, never pairwise) with no BLAS,
+    so neither the slices nor the number of points changes a point's bits."""
+    acc = np.zeros(centre.shape[:1] if square else centre.shape)
+    step = max(1, budget.WORDS // max(centre.size, 1))
+    for a in range(0, outcomes.size, step):
+        idx = outcomes[None, a:a + step].repeat(len(points), axis=0)
+        h = oracle.sample_gradients(points, idx) - centre[:, None]
+        terms = coef[a:a + step] * _sum(h * h) if square else coef[a:a + step, None] * h
+        terms[:, 0] += acc
+        acc = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    return acc
 
 
 def enumerate_expectation(oracle: GradientOracle, x, plan: BatchPlan, t: int = 0) -> np.ndarray:
-    """Exact expectation of the batch gradient at step t, by full enumeration,
-    at one point x (d,) or at each of the points x (P, d).
+    """Exact expectation of the batch gradient at step t, sum_l (E c)_l H(x, l)
+    from the plan's coefficient law, at one point x (d,) or at each of the
+    points x (P, d).
 
-    This is the independent certificate that a scheme is unbiased: the result
-    must coincide with ``oracle.full_gradient(x)``.  The outcome space is
-    enumerated once for all points, and each point's result is bitwise equal
-    to enumerating at that point alone.
+    This is the certificate that a scheme is unbiased: the result must
+    coincide with ``oracle.full_gradient(x)``.  It walks the N outcomes, not
+    the batches, so it holds at any batch size.  The name is kept from when
+    it enumerated every batch: perfbench's tracer patches
+    ``cli.enumerate_expectation`` by it.  Each point's result is bitwise
+    equal to computing it alone, whatever ``budget.WORDS`` is.
     """
     points = np.atleast_2d(np.asarray(x, dtype=float))
-    acc = np.zeros(points.shape)
-    for p, vecs, prob in _enumerated_vectors(oracle, points, plan, t):
-        acc[p] += (prob[:, None] * vecs).sum(axis=0)
+    acc = _outcome_sums(oracle, points, np.arange(oracle.space.size), plan.coefficients(t)[0],
+                        np.zeros_like(points))
     return acc if np.ndim(x) == 2 else acc[0]
 
 
 def variance_report(oracle: GradientOracle, x, plan: BatchPlan, t: int = 0) -> float:
-    """Exact E ||h - grad F(x)||^2 of the batch gradient h at step t, by enumeration."""
-    x = np.asarray(x, dtype=float)
-    g = oracle.full_gradient(x)
-    acc = 0.0
-    for _, vecs, prob in _enumerated_vectors(oracle, [x], plan, t):
-        dev = vecs - g
-        acc += float((prob * (dev * dev).sum(axis=1)).sum())
-    return acc
+    """Exact E ||h - E h||^2 of the batch gradient h at step t from the plan's
+    coefficient law: sum_l alpha_l ||H_l - g||^2 - sum_r beta_r
+    ||sum_l q_rl (H_l - g)||^2 with g = grad F(x).  The weights of every
+    batch sum to 1, so Cov(c) 1 = 0 and centring on g changes nothing but
+    the cancellation."""
+    point = np.asarray(x, dtype=float)[None]
+    g = oracle.full_gradient(point)
+    _, alpha, rows = plan.coefficients(t)
+    var = _outcome_sums(oracle, point, np.arange(oracle.space.size), alpha, g, square=True)[0]
+    for beta, members, q in rows:
+        s = _outcome_sums(oracle, point, members, q, g)[0]
+        var -= beta * _dot(s, s)
+    return float(var)

@@ -39,7 +39,6 @@ from .errors import (
     ConfigError,
     ConfinementViolation,
     DegenerateRetraction,
-    EnumerationBudgetExceeded,
     InvalidHyperparameters,
     InvalidPlan,
     SamplerFailure,
@@ -305,7 +304,9 @@ def build_confinement(cp, problem):
     if rho0 == "auto":
         if not hasattr(problem, "rho0_for_norm_squared"):
             raise ConfigError("[confinement] rho0 = auto needs a least-squares problem")
-        rho0 = problem.rho0_for_norm_squared()
+        if not math.isfinite(rho0 := problem.rho0_for_norm_squared()):
+            raise ConfigError(f"[confinement] rho0 = auto is max y^2 / (4 tau) = {rho0:g}, "
+                              "not finite: a label's square overflows")
     params = {key: _get(cp, "confinement", key)
               for key in ("variant", "kappa", "lambda", "b", "theta", "samples")}
     # the level adaptive confined runs and the adaptive kappa check keep rho under
@@ -374,8 +375,11 @@ def _constants_for(params, spec, problem, rate, seed):
     if not check.valid:
         key = "kind = list" if isinstance(rate, ExplicitSchedule) else f"p = {rate.p:g}"
         raise ConfigError(f"[rate] {key} cannot confine a deterministic run: {check.reason}")
-    return conf.estimate_constants(spec, problem, rate, params["lambda"], params["b"],
-                                   params["theta"], params["samples"], seed=seed)
+    try:
+        return conf.estimate_constants(spec, problem, rate, params["lambda"], params["b"],
+                                       params["theta"], params["samples"], seed=seed)
+    except InvalidHyperparameters as exc:
+        raise ConfigError(f"[confinement] {exc}") from None
 
 
 @contextmanager
@@ -548,9 +552,8 @@ def cmd_check(args) -> int:
                     report = conf.check_kappa_confinement(spec, problem, params["kappa"],
                                                           params["samples"], seed=seed)
                 payload = report.to_dict()
-        except (SamplerFailure, EnumerationBudgetExceeded) as exc:
-            verb = "sample" if isinstance(exc, SamplerFailure) else "enumerate"
-            print(f"check failed to {verb}: {exc}", file=sys.stderr)
+        except SamplerFailure as exc:
+            print(f"check failed to sample: {exc}", file=sys.stderr)
             return 1
         except UnboundedRegion as exc:
             raise ConfigError(f"check {args.name} needs [problem] rho1: {exc}") from None

@@ -302,7 +302,8 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
     b_est bounds (1/b) * sqrt(max(0, Hess(rho o R_x)|_{-theta v}(v, v))) over
     {rho <= rho1} and step fractions in [0, theta].  phi may exceed the
     minimal admissible value; any upper bound preserves the guarantee.  A
-    NaN sample raises SamplerFailure.
+    NaN sample raises SamplerFailure, and a b whose rho1 is not finite
+    InvalidHyperparameters.
 
     b = "auto" takes b = max(b_est, 1e-6) from a first estimate at b = 1: the
     constants equal those of a call with b = 1 followed by a call with that
@@ -331,6 +332,9 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
     def b_est_at(b):
         # the sup of Hess(rho o R_x)|_{-s v}(v, v) over {rho <= rho1}, s in [0, theta]
         rho1 = spec.rho0 + lam * c + 0.5 * b * b * sigma
+        if not np.isfinite(rho1):
+            raise InvalidHyperparameters(f"b = {b:g} makes rho1 = rho0 + lambda c + "
+                                         f"b^2 sigma / 2 = {rho1:g}, which is not finite")
         high = _finite("b_est: Hess(rho o R_x)(v, v)", _first(
             [_pick(_hessian_quadform(oracle.manifold, spec.rho, x, -s[:, None] * v, v),
                    False, x=x)

@@ -9,10 +9,6 @@ class InvalidPlan(ValueError):
     """Batch plan is inconsistent with its sample space or iteration index."""
 
 
-class EnumerationBudgetExceeded(RuntimeError):
-    """Exhaustive enumeration of a batch outcome space would exceed the budget."""
-
-
 class InvalidHyperparameters(ValueError):
     """Run hyperparameters violate their admissibility conditions: the adaptive
     step-size constants, eta_0 <= kappa, or a confined run's start inside its level."""

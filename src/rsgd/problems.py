@@ -3,8 +3,8 @@
 Each problem couples a manifold, a finite outcome space with probability
 weights, and a per-outcome gradient field H(x, l) whose weighted average over
 all outcomes equals the exact Riemannian gradient of the cost.  Because the
-outcome spaces are finite, that unbiasedness identity can be certified by
-exhaustive enumeration rather than sampling.
+outcome spaces are finite, a batch plan is certified unbiased exactly: each
+H(x, l) weighted by the plan's mean coefficient (:mod:`rsgd.batching`) sums to it.
 
 Two instances are provided: a mean-of-targets cost on the unit sphere (whose
 domain is compact by itself) and Tikhonov-regularized least squares on flat

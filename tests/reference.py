@@ -18,7 +18,9 @@ The oracles held here:
 * ``walked_blocks``: the driver's blocks found the same way, the reference
   for ``driver._blocks``;
 * ``dense_outcomes``: every batch of a plan at one step with its probability,
-  from ``itertools``, the reference for ``iter_outcome_chunks``;
+  from ``itertools``, the reference for ``iter_outcome_chunks`` and, through
+  the batch coefficients' mean and covariance over it, for ``coefficients``,
+  ``enumerate_expectation`` and ``variance_report``;
 * ``BatchDraw``, ``draw_batch`` and ``batch_gradient``: one batch for one seed
   and step and its averaged gradient, the step-at-a-time path;
 * ``stepwise_run``: the engine's iteration one step at a time on that path,

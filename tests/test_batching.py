@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from rsgd import (
     BatchSizes,
-    EnumerationBudgetExceeded,
     Euclidean,
     FiniteSampleSpace,
     InvalidPlan,
@@ -327,11 +326,16 @@ class TestEnumeration:
         exact = enumerate_expectation(triple, x, plan, 4)
         assert np.all(np.abs(mean - exact) <= 3 * stderr)
 
-    def test_budget_enforced(self):
+    def test_plan_past_the_old_enumeration_budget_is_certified(self):
+        # 10**7 batches, ten times the 10**6 once enumerated at most: the
+        # coefficient law walks the 10 outcomes instead
         prob = FixedVectorsProblem(np.eye(10))
         plan = SegmentPlan(prob.space, BatchSizes.constant(7))
-        with pytest.raises(EnumerationBudgetExceeded):
-            enumerate_expectation(prob, np.zeros(10), plan)
+        assert plan.outcome_count(0) == 10**7
+        np.testing.assert_allclose(enumerate_expectation(prob, np.zeros(10), plan),
+                                   np.full(10, 0.1), rtol=0, atol=1e-15)
+        pop = 0.1 * (1.0 - 0.1) * 10  # the trace of Cov(e_l) at b = 1
+        assert variance_report(prob, np.zeros(10), plan) == pytest.approx(pop / 7, rel=1e-14)
 
 
 class TestVariance:
@@ -496,92 +500,124 @@ def test_enumeration_equals_full_gradient_nonuniform(problem, scheme, n, d, data
     assert np.sqrt((dev * dev).sum()) <= 1e-12 * max(1.0, scale)
 
 
-def test_enumeration_memory_does_not_grow_with_the_gather():
-    # the 20 points of check unbiasedness over two full chunks of 2^15
-    # batches: doubling b adds the chunk's outcome indices (8 bytes per batch
-    # and position), not its gathered gradients (8 b d bytes per batch),
-    # which once took 2 MiB at b = 2 and 4 MiB at b = 4
-    peaks = []
-    for n, b in ((182, 2), (14, 4)):
-        prob = random_least_squares(4, n, seed=3, tau=0.2, region_rho1=4.0)
-        plan = SegmentPlan(prob.space, BatchSizes.constant(b))
-        xs = np.random.default_rng(0).normal(size=(20, 4))
+def test_expectation_memory_does_not_grow_with_the_gather():
+    # the 20 points of check unbiasedness at N = 2^16 outcomes: the (20, N, d)
+    # gradients of a whole walk would take 40 MiB, its slices take at most
+    # budget.WORDS words, and the coefficient law a few N-vectors
+    n, d = 1 << 16, 4
+    prob = random_least_squares(d, n, seed=3, tau=0.2, region_rho1=4.0)
+    xs = np.random.default_rng(0).normal(size=(20, d))
+    for plan in (SegmentPlan(prob.space, BatchSizes.constant(1000)),
+                 SubsetPlan(prob.space, BatchSizes.constant(1000))):
         tracemalloc.start()
         try:
             enumerate_expectation(prob, xs, plan)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        peaks.append(peak)
-    chunk = batching._ENUM_CHUNK
-    assert peaks[1] < peaks[0] + 2 * 8 * chunk and peaks[1] < 5 * 2**20, peaks
+        assert peak < 8 * (8 * n + 8 * budget.WORDS), peak
+
+
+def _law_case(scheme, uniform, n, b, data):
+    """A plan of the scheme over n outcomes, uniform or Dirichlet weights,
+    with sizes growing geometrically from 1 up to b (stratified: drawn strata
+    and counts)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if scheme == "no_repetition" or uniform:
+        space = FiniteSampleSpace.uniform(n)
+    else:
+        space = FiniteSampleSpace(rng.dirichlet(np.ones(n)))
+    sizes = BatchSizes.geometric(1, data.draw(st.sampled_from([1.5, 2.0, 3.0])), b)
+    if scheme == "segment":
+        return SegmentPlan(space, sizes)
+    if scheme == "no_repetition":
+        return SubsetPlan(space, sizes)
+    return StratifiedPlan(space, *_drawn_partition(n, data))
+
+
+def _enumerated_law(plan, t):
+    """E c and Cov(c) over every batch of ``reference.dense_outcomes``."""
+    idx, prob = dense_outcomes(plan, t)
+    c = np.zeros((len(idx), plan.space.size))
+    np.add.at(c, (np.arange(len(idx))[:, None], idx), plan.weights_at(t))
+    mean = prob @ c
+    dev = c - mean
+    return mean, (prob[:, None] * dev).T @ dev
+
+
+def _dense_cov(plan, t):
+    _, alpha, rows = plan.coefficients(t)
+    cov = np.diag(alpha)
+    for beta, members, q in rows:
+        u = np.zeros(plan.space.size)
+        u[members] = q
+        cov -= beta * np.outer(u, u)
+    return cov
 
 
 @settings(max_examples=150, deadline=None)
 @given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
-       uniform=st.booleans(), d=st.sampled_from([1, 2, 4, 7, 8, 9]), b=st.integers(1, 9),
-       chunk=st.sampled_from([1, 5, 64, 1 << 15]), words=st.sampled_from([1, 50, 1 << 15]),
+       uniform=st.booleans(), n=st.integers(1, 6), b=st.integers(1, 4), t=st.integers(0, 3),
        data=st.data())
-def test_enumeration_bits_equal_a_row_major_accumulation(scheme, uniform, d, b, chunk, words,
-                                                         data):
-    # whatever memory the batch averages are formed in, and over whatever
-    # slices of a chunk, the expectation and the variance keep the bits of
-    # averaging a row-major gather table[idx]
-    if scheme == "no_repetition":
-        uniform, n = True, data.draw(st.integers(b, b + 3))
-    else:
-        # at most 1000 outcomes: n^b bounds the count of every product plan
-        n = data.draw(st.integers(1, max(1, int(1000 ** (1 / b)))))
+def test_coefficient_law_equals_enumeration(scheme, uniform, n, b, t, data):
+    # E c and Cov(c) of the structured law equal those of every batch, each
+    # with its probability, at every step of growing sizes
+    plan = _law_case(scheme, uniform, n, min(b, n), data)
+    mean, cov = _enumerated_law(plan, t)
+    got_mean, alpha, rows = plan.coefficients(t)
+    assert got_mean.shape == alpha.shape == (n,)
+    assert np.abs(got_mean - mean).max() <= 1e-15
+    assert np.abs(_dense_cov(plan, t) - cov).max() <= 1e-15
+    # the weights of every batch sum to 1: Cov(c) 1 = 0 and sum E c = 1
+    assert abs(got_mean.sum() - 1.0) <= 1e-14
+    assert np.abs(_dense_cov(plan, t).sum(axis=1)).max() <= 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
+       problem=st.sampled_from(["sphere_mean", "least_squares"]), uniform=st.booleans(),
+       n=st.integers(1, 6), b=st.integers(1, 4), d=st.sampled_from([1, 2, 4, 8, 9]),
+       t=st.integers(0, 2), data=st.data())
+def test_closed_forms_equal_enumerated_expectation_and_variance(scheme, problem, uniform, n, b,
+                                                               d, t, data):
+    # E h and E ||h - E h||^2 from the law agree with the sums over every
+    # batch, within the rounding of sums of the gradients' size, and their
+    # bits do not depend on the slices the outcomes are walked in
+    plan = _law_case(scheme, uniform, n, min(b, n), data)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    weights = None if uniform else rng.uniform(0.05, 1.0, size=n)
-    if weights is not None:
-        weights /= weights.sum()
-    if d > 1 and data.draw(st.booleans()):
-        prob = SphereMeanProblem(rng.normal(size=(n, d)), weights=weights)
+    w = plan.space.weights
+    if problem == "sphere_mean" and d > 1:
+        prob = SphereMeanProblem(rng.normal(size=(n, d)), weights=w)
         x = prob.manifold.random_point(rng)
     else:
         prob = RegularizedLeastSquaresProblem(rng.normal(size=(n, d)), rng.normal(size=n), 0.3,
-                                              weights=weights)
-        x = rng.normal(size=d)
-    if scheme == "segment":
-        plan = SegmentPlan(prob.space, BatchSizes.constant(b))
-    elif scheme == "no_repetition":
-        plan = SubsetPlan(prob.space, BatchSizes.constant(b))
-    else:
-        # k strata of a shuffled range(n), drawn b times in all
-        k = data.draw(st.integers(1, min(n, b)))
-        order = rng.permutation(n)
-        cuts = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False)) if k > 1 else []
-        counts = np.diff([0, *sorted(rng.choice(np.arange(1, b), size=k - 1, replace=False)), b])
-        plan = StratifiedPlan(prob.space, np.split(order, cuts), counts)
-    with mock.patch.object(batching, "_ENUM_CHUNK", chunk), \
-            mock.patch.object(budget, "WORDS", words):
-        mean, var = enumerate_expectation(prob, x, plan), variance_report(prob, x, plan)
-        chunks = list(plan.iter_outcome_chunks(0))
-    table = prob.sample_gradients(x, np.arange(n))
-    w = plan.weights_at(0)
-    equal = bool(np.all(w == w[0]))
-    g = prob.full_gradient(x)
-    want_mean, want_var = np.zeros(d), 0.0
-    for idx, p in chunks:
-        vecs = mean_combine(w, table[idx], equal)
-        want_mean += (p[:, None] * vecs).sum(axis=0)
-        dev = vecs - g
-        want_var += float((p * (dev * dev).sum(axis=1)).sum())
-    assert mean.tobytes() == want_mean.tobytes()
-    assert np.float64(var).tobytes() == np.float64(want_var).tobytes()
+                                              weights=w)
+        x = rng.normal(size=d) * data.draw(st.floats(0.1, 10.0))
+    idx, p = dense_outcomes(plan, t)
+    vecs = mean_combine(plan.weights_at(t), prob.sample_gradients(x, idx), False)
+    want_mean = (p[:, None] * vecs).sum(axis=0)
+    dev = vecs - want_mean
+    want_var = float((p * (dev * dev).sum(axis=1)).sum())
+    scale = max(1.0, float((prob.sample_gradients(x, np.arange(n)) ** 2).sum(axis=-1).max()))
+    mean, var = enumerate_expectation(prob, x, plan, t), variance_report(prob, x, plan, t)
+    assert np.abs(mean - want_mean).max() <= 1e-14 * np.sqrt(scale)
+    assert abs(var - want_var) <= 1e-13 * scale
+    for words in (1, 7, 1 << 10):
+        with mock.patch.object(budget, "WORDS", words):
+            assert enumerate_expectation(prob, x, plan, t).tobytes() == mean.tobytes()
+            assert variance_report(prob, x, plan, t) == var
 
 
 @settings(max_examples=100, deadline=None)
 @given(scheme=st.sampled_from(["segment", "no_repetition", "stratified"]),
        problem=st.sampled_from(["sphere_mean", "least_squares"]), uniform=st.booleans(),
        n=st.integers(2, 6), d=st.integers(2, 4), n_points=st.integers(0, 5),
-       t=st.integers(0, 3), chunk=st.sampled_from([1, 7, 1 << 15]), data=st.data())
+       t=st.integers(0, 3), words=st.sampled_from([1, 7, 1 << 10]), data=st.data())
 def test_enumeration_at_many_points_equals_one_point_at_a_time(scheme, problem, uniform, n, d,
-                                                               n_points, t, chunk, data):
-    # one enumeration for (P, d) points gives each point the bits of its own,
-    # and (0, d) points an empty (0, d) result; growing sizes put t > 0 at
-    # another batch size than t = 0
+                                                               n_points, t, words, data):
+    # one expectation for (P, d) points gives each point the bits of its own,
+    # whatever slices the outcomes are walked in, and (0, d) points an empty
+    # (0, d) result; growing sizes put t > 0 at another batch size than t = 0
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     weights = None if uniform or scheme == "no_repetition" else rng.uniform(0.05, 1.0, size=n)
     if weights is not None:
@@ -600,11 +636,11 @@ def test_enumeration_at_many_points_equals_one_point_at_a_time(scheme, problem, 
         plan = SubsetPlan(prob.space, sizes)
     else:
         plan = StratifiedPlan(prob.space, *_drawn_partition(n, data))
-    with mock.patch.object(batching, "_ENUM_CHUNK", chunk):
+    with mock.patch.object(budget, "WORDS", words):
         many = enumerate_expectation(prob, xs, plan, t)
-        ones = [enumerate_expectation(prob, x, plan, t) for x in xs]
+    ones = [enumerate_expectation(prob, x, plan, t) for x in xs]
     assert many.shape == (n_points, d)
-    assert many.tobytes() == np.array(ones).tobytes()
+    assert many.tobytes() == np.array(ones).reshape(n_points, d).tobytes()
 
 
 def _drawn_partition(n, data):

@@ -335,16 +335,18 @@ class TestCheck:
         cfg, _ = sphere_config
         assert main(["check", "confinement", "--config", str(cfg)]) == 2
 
-    def test_plan_past_the_enumeration_budget_exits_one(self, tmp_path, capsys, monkeypatch):
-        # 16 outcomes, batch size 6: 16**6 = 16,777,216 outcomes at t = 0
+    def test_plan_past_the_old_enumeration_budget_is_certified(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # 16 outcomes, batch size 6: 16**6 = 16,777,216 batches at t = 0, once
+        # past the 10**6 enumerated at most; the coefficient law walks the 16
+        # outcomes
         cfg = tmp_path / "readme.ini"
         cfg.write_text(_readme_ini().replace("batch_size = 4 ", "batch_size = 6 "))
         monkeypatch.chdir(tmp_path)
-        assert main(["check", "unbiasedness", "--config", str(cfg), "--quiet"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("check failed to enumerate: 16777216 outcomes at t=0")
-        assert "Traceback" not in err
-        assert not (tmp_path / "runs").exists()
+        assert main(["check", "unbiasedness", "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == ("unbiasedness: PASS\n", "")
+        payload = json.loads((tmp_path / "runs" / "exp1" / "check_unbiasedness.json").read_text())
+        assert payload["pass"] and payload["worst"] <= 1e-10
 
     @pytest.mark.parametrize("name", ["unbiasedness", "gradient", "lipschitz"])
     def test_least_squares_without_a_ball_names_rho1(self, tmp_path, capsys, name):
@@ -673,6 +675,12 @@ class TestRunInputs:
         ([TO_LEAST_SQUARES, _confined("lambda = 0")], ["run"], "[confinement] lambda"),
         ([TO_LEAST_SQUARES, _confined("theta = -1")], ["run"], "[confinement] theta"),
         ([TO_LEAST_SQUARES, _confined("b = 0")], ["run"], "[confinement] b"),
+        # b^2 sigma / 2 overflows: the sampled ball would have radius inf
+        ([TO_LEAST_SQUARES, _confined("b = 1e200")], ["run"],
+         "[confinement] b = 1e+200 makes rho1 = rho0 + lambda c + b^2 sigma / 2 = inf"),
+        ([TO_LEAST_SQUARES, _confined("variant = kappa\nkappa = 0.5\nb = 1e200")],
+         ["check", "kappa_confinement"],
+         "[confinement] b = 1e+200 makes rho1 = rho0 + lambda c + b^2 sigma / 2 = inf"),
         ([("[run]", "[confinement]\nenabled = maybe\n\n[run]")], ["run"],
          "[confinement] enabled"),
         ([TO_LEAST_SQUARES, _confined("variant = bogus")], ["run"], "[confinement] variant"),
@@ -682,6 +690,11 @@ class TestRunInputs:
         ([TO_LEAST_SQUARES, _confined("rho0 = nan")], ["run"], "[confinement] rho0"),
         ([TO_LEAST_SQUARES, _confined("rho0 = nan")], ["check", "confinement"],
          "[confinement] rho0"),
+        # a label of 1e200 squares to inf
+        ([TO_LEAST_SQUARES, ("dimension = 4", "csv = {big_csv}"), _confined("rho0 = auto")],
+         ["run"], "[confinement] rho0 = auto is max y^2 / (4 tau) = inf"),
+        ([TO_LEAST_SQUARES, ("dimension = 4", "csv = {big_csv}"), _confined("rho0 = auto")],
+         ["check", "confinement"], "[confinement] rho0 = auto is max y^2 / (4 tau) = inf"),
         ([_confined("rho0 = 2.0")], ["run"], "[confinement] enabled"),
         ([_confined("rho0 = 2.0")], ["check", "confinement"], "[confinement] enabled"),
         ([TO_LEAST_SQUARES, _confined("rho0 = 4.0"), LIST_RATE], ["run", "--horizon", "3"],
@@ -726,9 +739,9 @@ class TestRunInputs:
             "tau-zero", "csv-non-numeric", "csv-nan", "check-csv-nan", "strata-not-an-index",
             "strata-reversed-range", "strata-counts-mismatch", "subset-size-over-n",
             "subset-size-list-over-n", "samples-zero",
-            "lambda-zero", "theta-negative", "b-zero", "enabled-not-a-boolean",
-            "variant-unknown", "rho0-negative", "check-rho0-negative", "rho0-nan",
-            "check-rho0-nan", "sphere-confined", "check-sphere-confined", "confined-list-rate",
+            "lambda-zero", "theta-negative", "b-zero", "b-overflows", "check-b-overflows",
+            "enabled-not-a-boolean", "variant-unknown", "rho0-negative", "check-rho0-negative",
+            "rho0-nan", "check-rho0-nan", "rho0-auto-overflows", "check-rho0-auto-overflows", "sphere-confined", "check-sphere-confined", "confined-list-rate",
             "check-confined-list-rate",
             "confined-p-not-square-summable", "p-nan", "check-p-nan", "check-seed-negative",
             "check-seed-flag-negative", "confined-seed-negative", "confined-seed-flag-negative",
@@ -742,9 +755,12 @@ class TestRunInputs:
         bad_csv.write_text("a1,a2\n1.0,x\n")
         nan_csv = cfg.parent / "nan.csv"
         nan_csv.write_text("a1,a2,a3\n1,0,0\n0,nan,0\n0,0,1\n")
+        big_csv = cfg.parent / "big.csv"
+        big_csv.write_text("a1,a2,y\n1,0,1\n0,1,1e200\n1,1,0\n0.5,0.5,1\n")
         text = cfg.read_text()
         for old, new in edits:
-            text = text.replace(old, new.format(bad_csv=bad_csv, nan_csv=nan_csv))
+            text = text.replace(old, new.format(bad_csv=bad_csv, nan_csv=nan_csv,
+                                                big_csv=big_csv))
         cfg.write_text(text)
         assert main(argv + ["--config", str(cfg), "--quiet"]) == 2
         err = capsys.readouterr().err
