@@ -306,7 +306,7 @@ def build_confinement(cp, problem):
             raise ConfigError("[confinement] rho0 = auto needs a least-squares problem")
         if not math.isfinite(rho0 := problem.rho0_for_norm_squared()):
             raise ConfigError(f"[confinement] rho0 = auto is max y^2 / (4 tau) = {rho0:g}, "
-                              "not finite: a label's square overflows")
+                              "not finite: the quotient overflows")
     params = {key: _get(cp, "confinement", key)
               for key in ("variant", "kappa", "lambda", "b", "theta", "samples")}
     # the level adaptive confined runs and the adaptive kappa check keep rho under

@@ -21,12 +21,21 @@ the memory layout.  For points in coordinate-major memory (see
 :mod:`rsgd.manifolds`) they gather from a (d, N) copy of the data, made on
 the first such call, and repeat x along the batch axis; in row-major memory
 they gather rows and broadcast x.
+
+The data CSV loaders read a file by one of two paths with the same result.
+A clean file (no quotes, no rows of whitespace or commas only) goes by path
+to numpy's reader, which parses it in chunks in C; the rest, which numpy
+would refuse, pass a Python line filter that drops such rows and feeds
+``np.loadtxt`` line by line.  Rows whose squares overflow are refused at
+load, so the moments above are finite.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import os
+import stat
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -259,7 +268,8 @@ class RegularizedLeastSquaresProblem(GradientOracle):
 
     def rho0_for_norm_squared(self) -> float:
         """Threshold max_l y_l^2 / (4 tau) above which <2x, H(x, l)> >= 0."""
-        return float((self.labels**2).max() / (4.0 * self.tau))
+        with np.errstate(over="ignore"):  # inf, which the caller names
+            return float((self.labels**2).max() / (4.0 * self.tau))
 
     def gradient_bound(self) -> float:
         if self.region_rho1 is None:
@@ -308,12 +318,19 @@ def _read_csv_rows(path) -> np.ndarray:
     """The numeric rows under a required header row, as an (N, k) array.
 
     Rows that are empty or whose cells, quoted or not, are all whitespace are
-    skipped; the data rows are parsed by ``np.loadtxt``, which streams them in
-    chunks.  A ``nan`` or ``inf`` cell is refused, naming its data row.
+    skipped.  Python reads the lines through the first data row, to find the
+    header row.  numpy then parses the rest from the path, in chunks in C.
+    It raises ``ValueError`` on every quoted cell and on every row the rule
+    skips, bar empty ones, so such a file goes on through a Python filter
+    that feeds ``np.loadtxt`` the kept lines one at a time.  Both give the
+    same array; only the filter names a bad cell or ragged row.  A row with
+    a ``nan`` or ``inf`` cell, or whose sum of squares overflows, is refused,
+    naming its data row.
     """
     with open(path) as fh:
-        lines = (line for line in fh if line.replace(",", "").replace('"', "").strip())
-        header, first = next(lines, None), next(lines, None)
+        kept = ((n, line) for n, line in enumerate(fh, 1)
+                if line.replace(",", "").replace('"', "").strip())
+        (skip, header), (_, first) = next(kept, (0, None)), next(kept, (0, None))
         if first is None:
             raise ValueError(f"{path}: need a header row plus at least one data row")
         try:
@@ -322,15 +339,44 @@ def _read_csv_rows(path) -> np.ndarray:
             pass
         else:
             raise ValueError(f"{path}: first row parses as numbers; a header row is required")
-        try:
-            data = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2,
-                              comments=None, quotechar='"')
-        except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric cell or ragged data row ({exc})") from None
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+        data = _read_clean(fh, path, skip)
+        if data is None:
+            lines = (line for _, line in kept)
+            try:
+                data = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2,
+                                  comments=None, quotechar='"')
+            except ValueError as exc:
+                raise ValueError(f"{path}: non-numeric cell or ragged data row ({exc})") from None
+    # one pass of row sums, no (N, k) temporary, no floating-point warning
+    bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", data, data)))
     if bad.size:
-        raise ValueError(f"{path}: data row {bad[0] + 1} holds a non-finite cell")
+        row = bad[0]
+        if np.isfinite(data[row]).all():
+            raise ValueError(f"{path}: data row {row + 1}: the sum of the squares of its "
+                             "cells overflows")
+        raise ValueError(f"{path}: data row {row + 1} holds a non-finite cell")
     return data
+
+
+# the extensions numpy's loaders decompress by; ``open`` reads such a file as is
+_NUMPY_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _read_clean(fh, path, skip: int):
+    """The rows after the first ``skip`` lines, by numpy's chunked reader, or
+    None where it raises ``ValueError`` or cannot be asked.
+
+    numpy opens the file a second time, so a pipe, which cannot be read
+    twice, is left to the caller's open ``fh``.  The path is made absolute
+    so that numpy cannot take it for a URL.
+    """
+    name = os.path.abspath(os.fsdecode(path))
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode) or name.endswith(_NUMPY_DECOMPRESSED):
+        return None
+    try:
+        return np.loadtxt(name, delimiter=",", ndmin=2, comments=None, skiprows=skip)
+    except ValueError:
+        return None
 
 
 def load_sphere_mean_csv(path) -> SphereMeanProblem:

@@ -60,14 +60,18 @@ The oracles held here:
   a check and raises ``SamplerFailure`` in the constants;
 * ``looped_verdict``: a check's verdict found by walking its excess values
   one at a time, the reference for ``diagnostics._verdict`` and the rule
-  ``diagnostics._at`` behind every verdict.
+  ``diagnostics._at`` behind every verdict;
+* ``filtered_csv_rows``: a data CSV read with every line through a Python
+  filter that feeds ``np.loadtxt`` line by line, the reference for
+  ``problems._read_csv_rows`` on data whose squares do not overflow.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -706,3 +710,33 @@ def one_shot_check_kappa_confinement(spec, oracle, kappa: float, n_samples: int,
               "linear objectives); sampled evidence, not a proof",
         constants={"kappa": kappa, "margin_step": margin1, "margin_band": margin2},
     )
+
+
+def filtered_csv_rows(path) -> np.ndarray:
+    """The numeric rows under a required header row, as an (N, k) array.
+
+    Every line passes a Python filter that drops the rows that are empty or
+    whose cells, quoted or not, are all whitespace; ``np.loadtxt`` parses
+    the lines it keeps one at a time and unquotes cells.  A ``nan`` or
+    ``inf`` cell is refused, naming its data row.
+    """
+    with open(path) as fh:
+        lines = (line for line in fh if line.replace(",", "").replace('"', "").strip())
+        header, first = next(lines, None), next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: need a header row plus at least one data row")
+        try:
+            [float(cell) for cell in next(csv.reader([header]))]
+        except ValueError:
+            pass
+        else:
+            raise ValueError(f"{path}: first row parses as numbers; a header row is required")
+        try:
+            data = np.loadtxt(chain([first], lines), delimiter=",", ndmin=2,
+                              comments=None, quotechar='"')
+        except ValueError as exc:
+            raise ValueError(f"{path}: non-numeric cell or ragged data row ({exc})") from None
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: data row {bad[0] + 1} holds a non-finite cell")
+    return data

@@ -16,7 +16,7 @@ from rsgd import confinement as conf
 from rsgd.cli import CONFIG_KEYS, _parse_strata, build_plan, load_config, main
 from rsgd.records import CSV_HEADER, CsvSink
 from rsgd.manifolds import Sphere
-from rsgd.problems import FiniteSampleSpace
+from rsgd.problems import FiniteSampleSpace, SphereMeanProblem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -219,8 +219,8 @@ x0 = 1.0, 1.0
         assert not out.exists()
 
 
-# sphere targets near the float limit: their squares overflow, so every
-# enumerated expectation and the gradient bound are non-finite
+# sphere targets near the float limit: their squares overflow, so the loader
+# refuses the first row
 OVERFLOW_SPHERE_CSV = """a0,a1,a2
 1.5e308,1.2e308,-1.4e308
 -1.3e308,1.1e308,1.0e308
@@ -259,9 +259,16 @@ out = {out}
 
 
 class TestCheck:
-    def test_unbiasedness_fails_on_nan_expectations(self, overflow_sphere, capsys):
-        cfg, out = overflow_sphere
-        with np.errstate(all="ignore"):
+    def test_unbiasedness_fails_on_nan_expectations(self, sphere_config, capsys):
+        cfg, out = sphere_config
+        real = cli.enumerate_expectation
+
+        def expectation(*args, **kwargs):
+            mean = real(*args, **kwargs)
+            mean[3] = math.nan
+            return mean
+
+        with mock.patch.object(cli, "enumerate_expectation", expectation):
             assert main(["check", "unbiasedness", "--config", str(cfg)]) == 1
         assert capsys.readouterr().out == "unbiasedness: FAIL\n"
         text = (out / "check_unbiasedness.json").read_text()
@@ -269,10 +276,10 @@ class TestCheck:
         payload = json.loads(text)
         assert payload["pass"] is False and math.isnan(payload["worst"])
 
-    def test_lipschitz_on_an_infinite_gradient_bound_fails_to_sample(self, overflow_sphere,
+    def test_lipschitz_on_an_infinite_gradient_bound_fails_to_sample(self, sphere_config,
                                                                       capsys):
-        cfg, out = overflow_sphere
-        with np.errstate(all="ignore"):
+        cfg, out = sphere_config
+        with mock.patch.object(SphereMeanProblem, "gradient_bound", return_value=math.inf):
             assert main(["check", "lipschitz", "--config", str(cfg), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err == ("check failed to sample: the gradient bound, the radius of the "
@@ -634,6 +641,29 @@ def _confined(line):
     return ("[run]", f"[confinement]\nenabled = true\n{line}\n\n[run]")
 
 
+# least-squares rows with a label of 1e154, whose square is finite, and the
+# edit that reads them with a tau so small that max y^2 / (4 tau) overflows
+BIG_LABEL_CSV = "a1,a2,y\n1,0,1\n0,1,1e154\n1,1,0\n0.5,0.5,1\n"
+BIG_TAU_EDIT = ("tau = 0.2\ndimension = 4", "tau = 1e-10\ncsv = {big_csv}")
+
+
+def _edit(cfg, edits):
+    """Write the test CSVs next to cfg, then apply the (old, new) edits to it,
+    with {<name>_csv} in new standing for a CSV's path; returns those paths."""
+    paths = {}
+    for name, text in (("bad", "a1,a2\n1.0,x\n"),
+                       ("nan", "a1,a2,a3\n1,0,0\n0,nan,0\n0,0,1\n"),
+                       ("big", BIG_LABEL_CSV),
+                       ("huge", "a1,a2,a3\n1,0,0\n0,1e200,0\n0,0,1\n")):
+        paths[f"{name}_csv"] = cfg.parent / f"{name}.csv"
+        paths[f"{name}_csv"].write_text(text)
+    text = cfg.read_text()
+    for old, new in edits:
+        text = text.replace(old, new.format(**paths))
+    cfg.write_text(text)
+    return paths
+
+
 class TestRunInputs:
     """Inputs the engine would reject are config errors naming their key."""
 
@@ -658,6 +688,11 @@ class TestRunInputs:
          "nan.csv: data row 2 holds a non-finite cell"),
         ([("dimension = 4", "csv = {nan_csv}")], ["check", "unbiasedness"],
          "nan.csv: data row 2 holds a non-finite cell"),
+        # finite cells whose squares overflow: refused as the CSV is read
+        ([("dimension = 4", "csv = {huge_csv}")], ["run"],
+         "huge.csv: data row 2: the sum of the squares of its cells overflows"),
+        ([TO_LEAST_SQUARES, ("dimension = 4", "csv = {huge_csv}")], ["check", "unbiasedness"],
+         "huge.csv: data row 2: the sum of the squares of its cells overflows"),
         ([("scheme = segment\nbatch_size = 2",
            "scheme = stratified\nstrata = 0-x; 4-7\nper_stratum_counts = 1, 1")],
          ["run"], "[plan] strata"),
@@ -690,10 +725,10 @@ class TestRunInputs:
         ([TO_LEAST_SQUARES, _confined("rho0 = nan")], ["run"], "[confinement] rho0"),
         ([TO_LEAST_SQUARES, _confined("rho0 = nan")], ["check", "confinement"],
          "[confinement] rho0"),
-        # a label of 1e200 squares to inf
-        ([TO_LEAST_SQUARES, ("dimension = 4", "csv = {big_csv}"), _confined("rho0 = auto")],
+        # a label of 1e154 squares to 1e308, which over 4 tau = 4e-10 is inf
+        ([TO_LEAST_SQUARES, BIG_TAU_EDIT, _confined("rho0 = auto")],
          ["run"], "[confinement] rho0 = auto is max y^2 / (4 tau) = inf"),
-        ([TO_LEAST_SQUARES, ("dimension = 4", "csv = {big_csv}"), _confined("rho0 = auto")],
+        ([TO_LEAST_SQUARES, BIG_TAU_EDIT, _confined("rho0 = auto")],
          ["check", "confinement"], "[confinement] rho0 = auto is max y^2 / (4 tau) = inf"),
         ([_confined("rho0 = 2.0")], ["run"], "[confinement] enabled"),
         ([_confined("rho0 = 2.0")], ["check", "confinement"], "[confinement] enabled"),
@@ -736,7 +771,8 @@ class TestRunInputs:
     ], ids=["seeds-zero", "seeds-negative", "horizon-negative", "x0-off-sphere",
             "list-rate-too-short", "sphere-dimension-1", "check-sphere-dimension-1",
             "least-squares-dimension-0", "n-outcomes-zero", "data-seed-negative",
-            "tau-zero", "csv-non-numeric", "csv-nan", "check-csv-nan", "strata-not-an-index",
+            "tau-zero", "csv-non-numeric", "csv-nan", "check-csv-nan", "csv-squares-overflow",
+            "check-least-squares-csv-squares-overflow", "strata-not-an-index",
             "strata-reversed-range", "strata-counts-mismatch", "subset-size-over-n",
             "subset-size-list-over-n", "samples-zero",
             "lambda-zero", "theta-negative", "b-zero", "b-overflows", "check-b-overflows",
@@ -751,20 +787,41 @@ class TestRunInputs:
             "horizon-flag-past-2-53", "seeds-past-memory"])
     def test_exit_2(self, sphere_config, capsys, edits, argv, key):
         cfg, out = sphere_config
-        bad_csv = cfg.parent / "bad.csv"
-        bad_csv.write_text("a1,a2\n1.0,x\n")
-        nan_csv = cfg.parent / "nan.csv"
-        nan_csv.write_text("a1,a2,a3\n1,0,0\n0,nan,0\n0,0,1\n")
-        big_csv = cfg.parent / "big.csv"
-        big_csv.write_text("a1,a2,y\n1,0,1\n0,1,1e200\n1,1,0\n0.5,0.5,1\n")
-        text = cfg.read_text()
-        for old, new in edits:
-            text = text.replace(old, new.format(bad_csv=bad_csv, nan_csv=nan_csv,
-                                                big_csv=big_csv))
-        cfg.write_text(text)
+        _edit(cfg, edits)
         assert main(argv + ["--config", str(cfg), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edits, argv, err", [
+        ([TO_LEAST_SQUARES, ("dimension = 4", "csv = {huge_csv}")], ["run"],
+         "[problem] csv: {huge_csv}: data row 2: the sum of the squares of its cells overflows"),
+        ([TO_LEAST_SQUARES, BIG_TAU_EDIT, _confined("rho0 = auto")], ["check", "confinement"],
+         "[confinement] rho0 = auto is max y^2 / (4 tau) = inf, not finite: the quotient "
+         "overflows"),
+    ], ids=["least-squares-csv", "rho0-auto"])
+    def test_overflow_is_one_line_on_stderr(self, sphere_config, capsys, edits, argv, err):
+        # under "error", a numpy RuntimeWarning before the refusal would raise
+        cfg, out = sphere_config
+        paths = _edit(cfg, edits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {err.format(**paths)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["run"], ["check", "unbiasedness"],
+                                      ["check", "lipschitz"]],
+                             ids=["run", "check-unbiasedness", "check-lipschitz"])
+    def test_overflowing_sphere_targets_are_refused_at_load(self, overflow_sphere, capsys,
+                                                            argv):
+        cfg, out = overflow_sphere
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"config error: [problem] csv: "
+                                           f"{cfg.parent / 'targets.csv'}: data row 1: the sum "
+                                           "of the squares of its cells overflows\n")
         assert not out.exists()
 
     def test_csv_buffers_bounded_by_physical_memory(self, sphere_config, capsys, monkeypatch):

@@ -1,11 +1,17 @@
 import csv
+import os
+import re
+import threading
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsgd import problems
 from rsgd import (
     FiniteSampleSpace,
     RegularizedLeastSquaresProblem,
@@ -17,7 +23,7 @@ from rsgd import (
     random_sphere_mean,
 )
 
-from reference import DirectLeastSquares, is_tangent, sample_gradient
+from reference import DirectLeastSquares, filtered_csv_rows, is_tangent, sample_gradient
 
 
 class TestFiniteSampleSpace:
@@ -313,6 +319,138 @@ class TestCsvLoading:
         p = load_least_squares_csv(path, tau=0.1)
         assert p.features.tobytes() == np.ascontiguousarray(want[:, :-1]).tobytes()
         assert p.labels.tobytes() == want[:, -1].tobytes()
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1,0\n1e200,0\n", "data row 2: the sum of the squares of its cells overflows"),
+        # each square is finite, their sum is not
+        ("1e154,1e154\n", "data row 1: the sum of the squares of its cells overflows"),
+        ("1e200,0\nnan,0\n", "data row 1: the sum of the squares of its cells overflows"),
+        ("1,0\nnan,0\n1e200,0\n", "data row 2 holds a non-finite cell"),
+        ("1e200,-inf\n", "data row 1 holds a non-finite cell"),
+    ], ids=["square", "sum", "before-nan", "after-nan", "with-inf"])
+    @pytest.mark.parametrize("load", [load_sphere_mean_csv,
+                                      lambda path: load_least_squares_csv(path, tau=0.1)],
+                             ids=["sphere", "least-squares"])
+    def test_overflowing_squares_rejected_naming_its_row(self, tmp_path, rows, message, load):
+        path = tmp_path / "big.csv"
+        path.write_text("a1,a2\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"big.csv: {re.escape(message)}$"):
+                load(path)
+
+    def test_largest_finite_squares_load(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("a1,a2\n1.3e154,0\n0,-9e153\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = load_sphere_mean_csv(path)
+        np.testing.assert_array_equal(p.targets, [[1.3e154, 0], [0, -9e153]])
+
+    def test_clean_file_skips_the_line_filter(self, tmp_path):
+        # Python reads the header and the first data row; numpy reads the
+        # rest from the path, so a line filter that raises past them is idle
+        rng = np.random.default_rng(7)
+        rows = rng.normal(size=(10_000, 3))
+        path = tmp_path / "rows.csv"
+        with open(path, "w") as fh:
+            fh.write("a0,a1,y\n")
+            np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+        with mock.patch.object(problems, "open", _TwoLines, create=True):
+            data = problems._read_csv_rows(path)
+        assert data.tobytes() == rows.tobytes()
+
+    def test_pipe_and_compressed_names_are_read_once_as_text(self, tmp_path):
+        # numpy would open a pipe a second time and decompress by extension
+        text = "a0,a1\n1,2\n3,4\n"
+        named = tmp_path / "rows.csv.gz"
+        named.write_text(text)
+        np.testing.assert_array_equal(problems._read_csv_rows(named), [[1, 2], [3, 4]])
+        fifo = tmp_path / "rows.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        try:
+            np.testing.assert_array_equal(problems._read_csv_rows(fifo), [[1, 2], [3, 4]])
+        finally:
+            writer.join()
+
+
+class _TwoLines:
+    """A text file whose lines past the second raise AssertionError."""
+
+    def __init__(self, path):
+        self._fh = open(path)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def fileno(self):
+        return self._fh.fileno()
+
+    def __iter__(self):
+        for n, line in enumerate(self._fh):
+            assert n < 2, "a data row past the first went through the line filter"
+            yield line
+
+
+# rows the reader skips: empty, or whitespace, commas and quotes only
+_SKIPPED = st.sampled_from(["", " ", "\t", "\x0c", "\x85", "\u3000", ",", " , ,", '""',
+                            '"",""', '" ",\t', ',""'])
+# finite floats whose squares, summed over a row, cannot overflow
+_FLOATS = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+@st.composite
+def _cell(draw, quoted):
+    kind = draw(st.sampled_from(["%.17g"] * 6 + ["repr"] * 6 + ["special"]))
+    if kind == "special":
+        cell = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999", "-1e999", "#",
+                                     "#1", "x", ""]))
+    else:
+        value = draw(_FLOATS)
+        cell = repr(value) if kind == "repr" else kind % value
+    pad = draw(st.sampled_from(["", "", " ", "\t"]))
+    cell = f"{pad}{cell}{pad}"
+    return f'"{cell}"' if quoted and draw(st.booleans()) else cell
+
+
+@st.composite
+def _csv_text(draw):
+    """A data CSV that is clean (no skipped rows, no quotes) about a quarter
+    of the time, so both of the reader's paths meet every kind of cell."""
+    k = draw(st.integers(1, 4))
+    quoted = draw(st.booleans())
+    skipped = st.lists(_SKIPPED, max_size=2 if draw(st.booleans()) else 0)
+    lines = draw(skipped)
+    lines.append(draw(st.sampled_from(["a", "a0,a1", '"a","b"', "x0,x1,y", "#,a"] * 2
+                                      + ["1,2", "nan"])))
+    for _ in range(draw(st.integers(0, 6))):
+        lines += draw(skipped)
+        width = k + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        lines.append(",".join(draw(_cell(quoted)) for _ in range(max(width, 1))))
+    lines += draw(skipped)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_csv_text())
+def test_read_csv_rows_matches_the_filtered_reader(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    path.write_bytes(text.encode())
+    try:
+        want = filtered_csv_rows(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            problems._read_csv_rows(path)
+        assert str(got.value) == str(exc)
+    else:
+        got = problems._read_csv_rows(path)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_data_seed_recorded():
