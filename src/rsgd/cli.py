@@ -319,6 +319,9 @@ def _kappa_spec(params, rho1, needed_by):
     if not params["kappa"] > 0:
         raise ConfigError(f"[confinement] kappa must be > 0 for {needed_by}, "
                           f"got {params['kappa']:g}")
+    if not rho1 > params["rho0"]:
+        raise ConfigError(f"[confinement] rho0 = {params['rho0']:g} leaves no band below "
+                          f"rho1 = {rho1:g} for {needed_by}: rho1 rounds to rho0")
     variant = "kappa" if params["variant"] == "plain" else params["variant"]
     return conf.norm_squared_confinement(params["rho0"], rho1, variant)
 
@@ -380,6 +383,9 @@ def _constants_for(params, spec, problem, rate, seed):
                                        params["theta"], params["samples"], seed=seed)
     except InvalidHyperparameters as exc:
         raise ConfigError(f"[confinement] {exc}") from None
+    except OverflowError as exc:  # a power law whose sigma overflows
+        raise ConfigError(f"[rate] c = {rate.c:g} cannot confine a deterministic run: "
+                          f"{exc}") from None
 
 
 @contextmanager
@@ -539,8 +545,11 @@ def cmd_check(args) -> int:
                     raise ConfigError("confinement section missing or disabled")
                 if args.name == "confinement":
                     spec = conf.norm_squared_confinement(params["rho0"])
-                    report = conf.check_plain_confinement(spec, problem, params["samples"],
-                                                          seed=seed)
+                    try:
+                        report = conf.check_plain_confinement(spec, problem, params["samples"],
+                                                              seed=seed)
+                    except InvalidHyperparameters as exc:  # a band top that overflows
+                        raise ConfigError(f"[confinement] {exc}") from None
                 else:
                     rate = build_rate(cp)
                     if isinstance(rate, AdaptiveRate):

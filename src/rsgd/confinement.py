@@ -14,10 +14,16 @@ additionally satisfies, at every step t, the induction inequality
 
     rho(x_t) + (b^2 / 2) * sum_{j >= t} gamma_j^2  <=  rho1,
 
-which is asserted on every recorded step of every confined run.  A second,
-kappa-flavored certificate bounds steps of length up to kappa through the
-Hessian of rho composed with the retraction and covers the adaptive rule,
-whose steps never exceed eta_0.
+A second, kappa-flavored certificate bounds steps of length up to kappa
+through the Hessian of rho composed with the retraction and covers the
+adaptive rule, whose steps never exceed eta_0; its runs keep rho(x_t) <= rho1.
+
+One guard asserts a confined run's invariant on every recorded step:
+``_guarded`` runs ``run_many`` with a ``_Guard`` sink beside the run's own,
+which checks each block as the run hands it over, and once the run is done
+raises one ConfinementViolation, for the first failing step of the lowest
+failing seed.  Each runner supplies its checks of its inputs, its level,
+the invariant's left-hand side and the violation's message.
 
 The suprema entering phi are estimated by sampling plus a safety factor; a
 sampled PASS is strong evidence, not a proof, and reports say so.  Directions
@@ -263,10 +269,14 @@ def _pairs(spec, oracle, hi, n, seed, k, combos, lo=None, step=None):
 def check_plain_confinement(spec: ConfinementSpec, oracle: GradientOracle,
                             n_samples: int, seed: int = 0) -> ConfinementReport:
     """Sample the band rho0 <= rho <= 10 * rho0 and every outcome l; PASS iff
-    the inner product <grad rho(x), H(x, l)> never goes negative."""
+    the inner product <grad rho(x), H(x, l)> never goes negative.  A band
+    whose top is not finite raises InvalidHyperparameters."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     hi = 10.0 * spec.rho0 if spec.rho0 > 0 else spec.rho0 + 1.0
+    if not np.isfinite(hi):
+        raise InvalidHyperparameters(f"rho0 = {spec.rho0:g} makes the band's top 10 rho0 = "
+                                     f"{hi:g}, which is not finite")
     n_out = oracle.space.size
     worst, at = _first([_pick((spec.grad_rho(x) * v).sum(axis=-1), True,
                               x=x, outcome=np.arange(len(v)) % n_out)
@@ -302,8 +312,9 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
     b_est bounds (1/b) * sqrt(max(0, Hess(rho o R_x)|_{-theta v}(v, v))) over
     {rho <= rho1} and step fractions in [0, theta].  phi may exceed the
     minimal admissible value; any upper bound preserves the guarantee.  A
-    NaN sample raises SamplerFailure, and a b whose rho1 is not finite
-    InvalidHyperparameters.
+    NaN sample raises SamplerFailure, a schedule whose sigma is not finite
+    OverflowError, and a lambda, b or theta that makes rho1, lambda_est,
+    b_est or c / theta not finite InvalidHyperparameters.
 
     b = "auto" takes b = max(b_est, 1e-6) from a first estimate at b = 1: the
     constants equal those of a call with b = 1 followed by a call with that
@@ -322,6 +333,8 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
         raise ValueError("lambda, b, theta must be > 0")
     c = schedule.max_gamma()
     sigma = sum_of_squares(schedule)
+    if not np.isfinite(sigma):
+        raise OverflowError(f"the schedule's sum of squares sigma = {sigma:g} overflows")
 
     low = _finite("lambda_est: <grad rho(x), v>", _first(
         [_pick((spec.grad_rho(x) * v).sum(axis=-1), True, x=x)
@@ -345,6 +358,12 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
     if auto:
         b = max(b_est_at(1.0)[0], 1e-6)
     b_est, rho1 = b_est_at(b)
+    for key, value, name, est in (("lambda", lam, "lambda_est", lambda_est),
+                                  ("b", b, "b_est", b_est),
+                                  ("theta", theta, "c / theta", c / theta)):
+        if not np.isfinite(est):
+            raise InvalidHyperparameters(f"{key} = {value:g} makes {name} = {est:g}, "
+                                         "which is not finite")
 
     phi = max(_SAFETY * lambda_est, _SAFETY * b_est, c / theta)
     return ConfinementConstants(
@@ -409,18 +428,18 @@ def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
     )
 
 
-class _Watch:
-    """A sink that checks a confined run's invariant, lhs(records) <= bound,
-    on each block and keeps every seed's first failing step and value."""
+class _Guard:
+    """The sink that watches a confined run's invariant, lhs(records) <=
+    level, on each block and keeps every seed's first failing step and value."""
 
-    def __init__(self, n_seeds: int, bound: float, lhs: Callable):
-        self.bound, self.lhs = bound, lhs
+    def __init__(self, n_seeds: int, level: float, lhs: Callable):
+        self.level, self.lhs = level, lhs
         self.t = np.full(n_seeds, -1)
         self.value = np.zeros(n_seeds)
 
     def put(self, rec) -> None:
         lhs = self.lhs(rec)
-        bad = lhs > self.bound
+        bad = lhs > self.level
         for i in np.flatnonzero(bad.any(axis=1) & (self.t < 0)):
             k = _at(bad[i], False)
             self.t[i], self.value[i] = rec.t0 + k, lhs[i, k]
@@ -428,21 +447,32 @@ class _Watch:
     def close(self, seeds, status, abort_t) -> None:
         pass
 
-    def first(self):
-        """(seed index, t, value) of the lowest failing seed, or None."""
-        failed = np.flatnonzero(self.t >= 0)
-        return None if not failed.size else (int(failed[0]), int(self.t[failed[0]]),
-                                             float(self.value[failed[0]]))
 
+def _guarded(cfg: RunConfig, n_seeds: int, sink, start: tuple, lhs: Callable,
+             message: str) -> list:
+    """``run_many`` of a confined run into sink (a ``MemorySink`` when None),
+    with its invariant lhs(records) <= cfg.region_rho1 watched by a ``_Guard``.
 
-def _watched(cfg: RunConfig, n_seeds: int, sink, bound: float, lhs: Callable):
-    """``run_many`` into sink (a ``MemorySink`` when None) with the invariant
-    lhs(records) <= bound watched: its results and ``_Watch.first``."""
+    rho(x0) must not exceed the level start, a (name, value) pair.  Once the
+    run is done, a broken invariant raises ConfinementViolation for the
+    lowest failing seed, with message formatted from its t, seed and value
+    and the level."""
+    name, bound = start
+    rho_x0 = float(np.asarray(cfg.rho(cfg.x0)))
+    if rho_x0 > bound + _INVARIANT_SLACK:
+        raise InvalidHyperparameters(f"rho(x0) = {rho_x0:g} must not exceed {name} = {bound:g}")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    watch = _Watch(n_seeds, bound, lhs)
-    out = run_many(cfg, n_seeds, Tee(MemorySink(cfg, n_seeds) if sink is None else sink, watch))
-    return out, watch.first()
+    level = cfg.region_rho1
+    guard = _Guard(n_seeds, level + _INVARIANT_SLACK, lhs)
+    out = run_many(cfg, n_seeds, Tee(MemorySink(cfg, n_seeds) if sink is None else sink, guard))
+    failed = np.flatnonzero(guard.t >= 0)
+    if failed.size:
+        i = failed[0]
+        t, seed = int(guard.t[i]), out[i].seed
+        raise ConfinementViolation(message.format(t=t, seed=seed, value=float(guard.value[i]),
+                                                  level=level), t=t, seed=seed)
+    return out
 
 
 def run_confined_deterministic_many(cfg: RunConfig, constants: ConfinementConstants,
@@ -455,10 +485,6 @@ def run_confined_deterministic_many(cfg: RunConfig, constants: ConfinementConsta
         raise TypeError("confined deterministic runs need a deterministic schedule")
     if cfg.rho is None:
         raise ValueError("RunConfig.rho must be set for confined runs")
-    start = float(np.asarray(cfg.rho(cfg.x0)))
-    if start > constants.rho0 + _INVARIANT_SLACK:
-        raise InvalidHyperparameters(
-            f"rho(x0) = {start:g} must not exceed rho0 = {constants.rho0:g}")
     carry = 0.0  # sum_{j < t0} gamma_j^2 of the next block
     half_b2 = 0.5 * constants.b**2
 
@@ -470,18 +496,12 @@ def run_confined_deterministic_many(cfg: RunConfig, constants: ConfinementConsta
         carry = cum[-1]
         return rec.rho + half_b2 * (constants.sigma - cum[:k])
 
-    out, failed = _watched(replace(cfg, rate=ScaledSchedule(cfg.rate, constants.phi),
-                                   region_rho1=constants.rho1), n_seeds, sink,
-                           constants.rho1 + _INVARIANT_SLACK, lhs)
-    if failed:
-        i, t, value = failed
-        raise ConfinementViolation(
-            f"induction invariant failed at t={t}: rho + b^2/2 * tail = {value:.6g} "
-            f"> rho1 = {constants.rho1:.6g} (seed {out[i].seed}); "
-            "lambda_est or b_est likely underestimated",
-            t=t, seed=out[i].seed,
-        )
-    return out
+    return _guarded(replace(cfg, rate=ScaledSchedule(cfg.rate, constants.phi),
+                            region_rho1=constants.rho1), n_seeds, sink,
+                    ("rho0", constants.rho0), lhs,
+                    "induction invariant failed at t={t}: rho + b^2/2 * tail = {value:.6g} "
+                    "> rho1 = {level:.6g} (seed {seed}); lambda_est or b_est likely "
+                    "underestimated")
 
 
 def run_confined_deterministic(cfg: RunConfig, constants: ConfinementConstants) -> Trajectory:
@@ -500,15 +520,6 @@ def run_confined_adaptive_many(cfg: RunConfig, spec: ConfinementSpec, kappa: flo
     if eta0 > kappa:
         raise InvalidHyperparameters(
             f"eta_0 = {eta0:g} exceeds kappa = {kappa:g}; steps would be too long")
-    start = float(np.asarray(spec.rho(cfg.x0)))
-    if start > spec.rho1 + _INVARIANT_SLACK:
-        raise InvalidHyperparameters(f"rho(x0) = {start:g} must not exceed rho1 = {spec.rho1:g}")
-    out, failed = _watched(replace(cfg, rho=spec.rho, region_rho1=spec.rho1), n_seeds, sink,
-                           spec.rho1 + _INVARIANT_SLACK, lambda rec: rec.rho)
-    if failed:
-        i, t, value = failed
-        raise ConfinementViolation(
-            f"rho(x_t) = {value:.6g} > rho1 = {spec.rho1:.6g} at t={t} "
-            f"(seed {out[i].seed})", t=t, seed=out[i].seed,
-        )
-    return out
+    return _guarded(replace(cfg, rho=spec.rho, region_rho1=spec.rho1), n_seeds, sink,
+                    ("rho1", spec.rho1), lambda rec: rec.rho,
+                    "rho(x_t) = {value:.6g} > rho1 = {level:.6g} at t={t} (seed {seed})")

@@ -108,9 +108,10 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"check_name": self.check, "pass": self.passed, "margin": -self.worst,
-                "witnesses": [] if self.witness is None else [self.witness],
-                **self.details}
+        # the report's own keys win over details of the same name
+        return self.details | {"check_name": self.check, "pass": self.passed,
+                               "margin": -self.worst,
+                               "witnesses": [] if self.witness is None else [self.witness]}
 
 
 def _verdict(check: str, values, tol: float, index: str, value: str,
@@ -142,7 +143,7 @@ def check_descent_inequality(trajectory, c1: float, margin: float = 1.2,
     gdh = u + trajectory.grad_norm[:T] ** 2
     rhs = f[:T] - s * gdh + 0.5 * margin * c1 * s * s * bgn * bgn + slack
     return _verdict("descent_inequality", f[1:] - rhs, 0.0, "t", "excess",
-                    {"c1": c1, "margin": margin, "slack": slack, "steps": T})
+                    {"c1": c1, "margin_factor": margin, "slack": slack, "steps": T})
 
 
 def check_gradient_square_difference(trajectory, bound_a: float, c1: float, c2: float,
@@ -154,7 +155,8 @@ def check_gradient_square_difference(trajectory, bound_a: float, c1: float, c2: 
     diffs = np.abs(gn[1:] ** 2 - gn[:T] ** 2)
     allowance = margin * 2.0 * bound_a**2 * (c1 + c2) * s
     return _verdict("gradient_square_difference", diffs - allowance, 0.0, "t", "excess",
-                    {"bound_a": bound_a, "c1": c1, "c2": c2, "margin": margin, "steps": T})
+                    {"bound_a": bound_a, "c1": c1, "c2": c2, "margin_factor": margin,
+                     "steps": T})
 
 
 @dataclass(frozen=True)

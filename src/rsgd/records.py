@@ -136,7 +136,9 @@ def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
     grad_norm is not finite, x_T included: a file with such a row is a
     non-finite seed, and that row is its ``abort_t``.  A retraction that
     failed at step t writes the same rows as a non-finite record at t + 1
-    can, and may read as t + 1."""
+    can, and may read as t + 1.  A t, batch_size or in_K cell that does not
+    hold the row index, an integer >= 0 or 0 or 1 raises ValueError naming
+    its data row."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
@@ -148,6 +150,21 @@ def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
         raise ValueError(f"{path}: no data rows")
     if data.shape[1] != len(_CSV_COLUMNS):
         raise ValueError(f"{path}: expected {len(_CSV_COLUMNS)} columns, found {data.shape[1]}")
+    # the int and bool columns must hold values their casts keep
+    for i, (name, _, kind) in enumerate(_CSV_COLUMNS):
+        col = data[:, i]
+        if name == "t":
+            want, ok = "the row index 0 .. n - 1", col == np.arange(len(col))
+        elif kind is int:
+            want, ok = "an integer >= 0", (col >= 0) & (col < 2.0**63) & (np.floor(col) == col)
+        elif kind is bool:
+            want, ok = "0 or 1", (col == 0) | (col == 1)
+        else:
+            continue
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise ValueError(f"{path}: data row {k + 1}: {name} must be {want}, "
+                             f"got {float(col[k])}")
     fields = {attr: data[:, i].astype(kind, copy=False)
               for i, (_, attr, kind) in enumerate(_CSV_COLUMNS) if attr is not None}
     rho = fields.pop("rho")

@@ -5,6 +5,7 @@ norms)^(1/2 + epsilon).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,12 @@ class PowerLawSchedule:
             raise ValueError(f"p must be finite, got {self.p}")
 
     def gamma(self, t: int) -> float:
-        return min(1.0, self.c / (t + 1.0) ** self.p)
+        try:
+            return min(1.0, self.c / (t + 1.0) ** self.p)
+        except OverflowError:  # (t+1)^p passes the largest float
+            return min(1.0, math.exp(math.log(self.c) - self.p * math.log(t + 1.0)))
+        except ZeroDivisionError:  # (t+1)^p underflows to 0: c over it clamps to 1
+            return 1.0
 
     def max_gamma(self) -> float:
         # gamma is nonincreasing for p >= 0; for p < 0 it is unbounded but
@@ -102,10 +108,10 @@ def sum_of_squares(schedule) -> float:
     """Upper bound on sigma = sum_t gamma_t^2, tight to ~1e-9 for power laws.
 
     Computed as an exact partial sum over ``_SQUARE_SUM_TERMS`` entries plus
-    an integral tail bound; requires a square-summable schedule.  The
-    partial sum has the bits of ``np.sum`` over one buffer of all the terms,
-    in memory that holds at most ``budget.WORDS`` of them, or 128
-    (``_pairwise``).
+    an integral tail bound, inf when c^2 or the bound overflows; requires a
+    square-summable schedule.  The partial sum has the bits of ``np.sum``
+    over one buffer of all the terms, in memory that holds at most
+    ``budget.WORDS`` of them, or 128 (``_pairwise``).
     """
     if isinstance(schedule, ExplicitSchedule):
         return float(np.sum(np.asarray(schedule.values) ** 2))
@@ -124,9 +130,12 @@ def sum_of_squares(schedule) -> float:
         return np.add.reduce(g)
 
     partial = float(_pairwise(leaf, 0, _SQUARE_SUM_TERMS))
+    try:
+        c2 = schedule.c**2
+    except OverflowError:  # the bound is inf
+        c2 = math.inf
     # sum_{t >= M} (t+1)^{-2p} <= integral_{M-1}^{inf} (x+1)^{-2p} dx
-    tail = (schedule.c**2 * float(_SQUARE_SUM_TERMS) ** (1.0 - 2.0 * schedule.p)
-            / (2.0 * schedule.p - 1.0))
+    tail = c2 * float(_SQUARE_SUM_TERMS) ** (1.0 - 2.0 * schedule.p) / (2.0 * schedule.p - 1.0)
     return partial + tail
 
 

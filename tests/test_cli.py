@@ -1,4 +1,6 @@
 import configparser
+import contextlib
+import io
 import json
 import math
 import re
@@ -10,6 +12,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsgd import budget, cli, diagnostics, records
 from rsgd import confinement as conf
@@ -127,6 +131,17 @@ class TestRun:
         cfg, out = sphere_config
         assert main(["run", "--config", str(cfg), "--horizon", "50", "--quiet"]) == 0
         assert len((out / "exp_seed1.csv").read_text().strip().split("\n")) == 52
+
+    @pytest.mark.parametrize("p", ["100", "1e308", "-1e308"])
+    def test_power_law_past_the_float_range_runs(self, sphere_config, p):
+        # (t+1)^p overflowing or underflowing to 0 once raised OverflowError
+        # and ZeroDivisionError; at p = 100 it overflows from t = 1209 on
+        cfg, out = sphere_config
+        cfg.write_text(cfg.read_text().replace("p = 0.75", f"p = {p}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--horizon", "2000", "--quiet"]) == 0
+            assert main(["report", "--out", str(out), "--quiet"]) == 0
 
     def test_missing_config_is_config_error(self):
         assert main(["run", "--config", "nope.ini"]) == 2
@@ -401,6 +416,36 @@ class TestReport:
         err = capsys.readouterr().err
         assert "x_seed1.csv: no data rows" in err
         assert not caught and "Warning" not in err
+
+    @pytest.mark.parametrize("row, col, cell, message", [
+        (1, 4, "nan", "batch_size must be an integer >= 0, got nan"),
+        (2, 4, "1e400", "batch_size must be an integer >= 0, got inf"),
+        (2, 4, "2.5", "batch_size must be an integer >= 0, got 2.5"),
+        (1, 4, "-1", "batch_size must be an integer >= 0, got -1.0"),
+        (1, 4, "1e19", "batch_size must be an integer >= 0, got 1e+19"),
+        (2, 7, "7", "in_K must be 0 or 1, got 7.0"),
+        (1, 0, "5", "t must be the row index 0 .. n - 1, got 5.0"),
+        (2, 0, "nan", "t must be the row index 0 .. n - 1, got nan"),
+    ], ids=["size-nan", "size-overflows", "size-fraction", "size-negative", "size-past-int64",
+            "in-K-7", "t-out-of-order", "t-nan"])
+    def test_malformed_cell_exits_two_naming_its_row(self, sphere_config, capsys, row, col,
+                                                     cell, message):
+        # once read by a cast: a truncated size, in_K 7 read as true, and
+        # numpy's RuntimeWarning for a size it cannot cast
+        cfg, out = sphere_config
+        assert main(["run", "--config", str(cfg), "--horizon", "3", "--quiet"]) == 0
+        path = out / "exp_seed1.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[col] = cell
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["report", "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (f"malformed trajectory file {path}: {path}: data row "
+                                           f"{row}: {message}\n")
+        assert not (out / "report.json").exists()
 
     def test_runs_of_different_lengths_exit_two(self, sphere_config, capsys):
         # two horizons in one directory once ended in a ValueError traceback
@@ -768,6 +813,30 @@ class TestRunInputs:
         # numpy refuses these sizes without allocating; nothing larger is run
         ([], ["run", "--horizon", "100000000000000000000"], "[run] horizon"),
         ([("seeds = 3", "seeds = 100000000000000000000")], ["run"], "[run] seeds"),
+        # extreme values that once ended in tracebacks on the confinement path
+        ([TO_LEAST_SQUARES, _confined("kappa = 0.5"), ("c = 0.5", "c = 1e308")], ["run"],
+         "[rate] c = 1e+308 cannot confine a deterministic run: the schedule's sum of "
+         "squares sigma = inf overflows"),
+        ([TO_LEAST_SQUARES, _confined("kappa = 0.5"), ("c = 0.5", "c = 1e308")],
+         ["check", "kappa_confinement"], "[rate] c = 1e+308 cannot confine a deterministic "
+         "run: the schedule's sum of squares sigma = inf overflows"),
+        ([TO_LEAST_SQUARES, _confined("kappa = 0.5"), ("c = 0.5", "c = 1e-308")],
+         ["check", "kappa_confinement"], "[confinement] rho0 = "),
+        ([TO_LEAST_SQUARES, _confined("rho0 = 1e308")], ["check", "confinement"],
+         "[confinement] rho0 = 1e+308 makes the band's top 10 rho0 = inf"),
+        ([("kind = sphere_mean", "kind = least_squares\ntau = 1e-308"), _confined("rho0 = auto")],
+         ["check", "confinement"], "[confinement] rho0 = "),
+        ([TO_LEAST_SQUARES, _confined("rho0 = 1e16\nkappa = 0.5"),
+          ("kind = power\nc = 0.5\np = 0.75", "kind = adaptive")], ["run"],
+         "[confinement] rho0 = 1e+16 leaves no band below rho1 = 1e+16"),
+        ([TO_LEAST_SQUARES, _confined("rho0 = 1e16\nkappa = 0.5"),
+          ("kind = power\nc = 0.5\np = 0.75", "kind = adaptive")],
+         ["check", "kappa_confinement"],
+         "[confinement] rho0 = 1e+16 leaves no band below rho1 = 1e+16"),
+        ([TO_LEAST_SQUARES, _confined("b = 1e-308\nkappa = 0.5")], ["run"],
+         "[confinement] b = 1e-308 makes b_est"),
+        ([TO_LEAST_SQUARES, _confined("b = 1e-308\nkappa = 0.5")],
+         ["check", "kappa_confinement"], "[confinement] b = 1e-308 makes b_est"),
     ], ids=["seeds-zero", "seeds-negative", "horizon-negative", "x0-off-sphere",
             "list-rate-too-short", "sphere-dimension-1", "check-sphere-dimension-1",
             "least-squares-dimension-0", "n-outcomes-zero", "data-seed-negative",
@@ -784,7 +853,11 @@ class TestRunInputs:
             "seed-past-int64", "seed-flag-past-int64", "seed-wraps", "seed-flag-wraps",
             "batch-growth-nan", "size-keys-exclusive", "stratified-batch-size",
             "stratified-batch-growth", "stratified-batch-sizes", "batch-sizes-short",
-            "horizon-flag-past-2-53", "seeds-past-memory"])
+            "horizon-flag-past-2-53", "seeds-past-memory", "c-sigma-overflows",
+            "check-kappa-c-sigma-overflows", "check-kappa-c-underflows",
+            "check-rho0-band-overflows", "check-tau-auto-rho0-band-overflows",
+            "adaptive-rho0-absorbs-one", "check-kappa-adaptive-rho0-absorbs-one",
+            "b-est-overflows", "check-kappa-b-est-overflows"])
     def test_exit_2(self, sphere_config, capsys, edits, argv, key):
         cfg, out = sphere_config
         _edit(cfg, edits)
@@ -923,7 +996,7 @@ class TestRunInputs:
                                            ".part cannot be written: No space left on device\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("abort", ["degenerate", "confinement"])
+    @pytest.mark.parametrize("abort", ["degenerate", "confinement", "adaptive-confinement"])
     def test_aborted_run_leaves_no_file(self, tmp_path, capsys, monkeypatch, abort):
         # every block reached its CSV before the run ended in the error
         out = tmp_path / "runs"
@@ -939,12 +1012,19 @@ class TestRunInputs:
 
             monkeypatch.setattr(Sphere, "retract_flagged", degenerate)
             message = "run aborted: retraction degenerated for seeds [2]"
-        else:
+        elif abort == "confinement":
             cfg.write_text(LS_CONFINED_CONFIG.format(out=out))
             cumulative = conf.cumulative_squares
             monkeypatch.setattr(conf, "cumulative_squares",
                                 lambda *args: cumulative(*args) - 1e6)
             message = "run aborted: induction invariant failed at t=0"
+        else:
+            # rho = 1e6 ||x||^2 leaves {rho <= rho0 + 1} at the first step from 0
+            cfg = TestConfinedRunInputs._config(tmp_path)  # out = tmp_path / "runs"
+            spec = conf.norm_squared_confinement
+            monkeypatch.setattr(conf, "norm_squared_confinement", lambda *args: replace(
+                spec(*args), rho=lambda x: 1e6 * (np.asarray(x) ** 2).sum(axis=-1)))
+            message = "run aborted: rho(x_t) = "
         with mock.patch.object(records, "_CSV_CHUNK", 64):
             assert main(["run", "--config", str(cfg), "--quiet"]) == 3
         assert capsys.readouterr().err.startswith(message)
@@ -1009,3 +1089,69 @@ def test_every_table_key_rejects_bad_values(sphere_config, capsys, section, key,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"[{section}] {key}" in err
     assert not out.exists()
+
+
+# the CI workflow's confined.ini with few samples and steps
+CI_CONFINED_CONFIG = """
+[problem]
+kind = least_squares
+dimension = 3
+n_outcomes = 6
+data_seed = 11
+tau = 0.2
+rho1 = 9.0
+
+[plan]
+scheme = no_repetition
+batch_size = 2
+
+[rate]
+kind = power
+c = 0.5
+p = 0.75
+
+[confinement]
+enabled = true
+samples = 20
+kappa = 0.5
+
+[run]
+horizon = 5
+seeds = 2
+"""
+_SIGNED = ("1e308", "-1e308", "1e-308", "-1e-308")
+# keys on the confinement path, each with the extreme values its bound admits
+_EXTREMES = {("rate", "c"): _SIGNED, ("rate", "p"): _SIGNED, ("problem", "tau"): _SIGNED[::2],
+             ("problem", "rho1"): _SIGNED[::2], ("confinement", "rho0"): _SIGNED[::2],
+             ("confinement", "lambda"): _SIGNED[::2], ("confinement", "b"): _SIGNED[::2],
+             ("confinement", "theta"): _SIGNED[::2], ("confinement", "kappa"): _SIGNED}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(_EXTREMES)), st.integers(0, 3),
+                       min_size=1, max_size=3))
+def test_extreme_confinement_values_end_in_an_exit_code(tmp_path_factory, picks):
+    # once OverflowError and ValueError tracebacks (exit 1) from the samplers,
+    # the sum of squares and the confinement classes
+    tmp = tmp_path_factory.mktemp("extreme")
+    cp = configparser.ConfigParser()
+    cp.read_string(CI_CONFINED_CONFIG)
+    for (section, key), i in picks.items():
+        values = _EXTREMES[section, key]
+        cp.set(section, key, values[i % len(values)])
+    for kind in ("power", "adaptive"):
+        cp.set("rate", "kind", kind)
+        cfg = tmp / f"{kind}.ini"
+        with open(cfg, "w") as fh:
+            cp.write(fh)
+        for argv in (["run"], ["check", "confinement"], ["check", "kappa_confinement"]):
+            out = tmp / f"{kind}-{'-'.join(argv)}"
+            # numpy's overflow warnings from the samplers at such values are
+            # not what this property checks
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main(argv + ["--config", str(cfg), "--out", str(out), "--quiet"])
+            assert code in (0, 1, 2, 3)
+            assert code != 2 or not out.exists()
+

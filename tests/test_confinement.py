@@ -33,7 +33,8 @@ from rsgd import (
 from rsgd import budget, cli, confinement, diagnostics
 from rsgd.confinement import _N_COMBOS, _hessian_quadform, sample_rho_levels
 from rsgd.problems import GradientOracle
-from rsgd.schedules import _SQUARE_SUM_TERMS
+from rsgd.records import MemorySink
+from rsgd.schedules import _SQUARE_SUM_TERMS, sum_of_squares
 
 from reference import (one_shot_check_kappa_confinement, one_shot_check_plain_confinement,
                        one_shot_estimate_constants)
@@ -75,6 +76,18 @@ def zero_field(x):
 @pytest.fixture(scope="module")
 def ls_problem():
     return random_least_squares(3, 8, seed=11, tau=0.2)
+
+
+def _first_failure(lhs, level, first_seed):
+    """(t, value, seed) of the first step whose invariant value in lhs, the
+    (S, T+1) records of seeds first_seed, first_seed + 1, ..., exceeds level
+    in the lowest seed with one; at least two seeds must fail."""
+    bad = lhs > level + 1e-9
+    failing = [i for i, row in enumerate(bad) if row.any()]
+    assert len(failing) >= 2, failing
+    i = failing[0]
+    t = int(np.argmax(bad[i]))
+    return t, lhs[i, t], first_seed + i
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +288,29 @@ class TestConfinedDeterministic:
             run_confined_deterministic(cfg, rigged)
         assert err.value.t is not None
 
+    def test_violation_names_the_lowest_failing_seed(self, ls_problem, schedule):
+        # phi = 0.14, far below the admissible value: of seeds 5 .. 10, seeds
+        # 7, 8 and 10 break the invariant, 8 at an earlier step than 7
+        rho0 = ls_problem.rho0_for_norm_squared()
+        sigma = sum_of_squares(schedule)
+        rigged = ConfinementConstants(lam=1.0, b=1.0, theta=1e9, c=0.5, sigma=sigma,
+                                      lambda_est=0.0, b_est=0.0, phi=0.14, rho0=rho0,
+                                      rho1=rho0 + 0.5 + 0.5 * sigma)
+        cfg = RunConfig(oracle=ls_problem,
+                        plan=SegmentPlan(ls_problem.space, BatchSizes.constant(2)),
+                        rate=schedule, x0=np.zeros(3), horizon=60, seed=5,
+                        rho=norm_squared_confinement(rho0).rho)
+        sink = MemorySink(cfg, 6)
+        with pytest.raises(ConfinementViolation) as err:
+            run_confined_deterministic_many(cfg, rigged, 6, sink)
+        tail = sigma - cumulative_squares(schedule, cfg.horizon)
+        t, value, seed = _first_failure(sink.arrays["rho"] + 0.5 * tail, rigged.rho1, 5)
+        assert str(err.value) == (
+            f"induction invariant failed at t={t}: rho + b^2/2 * tail = {value:.6g} "
+            f"> rho1 = {rigged.rho1:.6g} (seed {seed}); lambda_est or b_est likely "
+            "underestimated")
+        assert (err.value.t, err.value.seed) == (t, seed)
+
     def test_x0_outside_rho0_rejected(self, ls_problem, schedule):
         spec, consts, cfg = self._setup(ls_problem, schedule)
         cfg.x0 = np.array([10.0, 0.0, 0.0])
@@ -339,6 +375,19 @@ class TestConfinedAdaptive:
                         horizon=2000, seed=0)
         for tr in run_confined_adaptive_many(cfg, spec, kappa=0.5, n_seeds=10):
             assert np.all(tr.rho <= spec.rho1 + 1e-9)
+
+    def test_violation_names_the_lowest_failing_seed(self, ls_problem):
+        # rho1 = 0.3: of seeds 5 .. 10, all but 5 and 7 leave {rho <= rho1}
+        spec = norm_squared_confinement(0.1, 0.3, "kappa")
+        cfg = RunConfig(oracle=ls_problem,
+                        plan=SegmentPlan(ls_problem.space, BatchSizes.constant(2)),
+                        rate=AdaptiveRate(0.5, 1.0, 0.25), x0=np.zeros(3), horizon=60, seed=5)
+        sink = MemorySink(replace(cfg, rho=spec.rho), 6)
+        with pytest.raises(ConfinementViolation) as err:
+            run_confined_adaptive_many(cfg, spec, 0.5, 6, sink)
+        t, value, seed = _first_failure(sink.arrays["rho"], spec.rho1, 5)
+        assert str(err.value) == f"rho(x_t) = {value:.6g} > rho1 = 0.3 at t={t} (seed {seed})"
+        assert (err.value.t, err.value.seed) == (t, seed)
 
     def test_eta0_above_kappa_rejected(self, ls_problem):
         spec = norm_squared_confinement(1.0, 2.0, "kappa")

@@ -147,6 +147,19 @@ class TestGradientSquareDifference:
         assert not report.passed
 
 
+@pytest.mark.parametrize("check, args, factor", [
+    (check_descent_inequality, (3.0,), 1.2),
+    (check_gradient_square_difference, (1.0, 3.0, 1.0), 1.5),
+], ids=["descent", "gradient-square-difference"])
+def test_report_dict_keeps_its_margin_and_the_factor(check, args, factor):
+    # the factor, a detail once named margin, overwrote the report's margin
+    _, tr = _sphere_run(horizon=200)
+    report = check(tr, *args)
+    out = report.to_dict()
+    assert out["margin"] == -report.worst != factor
+    assert out["margin_factor"] == factor
+
+
 class TestMartingale:
     def test_full_batch_single_target_is_exactly_zero(self):
         prob = random_sphere_mean(4, 1, seed=10)

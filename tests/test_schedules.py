@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -105,6 +106,28 @@ class TestDeterministic:
     def test_sum_of_squares_has_the_bits_of_one_buffer(self, c, p):
         s = PowerLawSchedule(c, p)
         assert sum_of_squares(s).hex() == one_buffer_sum_of_squares(s).hex(), (c, p)
+
+    def test_sum_of_squares_is_inf_where_c_squared_overflows(self):
+        # c**2 once raised OverflowError
+        s = PowerLawSchedule(1e308, 0.75)
+        assert sum_of_squares(s) == np.inf
+
+    @pytest.mark.parametrize("c", [1e-308, 0.5, 3.0, 1e308])
+    def test_power_law_rate_never_raises(self, c):
+        # where c / (t+1)^p is computed it keeps its bits; where (t+1)^p
+        # overflows the rate is taken in logs, and where it underflows to 0
+        # the rate clamps to 1
+        for p in (-1e308, -100.0, -1.0, -0.5, 0.0, 0.5, 0.75, 1.0, 2.0, 100.0, 1e308):
+            s = PowerLawSchedule(c, p)
+            for t in (0, 1, 2, 10, 1000, 2000, 10**6, 10**12):
+                try:
+                    rate = min(1.0, c / (t + 1.0) ** p)
+                except OverflowError:
+                    rate = min(1.0, math.exp(math.log(c) - p * math.log(t + 1.0)))
+                except ZeroDivisionError:
+                    rate = 1.0
+                assert s.gamma(t).hex() == rate.hex(), (c, p, t)
+        assert PowerLawSchedule(1e308, 100.0).gamma(2000) == pytest.approx(7.5e-23, rel=0.01)
 
     def test_sum_of_squares_is_upper_bound(self):
         s = PowerLawSchedule(0.5, 0.75)
