@@ -3,7 +3,7 @@
 
     python ci/expected_reds.py tier1.xml
 
-The README ("Acceptance suite and the two known red tests") documents four
+The README ("Acceptance suite and the four known red tests") documents four
 acceptance tests that fail as written: criterion 3 under each of the three
 batch schemes and criterion 4.  Their clause sits below the stochastic noise
 floor, so they stay red and unedited.  This script exits 0 when the tests

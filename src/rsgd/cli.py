@@ -543,23 +543,24 @@ def cmd_check(args) -> int:
                 params = build_confinement(cp, problem)
                 if params is None:
                     raise ConfigError("confinement section missing or disabled")
-                if args.name == "confinement":
-                    spec = conf.norm_squared_confinement(params["rho0"])
-                    try:
+                try:
+                    if args.name == "confinement":
+                        spec = conf.norm_squared_confinement(params["rho0"])
                         report = conf.check_plain_confinement(spec, problem, params["samples"],
                                                               seed=seed)
-                    except InvalidHyperparameters as exc:  # a band top that overflows
-                        raise ConfigError(f"[confinement] {exc}") from None
-                else:
-                    rate = build_rate(cp)
-                    if isinstance(rate, AdaptiveRate):
-                        rho1 = params["rho1"]
                     else:
-                        spec0 = conf.norm_squared_confinement(params["rho0"])
-                        rho1 = _constants_for(params, spec0, problem, rate, seed).rho1
-                    spec = _kappa_spec(params, rho1, "kappa_confinement")
-                    report = conf.check_kappa_confinement(spec, problem, params["kappa"],
-                                                          params["samples"], seed=seed)
+                        rate = build_rate(cp)
+                        if isinstance(rate, AdaptiveRate):
+                            rho1 = params["rho1"]
+                        else:
+                            spec0 = conf.norm_squared_confinement(params["rho0"])
+                            rho1 = _constants_for(params, spec0, problem, rate, seed).rho1
+                        spec = _kappa_spec(params, rho1, "kappa_confinement")
+                        report = conf.check_kappa_confinement(spec, problem, params["kappa"],
+                                                              params["samples"], seed=seed)
+                # a band top that overflows, or a level the samplers cannot reach
+                except InvalidHyperparameters as exc:
+                    raise ConfigError(f"[confinement] {exc}") from None
                 payload = report.to_dict()
         except SamplerFailure as exc:
             print(f"check failed to sample: {exc}", file=sys.stderr)

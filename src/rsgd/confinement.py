@@ -56,7 +56,10 @@ everything, and ties keep the earlier entry.  The rule is the package's one
 verdict rule and lives in :mod:`rsgd.diagnostics`.  In the
 kappa step check every random step fraction comes before every endpoint
 step, and the band margin before the step margin.  A NaN fails a check, and
-a NaN supremum behind phi raises SamplerFailure.
+a NaN supremum behind phi raises SamplerFailure.  The samplers compute with
+numpy's overflow and invalid warnings off, since the inf or NaN an overflow
+leaves is what their verdicts name.  A rho level that 2^_MAX_DOUBLINGS radii
+do not reach raises InvalidHyperparameters naming the input that set it.
 """
 
 from __future__ import annotations
@@ -181,6 +184,10 @@ def _unit_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return a / np.sqrt((a * a).sum(axis=1))[:, None]
 
 
+class _Unbracketed(SamplerFailure):
+    """A rho level that _MAX_DOUBLINGS radius doublings do not reach."""
+
+
 def sample_rho_levels(rho: Callable, dim: int, targets: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
     """Points x with rho(x) ~ targets, found by radius bisection along random rays.
@@ -204,7 +211,7 @@ def sample_rho_levels(rho: Callable, dim: int, targets: np.ndarray,
             break
         hi = np.where(short, hi * 2.0, hi)
     else:
-        raise SamplerFailure("could not bracket the requested rho levels")
+        raise _Unbracketed("could not bracket the requested rho levels")
 
     lo = np.zeros(n)
     for _ in range(90):
@@ -230,7 +237,7 @@ def _chunk_size(oracle, n_combos: int) -> int:
     return max(1, budget.WORDS // (dim * max(n_combos * n_out, n_out + n_combos)))
 
 
-def _pairs(spec, oracle, hi, n, seed, k, combos, lo=None, step=None):
+def _pairs(spec, oracle, hi, n, seed, k, combos, top, lo=None, step=None):
     """Every (point, direction) pair of n sample points, as row arrays x and
     v per chunk of _chunk_size points, and a step fraction per row drawn
     uniformly from [0, step) when step is given.
@@ -238,7 +245,8 @@ def _pairs(spec, oracle, hi, n, seed, k, combos, lo=None, step=None):
     The points have rho levels uniform on [lo, hi], or on the sublevel set
     {rho <= hi} from rho(origin) when lo is None.  The directions at a point
     are the outcome gradients H(x, l), then `combos` Dirichlet-weighted
-    convex combinations of them.
+    convex combinations of them.  A level the radial sampler cannot reach
+    raises InvalidHyperparameters naming ``top``, the input that set hi.
     """
     man = oracle.manifold
     if man.kind != "euclidean":
@@ -251,7 +259,12 @@ def _pairs(spec, oracle, hi, n, seed, k, combos, lo=None, step=None):
     # separate streams for levels and rays keep the first n samples identical
     # as n grows, which makes the sup estimates monotone in n
     levels = np.random.default_rng([seed, k, 0]).uniform(lo, hi, size=n)
-    xs = sample_rho_levels(spec.rho, dim, levels, np.random.default_rng([seed, k, 1]))
+    try:
+        xs = sample_rho_levels(spec.rho, dim, levels, np.random.default_rng([seed, k, 1]))
+    except _Unbracketed:
+        raise InvalidHyperparameters(
+            f"{top}, a rho level that the radial sampler cannot reach "
+            f"in {_MAX_DOUBLINGS} doublings of the radius") from None
     rng_w, rng_s = np.random.default_rng([seed, k + 1]), np.random.default_rng([seed, k + 2])
     m = _chunk_size(oracle, combos)
     for x in (xs[i:i + m] for i in range(0, n, m)):
@@ -266,6 +279,7 @@ def _pairs(spec, oracle, hi, n, seed, k, combos, lo=None, step=None):
             yield flat_x, flat_v, rng_s.uniform(0.0, step, size=len(flat_v))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_plain_confinement(spec: ConfinementSpec, oracle: GradientOracle,
                             n_samples: int, seed: int = 0) -> ConfinementReport:
     """Sample the band rho0 <= rho <= 10 * rho0 and every outcome l; PASS iff
@@ -281,7 +295,8 @@ def check_plain_confinement(spec: ConfinementSpec, oracle: GradientOracle,
     worst, at = _first([_pick((spec.grad_rho(x) * v).sum(axis=-1), True,
                               x=x, outcome=np.arange(len(v)) % n_out)
                         for x, v in _pairs(spec, oracle, hi, n_samples, seed, 0, 0,
-                                           lo=spec.rho0)], lower=True)
+                                           f"rho0 = {spec.rho0:g} makes the band's top "
+                                           f"10 rho0 = {hi:g}", lo=spec.rho0)], lower=True)
     worst = float(worst)
     return ConfinementReport(
         check="plain_confinement",
@@ -303,6 +318,7 @@ def _finite(name: str, pick):
     return value
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
                        lam: float, b: float | str, theta: float, n_samples: int,
                        seed: int = 0) -> ConfinementConstants:
@@ -338,7 +354,8 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
 
     low = _finite("lambda_est: <grad rho(x), v>", _first(
         [_pick((spec.grad_rho(x) * v).sum(axis=-1), True, x=x)
-         for x, v in _pairs(spec, oracle, spec.rho0, n_samples, seed, 1, _N_COMBOS)],
+         for x, v in _pairs(spec, oracle, spec.rho0, n_samples, seed, 1, _N_COMBOS,
+                            f"rho0 = {spec.rho0:g}")],
         lower=True))
     lambda_est = float(max(0.0, -low)) / lam
 
@@ -352,7 +369,8 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
             [_pick(_hessian_quadform(oracle.manifold, spec.rho, x, -s[:, None] * v, v),
                    False, x=x)
              for x, v, s in _pairs(spec, oracle, rho1, n_samples, seed, 3, _N_COMBOS,
-                                   step=theta)], lower=False))
+                                   f"b = {b:g} makes rho1 = {rho1:g}", step=theta)],
+            lower=False))
         return float(np.sqrt(max(0.0, high))) / b, rho1
 
     if auto:
@@ -373,6 +391,7 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
                             kappa: float, n_samples: int, seed: int = 0) -> ConfinementReport:
     """Sample both defining inequalities of a (batch) kappa-confinement.
@@ -395,7 +414,7 @@ def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
     # the highest rho reached, every random step fraction before every kappa
     randoms, ends = [], []
     for x, v, s_random in _pairs(spec, oracle, spec.rho0, n_samples, seed, 1, combos,
-                                 step=kappa):
+                                 f"rho0 = {spec.rho0:g}", step=kappa):
         for picks, s in ((randoms, s_random), (ends, np.full(len(v), kappa))):
             reached = spec.rho(man.retract(x, -s[:, None] * v))
             picks.append(_pick(reached, False, x=x, v=v, s=s))
@@ -404,8 +423,8 @@ def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
 
     # inequality 2: on the band, <grad rho, v> dominates the Hessian term
     bands = []
-    for x, v, s in _pairs(spec, oracle, spec.rho1, n_samples, seed, 4, combos, lo=spec.rho0,
-                          step=kappa):
+    for x, v, s in _pairs(spec, oracle, spec.rho1, n_samples, seed, 4, combos,
+                          f"the band's top rho1 = {spec.rho1:g}", lo=spec.rho0, step=kappa):
         quad = _hessian_quadform(man, spec.rho, x, -s[:, None] * v, v)
         gaps = (spec.grad_rho(x) * v).sum(axis=-1) - np.maximum(0.0, 0.5 * kappa * quad)
         bands.append(_pick(gaps, True, x=x, v=v, s=s))

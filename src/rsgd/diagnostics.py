@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import budget
 from .problems import GradientOracle
 
 _U_FLOOR = 1e-8
@@ -318,7 +319,10 @@ def convergence_metrics(trajectories: list, threshold: float = 1e-3) -> dict:
     seeds below the threshold under both readings, the mean-square gradient
     curve, and the partial sums sum_t rate_t ||g_t||^2 whose flattening the
     analysis predicts (the last-decade increment should be small): a
-    ``ConvergenceFold`` of all the trajectories as one block.
+    ``ConvergenceFold`` of the trajectories in chunks of at most
+    ``budget.WORDS // (T + 1)`` seeds (or one), so that it allocates no
+    array of S·T words.  Trajectories that hold one shared step row (a
+    ``records.MemorySink`` of a deterministic rate) hand the fold that row.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
@@ -327,8 +331,13 @@ def convergence_metrics(trajectories: list, threshold: float = 1e-3) -> dict:
         if tr.horizon != T:
             raise ValueError(f"trajectories of horizons {T} and {tr.horizon}")
     fold = ConvergenceFold(len(trajectories), T, threshold)
-    fold.add(0, 0, np.stack([tr.grad_norm for tr in trajectories]),
-             np.stack([tr.step for tr in trajectories]))
+    step = trajectories[0].step
+    shared = all(tr.step is step for tr in trajectories)
+    chunk = max(1, budget.WORDS // (T + 1))
+    for i0 in range(0, len(trajectories), chunk):
+        part = trajectories[i0:i0 + chunk]
+        fold.add(0, i0, np.stack([tr.grad_norm for tr in part]),
+                 step[None] if shared else np.stack([tr.step for tr in part]))
     fold.statuses = [tr.status for tr in trajectories]
     return fold.result()
 

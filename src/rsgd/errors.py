@@ -11,7 +11,8 @@ class InvalidPlan(ValueError):
 
 class InvalidHyperparameters(ValueError):
     """Run hyperparameters violate their admissibility conditions: the adaptive
-    step-size constants, eta_0 <= kappa, or a confined run's start inside its level."""
+    step-size constants, eta_0 <= kappa, a confined run's start inside its level,
+    or a confinement level that the samplers can reach."""
 
 
 class UnboundedRegion(ValueError):

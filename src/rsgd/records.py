@@ -4,9 +4,14 @@ The engine (:mod:`rsgd.driver`) keeps no record itself: ``_run_block``
 hands the finished, masked records of each block -- the last one's columns
 end with the final state at T -- to one sink, as a ``Records``.
 ``MemorySink`` (``run_many``'s default) puts them into (S, T+1) arrays and
-returns one ``Trajectory`` per seed.  ``CsvSink`` streams them into one CSV
-per seed and returns one ``SeedEnd`` per seed, so a run into it holds no
-array that grows with T; ``Tee`` hands each block to several sinks, as
+returns one ``Trajectory`` per seed.  What every seed shares it keeps once:
+the step column of a deterministic rate, one row until a seed retires, and
+the in-region column of a run without a region, one all-True row; every
+trajectory then holds that same read-only row.  A deterministic run without
+a region keeps 32·S + 17 bytes per step, an adaptive one 40·S + 9, and rho
+adds 8·S.  ``CsvSink`` streams the records into one CSV per seed and
+returns one ``SeedEnd`` per seed, so a run into it holds no array that
+grows with T; ``Tee`` hands each block to several sinks, as
 ``rsgd run`` does to a ``CsvSink`` and the summary's
 ``diagnostics.ConvergenceFold``.
 
@@ -73,6 +78,11 @@ class Trajectory:
 
     noise_inner holds <grad F(x_t), h_t - grad F(x_t)>, the martingale
     increment numerator; <grad F, h_t> is noise_inner + grad_norm^2.
+
+    The trajectories of one ``MemorySink`` share their batch_size array, and
+    the step and in_region rows that every seed shares (a deterministic
+    rate's steps before any seed retires, the all-True flags of a run
+    without a region) are one read-only array object.
     """
 
     seed: int
@@ -210,37 +220,62 @@ class SeedEnd:
 
 
 class MemorySink:
-    """Keeps every record of a run (``cfg``, a ``driver.RunConfig``) in
-    (S, T+1) arrays and returns one ``Trajectory`` per seed, whose rows are
-    views of them."""
+    """Keeps every record of a run (``cfg``, a ``driver.RunConfig``) and
+    returns one ``Trajectory`` per seed.
+
+    The per-seed columns are (S, T+1) arrays, whose rows the trajectories
+    view.  The step and in-region columns are kept as one (1, T+1) row while
+    every seed shares them: the steps while every block hands over one
+    (1, k) row of rates (a deterministic rate before any seed retires), the
+    flags while no block carries any (a run without a region, where every
+    cell is in it).  The first block that does not share a column widens it
+    to (S, T+1).  ``close`` gives every trajectory the same read-only object
+    for a column still kept as one row (with one seed, always), so writing
+    into it raises ValueError."""
 
     def __init__(self, cfg, n_seeds: int):
         shape = (n_seeds, cfg.horizon + 1)
-        names = ("F", "grad_norm", "step", "batch_grad_norm", "noise_inner")
+        names = ("F", "grad_norm", "batch_grad_norm", "noise_inner")
         self.arrays = {name: np.full(shape, np.nan) for name in names}
         if cfg.rho is not None:
             self.arrays["rho"] = np.full(shape, np.nan)
         if cfg.store_iterates:
             self.arrays["iterates"] = np.full(shape + (cfg.oracle.manifold.ambient_dim,), np.nan)
         self.batch_size = np.zeros(shape[1], dtype=np.int64)
-        self.in_region = np.ones(shape, dtype=bool)
+        self.step = np.full((1, shape[1]), np.nan)
+        self.in_region = np.ones((1, shape[1]), dtype=bool)
 
     def put(self, rec: Records) -> None:
         cols = slice(rec.t0, rec.t0 + rec.batch_size.size)
         for name, arr in self.arrays.items():
             arr[:, cols] = getattr(rec, name)
         self.batch_size[cols] = rec.batch_size
+        self.step = _widened(self.step, len(rec.step))
+        self.step[:, cols] = rec.step
         if rec.in_region is not None:
+            self.in_region = _widened(self.in_region, len(rec.in_region))
             self.in_region[:, cols] = rec.in_region
 
     def close(self, seeds, status, abort_t) -> list[Trajectory]:
-        a = self.arrays
-        return [Trajectory(seed=seed, batch_size=self.batch_size, in_region=self.in_region[i],
-                           status=status[i], abort_t=abort_t[i],
-                           **{name: None if name not in a else a[name][i]
+        shared = {}
+        for name in ("step", "in_region"):
+            column = getattr(self, name)
+            if len(column) == 1:  # never widened: one row for every seed
+                column.flags.writeable = False
+                shared[name] = column[0]
+        a = self.arrays | {"step": self.step, "in_region": self.in_region}
+        return [Trajectory(seed=seed, batch_size=self.batch_size, status=status[i],
+                           abort_t=abort_t[i],
+                           **{name: shared[name] if name in shared
+                              else None if name not in a else a[name][i]
                               for name in ("F", "grad_norm", "step", "batch_grad_norm",
-                                           "noise_inner", "rho", "iterates")})
+                                           "noise_inner", "rho", "in_region", "iterates")})
                 for i, seed in enumerate(seeds)]
+
+
+def _widened(column: np.ndarray, n_rows: int) -> np.ndarray:
+    """column, or its one shared row repeated to n_rows rows when it has fewer."""
+    return column if len(column) >= n_rows else np.repeat(column, n_rows, axis=0)
 
 
 def _part(path: Path) -> Path:

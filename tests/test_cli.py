@@ -837,6 +837,15 @@ class TestRunInputs:
          "[confinement] b = 1e-308 makes b_est"),
         ([TO_LEAST_SQUARES, _confined("b = 1e-308\nkappa = 0.5")],
          ["check", "kappa_confinement"], "[confinement] b = 1e-308 makes b_est"),
+        # 2^200 radii reach rho = 2^400, about 2.6e120: no doubling brackets 1e308
+        ([TO_LEAST_SQUARES, _confined("rho0 = 1e308\nkappa = 0.5")], ["run"],
+         "[confinement] rho0 = 1e+308, a rho level that the radial sampler cannot reach"),
+        ([TO_LEAST_SQUARES, _confined("rho0 = 1e308\nkappa = 0.5")],
+         ["check", "kappa_confinement"],
+         "[confinement] rho0 = 1e+308, a rho level that the radial sampler cannot reach"),
+        ([TO_LEAST_SQUARES, _confined("rho0 = 1e200")], ["check", "confinement"],
+         "[confinement] rho0 = 1e+200 makes the band's top 10 rho0 = 1e+201, a rho level "
+         "that the radial sampler cannot reach"),
     ], ids=["seeds-zero", "seeds-negative", "horizon-negative", "x0-off-sphere",
             "list-rate-too-short", "sphere-dimension-1", "check-sphere-dimension-1",
             "least-squares-dimension-0", "n-outcomes-zero", "data-seed-negative",
@@ -857,7 +866,8 @@ class TestRunInputs:
             "check-kappa-c-sigma-overflows", "check-kappa-c-underflows",
             "check-rho0-band-overflows", "check-tau-auto-rho0-band-overflows",
             "adaptive-rho0-absorbs-one", "check-kappa-adaptive-rho0-absorbs-one",
-            "b-est-overflows", "check-kappa-b-est-overflows"])
+            "b-est-overflows", "check-kappa-b-est-overflows", "rho0-beyond-the-sampler",
+            "check-kappa-rho0-beyond-the-sampler", "check-band-top-beyond-the-sampler"])
     def test_exit_2(self, sphere_config, capsys, edits, argv, key):
         cfg, out = sphere_config
         _edit(cfg, edits)
@@ -1125,6 +1135,36 @@ _EXTREMES = {("rate", "c"): _SIGNED, ("rate", "p"): _SIGNED, ("problem", "tau"):
              ("problem", "rho1"): _SIGNED[::2], ("confinement", "rho0"): _SIGNED[::2],
              ("confinement", "lambda"): _SIGNED[::2], ("confinement", "b"): _SIGNED[::2],
              ("confinement", "theta"): _SIGNED[::2], ("confinement", "kappa"): _SIGNED}
+
+
+@pytest.mark.parametrize("argv, codes", [
+    (["run"], {"tau": 3, "theta": 3, "kappa": 0}),
+    (["check", "confinement"], {"tau": 0, "theta": 0, "kappa": 0}),
+    (["check", "kappa_confinement"], {"tau": 1, "theta": 1, "kappa": 1}),
+], ids=["run", "check-confinement", "check-kappa-confinement"])
+@pytest.mark.parametrize("section, key", [("problem", "tau"), ("confinement", "theta"),
+                                          ("confinement", "kappa")])
+def test_extreme_sampler_inputs_print_only_their_verdict(tmp_path, capsys, argv, codes,
+                                                         section, key):
+    # the samplers' overflows are named by their verdict (a NaN b_est, a
+    # failed margin), so no numpy RuntimeWarning may reach stderr before it
+    cp = configparser.ConfigParser()
+    cp.read_string(CI_CONFINED_CONFIG)
+    cp.set(section, key, "1e308")
+    cfg, out = tmp_path / "confined.ini", tmp_path / "out"
+    with open(cfg, "w") as fh:
+        cp.write(fh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv + ["--config", str(cfg), "--out", str(out), "--quiet"])
+    assert code == codes[key]
+    stdout, stderr = capsys.readouterr()
+    want = {0: "", 1: "check failed to sample: b_est: Hess(rho o R_x)(v, v) is NaN at x = ",
+            3: "run aborted: b_est: Hess(rho o R_x)(v, v) is NaN at x = "}[code]
+    if key == "kappa":  # its kappa check fails on the margin, not in the sampler
+        want = ""
+    assert stdout == ""
+    assert stderr.startswith(want) and stderr.count("\n") == (1 if want else 0)
 
 
 @settings(max_examples=60, deadline=None)

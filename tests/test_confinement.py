@@ -15,6 +15,7 @@ from rsgd import (
     ConfinementViolation,
     Euclidean,
     FiniteSampleSpace,
+    InvalidHyperparameters,
     PowerLawSchedule,
     RunConfig,
     SamplerFailure,
@@ -106,6 +107,27 @@ class TestSampler:
         spec = norm_squared_confinement(1.0)
         with pytest.raises(SamplerFailure):
             sample_rho_levels(spec.rho, 3, np.array([-1.0]), np.random.default_rng(0))
+
+    def test_a_level_past_every_doubling_fails_to_bracket(self):
+        spec = norm_squared_confinement(1.0)
+        with pytest.raises(SamplerFailure, match="could not bracket"):
+            sample_rho_levels(spec.rho, 3, np.array([1.0, 1e308]), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("check, message", [
+        (lambda spec, p, s: estimate_constants(spec, p, s, 1.0, 1.0, 1.0, 20),
+         "rho0 = 1e+308, a rho level that the radial sampler cannot reach in 200 doublings"),
+        (lambda spec, p, s: check_kappa_confinement(replace(spec, rho1=1.5e308, variant="kappa"),
+                                                    p, 0.5, 20),
+         "rho0 = 1e+308, a rho level that the radial sampler cannot reach in 200 doublings"),
+        (lambda spec, p, s: estimate_constants(replace(spec, rho0=1.0), p, s, 1.0, 1e150, 1.0,
+                                               20),
+         "b = 1e+150 makes rho1 = "),
+    ], ids=["lambda-half", "kappa-step", "b-est"])
+    def test_unreachable_levels_name_their_input(self, ls_problem, schedule, check, message):
+        # 2^200 radii reach ||x||^2 = 2^400, about 2.6e120
+        spec = norm_squared_confinement(1e308)
+        with pytest.raises(InvalidHyperparameters, match=message.replace("+", r"\+")):
+            check(spec, ls_problem, schedule)
 
     def test_levels_a_discontinuous_rho_jumps_over_fail(self):
         # floor(||x||^2) takes integer values only: 4 of the 5 targets are missed

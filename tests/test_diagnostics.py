@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,7 @@ from rsgd import (
     sum_of_squares,
     track_martingale,
 )
-from rsgd import diagnostics
+from rsgd import budget, diagnostics
 from rsgd.diagnostics import ConvergenceFold
 from rsgd.driver import Trajectory
 from rsgd.problems import GradientOracle
@@ -288,6 +291,59 @@ def test_fold_has_the_bits_of_the_list_form(n_seeds, horizon, curve_points, data
                 assert got[key] == value, key
             else:
                 assert _same(got[key], value), key
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_seeds=st.integers(2, 40), horizon=st.integers(0, 60), words=st.integers(1, 400),
+       shared=st.booleans(), data=st.data())
+def test_seed_chunks_have_the_bits_of_one_block(n_seeds, horizon, words, shared, data):
+    # budget.WORDS // (T + 1) seeds per chunk, usually several chunks; the
+    # steps one shared read-only row or a row per seed, seeds retired at drawn
+    # steps (NaN from there on) in either case
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    step = rng.random(horizon + 1) * 10.0 ** rng.uniform(-3, 0)
+    step.flags.writeable = False
+    trs = []
+    for seed in range(n_seeds):
+        gn = rng.random(horizon + 1) * 10.0 ** rng.uniform(-8, 3, horizon + 1)
+        own = step if shared else rng.random(horizon + 1) * 10.0 ** rng.uniform(-3, 0)
+        status = "ok"
+        if data.draw(st.booleans()):
+            gn[data.draw(st.integers(0, horizon)):], status = np.nan, "nonfinite"
+            if not shared:
+                own[data.draw(st.integers(0, horizon)):] = np.nan
+        trs.append(Trajectory(seed=seed, F=gn, grad_norm=gn, step=own, batch_size=None,
+                              batch_grad_norm=gn, noise_inner=gn, in_region=None,
+                              status=status))
+    fold = ConvergenceFold(n_seeds, horizon, threshold=1e-2)
+    fold.add(0, 0, np.stack([tr.grad_norm for tr in trs]), np.stack([tr.step for tr in trs]))
+    fold.statuses = [tr.status for tr in trs]
+    want = fold.result()
+    with mock.patch.object(budget, "WORDS", words):
+        got = convergence_metrics(trs, threshold=1e-2)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if key in ("n_seeds", "horizon", "threshold", "statuses", "all_ok"):
+            assert got[key] == value, key
+        else:
+            assert _same(got[key], value), key
+
+
+def test_convergence_metrics_allocates_within_the_word_budget():
+    # 100 seeds at T = 20,000: the stacked rows would take 2 x 16 MB
+    n_seeds, horizon = 100, 20_000
+    step = np.linspace(1.0, 0.1, horizon + 1)
+    trs = [Trajectory(seed=i, F=step, grad_norm=step * (i + 1), step=step, batch_size=None,
+                      batch_grad_norm=step, noise_inner=step, in_region=None)
+           for i in range(n_seeds)]
+    tracemalloc.start()
+    try:
+        convergence_metrics(trs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk's rows and their squares, plus the curve and the per-seed sums
+    assert peak <= 2 * 8 * budget.WORDS + 16 * (horizon + 1) + 64 * 1024
 
 
 class CorruptedGradientProblem(GradientOracle):

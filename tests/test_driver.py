@@ -1100,3 +1100,89 @@ def test_csv_sink_discard_leaves_no_file(tmp_path):
                                                            "run_seed2.csv.part"]
     sink.discard()
     assert not list(tmp_path.iterdir())
+
+
+class TestSharedRows:
+    """What every seed shares, a MemorySink keeps once: the step row of a
+    deterministic rate and the all-True in-region row of a run without a
+    region, one read-only object that every trajectory holds."""
+
+    @staticmethod
+    def _cfg(rate, horizon=60, **kw):
+        p = kw.pop("problem", None) or random_sphere_mean(4, 6, seed=7)
+        x0 = kw.pop("x0", None)
+        x0 = p.manifold.random_point(np.random.default_rng(5)) if x0 is None else x0
+        return RunConfig(oracle=p, plan=SegmentPlan(p.space, BatchSizes.constant(4)),
+                         rate=RATES[rate], x0=x0, horizon=horizon, seed=3, **kw)
+
+    @pytest.mark.parametrize("n_seeds", [1, 5, 100])
+    def test_deterministic_steps_are_one_read_only_row(self, n_seeds):
+        cfg = self._cfg("power")
+        with _blocked(7, n_seeds, 4, 4):  # several blocks, each handing one (1, k) row
+            trs = run_many(cfg, n_seeds)
+        for name in ("step", "in_region"):
+            row = getattr(trs[0], name)
+            assert all(getattr(tr, name) is row for tr in trs), name
+            assert row.shape == (cfg.horizon + 1,) and not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = row[1]
+        assert trs[0].in_region.all()
+        _assert_bitwise(trs, stepwise_run(cfg, cfg.seed + np.arange(n_seeds)))
+
+    def test_adaptive_steps_widen_to_rows_of_their_own(self):
+        cfg = self._cfg("adaptive")
+        with _blocked(7, 5, 4, 4):
+            trs = run_many(cfg, 5)
+        assert len({id(tr.step) for tr in trs}) == 5
+        assert all(tr.step.flags.writeable for tr in trs)
+        assert all(tr.in_region is trs[0].in_region for tr in trs)
+        _assert_bitwise(trs, stepwise_run(cfg, cfg.seed + np.arange(5)))
+
+    @pytest.mark.parametrize("kind", ["record", "degenerate"])
+    @pytest.mark.parametrize("t", [9, 10, 23])
+    def test_a_seed_retiring_mid_block_widens_the_steps(self, kind, t):
+        # blocks of 10 steps: the steps of blocks before t stay shared, and
+        # the masked steps from t's block on widen them to per-seed rows
+        p = random_sphere_mean(4, 6, seed=7)
+        cfg = self._cfg("power", problem=p)
+        seeds = cfg.seed + np.arange(5)
+        with _blocked(10, 5, 4, 4):
+            clean = _run_block(replace(cfg, store_iterates=True), seeds)
+            _trap(p, clean[2].iterates[t].copy(), kind)
+            trs = _run_block(cfg, seeds)
+        assert trs[2].status == ("degenerate" if kind == "degenerate" else "nonfinite")
+        assert len({id(tr.step) for tr in trs}) == 5
+        assert np.isnan(trs[2].step[-1]) and not np.isnan(trs[1].step).any()
+        _assert_bitwise(trs, stepwise_run(cfg, seeds))
+
+    @pytest.mark.parametrize("region, shared", [(None, True), (3.0, False)])
+    def test_in_region_rows_are_shared_only_without_a_region(self, region, shared):
+        p = random_least_squares(3, 6, seed=11, tau=0.2)
+        cfg = self._cfg("power", problem=p, x0=np.linspace(-2.0, 2.0, 3),
+                        rho=lambda x: (x * x).sum(axis=-1), region_rho1=region)
+        trs = run_many(cfg, 4)
+        assert all(tr.in_region is trs[0].in_region for tr in trs) is shared
+        if not shared:
+            assert not trs[0].in_region.all() and all(tr.in_region.flags.writeable for tr in trs)
+        _assert_bitwise(trs, stepwise_run(cfg, cfg.seed + np.arange(4)))
+
+    @pytest.mark.parametrize("rate, per_step", [("power", lambda s: 32 * s + 17),
+                                                ("adaptive", lambda s: 40 * s + 9)])
+    def test_record_bytes_per_step(self, rate, per_step):
+        # a run without rho keeps four float rows per seed, the batch sizes
+        # and the shared rows: 32 S + 17 bytes per step for a deterministic
+        # rate (41 S + 8 with a step and an in-region row per seed), and
+        # 40 S + 9 for the adaptive rule, whose steps are the seeds' own
+        n_seeds, horizon = 100, 2000
+        cfg = self._cfg(rate, horizon=horizon)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trs = run_many(cfg, n_seeds)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # slack: the trajectories and their row views, about 1 KiB a seed
+        want = per_step(n_seeds) * (horizon + 1)
+        assert want <= held <= want + 2048 * n_seeds
+        assert len(trs) == n_seeds
