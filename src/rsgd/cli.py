@@ -27,6 +27,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +53,6 @@ from .problems import (
 )
 from .records import CsvSink, Tee, _part, read_trajectory_csv
 from .schedules import AdaptiveRate, ExplicitSchedule, PowerLawSchedule, validate_robbins_monro
-
-CHECK_NAMES = ("unbiasedness", "schedule", "gradient", "lipschitz",
-               "confinement", "kappa_confinement")
-
 
 def _ints(raw: str):
     return tuple(int(v) for v in raw.split(","))
@@ -138,7 +135,7 @@ CONFIG_KEYS = {
         "lambda": (float, 1.0, "> 0"),
         "b": (float, "auto", "> 0"),
         "theta": (float, 1.0, "> 0"),
-        "kappa": (float, 0.0, None),  # > 0 where a kappa variant runs: _kappa_spec
+        "kappa": (float, 0.0, None),  # > 0 where a kappa variant runs: _confined
         "samples": (int, 2000, ">= 1"),
     },
     "run": {
@@ -153,11 +150,10 @@ _SIZE_KEYS = ("batch_size", "batch_growth", "batch_sizes")  # one of them at mos
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with _writing():
-        with open(path, "w") as fh:
-            # numpy floats are floats; arrays and other numpy scalars go through tolist
-            json.dump(payload, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
-            fh.write("\n")
+    with _writing(), open(path, "w") as fh:
+        # numpy floats are floats; arrays and other numpy scalars go through tolist
+        json.dump(payload, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
+        fh.write("\n")
 
 
 def _writable(*paths) -> None:
@@ -238,11 +234,17 @@ def build_problem(cp):
     csv_path = _get(cp, "problem", "csv")
     if csv_path:
         try:
-            if sphere:
-                return load_sphere_mean_csv(csv_path)
-            return load_least_squares_csv(csv_path, tau, region_rho1=rho1)
+            problem = (load_sphere_mean_csv(csv_path) if sphere
+                       else load_least_squares_csv(csv_path, tau, region_rho1=rho1))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"[problem] csv: {exc}") from None
+        # the file gives both sizes; a given one must agree with it
+        for key, value in (("dimension", problem.manifold.ambient_dim),
+                           ("n_outcomes", problem.space.size)):
+            if cp.has_option("problem", key) and (given := _get(cp, "problem", key)) != value:
+                raise ConfigError(f"[problem] {key} = {given} contradicts [problem] csv = "
+                                  f"{csv_path}, whose data give {key} = {value}")
+        return problem
     dim = _get(cp, "problem", "dimension")
     if sphere and dim < 2:
         raise ConfigError(f"[problem] dimension must be >= 2 for sphere_mean, got {dim}")
@@ -309,13 +311,48 @@ def build_confinement(cp, problem):
                               "not finite: the quotient overflows")
     params = {key: _get(cp, "confinement", key)
               for key in ("variant", "kappa", "lambda", "b", "theta", "samples")}
-    # the level adaptive confined runs and the adaptive kappa check keep rho under
-    return params | {"rho0": rho0, "rho1": rho0 + 1.0}
+    return params | {"rho0": rho0}
 
 
-def _kappa_spec(params, rho1, needed_by):
-    """The kappa-confinement of rho = ||x||^2 between rho0 and rho1 (variant
-    plain reads as kappa), for a run or check that needs kappa > 0."""
+@contextmanager
+def _confinement_inputs():
+    """A confinement input that the samplers refuse (a level whose rho1 or
+    band top overflows, or one they cannot reach) is a config error of the
+    section."""
+    try:
+        yield
+    except InvalidHyperparameters as exc:
+        raise ConfigError(f"[confinement] {exc}") from None
+
+
+def _confined(params, problem, rate, seed, needed_by=None):
+    """The confinement of rho = ||x||^2 that rate gets under params: the
+    constants of a deterministic rate (None under the adaptive rule), and a
+    spec.  For the run or check ``needed_by`` that samples a kappa band, the
+    spec is the kappa-confinement (variant plain reads as kappa) between rho0
+    and the level rho1 that keeps rho under: rho0 + 1 under the adaptive
+    rule, the constants' rho1 otherwise.  A deterministic run, which needs
+    none (needed_by None), gets the plain spec at rho0."""
+    if isinstance(rate, AdaptiveRate):
+        constants, rho1 = None, params["rho0"] + 1.0
+    else:
+        spec = conf.norm_squared_confinement(params["rho0"])
+        # estimate_constants refuses a rate that fails the step-size conditions
+        check = validate_robbins_monro(rate)
+        if not check.valid:
+            key = "kind = list" if isinstance(rate, ExplicitSchedule) else f"p = {rate.p:g}"
+            raise ConfigError(f"[rate] {key} cannot confine a deterministic run: {check.reason}")
+        try:
+            with _confinement_inputs():
+                constants = conf.estimate_constants(
+                    spec, problem, rate, params["lambda"], params["b"], params["theta"],
+                    params["samples"], seed=seed)
+        except OverflowError as exc:  # a power law whose sigma overflows
+            raise ConfigError(f"[rate] c = {rate.c:g} cannot confine a deterministic run: "
+                              f"{exc}") from None
+        rho1 = constants.rho1
+        if needed_by is None:
+            return constants, spec
     if not params["kappa"] > 0:
         raise ConfigError(f"[confinement] kappa must be > 0 for {needed_by}, "
                           f"got {params['kappa']:g}")
@@ -323,7 +360,7 @@ def _kappa_spec(params, rho1, needed_by):
         raise ConfigError(f"[confinement] rho0 = {params['rho0']:g} leaves no band below "
                           f"rho1 = {rho1:g} for {needed_by}: rho1 rounds to rho0")
     variant = "kappa" if params["variant"] == "plain" else params["variant"]
-    return conf.norm_squared_confinement(params["rho0"], rho1, variant)
+    return constants, conf.norm_squared_confinement(params["rho0"], rho1, variant)
 
 
 def _x0(cp, manifold):
@@ -372,22 +409,6 @@ def _run_size(cp, args):
     return horizon
 
 
-def _constants_for(params, spec, problem, rate, seed):
-    # estimate_constants refuses a rate that fails the step-size conditions
-    check = validate_robbins_monro(rate)
-    if not check.valid:
-        key = "kind = list" if isinstance(rate, ExplicitSchedule) else f"p = {rate.p:g}"
-        raise ConfigError(f"[rate] {key} cannot confine a deterministic run: {check.reason}")
-    try:
-        return conf.estimate_constants(spec, problem, rate, params["lambda"], params["b"],
-                                       params["theta"], params["samples"], seed=seed)
-    except InvalidHyperparameters as exc:
-        raise ConfigError(f"[confinement] {exc}") from None
-    except OverflowError as exc:  # a power law whose sigma overflows
-        raise ConfigError(f"[rate] c = {rate.c:g} cannot confine a deterministic run: "
-                          f"{exc}") from None
-
-
 @contextmanager
 def _out_dir(cp, args):
     """[run] out (or --out), created before the command does any work; the
@@ -410,10 +431,6 @@ def _out_dir(cp, args):
                 break
 
 
-def _resolved(cp) -> dict:
-    return {s: dict(cp.items(s)) for s in cp.sections()}
-
-
 # steps of the mean-square curve kept in a summary or report
 _CURVE_POINTS = 256
 
@@ -425,15 +442,12 @@ def cmd_run(args) -> int:
     seed, n_seeds = _seeds(cp, args)
     plan = build_plan(cp, problem.space, seed)
     rate = build_rate(cp)
-    # a list rate needs gamma_t for t = 0..T-1; step[T] stays NaN past its end
-    if isinstance(rate, ExplicitSchedule) and len(rate.values) < horizon:
-        raise ConfigError(f"[rate] values has {len(rate.values)} rates, "
-                          f"fewer than the horizon {horizon}")
-    # and a size list b_t for t = 0..T-1
-    listed = _get(cp, "plan", "batch_sizes")
-    if listed is not None and len(listed) < horizon:
-        raise ConfigError(f"[plan] batch_sizes has {len(listed)} sizes, "
-                          f"fewer than the horizon {horizon}")
+    # a list rate needs gamma_t, and a size list b_t, for t = 0..T-1 (step[T]
+    # stays NaN past the rates' end)
+    for key, unit, listed in (("[rate] values", "rates", getattr(rate, "values", None)),
+                              ("[plan] batch_sizes", "sizes", _get(cp, "plan", "batch_sizes"))):
+        if listed is not None and len(listed) < horizon:
+            raise ConfigError(f"{key} has {len(listed)} {unit}, fewer than the horizon {horizon}")
     x0 = _x0(cp, problem.manifold)
     params = build_confinement(cp, problem)
     with _out_dir(cp, args) as out_dir:
@@ -454,12 +468,11 @@ def cmd_run(args) -> int:
                     if params is None:
                         ends = run_many(cfg, n_seeds, sink)
                     elif isinstance(rate, AdaptiveRate):
-                        spec = _kappa_spec(params, params["rho1"], "adaptive confined runs")
+                        _, spec = _confined(params, problem, rate, seed, "adaptive confined runs")
                         ends = conf.run_confined_adaptive_many(cfg, spec, params["kappa"],
                                                                n_seeds, sink)
                     else:
-                        spec = conf.norm_squared_confinement(params["rho0"])
-                        constants = _constants_for(params, spec, problem, rate, seed)
+                        constants, spec = _confined(params, problem, rate, seed)
                         ends = conf.run_confined_deterministic_many(
                             replace(cfg, rho=spec.rho), constants, n_seeds, sink)
                 except (DegenerateRetraction, ConfinementViolation, SamplerFailure) as exc:
@@ -468,7 +481,7 @@ def cmd_run(args) -> int:
 
                 summary = {
                     "run_id": run_id,
-                    "config": _resolved(cp),
+                    "config": {s: dict(cp.items(s)) for s in cp.sections()},
                     "overrides": {"seed": args.seed, "horizon": args.horizon},
                     "seeds": [end.seed for end in ends],
                     "data_seed": problem.data_seed,
@@ -490,18 +503,70 @@ def cmd_run(args) -> int:
         return 0
 
 
-def _check_unbiasedness(problem, plan, seed):
-    rng = np.random.default_rng([seed, 11])
-    xs = problem.sample_region(rng, 20)
+# the checks: each maps (config, problem, first seed) to its JSON payload,
+# whose "pass" is the verdict; a SamplerFailure is a check that failed to sample
+def _check_unbiasedness(cp, problem, seed):
+    plan = build_plan(cp, problem.space, seed)
+    xs = problem.sample_region(np.random.default_rng([seed, 11]), 20)
     dev = enumerate_expectation(problem, xs, plan, t=0) - problem.full_gradient(xs)
     worst = float(diag._pick(np.sqrt((dev * dev).sum(axis=1)), False)[0])
     return {"check": "unbiasedness", "pass": worst <= 1e-10, "worst": worst,
             "tolerance": 1e-10, "points": 20, "seed": seed}
 
 
+def _check_schedule(cp, problem, seed):
+    rate = build_rate(cp)
+    if isinstance(rate, AdaptiveRate):
+        return {"check": "schedule", "pass": True,
+                "reason": "adaptive hyperparameters admissible", "eta0": rate.eta0()}
+    res = validate_robbins_monro(rate)
+    return {"check": "schedule", "pass": res.valid, "reason": res.reason}
+
+
+def _check_gradient(cp, problem, seed):
+    return diag.finite_difference_gradient_check(problem, 200, seed=seed).to_dict()
+
+
+def _check_lipschitz(cp, problem, seed):
+    radius = problem.gradient_bound()
+    if not math.isfinite(radius):
+        raise SamplerFailure(f"the gradient bound, the radius of the sampled "
+                             f"tangent steps, is {radius}")
+    first = diag.estimate_lipschitz(problem, radius, 4000, seed=seed)
+    second = diag.estimate_lipschitz(problem, radius, 4000, seed=seed + 1)
+    # numpy's max and min propagate a NaN estimate into the ratio
+    c1s = np.array([first.c1, second.c1])
+    ratio = float(c1s.max() / np.maximum(c1s.min(), 1e-30))
+    return {"check": "lipschitz", "pass": ratio <= 2.0, "c1": first.c1, "c2": first.c2,
+            "c1_reseeded": second.c1, "stability_ratio": ratio, "radius": radius,
+            "seed": seed}
+
+
+def _check_confinement(cp, problem, seed, kappa=False):
+    """The sampled plain certificate at rho0, or with kappa the
+    kappa-confinement of the level that the configured rate gets."""
+    params = build_confinement(cp, problem)
+    if params is None:
+        raise ConfigError("confinement section missing or disabled")
+    with _confinement_inputs():
+        if not kappa:
+            return conf.check_plain_confinement(conf.norm_squared_confinement(params["rho0"]),
+                                                problem, params["samples"], seed=seed).to_dict()
+        _, spec = _confined(params, problem, build_rate(cp), seed, "kappa_confinement")
+        return conf.check_kappa_confinement(spec, problem, params["kappa"], params["samples"],
+                                            seed=seed).to_dict()
+
+
+CHECKS = {"unbiasedness": _check_unbiasedness, "schedule": _check_schedule,
+          "gradient": _check_gradient, "lipschitz": _check_lipschitz,
+          "confinement": _check_confinement,
+          "kappa_confinement": partial(_check_confinement, kappa=True)}
+CHECK_NAMES = tuple(CHECKS)
+
+
 def cmd_check(args) -> int:
-    if args.name not in CHECK_NAMES:
-        print(f"unknown check {args.name!r}; expected one of {CHECK_NAMES}", file=sys.stderr)
+    if args.name not in CHECKS:
+        print(f"unknown check {args.name!r}; expected one of {', '.join(CHECKS)}", file=sys.stderr)
         return 2
     cp = load_config(args.config)
     problem = build_problem(cp)
@@ -510,58 +575,7 @@ def cmd_check(args) -> int:
         path = out_dir / f"check_{args.name}.json"
         _writable(path)
         try:
-            if args.name == "unbiasedness":
-                plan = build_plan(cp, problem.space, seed)
-                payload = _check_unbiasedness(problem, plan, seed)
-            elif args.name == "schedule":
-                rate = build_rate(cp)
-                if isinstance(rate, AdaptiveRate):
-                    payload = {"check": "schedule", "pass": True,
-                               "reason": "adaptive hyperparameters admissible",
-                               "eta0": rate.eta0()}
-                else:
-                    res = validate_robbins_monro(rate)
-                    payload = {"check": "schedule", "pass": res.valid, "reason": res.reason}
-            elif args.name == "gradient":
-                report = diag.finite_difference_gradient_check(problem, 200, seed=seed)
-                payload = report.to_dict()
-            elif args.name == "lipschitz":
-                radius = problem.gradient_bound()
-                if not math.isfinite(radius):
-                    raise SamplerFailure(f"the gradient bound, the radius of the sampled "
-                                         f"tangent steps, is {radius}")
-                first = diag.estimate_lipschitz(problem, radius, 4000, seed=seed)
-                second = diag.estimate_lipschitz(problem, radius, 4000, seed=seed + 1)
-                # numpy's max and min propagate a NaN estimate into the ratio
-                c1s = np.array([first.c1, second.c1])
-                ratio = float(c1s.max() / np.maximum(c1s.min(), 1e-30))
-                payload = {"check": "lipschitz", "pass": ratio <= 2.0,
-                           "c1": first.c1, "c2": first.c2,
-                           "c1_reseeded": second.c1, "stability_ratio": ratio,
-                           "radius": radius, "seed": seed}
-            elif args.name in ("confinement", "kappa_confinement"):
-                params = build_confinement(cp, problem)
-                if params is None:
-                    raise ConfigError("confinement section missing or disabled")
-                try:
-                    if args.name == "confinement":
-                        spec = conf.norm_squared_confinement(params["rho0"])
-                        report = conf.check_plain_confinement(spec, problem, params["samples"],
-                                                              seed=seed)
-                    else:
-                        rate = build_rate(cp)
-                        if isinstance(rate, AdaptiveRate):
-                            rho1 = params["rho1"]
-                        else:
-                            spec0 = conf.norm_squared_confinement(params["rho0"])
-                            rho1 = _constants_for(params, spec0, problem, rate, seed).rho1
-                        spec = _kappa_spec(params, rho1, "kappa_confinement")
-                        report = conf.check_kappa_confinement(spec, problem, params["kappa"],
-                                                              params["samples"], seed=seed)
-                # a band top that overflows, or a level the samplers cannot reach
-                except InvalidHyperparameters as exc:
-                    raise ConfigError(f"[confinement] {exc}") from None
-                payload = report.to_dict()
+            payload = CHECKS[args.name](cp, problem, seed)
         except SamplerFailure as exc:
             print(f"check failed to sample: {exc}", file=sys.stderr)
             return 1
@@ -634,7 +648,7 @@ def main(argv=None) -> int:
     for name, fn in (("run", cmd_run), ("check", cmd_check), ("report", cmd_report)):
         sp = sub.add_parser(name)
         if name == "check":
-            sp.add_argument("name", help=f"one of {', '.join(CHECK_NAMES)}")
+            sp.add_argument("name", help=f"one of {', '.join(CHECKS)}")
         # only the flags the subcommand reads
         if name != "report":
             sp.add_argument("--config", required=True)

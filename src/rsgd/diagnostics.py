@@ -98,8 +98,9 @@ def _first(picks, lower: bool):
 class CheckReport:
     """Generic pass/fail report with the worst excess seen and its location.
 
-    ``worst`` is the largest amount by which the checked inequality was
-    exceeded (negative means it held everywhere with room to spare).
+    ``worst`` is the largest value of the checked quantity, which passes iff
+    it is at most ``tol``; the margin ``tol - worst`` is the room left under
+    the tolerance (negative on a failure).
     """
 
     check: str
@@ -107,11 +108,12 @@ class CheckReport:
     worst: float
     witness: dict | None
     details: dict = field(default_factory=dict)
+    tol: float = 0.0
 
     def to_dict(self) -> dict:
         # the report's own keys win over details of the same name
         return self.details | {"check_name": self.check, "pass": self.passed,
-                               "margin": -self.worst,
+                               "margin": self.tol - self.worst,
                                "witnesses": [] if self.witness is None else [self.witness]}
 
 
@@ -123,8 +125,8 @@ def _verdict(check: str, values, tol: float, index: str, value: str,
     i = _at(values, False)
     worst = float(values[i])
     passed = bool(worst <= tol)
-    return CheckReport(check=check, passed=passed, worst=worst,
-                       witness=None if passed else {index: i, value: worst}, details=details)
+    return CheckReport(check=check, passed=passed, worst=worst, tol=tol, details=details,
+                       witness=None if passed else {index: i, value: worst})
 
 
 def check_descent_inequality(trajectory, c1: float, margin: float = 1.2,

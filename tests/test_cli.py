@@ -338,6 +338,43 @@ class TestCheck:
         cfg, _ = sphere_config
         assert main(["check", "bogus", "--config", str(cfg)]) == 2
 
+    def test_unknown_check_lists_the_names_before_reading_the_config(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        with mock.patch.object(cli, "load_config", side_effect=AssertionError("read")):
+            assert main(["check", "nosuch", "--config", str(tmp_path / "none.ini"),
+                         "--out", str(out)]) == 2
+        names = ", ".join(cli.CHECK_NAMES)
+        assert capsys.readouterr() == ("", f"unknown check 'nosuch'; expected one of {names}\n")
+        assert not out.exists()
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert f"one of {names}" in " ".join(capsys.readouterr().out.split())
+
+    def test_readme_names_every_check(self):
+        line = re.search(r"# NAME: (.*)", README.read_text()).group(1)
+        assert tuple(line.split(" | ")) == cli.CHECK_NAMES == tuple(cli.CHECKS)
+
+    @pytest.mark.parametrize("name", cli.CHECK_NAMES)
+    def test_every_check_writes_its_verdict(self, tmp_path, capsys, name):
+        # least squares in a declared ball, with confinement enabled: every
+        # check has what it reads
+        cfg, out = tmp_path / "confined.ini", tmp_path / "out"
+        cfg.write_text(CI_CONFINED_CONFIG)
+        code = main(["check", name, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 1)
+        verdict = "PASS" if code == 0 else "FAIL"
+        assert capsys.readouterr() == (f"{name}: {verdict}\n", "")
+        payload = json.loads((out / f"check_{name}.json").read_text())
+        assert payload["pass"] is (code == 0)
+        assert [f.name for f in out.iterdir()] == [f"check_{name}.json"]
+
+    def test_gradient_margin_is_the_room_under_the_tolerance(self, sphere_config):
+        # once -worst: a passing check reported a negative margin
+        cfg, out = sphere_config
+        assert main(["check", "gradient", "--config", str(cfg), "--quiet"]) == 0
+        payload = json.loads((out / "check_gradient.json").read_text())
+        assert 0 < payload["margin"] <= payload["tol"] == diagnostics._FD_TOL
+
     def test_gradient_and_lipschitz(self, sphere_config):
         cfg, out = sphere_config
         assert main(["check", "gradient", "--config", str(cfg), "--quiet"]) == 0
@@ -352,6 +389,17 @@ class TestCheck:
         assert main(["check", "confinement", "--config", str(cfg), "--quiet"]) == 0
         payload = json.loads((out / "check_confinement.json").read_text())
         assert payload["pass"] and payload["min_margin"] >= 0
+
+    @pytest.mark.parametrize("argv, estimates", [
+        (["check", "confinement"], 0), (["check", "kappa_confinement"], 1), (["run"], 1),
+    ], ids=["check-confinement", "check-kappa-confinement", "run"])
+    def test_constants_are_estimated_once_where_read(self, tmp_path, argv, estimates):
+        cfg, out = tmp_path / "confined.ini", tmp_path / "out"
+        cfg.write_text(CI_CONFINED_CONFIG)
+        with mock.patch.object(conf, "estimate_constants",
+                               wraps=conf.estimate_constants) as estimate:
+            assert main(argv + ["--config", str(cfg), "--out", str(out), "--quiet"]) in (0, 1)
+        assert estimate.call_count == estimates
 
     def test_confinement_requires_section(self, sphere_config):
         cfg, _ = sphere_config
@@ -687,9 +735,10 @@ def _confined(line):
 
 
 # least-squares rows with a label of 1e154, whose square is finite, and the
-# edit that reads them with a tau so small that max y^2 / (4 tau) overflows
+# edit that reads them (with the sizes the file gives) with a tau so small
+# that max y^2 / (4 tau) overflows
 BIG_LABEL_CSV = "a1,a2,y\n1,0,1\n0,1,1e154\n1,1,0\n0.5,0.5,1\n"
-BIG_TAU_EDIT = ("tau = 0.2\ndimension = 4", "tau = 1e-10\ncsv = {big_csv}")
+BIG_TAU_EDIT = ("tau = 0.2\ndimension = 4\nn_outcomes = 8", "tau = 1e-10\ncsv = {big_csv}")
 
 
 def _edit(cfg, edits):
@@ -892,6 +941,44 @@ class TestRunInputs:
             assert main(argv + ["--config", str(cfg)]) == 2
         assert capsys.readouterr() == ("", f"config error: {err.format(**paths)}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["run"], ["check", "unbiasedness"]],
+                             ids=["run", "check"])
+    @pytest.mark.parametrize("edits, key, given, value", [
+        ([TO_LEAST_SQUARES, ("dimension = 4", "dimension = 7\ncsv = {rows_csv}"),
+          ("n_outcomes = 8", "n_outcomes = 1000")], "dimension", 7, 3),
+        ([TO_LEAST_SQUARES, ("dimension = 4", "dimension = 3\ncsv = {rows_csv}")],
+         "n_outcomes", 8, 4),
+        ([("dimension = 4", "csv = {targets_csv}")], "n_outcomes", 8, 4),
+        ([("dimension = 4\nn_outcomes = 8", "dimension = 3\ncsv = {targets_csv}")],
+         "dimension", 3, 4),
+    ], ids=["least-squares-dimension", "least-squares-n-outcomes", "sphere-n-outcomes",
+            "sphere-dimension"])
+    def test_sizes_that_contradict_the_csv_exit_2(self, sphere_config, capsys, argv, edits,
+                                                   key, given, value):
+        # once silently replaced by the file's: the run took d and N from
+        # the CSV while its summary echoed the given values
+        cfg, out = sphere_config
+        paths = {"rows_csv": cfg.parent / "rows.csv", "targets_csv": cfg.parent / "targets.csv"}
+        # four rows: of three features and a label, and of four coordinates
+        paths["rows_csv"].write_text("a1,a2,a3,y\n1,0,0,1\n0,1,0,2\n0,0,1,3\n1,1,1,0\n")
+        paths["targets_csv"].write_text("a1,a2,a3,a4\n1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n")
+        text = cfg.read_text()
+        for old, new in edits:
+            text = text.replace(old, new.format(**paths))
+        cfg.write_text(text)
+        csv_path = next(p for p in paths.values() if str(p) in text)
+        assert main(argv + ["--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr() == ("", f"config error: [problem] {key} = {given} "
+                                           f"contradicts [problem] csv = {csv_path}, whose "
+                                           f"data give {key} = {value}\n")
+        assert not out.exists()
+        # the sizes the file gives, or none, run
+        for kept in (f"dimension = {3 if 'rows' in csv_path.name else 4}\nn_outcomes = 4", ""):
+            lines = [l for l in text.splitlines()
+                     if not l.startswith(("dimension", "n_outcomes"))]
+            cfg.write_text("\n".join(lines).replace("[problem]", f"[problem]\n{kept}"))
+            assert main(["run", "--config", str(cfg), "--horizon", "5", "--quiet"]) == 0
 
     @pytest.mark.parametrize("argv", [["run"], ["check", "unbiasedness"],
                                       ["check", "lipschitz"]],

@@ -399,6 +399,17 @@ class TestFiniteDifferenceCheck:
         report = finite_difference_gradient_check(bad, 200, seed=2)
         assert not report.passed and report.witness is not None
 
+    def test_margin_is_the_room_under_the_tolerance(self):
+        # once -worst, which reads negative on a pass
+        good = finite_difference_gradient_check(random_sphere_mean(4, 16, seed=7), 200, seed=1)
+        bad = finite_difference_gradient_check(
+            CorruptedGradientProblem(random_sphere_mean(4, 16, seed=7)), 200, seed=2)
+        for report in (good, bad):
+            out = report.to_dict()
+            assert out["margin"] == out["tol"] - report.worst == diagnostics._FD_TOL - report.worst
+            assert (out["margin"] >= 0) == out["pass"]
+        assert 0 < good.to_dict()["margin"] <= diagnostics._FD_TOL
+
 
 def _excess_trajectory(T, noise_inner, batch_grad_norm, step):
     """Zero F and gradient norms, with the given step columns (T entries
