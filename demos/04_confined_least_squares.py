@@ -23,8 +23,8 @@ schedule = rsgd.PowerLawSchedule(0.5, 0.75)
 
 report = rsgd.check_plain_confinement(spec, problem, n_samples=10_000, seed=3)
 print(f"confinement certificate: pass={report.passed}, "
-      f"min <grad rho, H> on the band = {report.min_margin:.4f}")
-print(f"({report.notes})")
+      f"min <grad rho, H> on the band = {report.margin:.4f}")
+print(f"({report.details['notes']})")
 
 # b = "auto": b = max(b_est at b = 1, 1e-6), then the constants at that b
 constants = rsgd.estimate_constants(spec, problem, schedule, lam=1.0, b="auto", theta=1.0,

@@ -61,7 +61,6 @@ from .schedules import (
     AdaptiveRate,
     ExplicitSchedule,
     PowerLawSchedule,
-    ScheduleCheck,
     cumulative_squares,
     sum_of_squares,
     validate_robbins_monro,

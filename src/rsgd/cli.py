@@ -339,9 +339,10 @@ def _confined(params, problem, rate, seed, needed_by=None):
         spec = conf.norm_squared_confinement(params["rho0"])
         # estimate_constants refuses a rate that fails the step-size conditions
         check = validate_robbins_monro(rate)
-        if not check.valid:
+        if not check.passed:
             key = "kind = list" if isinstance(rate, ExplicitSchedule) else f"p = {rate.p:g}"
-            raise ConfigError(f"[rate] {key} cannot confine a deterministic run: {check.reason}")
+            raise ConfigError(f"[rate] {key} cannot confine a deterministic run: "
+                              f"{check.details['reason']}")
         try:
             with _confinement_inputs():
                 constants = conf.estimate_constants(
@@ -503,28 +504,29 @@ def cmd_run(args) -> int:
         return 0
 
 
-# the checks: each maps (config, problem, first seed) to its JSON payload,
-# whose "pass" is the verdict; a SamplerFailure is a check that failed to sample
+# the checks: each maps (config, problem, first seed) to its
+# diagnostics.CheckReport; a SamplerFailure is a check that failed to sample
 def _check_unbiasedness(cp, problem, seed):
     plan = build_plan(cp, problem.space, seed)
     xs = problem.sample_region(np.random.default_rng([seed, 11]), 20)
-    dev = enumerate_expectation(problem, xs, plan, t=0) - problem.full_gradient(xs)
-    worst = float(diag._pick(np.sqrt((dev * dev).sum(axis=1)), False)[0])
-    return {"check": "unbiasedness", "pass": worst <= 1e-10, "worst": worst,
-            "tolerance": 1e-10, "points": 20, "seed": seed}
+    g = problem.full_gradient(xs)
+    dev = enumerate_expectation(problem, xs, plan, t=0) - g
+    # against the scale of the gradient check: rounding grows with ||grad F||
+    rel = np.sqrt((dev * dev).sum(axis=1)) / np.maximum(1.0, problem.manifold.norm(xs, g))
+    return diag._verdict("unbiasedness", rel, 1e-10, "index", "rel_error",
+                         {"points": 20, "seed": seed})
 
 
 def _check_schedule(cp, problem, seed):
     rate = build_rate(cp)
     if isinstance(rate, AdaptiveRate):
-        return {"check": "schedule", "pass": True,
-                "reason": "adaptive hyperparameters admissible", "eta0": rate.eta0()}
-    res = validate_robbins_monro(rate)
-    return {"check": "schedule", "pass": res.valid, "reason": res.reason}
+        return diag.CheckReport("schedule", True, details={
+            "reason": "adaptive hyperparameters admissible", "eta0": rate.eta0()})
+    return validate_robbins_monro(rate)
 
 
 def _check_gradient(cp, problem, seed):
-    return diag.finite_difference_gradient_check(problem, 200, seed=seed).to_dict()
+    return diag.finite_difference_gradient_check(problem, 200, seed=seed)
 
 
 def _check_lipschitz(cp, problem, seed):
@@ -534,12 +536,13 @@ def _check_lipschitz(cp, problem, seed):
                              f"tangent steps, is {radius}")
     first = diag.estimate_lipschitz(problem, radius, 4000, seed=seed)
     second = diag.estimate_lipschitz(problem, radius, 4000, seed=seed + 1)
-    # numpy's max and min propagate a NaN estimate into the ratio
+    # the stability ratio of c1 over two seeds; numpy's max and min
+    # propagate a NaN estimate into it
     c1s = np.array([first.c1, second.c1])
     ratio = float(c1s.max() / np.maximum(c1s.min(), 1e-30))
-    return {"check": "lipschitz", "pass": ratio <= 2.0, "c1": first.c1, "c2": first.c2,
-            "c1_reseeded": second.c1, "stability_ratio": ratio, "radius": radius,
-            "seed": seed}
+    return diag.CheckReport("lipschitz", ratio <= 2.0, worst=ratio, tol=2.0, details={
+        "c1": first.c1, "c2": first.c2, "c1_reseeded": second.c1, "radius": radius,
+        "seed": seed})
 
 
 def _check_confinement(cp, problem, seed, kappa=False):
@@ -551,10 +554,10 @@ def _check_confinement(cp, problem, seed, kappa=False):
     with _confinement_inputs():
         if not kappa:
             return conf.check_plain_confinement(conf.norm_squared_confinement(params["rho0"]),
-                                                problem, params["samples"], seed=seed).to_dict()
+                                                problem, params["samples"], seed=seed)
         _, spec = _confined(params, problem, build_rate(cp), seed, "kappa_confinement")
         return conf.check_kappa_confinement(spec, problem, params["kappa"], params["samples"],
-                                            seed=seed).to_dict()
+                                            seed=seed)
 
 
 CHECKS = {"unbiasedness": _check_unbiasedness, "schedule": _check_schedule,
@@ -575,17 +578,17 @@ def cmd_check(args) -> int:
         path = out_dir / f"check_{args.name}.json"
         _writable(path)
         try:
-            payload = CHECKS[args.name](cp, problem, seed)
+            report = CHECKS[args.name](cp, problem, seed)
         except SamplerFailure as exc:
             print(f"check failed to sample: {exc}", file=sys.stderr)
             return 1
         except UnboundedRegion as exc:
             raise ConfigError(f"check {args.name} needs [problem] rho1: {exc}") from None
 
-        _write_json(path, payload)
+        _write_json(path, report.to_dict())
         if not args.quiet:
-            print(f"{args.name}: {'PASS' if payload['pass'] else 'FAIL'}")
-        return 0 if payload["pass"] else 1
+            print(f"{args.name}: {'PASS' if report.passed else 'FAIL'}")
+        return 0 if report.passed else 1
 
 
 def cmd_report(args) -> int:

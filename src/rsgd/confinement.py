@@ -64,13 +64,13 @@ do not reach raises InvalidHyperparameters naming the input that set it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from . import budget
-from .diagnostics import _at, _first, _pick
+from .diagnostics import CheckReport, _at, _first, _pick
 from .driver import RunConfig, run_many
 from .errors import ConfinementViolation, InvalidHyperparameters, SamplerFailure
 from .problems import GradientOracle
@@ -149,25 +149,6 @@ class ConfinementConstants:
         expected = self.rho0 + self.lam * self.c + 0.5 * self.b**2 * self.sigma
         if abs(self.rho1 - expected) > 1e-9 * max(1.0, abs(expected)):
             raise ValueError("rho1 must equal rho0 + lambda*c + b^2*sigma/2")
-
-
-@dataclass
-class ConfinementReport:
-    """Outcome of a sampled confinement check; JSON-ready via to_dict()."""
-
-    check: str
-    passed: bool
-    min_margin: float
-    witness: dict | None
-    n_samples: int
-    seed: int
-    notes: str = ""
-    constants: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["pass"] = out.pop("passed")
-        return out
 
 
 def _hessian_quadform(manifold, rho: Callable, x, u, v):
@@ -281,9 +262,10 @@ def _pairs(spec, oracle, hi, n, seed, k, combos, top, lo=None, step=None):
 
 @np.errstate(over="ignore", invalid="ignore")
 def check_plain_confinement(spec: ConfinementSpec, oracle: GradientOracle,
-                            n_samples: int, seed: int = 0) -> ConfinementReport:
+                            n_samples: int, seed: int = 0) -> CheckReport:
     """Sample the band rho0 <= rho <= 10 * rho0 and every outcome l; PASS iff
-    the inner product <grad rho(x), H(x, l)> never goes negative.  A band
+    the inner product <grad rho(x), H(x, l)> never goes negative, so the
+    report's worst is -min <grad rho(x), H(x, l)> against tol 0.  A band
     whose top is not finite raises InvalidHyperparameters."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -292,21 +274,18 @@ def check_plain_confinement(spec: ConfinementSpec, oracle: GradientOracle,
         raise InvalidHyperparameters(f"rho0 = {spec.rho0:g} makes the band's top 10 rho0 = "
                                      f"{hi:g}, which is not finite")
     n_out = oracle.space.size
-    worst, at = _first([_pick((spec.grad_rho(x) * v).sum(axis=-1), True,
-                              x=x, outcome=np.arange(len(v)) % n_out)
-                        for x, v in _pairs(spec, oracle, hi, n_samples, seed, 0, 0,
-                                           f"rho0 = {spec.rho0:g} makes the band's top "
-                                           f"10 rho0 = {hi:g}", lo=spec.rho0)], lower=True)
-    worst = float(worst)
-    return ConfinementReport(
-        check="plain_confinement",
-        passed=bool(worst >= 0.0),
-        min_margin=worst,
-        witness=None if worst >= 0.0 else at | {"value": worst},
-        n_samples=n_samples,
-        seed=seed,
-        notes="sampled evidence on the band [rho0, 10*rho0]; not a proof",
-    )
+    low, at = _first([_pick((spec.grad_rho(x) * v).sum(axis=-1), True,
+                            x=x, outcome=np.arange(len(v)) % n_out)
+                      for x, v in _pairs(spec, oracle, hi, n_samples, seed, 0, 0,
+                                         f"rho0 = {spec.rho0:g} makes the band's top "
+                                         f"10 rho0 = {hi:g}", lo=spec.rho0)], lower=True)
+    low = float(low)
+    passed = bool(low >= 0.0)
+    return CheckReport("plain_confinement", passed, worst=-low, tol=0.0,
+                       witness=None if passed else at | {"value": low},
+                       details={"n_samples": n_samples, "seed": seed,
+                                "notes": "sampled evidence on the band [rho0, 10*rho0]; "
+                                         "not a proof"})
 
 
 def _finite(name: str, pick):
@@ -340,8 +319,9 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     check = validate_robbins_monro(schedule)
-    if not check.valid:
-        raise ValueError(f"schedule must satisfy the step-size conditions: {check.reason}")
+    if not check.passed:
+        raise ValueError(f"schedule must satisfy the step-size conditions: "
+                         f"{check.details['reason']}")
     auto = isinstance(b, str)
     if auto and b != "auto":
         raise ValueError(f"b must be a number or 'auto', got {b!r}")
@@ -393,13 +373,14 @@ def estimate_constants(spec: ConfinementSpec, oracle: GradientOracle, schedule,
 
 @np.errstate(over="ignore", invalid="ignore")
 def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
-                            kappa: float, n_samples: int, seed: int = 0) -> ConfinementReport:
+                            kappa: float, n_samples: int, seed: int = 0) -> CheckReport:
     """Sample both defining inequalities of a (batch) kappa-confinement.
 
     Directions v run over the outcome gradients for the kappa variant and
     additionally over Dirichlet convex combinations for batch_kappa.  Step
     fractions s cover [0, kappa] including the endpoint.  The worse margin
-    is the first minimum of (band, step), so a NaN margin fails the check.
+    is the first minimum of (band, step), so a NaN margin fails the check;
+    the report's worst is minus that margin, against tol _INVARIANT_SLACK.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -431,20 +412,16 @@ def check_kappa_confinement(spec: ConfinementSpec, oracle: GradientOracle,
     low, at_low = _first(bands, lower=True)
     margin2 = float(low)
 
-    worst, witness = _first([(margin2, at_low | {"gap": margin2}),
+    least, witness = _first([(margin2, at_low | {"gap": margin2}),
                              (margin1, at_top | {"rho_reached": float(top)})], lower=True)
-    passed = bool(worst >= -_INVARIANT_SLACK)
-    return ConfinementReport(
-        check=f"{spec.variant}_confinement",
-        passed=passed,
-        min_margin=worst,
-        witness=None if passed else witness,
-        n_samples=n_samples,
-        seed=seed,
-        notes="convex-hull directions are sampled (extreme points exact only for "
-              "linear objectives); sampled evidence, not a proof",
-        constants={"kappa": kappa, "margin_step": margin1, "margin_band": margin2},
-    )
+    passed = bool(least >= -_INVARIANT_SLACK)
+    return CheckReport(f"{spec.variant}_confinement", passed, worst=-least,
+                       tol=_INVARIANT_SLACK, witness=None if passed else witness,
+                       details={"n_samples": n_samples, "seed": seed,
+                                "notes": "convex-hull directions are sampled (extreme points "
+                                         "exact only for linear objectives); sampled "
+                                         "evidence, not a proof",
+                                "kappa": kappa, "margin_step": margin1, "margin_band": margin2})
 
 
 class _Guard:

@@ -12,7 +12,10 @@ first minimum or maximum, as ``np.argmin`` / ``np.argmax`` find it, so the
 first NaN wins over everything and ties keep the earlier entry.  A NaN
 therefore fails every check.  ``_pick`` and ``_first`` apply the rule to
 chunks of samples and to the picks of those chunks (see
-:mod:`rsgd.confinement`); ``_verdict`` builds the report of each check here.
+:mod:`rsgd.confinement`).  Every check of the package reports a
+``CheckReport``: those here, the confinement certificates, the step-size
+conditions and each ``rsgd check``.  ``_verdict`` builds the report of a
+check over an array of values.
 """
 
 from __future__ import annotations
@@ -96,25 +99,31 @@ def _first(picks, lower: bool):
 
 @dataclass
 class CheckReport:
-    """Generic pass/fail report with the worst excess seen and its location.
+    """The verdict of a check: whether it passed, the worst value of the
+    quantity it measures and where it was seen.
 
-    ``worst`` is the largest value of the checked quantity, which passes iff
-    it is at most ``tol``; the margin ``tol - worst`` is the room left under
-    the tolerance (negative on a failure).
+    ``worst`` passes iff it is at most ``tol``; ``margin``, ``tol - worst``,
+    is the room left under the tolerance (negative on a failure).  A check
+    that measures no quantity has neither, and no margin.  ``details`` are
+    the check's own inputs and findings, written beside the verdict.
     """
 
     check: str
     passed: bool
-    worst: float
-    witness: dict | None
+    worst: float | None = None
+    tol: float | None = None
+    witness: dict | None = None
     details: dict = field(default_factory=dict)
-    tol: float = 0.0
+
+    @property
+    def margin(self) -> float | None:
+        return None if self.worst is None else self.tol - self.worst
 
     def to_dict(self) -> dict:
         # the report's own keys win over details of the same name
-        return self.details | {"check_name": self.check, "pass": self.passed,
-                               "margin": self.tol - self.worst,
-                               "witnesses": [] if self.witness is None else [self.witness]}
+        return self.details | {"check": self.check, "pass": self.passed, "worst": self.worst,
+                               "tolerance": self.tol, "margin": self.margin,
+                               "witness": self.witness}
 
 
 def _verdict(check: str, values, tol: float, index: str, value: str,
@@ -349,7 +358,12 @@ def finite_difference_gradient_check(oracle: GradientOracle, n_points: int,
     """Directional derivatives of the cost through the retraction vs <grad F, w>.
 
     Relative error is measured against max(1, ||grad F(x)||) and must stay
-    within _FD_TOL.  At u = 0 the retraction differential is the identity, so
+    within _FD_TOL, beside a rounding term eps |F(x)| / (h max(1, ||grad F(x)||))
+    per point: F(R_x(+-h w)), of size about |F(x)|, round by about eps |F(x)|
+    before their difference cancels most of them.  So the reported error is
+    |fd - <grad F, w>| over max(1, ||grad F(x)||) + eps |F(x)| / (h _FD_TOL),
+    which is within _FD_TOL iff the relative error is within _FD_TOL plus the
+    rounding term.  At u = 0 the retraction differential is the identity, so
     the central difference of F(R_x(h w)) with h = _FD_STEP estimates exactly
     <grad F(x), w>.
     """
@@ -365,6 +379,9 @@ def finite_difference_gradient_check(oracle: GradientOracle, n_points: int,
     )
     g = oracle.full_gradient(xs)
     ip = man.inner(xs, g, w)
-    rel = np.abs(fd - ip) / np.maximum(1.0, man.norm(xs, g))
+    # a cost that is not a number allows no rounding: the error decides
+    f = np.abs(oracle.cost(xs))
+    rounding = np.where(np.isnan(f), 0.0, np.finfo(float).eps * f / (step * tol))
+    rel = np.abs(fd - ip) / (np.maximum(1.0, man.norm(xs, g)) + rounding)
     return _verdict("finite_difference_gradient", rel, tol, "index", "rel_error",
-                    {"n_points": n_points, "step": step, "tol": tol, "seed": seed})
+                    {"n_points": n_points, "step": step, "seed": seed})

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget
+from .diagnostics import CheckReport
 from .errors import InvalidHyperparameters
 
 _SQUARE_SUM_TERMS = 10**6
@@ -79,14 +80,10 @@ class ScaledSchedule:
         return self.schedule.gamma(t) / self.phi
 
 
-@dataclass(frozen=True)
-class ScheduleCheck:
-    valid: bool
-    reason: str
-
-
-def validate_robbins_monro(schedule) -> ScheduleCheck:
-    """Whether sum gamma_t diverges while sum gamma_t^2 converges.
+def validate_robbins_monro(schedule) -> CheckReport:
+    """Whether sum gamma_t diverges while sum gamma_t^2 converges, as the
+    ``schedule`` check, which measures no quantity: ``details["reason"]``
+    says why.
 
     Power law: valid exactly for 1/2 < p <= 1 (p-series test; the clamp to 1
     changes finitely many terms and does not affect either series).  Explicit
@@ -95,13 +92,16 @@ def validate_robbins_monro(schedule) -> ScheduleCheck:
     if isinstance(schedule, PowerLawSchedule):
         p = schedule.p
         if 2 * p <= 1:
-            return ScheduleCheck(False, f"sum of squares diverges: 2p = {2 * p:g} <= 1")
-        if p > 1:
-            return ScheduleCheck(False, f"rate sum converges: p = {p:g} > 1")
-        return ScheduleCheck(True, f"p = {p:g} in (1/2, 1]")
-    if isinstance(schedule, ExplicitSchedule):
-        return ScheduleCheck(False, "finite horizon only: a finite rate sum cannot diverge")
-    raise TypeError(f"unsupported schedule type {type(schedule).__name__}")
+            passed, reason = False, f"sum of squares diverges: 2p = {2 * p:g} <= 1"
+        elif p > 1:
+            passed, reason = False, f"rate sum converges: p = {p:g} > 1"
+        else:
+            passed, reason = True, f"p = {p:g} in (1/2, 1]"
+    elif isinstance(schedule, ExplicitSchedule):
+        passed, reason = False, "finite horizon only: a finite rate sum cannot diverge"
+    else:
+        raise TypeError(f"unsupported schedule type {type(schedule).__name__}")
+    return CheckReport("schedule", passed, details={"reason": reason})
 
 
 def sum_of_squares(schedule) -> float:

@@ -79,7 +79,8 @@ from rsgd import budget, driver
 from rsgd import rng as crng
 from rsgd.batching import _STREAM_SEGMENT, _STREAM_STRATIFIED, _STREAM_SUBSET
 from rsgd.confinement import (_INVARIANT_SLACK, _N_COMBOS, _SAFETY, ConfinementConstants,
-                              ConfinementReport, _hessian_quadform, sample_rho_levels)
+                              _hessian_quadform, sample_rho_levels)
+from rsgd.diagnostics import CheckReport
 from rsgd.errors import InvalidPlan, SamplerFailure
 from rsgd.manifolds import DEGENERACY_EPS, Euclidean, Sphere
 from rsgd.problems import RegularizedLeastSquaresProblem, SphereMeanProblem
@@ -613,15 +614,15 @@ def one_shot_check_plain_confinement(spec, oracle, n_samples: int, seed: int = 0
     table = _gradient_table(oracle, xs)
     ips = (spec.grad_rho(xs)[:, None, :] * table).sum(axis=-1)
     i, l = np.unravel_index(np.argmin(ips), ips.shape)
-    worst = float(ips[i, l])
-    return ConfinementReport(
+    low = float(ips[i, l])
+    return CheckReport(
         check="plain_confinement",
-        passed=bool(worst >= 0.0),
-        min_margin=worst,
-        witness=None if worst >= 0.0 else {"x": xs[i].tolist(), "outcome": int(l), "value": worst},
-        n_samples=n_samples,
-        seed=seed,
-        notes="sampled evidence on the band [rho0, 10*rho0]; not a proof",
+        passed=bool(low >= 0.0),
+        worst=-low,
+        tol=0.0,
+        witness=None if low >= 0.0 else {"x": xs[i].tolist(), "outcome": int(l), "value": low},
+        details={"n_samples": n_samples, "seed": seed,
+                 "notes": "sampled evidence on the band [rho0, 10*rho0]; not a proof"},
     )
 
 
@@ -699,16 +700,16 @@ def one_shot_check_kappa_confinement(spec, oracle, kappa: float, n_samples: int,
         witness = {"x": flat_x0[i].tolist(), "v": flat_v0[i].tolist(),
                    "s": float(s0[i]), "rho_reached": float(reached[i])}
     passed = bool(worst >= -_INVARIANT_SLACK)
-    return ConfinementReport(
+    return CheckReport(
         check=f"{spec.variant}_confinement",
         passed=passed,
-        min_margin=worst,
+        worst=-worst,
+        tol=_INVARIANT_SLACK,
         witness=None if passed else witness,
-        n_samples=n_samples,
-        seed=seed,
-        notes="convex-hull directions are sampled (extreme points exact only for "
-              "linear objectives); sampled evidence, not a proof",
-        constants={"kappa": kappa, "margin_step": margin1, "margin_band": margin2},
+        details={"n_samples": n_samples, "seed": seed,
+                 "notes": "convex-hull directions are sampled (extreme points exact only for "
+                          "linear objectives); sampled evidence, not a proof",
+                 "kappa": kappa, "margin_step": margin1, "margin_band": margin2},
     )
 
 

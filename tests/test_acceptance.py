@@ -269,7 +269,7 @@ def test_criterion_7_confinement():
     elapsed = time.perf_counter() - start
     ok = check.passed and worst <= 1e-9 and elapsed < 60.0
     report("7 confinement", ok,
-           f"certificate margin {check.min_margin:.3f}, worst invariant excess "
+           f"certificate margin {check.margin:.3f}, worst invariant excess "
            f"{worst:.2e}, rho1 {constants.rho1:.2f}, {elapsed:.0f} s")
     assert check.passed, f"confinement certificate failed: {check.witness}"
     assert worst <= 1e-9, "induction invariant violated"
@@ -307,7 +307,7 @@ def test_criterion_8_full_batch_equivalence(sphere_problem, x0):
 def test_criterion_9_schedule_validation():
     """Power-law validity exactly on 1/2 < p <= 1 over the reference grid."""
     grid = {0.4: False, 0.5: False, 0.51: True, 0.75: True, 1.0: True, 1.2: False}
-    got = {p: rsgd.validate_robbins_monro(PowerLawSchedule(0.5, p)).valid for p in grid}
+    got = {p: rsgd.validate_robbins_monro(PowerLawSchedule(0.5, p)).passed for p in grid}
     ok = got == grid
     report("9 schedule-validation", ok, str(got))
     assert got == grid

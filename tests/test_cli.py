@@ -20,7 +20,7 @@ from rsgd import confinement as conf
 from rsgd.cli import CONFIG_KEYS, _parse_strata, build_plan, load_config, main
 from rsgd.records import CSV_HEADER, CsvSink
 from rsgd.manifolds import Sphere
-from rsgd.problems import FiniteSampleSpace, SphereMeanProblem
+from rsgd.problems import FiniteSampleSpace, SphereMeanProblem, random_least_squares
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -273,6 +273,39 @@ out = {out}
     return cfg, out
 
 
+def _large_label_config(tmp_path):
+    """random_least_squares(3, 16, seed=3, tau=0.3)'s rows with labels x 1e7,
+    in the ball ||x||^2 <= 4, under segment batches of 4: F reaches about
+    5e13 and ||grad F|| at least 8e5 at the checks' points."""
+    problem = random_least_squares(3, 16, seed=3, tau=0.3)
+    data = tmp_path / "large.csv"
+    data.write_text("a0,a1,a2,y\n" + "".join(
+        ",".join(repr(float(v)) for v in (*a, y)) + "\n"
+        for a, y in zip(problem.features, problem.labels * 1e7)))
+    cfg, out = tmp_path / "large.ini", tmp_path / "out"
+    cfg.write_text(f"""
+[problem]
+kind = least_squares
+csv = {data}
+tau = 0.3
+rho1 = 4
+
+[plan]
+scheme = segment
+batch_size = 4
+
+[rate]
+kind = power
+c = 0.5
+p = 0.75
+
+[run]
+horizon = 10
+out = {out}
+""")
+    return cfg, out
+
+
 class TestCheck:
     def test_unbiasedness_fails_on_nan_expectations(self, sphere_config, capsys):
         cfg, out = sphere_config
@@ -290,6 +323,36 @@ class TestCheck:
         assert '"worst": NaN' in text
         payload = json.loads(text)
         assert payload["pass"] is False and math.isnan(payload["worst"])
+
+    @pytest.mark.parametrize("name", ["unbiasedness", "gradient"])
+    def test_large_labels_pass_on_the_gradient_scale(self, tmp_path, capsys, name):
+        # the rounding of E h and of the central difference grows with the
+        # data's scale: once an absolute 1e-10 and a relative error of 4e-3
+        cfg, out = _large_label_config(tmp_path)
+        assert main(["check", name, "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == (f"{name}: PASS\n", "")
+        payload = json.loads((out / f"check_{name}.json").read_text())
+        assert payload["pass"] and payload["witness"] is None
+        assert payload["margin"] == payload["tolerance"] - payload["worst"] > 0
+
+    def test_unbiasedness_failure_names_its_point(self, tmp_path, capsys):
+        # a bias of 1e-8 on the gradient's scale, at the large labels' scale
+        cfg, out = _large_label_config(tmp_path)
+        real = cli.enumerate_expectation
+
+        def expectation(problem, xs, plan, t):
+            mean = real(problem, xs, plan, t=t)
+            g = problem.full_gradient(xs[5])
+            mean[5, 0] += 1e-8 * max(1.0, float(np.sqrt(g @ g)))
+            return mean
+
+        with mock.patch.object(cli, "enumerate_expectation", expectation):
+            assert main(["check", "unbiasedness", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().out == "unbiasedness: FAIL\n"
+        payload = json.loads((out / "check_unbiasedness.json").read_text())
+        assert payload["pass"] is False and payload["worst"] > payload["tolerance"] == 1e-10
+        assert payload["witness"] == {"index": 5, "rel_error": payload["worst"]}
+        assert payload["worst"] == pytest.approx(1e-8, rel=1e-3)
 
     def test_lipschitz_on_an_infinite_gradient_bound_fails_to_sample(self, sphere_config,
                                                                       capsys):
@@ -315,7 +378,7 @@ class TestCheck:
             assert main(["check", "lipschitz", "--config", str(cfg)]) == 1
         assert capsys.readouterr().out == "lipschitz: FAIL\n"
         payload = json.loads((out / "check_lipschitz.json").read_text())
-        assert payload["pass"] is False and math.isnan(payload["stability_ratio"])
+        assert payload["pass"] is False and math.isnan(payload["worst"])
 
     def test_unbiasedness_passes(self, sphere_config):
         cfg, out = sphere_config
@@ -367,20 +430,28 @@ class TestCheck:
         payload = json.loads((out / f"check_{name}.json").read_text())
         assert payload["pass"] is (code == 0)
         assert [f.name for f in out.iterdir()] == [f"check_{name}.json"]
+        # one key set for every check; a measured quantity passes iff it is
+        # within its tolerance, and its margin is the room left under it
+        assert set(payload) >= {"check", "pass", "worst", "tolerance", "margin", "witness"}
+        if payload["worst"] is None:
+            assert payload["tolerance"] is None and payload["margin"] is None
+        else:
+            assert payload["pass"] is (payload["worst"] <= payload["tolerance"])
+            assert payload["margin"] == payload["tolerance"] - payload["worst"]
 
     def test_gradient_margin_is_the_room_under_the_tolerance(self, sphere_config):
         # once -worst: a passing check reported a negative margin
         cfg, out = sphere_config
         assert main(["check", "gradient", "--config", str(cfg), "--quiet"]) == 0
         payload = json.loads((out / "check_gradient.json").read_text())
-        assert 0 < payload["margin"] <= payload["tol"] == diagnostics._FD_TOL
+        assert 0 < payload["margin"] <= payload["tolerance"] == diagnostics._FD_TOL
 
     def test_gradient_and_lipschitz(self, sphere_config):
         cfg, out = sphere_config
         assert main(["check", "gradient", "--config", str(cfg), "--quiet"]) == 0
         assert main(["check", "lipschitz", "--config", str(cfg), "--quiet"]) == 0
         payload = json.loads((out / "check_lipschitz.json").read_text())
-        assert payload["stability_ratio"] <= 2.0
+        assert payload["worst"] <= 2.0
 
     def test_confinement_check(self, tmp_path):
         out = tmp_path / "runs"
@@ -388,7 +459,7 @@ class TestCheck:
         cfg.write_text(LS_CONFINED_CONFIG.format(out=out))
         assert main(["check", "confinement", "--config", str(cfg), "--quiet"]) == 0
         payload = json.loads((out / "check_confinement.json").read_text())
-        assert payload["pass"] and payload["min_margin"] >= 0
+        assert payload["pass"] and payload["margin"] >= 0
 
     @pytest.mark.parametrize("argv, estimates", [
         (["check", "confinement"], 0), (["check", "kappa_confinement"], 1), (["run"], 1),

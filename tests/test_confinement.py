@@ -156,7 +156,7 @@ class TestPlainCheck:
         rho0 = ls_problem.rho0_for_norm_squared()
         spec = norm_squared_confinement(rho0)
         report = check_plain_confinement(spec, ls_problem, 10000, seed=3)
-        assert report.passed and report.min_margin >= 0.0
+        assert report.passed and report.margin >= 0.0
         assert report.witness is None
 
     def test_analytic_lower_bound_chain(self, ls_problem):
@@ -184,7 +184,7 @@ class TestPlainCheck:
         spec = norm_squared_confinement(0.01)
         report = check_plain_confinement(spec, prob, 4000, seed=5)
         assert not report.passed
-        assert report.witness is not None and report.min_margin < 0.0
+        assert report.witness is not None and report.margin < 0.0
 
     def test_gradient_of_rho_always_passes(self):
         prob = FieldProblem(3, [lambda x: 2.0 * x])
@@ -440,7 +440,7 @@ def test_report_serialization(ls_problem):
     report = check_plain_confinement(spec, ls_problem, 200, seed=11)
     payload = report.to_dict()
     assert payload["check"] == "plain_confinement"
-    assert set(payload) >= {"pass", "min_margin", "witness", "n_samples", "seed", "notes"}
+    assert set(payload) >= {"pass", "margin", "witness", "n_samples", "seed", "notes"}
 
 
 @pytest.mark.parametrize("n_samples", [0, -1])
@@ -488,9 +488,9 @@ def test_a_nan_band_margin_fails_the_kappa_check():
     # does not; min(margin_step, nan) once dropped the NaN and passed
     spec = norm_squared_confinement(1.0, 4.0, "kappa")
     report = check_kappa_confinement(spec, FieldProblem(2, [_nan_beyond]), 0.5, 500)
-    assert np.isfinite(report.constants["margin_step"])
-    assert np.isnan(report.constants["margin_band"])
-    assert not report.passed and np.isnan(report.min_margin)
+    assert np.isfinite(report.details["margin_step"])
+    assert np.isnan(report.details["margin_band"])
+    assert not report.passed and np.isnan(report.margin)
     assert list(report.witness) == ["x", "v", "s", "gap"] and report.witness["x"][0] > 1.5
 
 

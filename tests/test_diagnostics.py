@@ -12,6 +12,7 @@ from rsgd import (
     Euclidean,
     FiniteSampleSpace,
     PowerLawSchedule,
+    RegularizedLeastSquaresProblem,
     RunConfig,
     SegmentPlan,
     SubsetPlan,
@@ -22,12 +23,14 @@ from rsgd import (
     estimate_lipschitz,
     finite_difference_gradient_check,
     martingale_summary,
+    random_least_squares,
     random_sphere_mean,
     run_adaptive,
     run_deterministic,
     run_many,
     sum_of_squares,
     track_martingale,
+    validate_robbins_monro,
 )
 from rsgd import budget, diagnostics
 from rsgd.diagnostics import ConvergenceFold
@@ -406,9 +409,53 @@ class TestFiniteDifferenceCheck:
             CorruptedGradientProblem(random_sphere_mean(4, 16, seed=7)), 200, seed=2)
         for report in (good, bad):
             out = report.to_dict()
-            assert out["margin"] == out["tol"] - report.worst == diagnostics._FD_TOL - report.worst
+            assert (out["margin"] == out["tolerance"] - report.worst
+                    == diagnostics._FD_TOL - report.worst)
             assert (out["margin"] >= 0) == out["pass"]
         assert 0 < good.to_dict()["margin"] <= diagnostics._FD_TOL
+
+
+def _large_labels():
+    """random_least_squares(3, 16, seed=3, tau=0.3) with labels x 1e7 in the
+    ball ||x||^2 <= 4: F reaches about 5e13, so the central difference
+    cancels all but a few digits of it."""
+    p = random_least_squares(3, 16, seed=3, tau=0.3)
+    return RegularizedLeastSquaresProblem(p.features, p.labels * 1e7, 0.3, region_rho1=4.0)
+
+
+class ScaledGradientProblem(CorruptedGradientProblem):
+    """Wraps another problem and scales its whole exact gradient by 1.01."""
+
+    def full_gradient(self, x):
+        return 1.01 * self.inner.full_gradient(x)
+
+
+_FD_PROBLEMS = {
+    "large-labels": _large_labels,
+    "sphere": lambda: random_sphere_mean(4, 16, seed=7),
+    "least-squares": lambda: random_least_squares(3, 16, seed=3, tau=0.3, region_rho1=4.0),
+}
+
+
+class TestFiniteDifferenceRounding:
+    def test_large_labels_pass(self):
+        # the cancellation once read as a relative error of 4e-3
+        report = finite_difference_gradient_check(_large_labels(), 200)
+        assert report.passed and 0 <= report.worst <= diagnostics._FD_TOL
+
+    @pytest.mark.parametrize("make", _FD_PROBLEMS.values(), ids=_FD_PROBLEMS)
+    def test_a_gradient_one_percent_off_fails(self, make):
+        report = finite_difference_gradient_check(ScaledGradientProblem(make()), 200)
+        assert not report.passed and report.worst > diagnostics._FD_TOL
+        assert report.witness == {"index": report.witness["index"], "rel_error": report.worst}
+
+
+def test_a_check_without_a_quantity_has_no_margin():
+    report = validate_robbins_monro(PowerLawSchedule(0.5, 0.4))
+    assert not report.passed and report.worst is report.tol is report.margin is None
+    assert report.to_dict() == {"check": "schedule", "pass": False, "worst": None,
+                                "tolerance": None, "margin": None, "witness": None,
+                                "reason": "sum of squares diverges: 2p = 0.8 <= 1"}
 
 
 def _excess_trajectory(T, noise_inner, batch_grad_norm, step):

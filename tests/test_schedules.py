@@ -63,11 +63,11 @@ class TestDeterministic:
         (0.4, False), (0.5, False), (0.51, True), (0.75, True), (1.0, True), (1.2, False),
     ])
     def test_robbins_monro_grid(self, p, valid):
-        assert validate_robbins_monro(PowerLawSchedule(0.5, p)).valid is valid
+        assert validate_robbins_monro(PowerLawSchedule(0.5, p)).passed is valid
 
     def test_explicit_never_valid(self):
         res = validate_robbins_monro(ExplicitSchedule((0.1, 0.1)))
-        assert not res.valid and "finite" in res.reason
+        assert not res.passed and "finite" in res.details["reason"]
 
     def test_sum_of_squares_matches_zeta_value(self):
         assert sum_of_squares(PowerLawSchedule(0.5, 0.75)) == pytest.approx(
