@@ -47,9 +47,11 @@ its Dirichlet weights from [seed, k + 1] and its step fractions from
 Memory: the samplers visit their sample points in chunks whose largest
 array holds at most ``budget.WORDS`` words (or one point's arrays, when a
 single point needs more), so their transient memory does not grow with the
-number of samples.  The chunks draw their Dirichlet weights
-and step fractions from the same generators in turn, which gives the bits
-of one draw over all points.  Each chunk keeps its first extreme entry
+number of samples.  The rho levels and the rays are drawn and bisected a
+piece of whole chunks at a time, whose arrays stay within the same budget.
+The pieces draw their levels and rays, and the chunks their Dirichlet
+weights and step fractions, from the same generators in turn, which gives
+the bits of one draw over all points.  Each chunk keeps its first extreme entry
 (``_pick``), and the same rule over those picks (``_first``) finds the
 entry it would find over all points at once: the first NaN wins over
 everything, and ties keep the earlier entry.  The rule is the package's one
@@ -73,6 +75,7 @@ from . import budget
 from .diagnostics import CheckReport, _at, _first, _pick
 from .driver import RunConfig, run_many
 from .errors import ConfinementViolation, InvalidHyperparameters, SamplerFailure
+from .manifolds import _unit_rows
 from .problems import GradientOracle
 from .records import MemorySink, Tee, Trajectory
 from .schedules import (AdaptiveRate, ScaledSchedule, cumulative_squares, sum_of_squares,
@@ -160,11 +163,6 @@ def _hessian_quadform(manifold, rho: Callable, x, u, v):
     return (f(_HESS_STEP) - 2.0 * f(0.0) + f(-_HESS_STEP)) / _HESS_STEP**2
 
 
-def _unit_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    a = rng.normal(size=(n, dim))
-    return a / np.sqrt((a * a).sum(axis=1))[:, None]
-
-
 class _Unbracketed(SamplerFailure):
     """A rho level that _MAX_DOUBLINGS radius doublings do not reach."""
 
@@ -179,7 +177,7 @@ def sample_rho_levels(rho: Callable, dim: int, targets: np.ndarray,
     """
     targets = np.asarray(targets, dtype=float)
     n = targets.size
-    dirs = _unit_directions(rng, n, dim)
+    dirs = _unit_rows(rng, (n, dim))
     base = float(np.asarray(rho(np.zeros(dim))))
     if np.any(targets < base - 1e-12):
         raise SamplerFailure(f"targets below rho(origin) = {base:g} are unreachable radially")
@@ -221,7 +219,8 @@ def _chunk_size(oracle, n_combos: int) -> int:
 def _pairs(spec, oracle, hi, n, seed, k, combos, top, lo=None, step=None):
     """Every (point, direction) pair of n sample points, as row arrays x and
     v per chunk of _chunk_size points, and a step fraction per row drawn
-    uniformly from [0, step) when step is given.
+    uniformly from [0, step) when step is given.  The points are found a
+    piece of whole chunks at a time, each piece by one bisection.
 
     The points have rho levels uniform on [lo, hi], or on the sublevel set
     {rho <= hi} from rho(origin) when lo is None.  The directions at a point
@@ -238,26 +237,33 @@ def _pairs(spec, oracle, hi, n, seed, k, combos, top, lo=None, step=None):
         if hi < lo:
             raise SamplerFailure(f"sublevel {hi:g} is below rho(origin) = {lo:g}")
     # separate streams for levels and rays keep the first n samples identical
-    # as n grows, which makes the sup estimates monotone in n
-    levels = np.random.default_rng([seed, k, 0]).uniform(lo, hi, size=n)
-    try:
-        xs = sample_rho_levels(spec.rho, dim, levels, np.random.default_rng([seed, k, 1]))
-    except _Unbracketed:
-        raise InvalidHyperparameters(
-            f"{top}, a rho level that the radial sampler cannot reach "
-            f"in {_MAX_DOUBLINGS} doublings of the radius") from None
+    # as n grows, which makes the sup estimates monotone in n; each is drawn
+    # a piece at a time, which gives the bits of one draw
+    rng_l, rng_r = np.random.default_rng([seed, k, 0]), np.random.default_rng([seed, k, 1])
     rng_w, rng_s = np.random.default_rng([seed, k + 1]), np.random.default_rng([seed, k + 2])
     m = _chunk_size(oracle, combos)
-    for x in (xs[i:i + m] for i in range(0, n, m)):
-        v = oracle.sample_gradients(x, np.broadcast_to(np.arange(n_out), (len(x), n_out)))
-        if combos:
-            w = rng_w.dirichlet(np.ones(n_out), size=(len(x), combos))
-            v = np.concatenate([v, (w[..., None] * v[:, None, :, :]).sum(axis=2)], axis=1)
-        flat_x, flat_v = np.repeat(x, v.shape[1], axis=0), v.reshape(-1, dim)
-        if step is None:
-            yield flat_x, flat_v
-        else:
-            yield flat_x, flat_v, rng_s.uniform(0.0, step, size=len(flat_v))
+    # points per bisection: whole chunks whose rays, radii and levels, 2 d + 8
+    # words a point, stay within budget.WORDS (or one chunk); a bisection per
+    # chunk would run its 90 halvings for every chunk
+    piece = m * max(1, budget.WORDS // (m * (2 * dim + 8)))
+    for start in range(0, n, piece):
+        levels = rng_l.uniform(lo, hi, size=min(piece, n - start))
+        try:
+            xs = sample_rho_levels(spec.rho, dim, levels, rng_r)
+        except _Unbracketed:
+            raise InvalidHyperparameters(
+                f"{top}, a rho level that the radial sampler cannot reach "
+                f"in {_MAX_DOUBLINGS} doublings of the radius") from None
+        for x in (xs[i:i + m] for i in range(0, len(xs), m)):
+            v = oracle.sample_gradients(x, np.broadcast_to(np.arange(n_out), (len(x), n_out)))
+            if combos:
+                w = rng_w.dirichlet(np.ones(n_out), size=(len(x), combos))
+                v = np.concatenate([v, (w[..., None] * v[:, None, :, :]).sum(axis=2)], axis=1)
+            flat_x, flat_v = np.repeat(x, v.shape[1], axis=0), v.reshape(-1, dim)
+            if step is None:
+                yield flat_x, flat_v
+            else:
+                yield flat_x, flat_v, rng_s.uniform(0.0, step, size=len(flat_v))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -353,6 +353,7 @@ def convergence_metrics(trajectories: list, threshold: float = 1e-3) -> dict:
     return fold.result()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def finite_difference_gradient_check(oracle: GradientOracle, n_points: int,
                                      seed: int = 0) -> CheckReport:
     """Directional derivatives of the cost through the retraction vs <grad F, w>.
@@ -365,7 +366,8 @@ def finite_difference_gradient_check(oracle: GradientOracle, n_points: int,
     which is within _FD_TOL iff the relative error is within _FD_TOL plus the
     rounding term.  At u = 0 the retraction differential is the identity, so
     the central difference of F(R_x(h w)) with h = _FD_STEP estimates exactly
-    <grad F(x), w>.
+    <grad F(x), w>.  It computes with numpy's overflow and invalid warnings
+    off, since the inf or NaN they leave is what its verdict names.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")

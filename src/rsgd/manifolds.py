@@ -7,6 +7,9 @@ operation broadcasts over leading axes, so a single call can transform one
 point of shape (d,) or a batch of shape (S, d).
 
 All operations are pure functions of their inputs and hold no state.
+``_unit_rows`` draws normal rows scaled to unit length, the one draw behind
+the sphere's random points, the random problems' data and the confinement
+samplers' rays.
 
 ``retract_flagged`` returns the new points and an ok mask of the rows whose
 retraction succeeded, or None in place of the mask when every row did: the
@@ -36,6 +39,10 @@ reads it from the memory of its input (``_is_cm``):
   along a short last axis run one inner loop per few entries.  It is the
   layout of fewer than ``_CM_SEEDS`` seeds, and of d = 1 and d >= 8.
 
+The oracles of :mod:`rsgd.problems` read the layout here too: each of their
+data arrays is a ``_Table``, whose ``take`` gathers a batch's rows in the
+layout of the points, and ``_rows`` sets the points against the batch.
+
 Results never depend on the layout: elementwise arithmetic does not see
 memory order, a sum of fewer than 8 terms is sequential in every layout, and
 ``_sum`` adds 8 or more terms as a row-major array would.  (The one
@@ -48,6 +55,8 @@ be sequential, with other bits.  At d = 1 the two layouts of (S, d) coincide.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -68,8 +77,9 @@ def coordinate_major(n_seeds: int, d: int) -> bool:
 
 def _is_cm(a) -> bool:
     """Whether an array is in coordinate-major memory: Fortran order and not
-    also C order, as an array with one row or one coordinate is."""
-    return np.isfortran(a)
+    also C order, as an array with one row or one coordinate is
+    (``np.isfortran`` without its call)."""
+    return a.flags.fnc
 
 
 def _empty(shape, cm: bool):
@@ -95,6 +105,48 @@ def _sum(a, axis=-1):
 def _dot(u, v):
     """Inner product along the last axis (no BLAS, shape-stable rounding)."""
     return _sum(u * v)
+
+
+class _Table:
+    """An oracle's data array a, (N, d) rows or (N,) scalars, gathered by
+    outcome in the layout of the points the outcomes are taken at."""
+
+    def __init__(self, a):
+        self.a = a
+
+    @cached_property
+    def _by_coordinate(self):
+        # (d, N): the gather of coordinate-major points, built on the first
+        # one; scalars need no copy
+        return self.a if self.a.ndim == 1 else np.ascontiguousarray(self.a.T)
+
+    def take(self, idx, x):
+        """a[idx] for idx (..., b), in the layout of x (..., d)."""
+        if _is_cm(x):
+            return self._by_coordinate.take(idx.T, axis=-1).T
+        a = self.a
+        # ``take`` is several times faster than indexing, but would first copy
+        # an a that is not C-contiguous
+        return a.take(idx, axis=0) if a.flags.c_contiguous else a[idx]
+
+
+def _rows(x, b):
+    """x (..., d) against a batch of b outcomes: repeated to (..., b, d), in
+    the layout of x, when b > 1 and x is coordinate-major; the broadcast view
+    (..., 1, d) otherwise."""
+    xb = x[..., None, :]
+    if b > 1 and _is_cm(x):
+        # a broadcast along the batch axis, between d and the seeds in
+        # memory, would cost each operation one inner loop per (j, i)
+        return xb.T.repeat(b, axis=1).T
+    return xb
+
+
+def _unit_rows(rng: np.random.Generator, shape):
+    """Standard normal draws of the given shape (..., d), each row scaled to
+    unit length: a uniform point of the unit sphere per row, for d >= 1."""
+    a = rng.normal(size=shape)
+    return a / np.sqrt(_dot(a, a))[..., None]
 
 
 class Manifold:
@@ -233,6 +285,4 @@ class Sphere(Manifold):
         return np.abs(np.sqrt(_dot(x, x)) - 1.0) <= tol
 
     def random_point(self, rng, size=None):
-        shape = (self.ambient_dim,) if size is None else (size, self.ambient_dim)
-        a = rng.normal(size=shape)
-        return a / np.sqrt(_dot(a, a))[..., None]
+        return _unit_rows(rng, (self.ambient_dim,) if size is None else (size, self.ambient_dim))

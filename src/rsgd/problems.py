@@ -17,10 +17,9 @@ Those records are sums along fixed axes without BLAS, so a point's value does
 not depend on how many points are evaluated with it.  The per-outcome
 gradients H(x, l) still read the data rows; they sum along d the way
 :mod:`rsgd.manifolds` does, so their bits depend neither on the shapes nor on
-the memory layout.  For points in coordinate-major memory (see
-:mod:`rsgd.manifolds`) they gather from a (d, N) copy of the data, made on
-the first such call, and repeat x along the batch axis; in row-major memory
-they gather rows and broadcast x.
+the memory layout.  They read the layout through :mod:`rsgd.manifolds` too:
+each data array is a ``_Table``, which gathers a batch's rows in the layout
+of the points, and ``_rows`` sets x against the batch in that layout.
 
 The data CSV loaders read a file by one of two paths with the same result.
 A clean file (no quotes, no rows of whitespace or commas only) goes by path
@@ -37,12 +36,11 @@ import itertools
 import os
 import stat
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import UnboundedRegion
-from .manifolds import Euclidean, Manifold, Sphere, _dot, _is_cm, _sum
+from .manifolds import Euclidean, Manifold, Sphere, _dot, _rows, _sum, _Table, _unit_rows
 
 
 @dataclass(frozen=True)
@@ -112,30 +110,6 @@ class GradientOracle:
         raise NotImplementedError
 
 
-def _gather(a, idx):
-    """a[idx] along the first axis: ``take`` when a is C-contiguous (several
-    times faster), indexing otherwise (``take`` would copy all of a first)."""
-    return a.take(idx, axis=0) if a.flags.c_contiguous else a[idx]
-
-
-def _gather_cm(a_t, idx):
-    """a[idx] along the first axis of a, in coordinate-major memory, from
-    a_t = a.T: (d, N) for rows of d coordinates, (N,) for scalars."""
-    return a_t.take(idx.T, axis=-1).T
-
-
-def _rows(x, b):
-    """x (..., d) against a batch of b outcomes: repeated to (..., b, d), in
-    the layout of x, when b > 1 and x is coordinate-major; the broadcast view
-    (..., 1, d) otherwise."""
-    xb = x[..., None, :]
-    if b > 1 and _is_cm(x):
-        # a broadcast along the batch axis, between d and the seeds in
-        # memory, would cost each operation one inner loop per (j, i)
-        return xb.T.repeat(b, axis=1).T
-    return xb
-
-
 class SphereMeanProblem(GradientOracle):
     """Weighted mean of squared distances to fixed targets, on the unit sphere.
 
@@ -151,6 +125,7 @@ class SphereMeanProblem(GradientOracle):
             raise ValueError("targets must be a (N, d) array with N >= 1")
         n, d = a.shape
         self.targets = a
+        self._targets = _Table(a)
         self.space = FiniteSampleSpace.uniform(n) if weights is None else FiniteSampleSpace(weights)
         if self.space.size != n:
             raise ValueError("weights length must match number of targets")
@@ -158,11 +133,6 @@ class SphereMeanProblem(GradientOracle):
         self.data_seed = data_seed
         self.target_mean = (self.space.weights[:, None] * a).sum(axis=0)
         self._sq_mean = float((self.space.weights * (a * a).sum(axis=1)).sum())
-
-    @cached_property
-    def _targets_t(self):
-        # (d, N): the gather of coordinate-major steps, built on the first one
-        return np.ascontiguousarray(self.targets.T)
 
     def cost(self, x):
         x = np.asarray(x, dtype=float)
@@ -176,10 +146,7 @@ class SphereMeanProblem(GradientOracle):
         x = np.asarray(x, dtype=float)
         idx = np.asarray(idx)
         xb = _rows(x, idx.shape[-1])
-        if _is_cm(x):
-            diff = xb - _gather_cm(self._targets_t, idx)
-        else:
-            diff = xb - _gather(self.targets, idx)
+        diff = xb - self._targets.take(idx, x)
         return diff - _sum(diff * xb)[..., None] * xb
 
     def gradient_bound(self) -> float:
@@ -225,6 +192,7 @@ class RegularizedLeastSquaresProblem(GradientOracle):
             raise ValueError("tau must be > 0")
         self.features = a
         self.labels = y
+        self._features, self._labels = _Table(a), _Table(y)
         self.tau = float(tau)
         n, d = a.shape
         self.space = FiniteSampleSpace.uniform(n) if weights is None else FiniteSampleSpace(weights)
@@ -240,11 +208,6 @@ class RegularizedLeastSquaresProblem(GradientOracle):
         self._cross = np.einsum("ni,n->i", wa, y)
         self._sq_labels = float((self.space.weights * y * y).sum())
 
-    @cached_property
-    def _features_t(self):
-        # (d, N): the gather of coordinate-major steps, built on the first one
-        return np.ascontiguousarray(self.features.T)
-
     def cost(self, x):
         x = np.asarray(x, dtype=float)
         quad = _dot(x, _sum(x[..., None, :] * self._gram))
@@ -258,10 +221,7 @@ class RegularizedLeastSquaresProblem(GradientOracle):
     def sample_gradients(self, x, idx):
         x = np.asarray(x, dtype=float)
         idx = np.asarray(idx)
-        if _is_cm(x):
-            av, y = _gather_cm(self._features_t, idx), _gather_cm(self.labels, idx)
-        else:
-            av, y = _gather(self.features, idx), _gather(self.labels, idx)
+        av, y = self._features.take(idx, x), self._labels.take(idx, x)
         xb = _rows(x, idx.shape[-1])
         r = _sum(xb * av) - y
         return r[..., None] * av + self.tau * xb
@@ -284,8 +244,7 @@ class RegularizedLeastSquaresProblem(GradientOracle):
         if self.region_rho1 is None:
             raise UnboundedRegion("no ball radius declared for region sampling")
         d = self.manifold.ambient_dim
-        dirs = self.manifold.random_point(rng, size)
-        dirs = dirs / np.sqrt((dirs * dirs).sum(axis=-1))[..., None]
+        dirs = _unit_rows(rng, (size, d))
         radii = np.sqrt(self.region_rho1) * rng.uniform(size=size) ** (1.0 / d)
         return dirs * radii[:, None]
 
@@ -298,18 +257,15 @@ class RegularizedLeastSquaresProblem(GradientOracle):
 
 def random_sphere_mean(dim: int, n_outcomes: int, seed: int) -> SphereMeanProblem:
     """Sphere-mean instance with pseudo-random unit targets; the seed is recorded."""
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n_outcomes, dim))
-    a = a / np.sqrt((a * a).sum(axis=1))[:, None]
-    return SphereMeanProblem(a, data_seed=seed)
+    return SphereMeanProblem(_unit_rows(np.random.default_rng(seed), (n_outcomes, dim)),
+                             data_seed=seed)
 
 
 def random_least_squares(dim: int, n_outcomes: int, seed: int, tau: float,
                          region_rho1: float | None = None) -> RegularizedLeastSquaresProblem:
     """Least-squares instance with unit feature rows and normal labels."""
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n_outcomes, dim))
-    a = a / np.sqrt((a * a).sum(axis=1))[:, None]
+    a = _unit_rows(rng, (n_outcomes, dim))
     y = rng.normal(size=n_outcomes)
     return RegularizedLeastSquaresProblem(a, y, tau, region_rho1=region_rho1, data_seed=seed)
 

@@ -29,6 +29,8 @@ The oracles held here:
   gradient norms, the reference for the adaptive rule's step sizes;
 * ``retract_differential``: dR_x|_u, the reference for ``retract_adjoint``,
   with ``is_tangent`` and ``random_tangent`` for the manifold tests;
+* ``unit_normal_rows``: normal rows divided by their norms, summed with
+  ``ndarray.sum``, the reference for ``manifolds._unit_rows``;
 * ``sample_gradient``: H(x, l) for one outcome;
 * ``running_min_grad_norm``: the running minimum of a trajectory's gradient norm;
 * ``rowwise_csv``: the trajectory CSV one row at a time, the reference for
@@ -388,6 +390,12 @@ def is_tangent(man, x, v, tol: float = 1e-10):
 def random_tangent(man, rng: np.random.Generator, x):
     """Standard normal ambient vector projected to the tangent space at x."""
     return man.project_tangent(x, rng.normal(size=np.shape(x)))
+
+
+def unit_normal_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n standard normal rows of d entries, each divided by its norm."""
+    a = rng.normal(size=(n, d))
+    return a / np.sqrt((a * a).sum(axis=1))[:, None]
 
 
 def sample_gradient(oracle, x, l: int):

@@ -584,12 +584,13 @@ _sum_of_squares_once = functools.cache(confinement.sum_of_squares)
        kind=st.sampled_from(["field", "nan_field", "least_squares"]),
        dim=st.integers(1, 4), n_out=st.integers(1, 9), data_seed=st.integers(0, 2**16),
        seed=st.integers(0, 2**16), words=st.integers(1, 512),
-       size=st.sampled_from(["1", "m-1", "m", "m+1", "3m+1"]),
+       size=st.sampled_from(["1", "m-1", "m", "m+1", "3m+1", "p+1", "2p+m+1"]),
        rho0=st.sampled_from([0.05, 1.0, 4.0]), kappa=st.sampled_from([0.05, 1e6]))
 def test_chunked_samplers_equal_their_one_shot_oracles(sampler, kind, dim, n_out, data_seed,
                                                        seed, words, size, rho0, kappa):
     """Every constant, report field and witness equals the one-shot sampler's
-    bit for bit, for n_samples around multiples of the chunk size m."""
+    bit for bit, for n_samples around multiples of the chunk size m and of
+    the p points that one bisection places."""
     rng = np.random.default_rng(data_seed)
     if kind != "least_squares":
         cut = 0.5 if kind == "nan_field" else np.inf
@@ -601,7 +602,9 @@ def test_chunked_samplers_equal_their_one_shot_oracles(sampler, kind, dim, n_out
     with mock.patch.object(budget, "WORDS", words), \
             mock.patch.object(confinement, "sum_of_squares", _sum_of_squares_once):
         m = confinement._chunk_size(problem, SAMPLERS[sampler])
-        n = {"1": 1, "m-1": max(1, m - 1), "m": m, "m+1": m + 1, "3m+1": 3 * m + 1}[size]
+        p = m * max(1, words // (m * (2 * dim + 8)))
+        n = {"1": 1, "m-1": max(1, m - 1), "m": m, "m+1": m + 1, "3m+1": 3 * m + 1,
+             "p+1": p + 1, "2p+m+1": 2 * p + m + 1}[size]
         if sampler == "constants":
             sched = PowerLawSchedule(0.5, 0.75)
             args = (norm_squared_confinement(rho0), problem, sched, 1.0, 2.0, 1.0, n, seed)
@@ -689,3 +692,18 @@ def test_sampler_memory_stays_within_the_block_budget(sampler, schedule):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_sampler_memory_does_not_grow_with_the_samples():
+    # least squares, d = 3 and N = 16: bisecting all 3.2e5 levels at once
+    # held every point's ray, radius and level, about 37 MiB
+    problem = random_least_squares(3, 16, seed=3, tau=0.2)
+    tracemalloc.start()
+    try:
+        check_plain_confinement(norm_squared_confinement(problem.rho0_for_norm_squared()),
+                                problem, 320_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few arrays of the word budget, whatever the number of samples
+    assert peak < 12 * 8 * budget.WORDS

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -533,6 +534,16 @@ def test_finite_difference_check_takes_the_first_worst_point(excess):
     them) fail the first worst point against the tolerance 1e-4."""
     report = finite_difference_gradient_check(SignedCostProblem(excess), len(excess))
     _assert_verdict(report, np.abs(excess), diagnostics._FD_TOL, "index", "rel_error")
+
+
+@pytest.mark.parametrize("excess", [np.inf, np.nan])
+def test_finite_difference_check_fails_an_infinite_cost_without_a_warning(excess):
+    """A cost that is inf or NaN near the point fails the check and is named
+    by its verdict, with no numpy RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = finite_difference_gradient_check(SignedCostProblem([excess]), 1)
+    _assert_verdict(report, [excess], diagnostics._FD_TOL, "index", "rel_error")
 
 
 @pytest.mark.parametrize("radius", [np.inf, -np.inf, np.nan, 0.0])

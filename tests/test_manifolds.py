@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from rsgd import DegenerateRetraction, Euclidean, Sphere
+from rsgd.manifolds import _unit_rows
 
-from reference import is_tangent, random_tangent, retract_differential
+from reference import is_tangent, random_tangent, retract_differential, unit_normal_rows
 
 
 @pytest.fixture
@@ -166,3 +169,16 @@ def test_dimensions():
         Sphere(1)
     with pytest.raises(ValueError):
         Euclidean(0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9, 16, 33])
+def test_unit_rows_are_the_normalised_normal_rows(d):
+    """The one draw of unit rows behind the sphere's points, the random
+    problems' data and the confinement rays equals normal rows divided by
+    their norms bit for bit, d = 1 included."""
+    for n, seed in itertools.product([1, 5, 100], range(5)):
+        got = _unit_rows(np.random.default_rng(seed), (n, d))
+        np.testing.assert_array_equal(got, unit_normal_rows(np.random.default_rng(seed), n, d))
+        if d > 1:
+            np.testing.assert_array_equal(Sphere(d).random_point(np.random.default_rng(seed), n),
+                                          got)
